@@ -283,6 +283,12 @@ def _build_storage(cfg: dict, sys_, bundle, key: str = "storage", required: bool
     return storage
 
 
+def _reject_projector(cfg: dict, command: str) -> None:
+    spec = cfg.get("storage")
+    if isinstance(spec, dict) and spec.get("projector") is not None:
+        raise ConfigError("/storage/projector", f"{command} does not support a projector")
+
+
 def _build_supply(cfg: dict, sys_, bundle, key: str = "supply", required: bool = False):
     spec = cfg.get(key)
     if spec is None:
@@ -420,6 +426,7 @@ def cmd_audit(cfg, args, out_dir):
 def cmd_certify_uc(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
     storage = _build_storage(cfg, sys_, bundle, required=True)
+    _reject_projector(cfg, "certify-uc")
     supply = _build_supply(cfg, sys_, bundle, required=True)
     pi = _as_matrix(_get(cfg, "", "pi", required=True), "/pi")
     seed = _seed(cfg, args)
@@ -433,6 +440,7 @@ def cmd_certify_uc(cfg, args, out_dir):
 def cmd_certify_ap(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
     storage = _build_storage(cfg, sys_, bundle, required=True)
+    _reject_projector(cfg, "certify-ap")
     supply = _build_supply(cfg, sys_, bundle, required=True)
     seed = _seed(cfg, args)
     grid_x = _build_grid(cfg, "grid", sys_.n, seed)

@@ -24,9 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import (
+    NumericalError,
+    eye,
     frobenius,
     jacobian,
     jvp,
+    mat_vec,
     nsd_margin,
     psd_margin,
     sqrt as d_sqrt,
@@ -44,16 +47,6 @@ class SupplyIntegrabilityError(Exception):
 
 class InvalidCertificate(Exception):
     """A certificate precondition (shape, conditioning) is violated."""
-
-
-def _mat_vec(rows: Sequence[Sequence], v: Sequence) -> list:
-    out = []
-    for row in rows:
-        acc = 0.0
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return out
 
 
 def _is_float_vector(v: Sequence) -> bool:
@@ -80,8 +73,8 @@ class QuadraticDifferentialStorage:
 
     @classmethod
     def identity(cls, n: int) -> "QuadraticDifferentialStorage":
-        eye = [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
-        return cls(lambda x: eye, n)
+        rows = eye(n)
+        return cls(lambda x: rows, n)
 
     @classmethod
     def constant(cls, m: Sequence[Sequence[float]]) -> "QuadraticDifferentialStorage":
@@ -132,13 +125,13 @@ class QuadraticDifferentialStorage:
             arr = np.asarray(p, dtype=float)
             if frobenius(arr @ arr - arr) > 1e-10:
                 raise ValueError("projector is not idempotent within 1e-10")
-        return _mat_vec(p, dx)
+        return mat_vec(p, dx)
 
     def value(self, x: Sequence, dx: Sequence):
         """S(x, dx); works on floats and dual scalars."""
         if len(dx) != self.n:
             raise ValueError(f"displacement must have {self.n} entries")
-        w = _mat_vec(self.m_fun(x), self.horizontal(x, dx))
+        w = mat_vec(self.m_fun(x), self.horizontal(x, dx))
         acc = 0.0
         for a in w:
             acc = acc + a * a
@@ -183,8 +176,8 @@ class SupplyRate:
 
     @classmethod
     def identity(cls, q: int, strictness: str = "none", state_rate=None) -> "SupplyRate":
-        eye = [[1.0 if r == c else 0.0 for c in range(q)] for r in range(q)]
-        return cls(lambda x: eye, q, strictness, state_rate)
+        rows = eye(q)
+        return cls(lambda x: rows, q, strictness, state_rate)
 
     @classmethod
     def constant(cls, w, strictness: str = "none", state_rate=None) -> "SupplyRate":
@@ -274,11 +267,14 @@ def audit(
         S[k] = storage.value(x, dx)
         dS[k] = storage.rate(x, dx, traj.xdot[k].tolist(), traj.dxdot[k].tolist())
         Q[k] = supply.value(x, traj.dy[k], traj.du[k])
-    if not np.all(np.isfinite(Q)):
-        bad = int(np.flatnonzero(~np.isfinite(Q))[0])
-        raise SupplyIntegrabilityError(
-            f"supply sample is not finite at t={traj.times[bad]:.6g}"
-        )
+    for col, error, what in (
+        (S, NumericalError, "storage column S"),
+        (dS, NumericalError, "storage column dS/dt"),
+        (Q, SupplyIntegrabilityError, "supply sample"),
+    ):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise error(f"{what} is not finite at t={traj.times[bad[0]]:.6g}")
     decay = np.zeros(N)
     if supply.strictness == "state":
         decay = np.array([supply.state_rate(s) for s in S])
@@ -445,7 +441,7 @@ def check_uc(
         raise InvalidCertificate("Pi is singular or ill-conditioned beyond 1e12")
 
     e = sys.exo_at(t)
-    mf = lambda z: _mat_vec(m_fun(z), sys.f(z, e))
+    mf = lambda z: mat_vec(m_fun(z), sys.f(z, e))
     worst_a, worst_b, worst_c = _Worst(), _Worst(), _Worst()
     pts = grid.points()
     for p in pts:
@@ -497,7 +493,7 @@ def check_ap(
             "the mixed Jacobian condition only conforms when input and state dimensions agree"
         )
     e = sys.exo_at(t)
-    mf = lambda z: _mat_vec(m_fun(z), sys.f(z, e))
+    mf = lambda z: mat_vec(m_fun(z), sys.f(z, e))
     w1, w2, w3, w4 = _Worst(), _Worst(), _Worst(), _Worst()
     pts_x = grid_x.points()
     pts_u = grid_u.points()
@@ -513,8 +509,8 @@ def check_ap(
         w4.update(-psd_margin(ix.T @ w), p)
         for pu in pts_u:
             u = pu.tolist()
-            j_iu = jacobian(lambda z: _mat_vec(sys.i(z, e), u), x)
-            j_mgu = jacobian(lambda z: _mat_vec(m_fun(z), _mat_vec(sys.g(z, e), u)), x)
+            j_iu = jacobian(lambda z: mat_vec(sys.i(z, e), u), x)
+            j_mgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)), x)
             w3.update(frobenius(j_iu.T @ w - m.T @ j_mgu), p, pu)
     conditions = [
         ConditionResult("storage-decay", "nsd-margin", w1.value, tol_margin,

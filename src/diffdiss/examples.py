@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exprlang
 from .dissipativity import GridSpec, QuadraticDifferentialStorage, SupplyRate
-from .numerics import DualScalar, deriv_part, float_value, jvp, psd_margin
+from .numerics import DualScalar, deriv_part, float_value, jvp, mat_vec, psd_margin
 from .systems import DynSystem, ProlongedTrajectory, Signal, simulate_prolonged
 
 
@@ -477,15 +477,12 @@ def lti(a, b, c, d=None, name: str = "lti") -> DynSystem:
     c_rows = C.tolist()
     d_rows = D.tolist() if D is not None else None
 
-    def matvec(rows, v):
-        return [sum(r[k] * v[k] for k in range(len(v))) for r in rows]
-
     return DynSystem(
         n=n,
         q=q,
-        f=lambda x, e: matvec(a_rows, x),
+        f=lambda x, e: mat_vec(a_rows, x),
         g=lambda x, e: b_rows,
-        h=lambda x, e: matvec(c_rows, x),
+        h=lambda x, e: mat_vec(c_rows, x),
         i=(lambda x, e: d_rows) if d_rows is not None else None,
         name=name,
     )

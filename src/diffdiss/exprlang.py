@@ -301,23 +301,10 @@ def _power(a, b, node: BinOp):
     if k is not None and abs(k) <= 16:
         if k < 0 and float_value(a) == 0.0:
             raise EvalError("zero raised to a negative power", node.offset)
-        return _repeated_pow(a, k)
+        return numerics.int_pow(a, k)
     if float_value(a) <= 0.0:
         raise EvalError("power of a non-positive base with non-integer exponent", node.offset)
     return numerics.exp(b * numerics.log(a))
-
-
-def _repeated_pow(a, k: int):
-    if k < 0:
-        return 1.0 / _repeated_pow(a, -k)
-    out = 1.0
-    acc = a
-    while k:
-        if k & 1:
-            out = out * acc
-        acc = acc * acc
-        k >>= 1
-    return out
 
 
 def _call(node: Call, args):

@@ -107,11 +107,7 @@ def homotopy_integrate(
         out = np.empty_like(z)
         for m in range(n_s):
             xs = z[m * width : (m + 1) * width].tolist()
-            fx = lifted.f(xs, e)
-            gx = lifted.g(xs, e)
-            out[m * width : (m + 1) * width] = [
-                fx[k] + sum(gk * uk for gk, uk in zip(gx[k], uv)) for k in range(width)
-            ]
+            out[m * width : (m + 1) * width] = lifted.rhs_with(xs, e, uv)
         return out
 
     z0 = np.concatenate([np.asarray(s, dtype=float) for s in seeds])

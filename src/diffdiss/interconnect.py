@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
-from .numerics import jacobian, jvp
-from .systems import DynSystem, _dot
+from .numerics import dot, eye, jacobian, jvp, mat_vec
+from .systems import DynSystem
 
 
 class AlgebraicLoopError(Exception):
@@ -80,18 +80,14 @@ def _composite_storage(s1: DynSystem, s2: DynSystem):
     p_fun = None
     if st1.p_fun is not None or st2.p_fun is not None:
         def p_fun(x):
-            p1 = st1.p_fun(x[:n1]) if st1.p_fun is not None else _eye(st1.n)
-            p2 = st2.p_fun(x[n1:]) if st2.p_fun is not None else _eye(st2.n)
+            p1 = st1.p_fun(x[:n1]) if st1.p_fun is not None else eye(st1.n)
+            p2 = st2.p_fun(x[n1:]) if st2.p_fun is not None else eye(st2.n)
             return _block_rows(p1, _zeros(st1.n, st2.n), _zeros(st2.n, st1.n), p2)
 
     return QuadraticDifferentialStorage(
         m_fun, st1.n + st2.n, p_fun=p_fun,
         c1=min(st1.c1, st2.c1), c2=max(st1.c2, st2.c2),
     )
-
-
-def _eye(n):
-    return [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
 
 
 def _composite_supply(s1: DynSystem, s2: DynSystem):
@@ -139,16 +135,9 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
         # y2 = h2(x2) is explicit; u1 = -h2 + v1 feeds system 1
         def f(x, e):
             x1, x2 = x[:n1], x[n1:]
-            h2 = s2.h(x2, e)
-            u1_auto = [-v for v in h2]
-            f1 = s1.f(x1, e)
-            g1 = s1.g(x1, e)
-            r1 = [f1[k] + _dot(g1[k], u1_auto) for k in range(n1)]
+            u1_auto = [-v for v in s2.h(x2, e)]
             y1_auto = s1.output_with(x1, e, u1_auto)
-            f2 = s2.f(x2, e)
-            g2 = s2.g(x2, e)
-            r2 = [f2[k] + _dot(g2[k], y1_auto) for k in range(n2)]
-            return r1 + r2
+            return s1.rhs_with(x1, e, u1_auto) + s2.rhs_with(x2, e, y1_auto)
 
         def g(x, e):
             x1, x2 = x[:n1], x[n1:]
@@ -157,7 +146,7 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
             top = [list(g1[r]) + [0.0] * q for r in range(n1)]
             if s1.has_throughput:
                 i1 = s1.i(x1, e)
-                g2i1 = [[_dot(g2[r], [i1[k][c] for k in range(q)]) for c in range(q)]
+                g2i1 = [[dot(g2[r], [i1[k][c] for k in range(q)]) for c in range(q)]
                         for r in range(n2)]
             else:
                 g2i1 = _zeros(n2, q)
@@ -181,20 +170,14 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
             x1, x2 = x[:n1], x[n1:]
             h1 = s1.h(x1, e)
             y2_auto = s2.output_with(x2, e, h1)
-            f1 = s1.f(x1, e)
-            g1 = s1.g(x1, e)
-            r1 = [f1[k] + _dot(g1[k], [-v for v in y2_auto]) for k in range(n1)]
-            f2 = s2.f(x2, e)
-            g2 = s2.g(x2, e)
-            r2 = [f2[k] + _dot(g2[k], h1) for k in range(n2)]
-            return r1 + r2
+            return s1.rhs_with(x1, e, [-v for v in y2_auto]) + s2.rhs_with(x2, e, h1)
 
         def g(x, e):
             x1, x2 = x[:n1], x[n1:]
             g1 = s1.g(x1, e)
             g2 = s2.g(x2, e)
             i2 = s2.i(x2, e)
-            g1i2 = [[-_dot(g1[r], [i2[k][c] for k in range(q)]) for c in range(q)]
+            g1i2 = [[-dot(g1[r], [i2[k][c] for k in range(q)]) for c in range(q)]
                     for r in range(n1)]
             top = [list(g1[r]) + list(g1i2[r]) for r in range(n1)]
             bottom = [[0.0] * q + list(g2[r]) for r in range(n2)]
@@ -232,13 +215,7 @@ def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem
         x1, x2 = x[:n1], x[n1:]
         u1_auto = [-v for v in k2(x2)]
         u2_auto = list(k1(x1))
-        f1 = s1.f(x1, e)
-        g1 = s1.g(x1, e)
-        f2 = s2.f(x2, e)
-        g2 = s2.g(x2, e)
-        r1 = [f1[k] + _dot(g1[k], u1_auto) for k in range(n1)]
-        r2 = [f2[k] + _dot(g2[k], u2_auto) for k in range(n2)]
-        return r1 + r2
+        return s1.rhs_with(x1, e, u1_auto) + s2.rhs_with(x2, e, u2_auto)
 
     def g(x, e):
         x1, x2 = x[:n1], x[n1:]
@@ -381,7 +358,7 @@ def build_equalizing_feedback(m_scalar, pi, n: int, seed: int = 0, tol: float = 
 
     def k(x):
         gm = grad_m(x)
-        return [_dot(row, gm) for row in pi_rows]
+        return mat_vec(pi_rows, gm)
 
     rng = np.random.default_rng(seed)
     hess = lambda x: jacobian(grad_m, x)

@@ -102,7 +102,7 @@ class DualScalar:
         ):
             k = int(exponent)
             if abs(k) <= 16:
-                return _int_pow(self, k)
+                return int_pow(self, k)
         return exp(exponent * log(self))
 
     def __rpow__(self, base):
@@ -129,14 +129,22 @@ def float_value(x) -> float:
     return float(x)
 
 
+def value_part(x):
+    """Value channel of ``x`` (``x`` itself for plain scalars); strips one
+    dual level, unlike :func:`float_value`."""
+    return x.value if isinstance(x, DualScalar) else x
+
+
 def deriv_part(x):
     """Derivative channel of ``x`` (zero for plain scalars)."""
     return x.deriv if isinstance(x, DualScalar) else 0.0
 
 
-def _int_pow(base, k: int):
+def int_pow(base, k: int):
+    """``base ** k`` by repeated squaring; the same float operations on
+    plain scalars and on the value part of duals."""
     if k < 0:
-        return 1.0 / _int_pow(base, -k)
+        return 1.0 / int_pow(base, -k)
     out = 1.0
     acc = base
     while k:
@@ -209,8 +217,6 @@ def atan2(y, x):
 
 
 def absolute(x):
-    if isinstance(x, DualScalar):
-        return abs(x)
     return abs(x)
 
 
@@ -220,6 +226,25 @@ def minimum(a, b):
 
 def maximum(a, b):
     return a if float_value(a) >= float_value(b) else b
+
+
+# ---------------------------------------------------------------------------
+# small dense linear algebra on nested lists (floats or duals)
+
+
+def dot(row: Sequence, v: Sequence):
+    acc = 0.0
+    for a, b in zip(row, v):
+        acc = acc + a * b
+    return acc
+
+
+def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list:
+    return [dot(row, v) for row in rows]
+
+
+def eye(n: int) -> list[list[float]]:
+    return [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------

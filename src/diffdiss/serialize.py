@@ -7,6 +7,7 @@ identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -36,7 +37,7 @@ def _json_fragment(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")
         for k, v in obj.items():

@@ -10,7 +10,9 @@ coefficients under the lift: the displacement of an exogenous signal is
 zero).  All maps take ``(x, e)`` with ``x`` a sequence of scalars (floats
 or dual scalars) and ``e`` a dict of exogenous values, and return nested
 lists.  Evaluability on dual scalars is what makes every map C^1
-accessible to the lift and to the certificate checkers.
+accessible to the lift and to the certificate checkers.  The lift also
+reads each map's value from the value part of that dual evaluation, so the
+value on duals must equal the value on floats.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ from .numerics import (
     DualScalar,
     Rk4,
     Stepper,
+    deriv_part,
+    dot,
     float_value,
     integrate,
-    jvp,
+    jvp,  # noqa: F401  -- unused here; perfbench/tracing.py patches systems.jvp by name
     scalar_deriv,
+    seed,
+    value_part,
 )
 
 
@@ -188,12 +194,14 @@ class DynSystem:
         return {name: sig.value(t) for name, sig in self.exo.items()}
 
     def rhs(self, t: float, x: Sequence, u: Sequence) -> list:
-        e = self.exo_at(t)
+        return self.rhs_with(x, self.exo_at(t), u)
+
+    def rhs_with(self, x: Sequence, e: Mapping[str, float], u: Sequence) -> list:
         fx = self.f(x, e)
         gx = self.g(x, e)
         if len(fx) != self.n or len(gx) != self.n:
             raise ValueError(f"system '{self.name}': f/g must return {self.n} rows")
-        return [fx[k] + _dot(gx[k], u) for k in range(self.n)]
+        return [fx[k] + dot(gx[k], u) for k in range(self.n)]
 
     def output(self, t: float, x: Sequence, u: Sequence) -> list:
         return self.output_with(x, self.exo_at(t), u)
@@ -205,21 +213,7 @@ class DynSystem:
         if self.i is None:
             return list(hx)
         ix = self.i(x, e)
-        return [hx[k] + _dot(ix[k], u) for k in range(self.q)]
-
-
-def _dot(row: Sequence, v: Sequence):
-    acc = 0.0
-    for a, b in zip(row, v):
-        acc = acc + a * b
-    return acc
-
-
-def _flatten(rows: Sequence[Sequence]) -> list:
-    out = []
-    for r in rows:
-        out.extend(r)
-    return out
+        return [hx[k] + dot(ix[k], u) for k in range(self.q)]
 
 
 def lift(sys: DynSystem) -> DynSystem:
@@ -229,44 +223,36 @@ def lift(sys: DynSystem) -> DynSystem:
     The dx dynamics are  d(dx)/dt = Df(x) dx + [Dg(x) u] dx + g(x) du  and
     the dy output applies the same Jacobian action to h and i.  Exogenous
     signals enter as frozen coefficients (their displacement is zero).
+
+    Each lifted map evaluates the base map once, on x seeded with dx: the
+    value parts of the result are the map at x and the derivative parts its
+    Jacobian action on dx.
     """
     n, q = sys.n, sys.q
 
-    def f2(X, e):
-        x, dx = X[:n], X[n:]
-        fx = sys.f(x, e)
-        dfdx = jvp(lambda z: sys.f(z, e), x, dx)
-        return list(fx) + list(dfdx)
+    def lift_vector(fun):
+        def lifted(X, e):
+            out = fun(seed(X[:n], X[n:]), e)
+            return [value_part(w) for w in out] + [deriv_part(w) for w in out]
 
-    def g2(X, e):
-        x, dx = X[:n], X[n:]
-        gx = sys.g(x, e)
-        dg = jvp(lambda z: _flatten(sys.g(z, e)), x, dx)
-        zero_row = [0.0] * q
-        top = [list(gx[r]) + zero_row for r in range(n)]
-        bottom = [list(dg[r * q : (r + 1) * q]) + list(gx[r]) for r in range(n)]
-        return top + bottom
+        return lifted
 
-    def h2(X, e):
-        x, dx = X[:n], X[n:]
-        hx = sys.h(x, e)
-        dh = jvp(lambda z: sys.h(z, e), x, dx)
-        return list(hx) + list(dh)
-
-    i2 = None
-    if sys.i is not None:
-
-        def i2(X, e):
-            x, dx = X[:n], X[n:]
-            ix = sys.i(x, e)
-            di = jvp(lambda z: _flatten(sys.i(z, e)), x, dx)
+    def lift_matrix(fun):
+        # [[G, 0], [dG, G]] for an r x q matrix map G
+        def lifted(X, e):
+            rows = fun(seed(X[:n], X[n:]), e)
+            values = [[value_part(w) for w in row] for row in rows]
             zero_row = [0.0] * q
-            top = [list(ix[r]) + zero_row for r in range(q)]
-            bottom = [list(di[r * q : (r + 1) * q]) + list(ix[r]) for r in range(q)]
+            top = [v + zero_row for v in values]
+            bottom = [[deriv_part(w) for w in row] + v for row, v in zip(rows, values)]
             return top + bottom
 
+        return lifted
+
     lifted = DynSystem(
-        2 * n, 2 * q, f2, g2, h2, i=i2, exo=sys.exo, name=f"lift({sys.name})" if sys.name else "lift"
+        2 * n, 2 * q, lift_vector(sys.f), lift_matrix(sys.g), lift_vector(sys.h),
+        i=lift_matrix(sys.i) if sys.i is not None else None,
+        exo=sys.exo, name=f"lift({sys.name})" if sys.name else "lift",
     )
     lifted.base = sys
     return lifted

@@ -89,6 +89,19 @@ class TestConfigErrors:
         assert code == 2
         assert "x2" in capsys.readouterr().err
 
+    def test_certify_rejects_projector(self, tmp_path, capsys):
+        for command, extra in (("certify-uc", {"pi": [[1.0]]}),
+                               ("certify-ap", {"system": dict(SCALAR_SYS["system"], i=[["1"]])})):
+            cfg_data = json.loads(json.dumps(SCALAR_SYS))
+            cfg_data.update(extra)
+            cfg_data["storage"] = {"M": [["1"]], "projector": [["1"]]}
+            cfg = write_config(tmp_path, cfg_data)
+            code, out = run(tmp_path / command, command, "--config", cfg)
+            assert code == 2
+            assert "/storage/projector" in capsys.readouterr().err
+            error = json.loads((out / "error_report.json").read_text())
+            assert "/storage/projector" in error["error"]
+
 
 class TestCommands:
     def test_simulate_writes_csv_with_header(self, tmp_path):
@@ -123,6 +136,15 @@ class TestCommands:
         assert code == 1
         report = json.loads((out / "audit_report.json").read_text())
         assert report["passed"] is False
+
+    def test_audit_nonfinite_storage_located(self, tmp_path):
+        cfg_data = json.loads(json.dumps(SCALAR_SYS))
+        cfg_data["storage"] = {"M": [["1e200*x1"]]}
+        cfg = write_config(tmp_path, cfg_data)
+        code, out = run(tmp_path, "audit", "--config", cfg)
+        assert code == 1
+        error = json.loads((out / "error_report.json").read_text())
+        assert error["error"] == "NumericalError: storage column S is not finite at t=0"
 
     def test_certify_uc(self, tmp_path):
         cfg_data = json.loads(json.dumps(SCALAR_SYS))

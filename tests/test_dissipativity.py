@@ -18,6 +18,7 @@ from diffdiss import (
 )
 from diffdiss.dissipativity import SupplyIntegrabilityError
 from diffdiss.examples import lti
+from diffdiss.numerics import NumericalError
 from diffdiss.systems import DynSystem, Signal
 
 from conftest import scalar_leaky, scalar_stiffening
@@ -182,6 +183,12 @@ class TestAudit:
         bad = SupplyRate(lambda x: [[float("nan")]], 1)
         with pytest.raises((SupplyIntegrabilityError, InvalidSupply)):
             audit(traj, _storage1(), bad)
+
+    def test_nonfinite_storage_detected(self):
+        traj = simulate_prolonged(scalar_leaky(), [1.0], [1.0], t_final=0.1)
+        huge = QuadraticDifferentialStorage(lambda x: [[1e200 * x[0]]], 1)
+        with pytest.raises(NumericalError, match=r"storage column S is not finite at t=0\b"):
+            audit(traj, huge, SupplyRate.identity(1))
 
     def test_state_strict_decay_required(self):
         # xdot = -x is strictly passive with rate 2S; rate 10S must fail

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,33 @@ def _exprs(depth):
         st.builds(lambda a: Call("sin", (a,)), sub),
         st.builds(lambda a, b: Call("atan2", (a, b)), sub, sub),
     )
+
+
+class TestDualValue:
+    """The lift reads a map's value from the value part of one dual pass, so
+    evaluating on duals must reproduce the float evaluation bit for bit."""
+
+    @given(
+        _exprs(3),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5),
+        st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_dual_value_is_float_value(self, e, values, derivs):
+        names = ["x", "y", "zz", "q_c", "w1"]
+        floats = dict(zip(names, values))
+        duals = {k: DualScalar(v, d) for (k, v), d in zip(floats.items(), derivs)}
+        try:
+            plain = evaluate(e, floats)
+            dual = evaluate(e, duals)
+        except (EvalError, ArithmeticError, ValueError):
+            return
+        got = dual.value if isinstance(dual, DualScalar) else dual
+        assert not isinstance(got, DualScalar)
+        if math.isnan(plain):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", plain)
 
 
 class TestPrinter:

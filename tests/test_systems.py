@@ -108,6 +108,49 @@ class TestLift:
         r = lifted.rhs(0.0, [1.0, 1.0], [0.0, 0.0])
         assert r[1] == pytest.approx(-3.0)  # no displacement of w enters
 
+    def test_each_lifted_map_evaluates_its_base_map_once(self):
+        calls = {"f": 0, "g": 0, "h": 0, "i": 0}
+
+        def counted(name, fun):
+            def wrapped(x, e):
+                calls[name] += 1
+                return fun(x, e)
+
+            return wrapped
+
+        sys = DynSystem(
+            2, 1,
+            counted("f", lambda x, e: [x[1], -x[0] - x[1] ** 3]),
+            counted("g", lambda x, e: [[0.0], [1.0 + x[0] * x[0]]]),
+            counted("h", lambda x, e: [x[1]]),
+            i=counted("i", lambda x, e: [[x[0]]]),
+        )
+        lifted = lift(sys)
+        X = [0.3, -0.2, 1.0, 0.5]
+        for name in ("f", "g", "h", "i"):
+            before = dict(calls)
+            getattr(lifted, name)(X, {})
+            assert calls[name] == before[name] + 1
+            assert sum(calls.values()) == sum(before.values()) + 1
+
+    def test_lifted_values_match_base_maps_bitwise(self):
+        rc = rc_circuit()
+        lifted = lift(rc.system)
+        for q, dq in ((0.4, 0.7), (-1.3, 0.25), (1e-3, -2.0)):
+            assert lifted.f([q, dq], {})[0] == rc.system.f([q], {})[0]
+            assert lifted.h([q, dq], {})[0] == rc.system.h([q], {})[0]
+            assert lifted.g([q, dq], {}) == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_rhs_with_matches_rhs(self):
+        sys = DynSystem(
+            1, 1,
+            lambda x, e: [-e["w"] * x[0]],
+            lambda x, e: [[2.0 + x[0]]],
+            lambda x, e: [x[0]],
+            exo={"w": Signal.from_expr("1 + t")},
+        )
+        assert sys.rhs(0.5, [0.3], [0.7]) == sys.rhs_with([0.3], {"w": 1.5}, [0.7])
+
 
 class TestSimulate:
     def test_decay_to_one_over_e(self):
