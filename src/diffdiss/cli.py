@@ -265,22 +265,19 @@ def _build_storage(cfg: dict, sys_, bundle, key: str = "storage", required: bool
     c2 = _as_float(spec.get("c2", 1.0), f"{path}/c2")
     names = _state_names(sys_.n)
     if m_spec == "identity":
-        storage = QuadraticDifferentialStorage.identity(sys_.n)
-        storage.c1, storage.c2 = c1, c2
+        m_fun = QuadraticDifferentialStorage.identity(sys_.n).m_fun
     else:
-        m_fun, shape = _matrix_fn(m_spec, names, set(), f"{path}/M")
+        m_rows, shape = _matrix_fn(m_spec, names, set(), f"{path}/M")
         if shape != (sys_.n, sys_.n):
             raise ConfigError(f"{path}/M", f"expected {sys_.n}x{sys_.n}")
-        p_fun = None
-        if spec.get("projector") is not None:
-            p_fun, pshape = _matrix_fn(spec["projector"], names, set(), f"{path}/projector")
-            if pshape != (sys_.n, sys_.n):
-                raise ConfigError(f"{path}/projector", f"expected {sys_.n}x{sys_.n}")
-        storage = QuadraticDifferentialStorage(
-            lambda x: m_fun(x, {}), sys_.n,
-            p_fun=(lambda x: p_fun(x, {})) if p_fun else None, c1=c1, c2=c2,
-        )
-    return storage
+        m_fun = lambda x: m_rows(x, {})
+    p_fun = None
+    if spec.get("projector") is not None:
+        p_rows, pshape = _matrix_fn(spec["projector"], names, set(), f"{path}/projector")
+        if pshape != (sys_.n, sys_.n):
+            raise ConfigError(f"{path}/projector", f"expected {sys_.n}x{sys_.n}")
+        p_fun = lambda x: p_rows(x, {})
+    return QuadraticDifferentialStorage(m_fun, sys_.n, p_fun=p_fun, c1=c1, c2=c2)
 
 
 def _reject_projector(cfg: dict, command: str) -> None:
@@ -678,6 +675,7 @@ def cmd_demo_lti(cfg, args, out_dir):
     merged = _deep_merge(_DEMO_LTI, cfg)
     sys_, bundle = _build_system(merged)
     storage = _build_storage(merged, sys_, bundle, required=True)
+    _reject_projector(merged, "demo lti")
     supply = _build_supply(merged, sys_, bundle, required=True)
     seed = _seed(merged, args)
     grid = _build_grid(merged, "grid", sys_.n, seed)

@@ -16,16 +16,22 @@ insignificant.  There is no implicit multiplication: ``2x`` is a syntax
 error.  ``^`` maps to repeated multiplication for small integer literal
 exponents and to exp(e*log(b)) otherwise, so evaluation stays
 differentiable through dual scalars.
+
+Variables may be bound to floats, dual scalars, or either over 1-d float
+arrays (a batch).  A batch evaluates every element with the float
+operations of the scalar path, and a domain guard raises if any element
+fails it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import numerics
-from .numerics import DualScalar, float_value
+from .numerics import DualScalar
 
 
 class ParseError(Exception):
@@ -278,13 +284,22 @@ def evaluate(e: Expr, env: Mapping[str, float | DualScalar]):
         if e.op == "*":
             return a * b
         if e.op == "/":
-            if float_value(b) == 0.0:
+            if _hit(operator.eq, b):
                 raise EvalError("division by zero", e.offset)
             return a / b
         return _power(a, b, e)
     # Call
     args = [evaluate(a, env) for a in e.args]
     return _call(e, args)
+
+
+def _hit(test, x) -> bool:
+    """Domain guard: ``test(value, 0.0)`` on the plain value of ``x``; on a
+    batch, true if any element meets it."""
+    while isinstance(x, DualScalar):
+        x = x.value
+    hit = test(x, 0.0)
+    return hit if hit.__class__ is bool else hit.any()
 
 
 def _integer_literal(e: Expr) -> int | None:
@@ -299,10 +314,10 @@ def _integer_literal(e: Expr) -> int | None:
 def _power(a, b, node: BinOp):
     k = _integer_literal(node.right)
     if k is not None and abs(k) <= 16:
-        if k < 0 and float_value(a) == 0.0:
+        if k < 0 and _hit(operator.eq, a):
             raise EvalError("zero raised to a negative power", node.offset)
         return numerics.int_pow(a, k)
-    if float_value(a) <= 0.0:
+    if _hit(operator.le, a):
         raise EvalError("power of a non-positive base with non-integer exponent", node.offset)
     return numerics.exp(b * numerics.log(a))
 
@@ -312,11 +327,11 @@ def _call(node: Call, args):
     if name in _UNARY_FN:
         return _UNARY_FN[name](args[0])
     if name == "log":
-        if float_value(args[0]) <= 0.0:
+        if _hit(operator.le, args[0]):
             raise EvalError("log of a non-positive value", node.offset)
         return numerics.log(args[0])
     if name == "sqrt":
-        if float_value(args[0]) < 0.0:
+        if _hit(operator.lt, args[0]):
             raise EvalError("sqrt of a negative value", node.offset)
         return numerics.sqrt(args[0])
     if name == "atan2":

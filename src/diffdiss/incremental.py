@@ -20,11 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
-from .numerics import Rk4, Stepper, integrate, jvp
+from .numerics import FLOAT_ERRORS, Rk4, Stepper, integrate, jvp
 from .systems import (
     DynSystem,
     ProlongedTrajectory,
     Signal,
+    batch_rows,
     lift,
     signal_vector,
     _prolonged_from_solution,
@@ -103,20 +104,13 @@ def homotopy_integrate(
 
     def stacked_field(t, z):
         uv = [s.value(t) for s in sigs]
-        e = lifted.exo_at(t)
-        out = np.empty_like(z)
-        for m in range(n_s):
-            xs = z[m * width : (m + 1) * width].tolist()
-            out[m * width : (m + 1) * width] = lifted.rhs_with(xs, e, uv)
-        return out
+        X = list(z.reshape(n_s, width).T)
+        with np.errstate(**FLOAT_ERRORS):
+            return batch_rows(lifted.rhs_with(X, lifted.exo_at(t), uv), n_s).ravel()
 
     z0 = np.concatenate([np.asarray(s, dtype=float) for s in seeds])
     sol = integrate(stacked_field, z0, (0.0, float(t_final)), stepper or Rk4())
-    members = []
-    for m in range(n_s):
-        sub = sol.states[:, m * width : (m + 1) * width]
-        member_sol = type(sol)(sol.times, sub, sol.stepper_id, sol.tolerance)
-        members.append(_prolonged_from_solution(sys, lifted, sigs, member_sol))
+    members = _prolonged_from_solution(sys, lifted, sigs, sol, n_s)
     return HomotopyFamily(s_grid=s_grid, members=members)
 
 

@@ -4,7 +4,10 @@ semidefiniteness margins.
 
 State dimensions in this package are tiny (n <= ~10), so the inner loops
 work on plain Python scalars and lists; numpy enters only at the matrix
-boundary (Jacobians, eigenvalue margins, recorded trajectories).
+boundary (Jacobians, eigenvalue margins, recorded trajectories) and as the
+batch axis: every scalar here may also be a 1-d float array, one element per
+batch member, and each element then takes exactly the float operations the
+scalar path would.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ class IntegrationError(Exception):
         self.last_good_time = last_good_time
 
 
+# Float error semantics for batch arrays (``np.errstate(**FLOAT_ERRORS)``):
+# x / 0 raises, as it does on floats, while overflow and invalid operations
+# give inf or nan without a warning, as float arithmetic does.  Unlike on
+# floats, 0 / 0 gives nan.
+FLOAT_ERRORS = {"divide": "raise", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+
+
 # ---------------------------------------------------------------------------
 # dual scalars
 
@@ -36,10 +46,14 @@ class DualScalar:
     """First-order dual number ``value + deriv * eps``.
 
     One derivative channel, re-seeded per direction.  Components may
-    themselves be DualScalar, which yields second directional derivatives.
+    themselves be DualScalar, which yields second directional derivatives,
+    or 1-d float arrays, which evaluate a whole batch in one pass.
     """
 
     __slots__ = ("value", "deriv")
+    # ``ndarray <op> dual`` defers to the dual's reflected operator instead
+    # of building an object array of duals.
+    __array_ufunc__ = None
 
     def __init__(self, value, deriv=0.0):
         self.value = value
@@ -92,7 +106,7 @@ class DualScalar:
         return self
 
     def __abs__(self):
-        return self if float_value(self) >= 0.0 else -self
+        return _pick(_base(self) >= 0.0, self, -self)
 
     def __pow__(self, exponent):
         if isinstance(exponent, DualScalar):
@@ -106,9 +120,10 @@ class DualScalar:
         return exp(exponent * log(self))
 
     def __rpow__(self, base):
-        return exp(self * math.log(base))
+        return exp(self * log(base))
 
-    # comparisons act on the (nested) value part only
+    # comparisons act on the (nested) value part only; a batched value has
+    # no single truth value, so comparing one raises
     def __lt__(self, other):
         return float_value(self) < float_value(other)
 
@@ -122,10 +137,33 @@ class DualScalar:
         return float_value(self) >= float_value(other)
 
 
+def _base(x):
+    """Innermost value of ``x``: a plain scalar or a 1-d batch array."""
+    while isinstance(x, DualScalar):
+        x = x.value
+    return x
+
+
+def _pick(mask, a, b):
+    """``a`` where ``mask`` holds, else ``b``; elementwise through every dual
+    level when ``mask`` is a batch array."""
+    if not isinstance(mask, np.ndarray):
+        return a if mask else b
+    if isinstance(a, DualScalar) or isinstance(b, DualScalar):
+        return DualScalar(
+            _pick(mask, value_part(a), value_part(b)),
+            _pick(mask, deriv_part(a), deriv_part(b)),
+        )
+    return np.where(mask, a, b)
+
+
 def float_value(x) -> float:
     """Strip (possibly nested) dual parts and return the plain value."""
     while isinstance(x, DualScalar):
         x = x.value
+    if isinstance(x, np.ndarray):
+        raise TypeError("a batched value has no single float value (to branch "
+                        "on it elementwise, use minimum/maximum/absolute)")
     return float(x)
 
 
@@ -156,18 +194,30 @@ def int_pow(base, k: int):
 
 
 # ---------------------------------------------------------------------------
-# scalar functions usable on floats and (nested) duals
+# scalar functions usable on floats, batch arrays and (nested) duals
+
+
+def _each(fn, *args):
+    """The ``math`` function ``fn`` applied element by element to batch
+    arrays (scalars broadcast).  Each element is then bit-identical to the
+    scalar call, which numpy's own ufuncs do not promise."""
+    cols = [a.tolist() for a in np.broadcast_arrays(*args)]
+    return np.fromiter(map(fn, *cols), float, len(cols[0]))
 
 
 def sin(x):
     if isinstance(x, DualScalar):
         return DualScalar(sin(x.value), cos(x.value) * x.deriv)
+    if isinstance(x, np.ndarray):
+        return _each(math.sin, x)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, DualScalar):
         return DualScalar(cos(x.value), -sin(x.value) * x.deriv)
+    if isinstance(x, np.ndarray):
+        return _each(math.cos, x)
     return math.cos(x)
 
 
@@ -175,6 +225,8 @@ def tan(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
         return DualScalar(tan(x.value), x.deriv / (c * c))
+    if isinstance(x, np.ndarray):
+        return _each(math.tan, x)
     return math.tan(x)
 
 
@@ -182,12 +234,16 @@ def exp(x):
     if isinstance(x, DualScalar):
         e = exp(x.value)
         return DualScalar(e, e * x.deriv)
+    if isinstance(x, np.ndarray):
+        return _each(math.exp, x)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, DualScalar):
         return DualScalar(log(x.value), x.deriv / x.value)
+    if isinstance(x, np.ndarray):
+        return _each(math.log, x)
     return math.log(x)
 
 
@@ -195,6 +251,8 @@ def sqrt(x):
     if isinstance(x, DualScalar):
         r = sqrt(x.value)
         return DualScalar(r, x.deriv / (2.0 * r))
+    if isinstance(x, np.ndarray):
+        return _each(math.sqrt, x)
     return math.sqrt(x)
 
 
@@ -202,6 +260,8 @@ def tanh(x):
     if isinstance(x, DualScalar):
         t = tanh(x.value)
         return DualScalar(t, (1.0 - t * t) * x.deriv)
+    if isinstance(x, np.ndarray):
+        return _each(math.tanh, x)
     return math.tanh(x)
 
 
@@ -213,6 +273,8 @@ def atan2(y, x):
         xd = deriv_part(x)
         denom = xv * xv + yv * yv
         return DualScalar(atan2(yv, xv), (xv * yd - yv * xd) / denom)
+    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
+        return _each(math.atan2, y, x)
     return math.atan2(y, x)
 
 
@@ -221,11 +283,11 @@ def absolute(x):
 
 
 def minimum(a, b):
-    return a if float_value(a) <= float_value(b) else b
+    return _pick(_base(a) <= _base(b), a, b)
 
 
 def maximum(a, b):
-    return a if float_value(a) >= float_value(b) else b
+    return _pick(_base(a) >= _base(b), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +419,16 @@ Stepper = Rk4 | Rk45
 
 @dataclass
 class OdeSolution:
-    """Time grid and states produced by :func:`integrate`."""
+    """Time grid and states produced by :func:`integrate`, with its cost:
+    right-hand-side evaluations and accepted/rejected steps."""
 
     times: np.ndarray
     states: np.ndarray
     stepper_id: str
     tolerance: float
+    nfev: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -426,16 +492,17 @@ def integrate(
         raise IntegrationError("non-finite initial state", t0)
     times = [t0]
     states = [x.copy()]
-    if t1 == t0:
-        return OdeSolution(np.array(times), np.array(states), _stepper_id(stepper), _stepper_tol(stepper))
-
-    wrapped = _finite_checking(field)
-    if isinstance(stepper, Rk4):
-        _run_rk4(wrapped, x, t0, t1, stepper.dt, times, states)
-    else:
-        _run_rk45(wrapped, x, t0, t1, stepper, times, states)
+    nfev = [0]
+    n_rejected = 0
+    if t1 > t0:
+        wrapped = _finite_checking(field, nfev)
+        if isinstance(stepper, Rk4):
+            _run_rk4(wrapped, x, t0, t1, stepper.dt, times, states)
+        else:
+            n_rejected = _run_rk45(wrapped, x, t0, t1, stepper, times, states)
     return OdeSolution(
-        np.array(times), np.array(states), _stepper_id(stepper), _stepper_tol(stepper)
+        np.array(times), np.array(states), _stepper_id(stepper), _stepper_tol(stepper),
+        nfev=nfev[0], n_accepted=len(times) - 1, n_rejected=n_rejected,
     )
 
 
@@ -447,8 +514,9 @@ def _stepper_tol(stepper: Stepper) -> float:
     return stepper.dt if isinstance(stepper, Rk4) else stepper.tol
 
 
-def _finite_checking(field):
+def _finite_checking(field, nfev: list):
     def wrapped(t, x):
+        nfev[0] += 1
         dx = np.asarray(field(t, x), dtype=float)
         if not np.all(np.isfinite(dx)):
             raise _NonFinite(t)
@@ -486,12 +554,18 @@ def _run_rk4(field, x, t0, t1, dt, times, states):
         raise IntegrationError("non-finite state during RK4 step", times[-1]) from None
 
 
-def _run_rk45(field, x, t0, t1, stepper, times, states):
+def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
+    """Dormand-Prince steps with first-same-as-last reuse: the last stage is
+    evaluated at exactly (t + h, x5), so after an accepted step it is the
+    next step's first stage, and after a rejected step the first stage is
+    unchanged.  Returns the number of rejected steps."""
     tol = stepper.tol
     t = t0
     h = min((t1 - t0) / 100.0, 0.1)
     n_steps = 0
+    n_rejected = 0
     try:
+        k1 = field(t, x)
         while t < t1 - 1e-14 * max(1.0, abs(t1)):
             n_steps += 1
             if n_steps > stepper.max_steps:
@@ -499,8 +573,8 @@ def _run_rk45(field, x, t0, t1, stepper, times, states):
             h = min(h, t1 - t)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError("step-size underflow", t)
-            ks = []
-            for i in range(7):
+            ks = [k1]
+            for i in range(1, 7):
                 xi = x.copy()
                 for j, aij in enumerate(_DP_A[i]):
                     if aij != 0.0:
@@ -519,6 +593,7 @@ def _run_rk45(field, x, t0, t1, stepper, times, states):
             if ratio <= 1.0:
                 t = t1 if t1 - (t + h) < 1e-14 * max(1.0, abs(t1)) else t + h
                 x = x5
+                k1 = ks[6]
                 if not np.all(np.isfinite(x)):
                     raise _NonFinite(t)
                 times.append(t)
@@ -526,6 +601,8 @@ def _run_rk45(field, x, t0, t1, stepper, times, states):
                 grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
                 h *= max(0.2, grow)
             else:
+                n_rejected += 1
                 h *= max(0.1, min(1.0, 0.9 * ratio ** -0.2))
     except _NonFinite:
         raise IntegrationError("non-finite state during RK45 step", times[-1]) from None
+    return n_rejected

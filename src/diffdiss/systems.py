@@ -13,6 +13,16 @@ lists.  Evaluability on dual scalars is what makes every map C^1
 accessible to the lift and to the certificate checkers.  The lift also
 reads each map's value from the value part of that dual evaluation, so the
 value on duals must equal the value on floats.
+
+Batch contract: the entries of ``x`` (and the values in ``e`` and ``u``)
+may be floats, duals, or duals over 1-d float arrays, one element per
+batch member.  One call then evaluates the whole batch, and each element
+must come out exactly as a call on that point alone would.  Plain
+arithmetic and the ``numerics`` helpers do; branching on a batched value
+(``if x[0] > 0``) raises ``TypeError`` instead of picking one branch for
+every member, so use ``numerics.minimum``/``maximum``/``absolute``.  The
+homotopy RHS evaluates all members in one call, and the post-integration
+pass all samples (of all members) in one call.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import numpy as np
 
 from . import exprlang
 from .numerics import (
+    FLOAT_ERRORS,
     DualScalar,
     Rk4,
     Stepper,
@@ -353,29 +364,46 @@ def simulate_prolonged(
     sigs = signal_vector(u, sys.q) + signal_vector(du, sys.q)
     X0 = list(x0) + list(dx0)
     sol = integrate(_field_for(lifted, sigs), X0, (0.0, float(t_final)), stepper or Rk4())
-    return _prolonged_from_solution(sys, lifted, sigs, sol)
+    return _prolonged_from_solution(sys, lifted, sigs, sol)[0]
 
 
-def _prolonged_from_solution(sys, lifted, sigs, sol) -> ProlongedTrajectory:
+def batch_rows(entries: Sequence, size: int) -> np.ndarray:
+    """Stack a map's output over a batch of ``size`` points as a
+    ``(size, len(entries))`` array; an entry that does not depend on the
+    batch (a plain scalar) is repeated down its column."""
+    out = np.empty((size, len(entries)))
+    for j, v in enumerate(entries):
+        out[:, j] = v
+    return out
+
+
+def _prolonged_from_solution(sys, lifted, sigs, sol, members: int = 1):
+    """Port and rate columns of ``members`` prolonged trajectories stored side
+    by side in ``sol.states``, from one ``output_with`` and one ``rhs_with``
+    call over every member at every sample."""
     n, q = sys.n, sys.q
     times = sol.times
     N = len(times)
     U = np.array([[s.value(t) for s in sigs] for t in times])
-    Y = np.empty((N, 2 * q))
-    Xdot = np.empty((N, 2 * n))
-    for k, t in enumerate(times):
-        Xk = sol.states[k].tolist()
-        Uk = U[k].tolist()
-        Y[k] = lifted.output(t, Xk, Uk)
-        Xdot[k] = lifted.rhs(t, Xk, Uk)
-    return ProlongedTrajectory(
-        times=times,
-        x=sol.states[:, :n].copy(),
-        dx=sol.states[:, n:].copy(),
-        u=U[:, :q].copy(),
-        du=U[:, q:].copy(),
-        y=Y[:, :q].copy(),
-        dy=Y[:, q:].copy(),
-        xdot=Xdot[:, :n].copy(),
-        dxdot=Xdot[:, n:].copy(),
-    )
+    exo = [lifted.exo_at(t) for t in times]
+    E = {name: np.tile([ek[name] for ek in exo], members) for name in lifted.exo}
+    Ub = [np.tile(U[:, j], members) for j in range(2 * q)]
+    states = sol.states.reshape(N, members, 2 * n).transpose(1, 0, 2)
+    X = list(states.reshape(members * N, 2 * n).T)
+    with np.errstate(**FLOAT_ERRORS):
+        Y = batch_rows(lifted.output_with(X, E, Ub), members * N).reshape(members, N, 2 * q)
+        Xdot = batch_rows(lifted.rhs_with(X, E, Ub), members * N).reshape(members, N, 2 * n)
+    return [
+        ProlongedTrajectory(
+            times=times,
+            x=states[m, :, :n].copy(),
+            dx=states[m, :, n:].copy(),
+            u=U[:, :q].copy(),
+            du=U[:, q:].copy(),
+            y=Y[m, :, :q].copy(),
+            dy=Y[m, :, q:].copy(),
+            xdot=Xdot[m, :, :n].copy(),
+            dxdot=Xdot[m, :, n:].copy(),
+        )
+        for m in range(members)
+    ]

@@ -102,6 +102,15 @@ class TestConfigErrors:
             error = json.loads((out / "error_report.json").read_text())
             assert "/storage/projector" in error["error"]
 
+    def test_lti_demo_rejects_projector(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"storage": {"M": "identity",
+                                                  "projector": [["1", "0"], ["0", "1"]]}})
+        code, out = run(tmp_path, "demo", "lti", "--config", cfg)
+        assert code == 2
+        assert "/storage/projector" in capsys.readouterr().err
+        error = json.loads((out / "error_report.json").read_text())
+        assert "/storage/projector" in error["error"]
+
 
 class TestCommands:
     def test_simulate_writes_csv_with_header(self, tmp_path):
@@ -136,6 +145,15 @@ class TestCommands:
         assert code == 1
         report = json.loads((out / "audit_report.json").read_text())
         assert report["passed"] is False
+
+    def test_audit_identity_storage_keeps_projector(self, tmp_path):
+        cfg_data = json.loads(json.dumps(SCALAR_SYS))
+        cfg_data["storage"] = {"M": "identity", "projector": [["0"]]}
+        cfg = write_config(tmp_path, cfg_data)
+        code, out = run(tmp_path, "audit", "--config", cfg)
+        assert code == 0
+        report = json.loads((out / "audit_report.json").read_text())
+        assert report["storage_initial"] == 0.0
 
     def test_audit_nonfinite_storage_located(self, tmp_path):
         cfg_data = json.loads(json.dumps(SCALAR_SYS))

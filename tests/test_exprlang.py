@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from diffdiss.exprlang import (
     to_source,
     variables,
 )
-from diffdiss.numerics import DualScalar
+from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, value_part
 
 
 class TestParse:
@@ -178,6 +179,91 @@ class TestDualValue:
             assert math.isnan(got)
         else:
             assert struct.pack("<d", got) == struct.pack("<d", plain)
+
+
+_NAMES = ["x", "y", "zz", "q_c", "w1"]
+_BATCH = 3
+
+
+def _same(a, b) -> bool:
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _element(x, k):
+    return x[k] if isinstance(x, np.ndarray) else x
+
+
+def _scalar_outcome(e, env):
+    try:
+        return evaluate(e, env), None
+    except (EvalError, ArithmeticError, ValueError) as err:
+        return None, err
+
+
+class TestBatchEvaluation:
+    """A batch (variables bound to 1-d arrays, or duals over them) evaluates
+    every element exactly as the scalar path does."""
+
+    @given(
+        _exprs(3),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=5 * _BATCH, max_size=5 * _BATCH),
+        st.lists(st.floats(-10.0, 10.0), min_size=5 * _BATCH, max_size=5 * _BATCH),
+        st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_batch_equals_each_element(self, e, values, derivs, dual):
+        vals = np.array(values).reshape(5, _BATCH)
+        ders = np.array(derivs).reshape(5, _BATCH)
+
+        def bind(k=None):
+            pick = (lambda a: a) if k is None else (lambda a: float(a[k]))
+            if dual:
+                return {n: DualScalar(pick(v), pick(d)) for n, v, d in zip(_NAMES, vals, ders)}
+            return {n: pick(v) for n, v in zip(_NAMES, vals)}
+
+        singles = [_scalar_outcome(e, bind(k)) for k in range(_BATCH)]
+        errors = [err for _, err in singles if err is not None]
+        with np.errstate(**FLOAT_ERRORS):
+            if errors:
+                if not all(isinstance(err, EvalError) for err in errors):
+                    return  # the same ArithmeticError/ValueError, or nan for 0/0
+                with pytest.raises(EvalError) as caught:
+                    evaluate(e, bind())
+                assert caught.value.offset in {err.offset for err in errors}
+                return
+            batch = evaluate(e, bind())
+        for k, (one, _) in enumerate(singles):
+            for part in (value_part, deriv_part):
+                assert _same(_element(part(batch), k), part(one))
+
+    @pytest.mark.parametrize("text, bad", [
+        ("1 + x / (y - 1)", {"y": 1.0}),
+        ("x^-2 + y", {"x": 0.0}),
+        ("2 * (x + y)^1.5", {"x": -6.0}),
+        ("y + log(x * y)", {"x": -1.0}),
+        ("x + sqrt(y - 3)", {"y": 2.0}),
+        ("log(x) + sqrt(y)", {"y": -1.0}),
+    ])
+    def test_guard_hit_in_one_element_raises_at_scalar_offset(self, text, bad):
+        e = parse(text)
+        good = {"x": 2.0, "y": 5.0}
+        with pytest.raises(EvalError) as single:
+            evaluate(e, dict(good, **bad))
+        for position in range(3):
+            batch = {}
+            for name, v in good.items():
+                col = np.full(3, v)
+                col[position] = bad.get(name, v)
+                batch[name] = col
+            for env in (batch, {k: DualScalar(v, 1.0) for k, v in batch.items()}):
+                with np.errstate(**FLOAT_ERRORS), pytest.raises(EvalError) as caught:
+                    evaluate(e, env)
+                assert caught.value.offset == single.value.offset
+                assert str(caught.value) == str(single.value)
 
 
 class TestPrinter:

@@ -82,6 +82,25 @@ class TestHomotopyIntegrate:
         assert np.max(np.abs(fam.members[0].x[:, 0] - solo_a.x[:, 0])) < 1e-12
         assert np.max(np.abs(fam.members[-1].x[:, 0] - solo_b.x[:, 0])) < 1e-12
 
+    def test_members_equal_solo_prolonged_runs_under_rk4(self):
+        # the batched RHS and post pass reproduce a solo run bit for bit
+        from diffdiss.examples import MotorParams, induction_motor_virtual
+
+        # a time-varying rotor speed, so the exo values differ per sample
+        params = MotorParams(omega_r=Signal.from_expr("9 + sin(3*t)"))
+        sys = induction_motor_virtual(params).system
+        a = np.array([1.0, 0.0, 1.3, 0.2])
+        b = a + np.array([0.4, -0.3, 0.5, 0.1])
+        u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
+        gamma0 = lambda s: (a + s * (b - a)).tolist()
+        fam = homotopy_integrate(sys, gamma0, u=u, t_final=0.2, n_s=5, stepper=Rk4(1e-2),
+                                 gamma0_deriv=lambda s: (b - a).tolist())
+        for m, s in zip(fam.members, fam.s_grid):
+            solo = simulate_prolonged(sys, gamma0(float(s)), (b - a).tolist(), u=u,
+                                      t_final=0.2, stepper=Rk4(1e-2))
+            for col in ("times", "x", "dx", "u", "du", "y", "dy", "xdot", "dxdot"):
+                assert np.array_equal(getattr(m, col), getattr(solo, col)), col
+
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
             homotopy_integrate(scalar_cubic(), lambda s: [s], n_s=2)

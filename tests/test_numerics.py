@@ -78,6 +78,86 @@ class TestDualScalar:
         assert numerics.absolute(DualScalar(-3.0, 1.0)).deriv == -1.0
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+class TestBatch:
+    """DualScalar parts and the scalar functions accept 1-d float arrays;
+    every element must equal the scalar evaluation bit for bit."""
+
+    xs = np.array([-2.5, -0.3, 0.0, 0.4, 1.7, 3.1])
+
+    def test_array_times_dual_stays_dual(self):
+        d = DualScalar(self.xs, np.ones_like(self.xs))
+        for out in (self.xs * d, self.xs + d, self.xs - d, self.xs / DualScalar(2.0, 1.0)):
+            assert isinstance(out, DualScalar)
+            assert out.value.dtype == float and out.value.shape == self.xs.shape
+
+    def test_transcendentals_match_math_per_element(self):
+        pos = np.abs(self.xs) + 0.5
+        for name, arg in (("sin", self.xs), ("cos", self.xs), ("tan", self.xs),
+                          ("exp", self.xs), ("tanh", self.xs), ("log", pos), ("sqrt", pos)):
+            got = getattr(numerics, name)(arg)
+            want = [getattr(math, name)(v) for v in arg.tolist()]
+            assert bits(got) == bits(want), name
+            dual = getattr(numerics, name)(DualScalar(arg, np.ones_like(arg)))
+            for k, v in enumerate(arg.tolist()):
+                one = getattr(numerics, name)(DualScalar(v, 1.0))
+                assert bits([dual.value[k], dual.deriv[k]]) == bits([one.value, one.deriv]), name
+        got = numerics.atan2(self.xs, 0.5)
+        assert bits(got) == bits([math.atan2(v, 0.5) for v in self.xs.tolist()])
+
+    def test_math_domain_errors_kept(self):
+        with pytest.raises(ValueError):
+            numerics.log(np.array([1.0, -1.0]))
+        with pytest.raises(OverflowError):
+            numerics.exp(np.array([0.0, 1e6]))
+
+    def test_min_max_abs_elementwise(self):
+        a = DualScalar(self.xs, self.xs * 2.0 + 1.0)
+        b = DualScalar(-self.xs[::-1].copy(), np.full(self.xs.shape, 3.0))
+        for fn in (numerics.minimum, numerics.maximum):
+            batch = fn(a, b)
+            batch_const = fn(a, 0.25)
+            for k in range(len(self.xs)):
+                ak = DualScalar(float(a.value[k]), float(a.deriv[k]))
+                bk = DualScalar(float(b.value[k]), float(b.deriv[k]))
+                one = fn(ak, bk)
+                assert bits([batch.value[k], batch.deriv[k]]) == bits([one.value, one.deriv])
+                one_const = fn(ak, 0.25)
+                want = [numerics.value_part(one_const), numerics.deriv_part(one_const)]
+                assert bits([batch_const.value[k], batch_const.deriv[k]]) == bits(want)
+        batch = abs(a)
+        for k, (v, d) in enumerate(zip(a.value.tolist(), a.deriv.tolist())):
+            one = abs(DualScalar(v, d))
+            assert bits([batch.value[k], batch.deriv[k]]) == bits([one.value, one.deriv])
+
+    def test_nested_batch(self):
+        vp, dp = numerics.value_part, numerics.deriv_part
+
+        def parts(x, k=None):
+            out = [vp(vp(x)), dp(vp(x)), vp(dp(x)), dp(dp(x))]
+            return [p[k] if isinstance(p, np.ndarray) else p for p in out]
+
+        def second_order(t):
+            return DualScalar(DualScalar(t, 1.0), DualScalar(1.0, 0.0))
+
+        out = numerics.minimum(numerics.sin(second_order(self.xs)), 0.5)
+        for k, v in enumerate(self.xs.tolist()):
+            one = numerics.minimum(numerics.sin(second_order(v)), 0.5)
+            assert bits(parts(out, k)) == bits(parts(one))
+
+    def test_comparing_a_batch_raises(self):
+        d = DualScalar(self.xs, 1.0)
+        with pytest.raises(TypeError, match="batched value"):
+            d < 1.0
+        with pytest.raises(TypeError, match="batched value"):
+            DualScalar(1.0, 0.0) >= d
+        with pytest.raises(TypeError, match="batched value"):
+            d < DualScalar(np.array([1.0]), 0.0)
+
+
 class TestJacobian:
     def test_linear_map(self):
         a = [[1.0, 2.0], [3.0, 4.0]]
@@ -177,6 +257,32 @@ class TestIntegrate:
         assert sol.times[-1] == 0.1234
         assert abs(sol.states[-1, 0] - math.exp(-0.1234)) < 1e-10
 
+    def test_rk4_counts_four_calls_per_step(self):
+        sol = integrate(lambda t, x: -x, [1.0], (0.0, 0.1234), Rk4(1e-2))
+        assert sol.n_accepted == len(sol.times) - 1 == 13
+        assert sol.n_rejected == 0
+        assert sol.nfev == 4 * sol.n_accepted
+
+    def test_rk45_reuses_last_stage(self):
+        # forced van der Pol at mu = 5: time-dependent, with some rejected steps
+        calls = []
+
+        def field(t, x):
+            calls.append(t)
+            return np.array([x[1], 5.0 * (1.0 - x[0] * x[0]) * x[1] - x[0] + math.sin(t)])
+
+        sol = integrate(field, [2.0, 0.0], (0.0, 5.0), Rk45(1e-8))
+        assert sol.n_rejected > 0
+        assert sol.n_accepted == len(sol.times) - 1
+        assert sol.nfev == len(calls) == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+        times, states = _dopri_all_stages(field, [2.0, 0.0], 0.0, 5.0, 1e-8)
+        assert np.array_equal(sol.times, times)
+        assert np.array_equal(sol.states, states)
+
+    def test_counts_on_empty_span(self):
+        sol = integrate(lambda t, x: -x, [1.0], (0.0, 0.0), Rk45())
+        assert (sol.nfev, sol.n_accepted, sol.n_rejected) == (0, 0, 0)
+
     def test_solution_invariants_enforced(self):
         from diffdiss.numerics import OdeSolution
 
@@ -184,6 +290,41 @@ class TestIntegrate:
             OdeSolution([0.0, 0.0], [[1.0], [1.0]], "fixed-rk4", 1e-3)
         with pytest.raises(ValueError, match="finite"):
             OdeSolution([0.0, 1.0], [[1.0], [float("nan")]], "fixed-rk4", 1e-3)
+
+
+def _dopri_all_stages(field, x0, t0, t1, tol):
+    """Reference Dormand-Prince 5(4) that evaluates all seven stages on
+    every attempt; step control as in ``numerics.integrate``."""
+    x = np.asarray(x0, dtype=float)
+    t, h = t0, min((t1 - t0) / 100.0, 0.1)
+    times, states = [t], [x.copy()]
+    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+        h = min(h, t1 - t)
+        ks = []
+        for i in range(7):
+            xi = x.copy()
+            for j, aij in enumerate(numerics._DP_A[i]):
+                if aij != 0.0:
+                    xi = xi + (h * aij) * ks[j]
+            ks.append(np.asarray(field(t + numerics._DP_C[i] * h, xi), dtype=float))
+        x5 = x.copy()
+        err = np.zeros_like(x)
+        for i in range(7):
+            if numerics._DP_B5[i] != 0.0:
+                x5 = x5 + (h * numerics._DP_B5[i]) * ks[i]
+            db = numerics._DP_B5[i] - numerics._DP_B4[i]
+            if db != 0.0:
+                err = err + (h * db) * ks[i]
+        ratio = float(np.max(np.abs(err) / (tol * (1.0 + np.maximum(np.abs(x), np.abs(x5))))))
+        if ratio <= 1.0:
+            t = t1 if t1 - (t + h) < 1e-14 * max(1.0, abs(t1)) else t + h
+            x = x5
+            times.append(t)
+            states.append(x.copy())
+            h *= max(0.2, 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2))
+        else:
+            h *= max(0.1, min(1.0, 0.9 * ratio ** -0.2))
+    return np.array(times), np.array(states)
 
 
 class TestMargins:

@@ -13,7 +13,9 @@ from diffdiss import (
     simulate,
     simulate_prolonged,
 )
-from diffdiss.examples import lti
+from diffdiss.examples import induction_motor_virtual, lti
+from diffdiss.numerics import FLOAT_ERRORS
+from diffdiss.systems import batch_rows
 
 from conftest import rotation, scalar_cubic, scalar_leaky
 
@@ -150,6 +152,77 @@ class TestLift:
             exo={"w": Signal.from_expr("1 + t")},
         )
         assert sys.rhs(0.5, [0.3], [0.7]) == sys.rhs_with([0.3], {"w": 1.5}, [0.7])
+
+
+def _config_system():
+    """An expression system whose maps use every builtin, ``/`` and both
+    kinds of ``^``, with an exogenous signal and a throughput."""
+    from diffdiss.cli import _build_expr_system
+
+    spec = {
+        "n": 2, "q": 2,
+        "f": ["sin(x1) * cos(x2) - tan(x1 / 4) + w * x2",
+              "exp(-x1^2) - log(2 + x2^2) + sqrt(1 + x1^2)^1.5 - x2^3 / (1 + x1^2)"],
+        "g": [["1 + abs(x1)", "tanh(x2)"], ["atan2(x2, x1 + 3)", "min(x1, x2) + 2"]],
+        "h": ["max(x1, w) + x2", "atan2(x1, 2)"],
+        "i": [["0.5", "0"], ["min(x2, 0.1)", "1 + abs(x2)"]],
+        "exo": {"w": {"kind": "expr", "expr": "sin(3*t)"}},
+    }
+    return _build_expr_system(spec, "/system")
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestBatchLift:
+    """One call of a lifted map over a batch of points (1-d arrays per state
+    entry, exo values and inputs per point or shared) equals the point by
+    point evaluation bit for bit."""
+
+    @pytest.mark.parametrize("name", ["rc", "motor", "lti", "config"])
+    def test_batch_matches_pointwise(self, name, rng):
+        sys = {
+            "rc": lambda: rc_circuit().system,
+            "motor": lambda: induction_motor_virtual().system,
+            "lti": lambda: lti([[-1.0, 2.0], [-3.0, -0.5]], [[1.0], [0.5]], [[1.0, -1.0]],
+                               [[0.25]]),
+            "config": _config_system,
+        }[name]()
+        lifted = lift(sys)
+        B = 7
+        X = rng.uniform(-1.5, 1.5, size=(B, 2 * sys.n))
+        U = rng.uniform(-1.0, 1.0, size=(B, 2 * sys.q))
+        times = rng.uniform(0.0, 2.0, size=B)
+        exo = [lifted.exo_at(t) for t in times]
+        per_point_exo = {k: np.array([ek[k] for ek in exo]) for k in lifted.exo}
+        cols = list(X.T)
+        for E, U_b, e_at, u_at in (
+            # the post pass: exo values and inputs differ per point
+            (per_point_exo, list(U.T), lambda k: exo[k], lambda k: U[k].tolist()),
+            # the homotopy RHS: one time, shared exo values and inputs
+            (exo[0], U[0].tolist(), lambda k: exo[0], lambda k: U[0].tolist()),
+        ):
+            with np.errstate(**FLOAT_ERRORS):
+                rhs = batch_rows(lifted.rhs_with(cols, E, U_b), B)
+                out = batch_rows(lifted.output_with(cols, E, U_b), B)
+            for k in range(B):
+                x = X[k].tolist()
+                assert np.array_equal(_bits(rhs[k]), _bits(lifted.rhs_with(x, e_at(k), u_at(k))))
+                assert np.array_equal(_bits(out[k]),
+                                      _bits(lifted.output_with(x, e_at(k), u_at(k))))
+
+    def test_branching_map_rejects_a_batch(self):
+        sys = DynSystem(
+            1, 1,
+            lambda x, e: [x[0] if x[0] > 0 else -x[0]],
+            lambda x, e: [[1.0]],
+            lambda x, e: [x[0]],
+        )
+        lifted = lift(sys)
+        assert lifted.f([0.5, 1.0], {}) == [0.5, 1.0]
+        with pytest.raises(TypeError, match="batched value"):
+            lifted.f([np.array([0.5, -0.5]), np.array([1.0, 1.0])], {})
 
 
 class TestSimulate:
