@@ -14,6 +14,11 @@ displacements, Q = <dy, du>_W, optionally output-strict
 Audits differentiate S analytically along the flow (chain rule through
 dual scalars, never finite differences of samples) and report both the
 pointwise and the integral form of the dissipation inequality.
+
+The grid checkers evaluate every map once over the whole grid: M, W, g and
+i in one batched call each, and each Jacobian in one dual pass per column
+over all points.  Certificate maps must therefore follow the batch contract
+of :mod:`diffdiss.systems`.
 """
 
 from __future__ import annotations
@@ -24,15 +29,21 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import (
+    FLOAT_ERRORS,
     NumericalError,
+    argworst,
+    batch_matrix,
     eye,
     frobenius,
+    gradient,
+    grid_point,
     jacobian,
     jvp,
     mat_vec,
     nsd_margin,
     psd_margin,
     sqrt as d_sqrt,
+    transpose,
 )
 from .systems import DynSystem, ProlongedTrajectory
 
@@ -90,18 +101,10 @@ class QuadraticDifferentialStorage:
         relies on; equality of mixed partials is spot-checked so a
         non-symmetric ``m_scalar`` implementation is caught here."""
 
-        def grad(x):
-            length = len(x)
-            return [
-                jvp(lambda z: [m_scalar(z)], x,
-                    [1.0 if k == j else 0.0 for k in range(length)])[0]
-                for j in range(length)
-            ]
-
         def hess_rows(x):
             length = len(x)
             return [
-                jvp(lambda z: grad(z), x,
+                jvp(lambda z: gradient(m_scalar, z), x,
                     [1.0 if k == j else 0.0 for k in range(length)])
                 for j in range(length)
             ]
@@ -393,23 +396,23 @@ class CertificateReport:
         raise KeyError(name)
 
 
-class _Worst:
-    """Deterministic max/argmax reduction (lowest index wins ties)."""
+def _condition(name: str, kind: str, values: np.ndarray, tol: float, points: np.ndarray,
+               inputs: np.ndarray | None = None) -> ConditionResult:
+    """The grid's worst point for one condition.  ``values`` holds one entry
+    per row of ``points`` (and ``inputs``), larger meaning worse; for a
+    "psd-margin" condition they are negated margins."""
 
-    def __init__(self):
-        self.value = -np.inf
-        self.point = None
-        self.input = None
+    def where(k):
+        return f"x = {grid_point(points[k])}" + (
+            "" if inputs is None else f", u = {grid_point(inputs[k])}")
 
-    def update(self, value, point, input_=None):
-        if value > self.value:
-            self.value = float(value)
-            self.point = tuple(float(v) for v in point)
-            self.input = None if input_ is None else tuple(float(v) for v in input_)
-
-
-def _m_at(m_fun, x) -> np.ndarray:
-    return np.asarray(m_fun(x), dtype=float)
+    k = argworst(values, f"certificate condition {name}", where)
+    point = grid_point(points[k])
+    input_ = None if inputs is None else grid_point(inputs[k])
+    worst = float(values[k])
+    if kind == "psd-margin":
+        return ConditionResult(name, kind, -worst, -tol, worst <= tol, point, input_)
+    return ConditionResult(name, kind, worst, tol, worst <= tol, point, input_)
 
 
 def check_uc(
@@ -429,7 +432,10 @@ def check_uc(
         (b) M(x) g(x) equals the constant matrix Pi,
         (c) Dh(x)^T W(x) equals M(x)^T Pi,
 
-    at every grid point.  Exogenous signals are frozen at time ``t``.
+    at every grid point.  Exogenous signals are frozen at time ``t``.  Each
+    map is evaluated over the whole grid at once (see the batch contract in
+    :mod:`diffdiss.systems`); a non-finite margin or residual raises
+    :class:`NumericalError`.
     """
     if sys.has_throughput:
         raise InvalidCertificate("this certificate applies to throughput-free systems")
@@ -441,27 +447,22 @@ def check_uc(
         raise InvalidCertificate("Pi is singular or ill-conditioned beyond 1e12")
 
     e = sys.exo_at(t)
-    mf = lambda z: mat_vec(m_fun(z), sys.f(z, e))
-    worst_a, worst_b, worst_c = _Worst(), _Worst(), _Worst()
     pts = grid.points()
-    for p in pts:
-        x = p.tolist()
-        m = _m_at(m_fun, x)
-        jac_mf = jacobian(mf, x)
-        worst_a.update(nsd_margin(m.T @ jac_mf), p)
-        g = np.asarray(sys.g(x, e), dtype=float)
-        worst_b.update(frobenius(m @ g - pi), p)
-        jh = jacobian(lambda z: sys.h(z, e), x)
-        w = np.asarray(w_fun(x), dtype=float)
-        worst_c.update(frobenius(jh.T @ w - m.T @ pi), p)
-    conditions = [
-        ConditionResult("storage-decay", "nsd-margin", worst_a.value, tol_margin,
-                        worst_a.value <= tol_margin, worst_a.point),
-        ConditionResult("input-gain-constancy", "residual", worst_b.value, tol_residual,
-                        worst_b.value <= tol_residual, worst_b.point),
-        ConditionResult("output-supply-match", "residual", worst_c.value, tol_residual,
-                        worst_c.value <= tol_residual, worst_c.point),
-    ]
+    x = list(pts.T)
+    with np.errstate(**FLOAT_ERRORS):
+        m = batch_matrix(m_fun(x), len(pts))
+        g = batch_matrix(sys.g(x, e), len(pts))
+        w = batch_matrix(w_fun(x), len(pts))
+        jac_mf = jacobian(lambda z: mat_vec(m_fun(z), sys.f(z, e)), pts)
+        jh = jacobian(lambda z: sys.h(z, e), pts)
+        conditions = [
+            _condition("storage-decay", "nsd-margin", nsd_margin(transpose(m) @ jac_mf),
+                       tol_margin, pts),
+            _condition("input-gain-constancy", "residual", frobenius(m @ g - pi),
+                       tol_residual, pts),
+            _condition("output-supply-match", "residual", frobenius(transpose(jh) @ w - transpose(m) @ pi),
+                       tol_residual, pts),
+        ]
     return CertificateReport(conditions, len(pts), all(c.passed for c in conditions))
 
 
@@ -484,7 +485,9 @@ def check_ap(
 
     over the product of a state grid and an input grid.  Condition (3)
     compares like-shaped matrices only when the input dimension equals the
-    state dimension; other shapes are rejected.
+    state dimension; other shapes are rejected.  As in :func:`check_uc`,
+    each map is evaluated over the whole grid at once; condition (3) over
+    the (state x input) product, state-major.
     """
     if not sys.has_throughput:
         raise InvalidCertificate("this certificate needs a throughput term i(x)")
@@ -493,35 +496,33 @@ def check_ap(
             "the mixed Jacobian condition only conforms when input and state dimensions agree"
         )
     e = sys.exo_at(t)
-    mf = lambda z: mat_vec(m_fun(z), sys.f(z, e))
-    w1, w2, w3, w4 = _Worst(), _Worst(), _Worst(), _Worst()
     pts_x = grid_x.points()
     pts_u = grid_u.points()
-    for p in pts_x:
-        x = p.tolist()
-        m = _m_at(m_fun, x)
-        w = np.asarray(w_fun(x), dtype=float)
-        w1.update(nsd_margin(m.T @ jacobian(mf, x)), p)
-        g = np.asarray(sys.g(x, e), dtype=float)
-        jh = jacobian(lambda z: sys.h(z, e), x)
-        w2.update(frobenius(jh.T @ w - m.T @ m @ g), p)
-        ix = np.asarray(sys.i(x, e), dtype=float)
-        w4.update(-psd_margin(ix.T @ w), p)
-        for pu in pts_u:
-            u = pu.tolist()
-            j_iu = jacobian(lambda z: mat_vec(sys.i(z, e), u), x)
-            j_mgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)), x)
-            w3.update(frobenius(j_iu.T @ w - m.T @ j_mgu), p, pu)
-    conditions = [
-        ConditionResult("storage-decay", "nsd-margin", w1.value, tol_margin,
-                        w1.value <= tol_margin, w1.point),
-        ConditionResult("output-supply-match", "residual", w2.value, tol_residual,
-                        w2.value <= tol_residual, w2.point),
-        ConditionResult("throughput-gain-match", "residual", w3.value, tol_residual,
-                        w3.value <= tol_residual, w3.point, w3.input),
-        ConditionResult("throughput-positivity", "psd-margin", -w4.value, -tol_margin,
-                        w4.value <= tol_margin, w4.point),
-    ]
-    return CertificateReport(
-        conditions, len(pts_x) * len(pts_u), all(c.passed for c in conditions)
-    )
+    nx, nu = len(pts_x), len(pts_u)
+    x = list(pts_x.T)
+    # row k of the (state x input) product is state k // nu with input k % nu
+    xs = np.repeat(pts_x, nu, axis=0)
+    us = np.tile(pts_u, (nx, 1))
+    u = list(us.T)
+    with np.errstate(**FLOAT_ERRORS):
+        m = batch_matrix(m_fun(x), nx)
+        w = batch_matrix(w_fun(x), nx)
+        g = batch_matrix(sys.g(x, e), nx)
+        ix = batch_matrix(sys.i(x, e), nx)
+        jac_mf = jacobian(lambda z: mat_vec(m_fun(z), sys.f(z, e)), pts_x)
+        jh = jacobian(lambda z: sys.h(z, e), pts_x)
+        j_iu = jacobian(lambda z: mat_vec(sys.i(z, e), u), xs)
+        j_mgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)), xs)
+        gain_match = (transpose(j_iu) @ np.repeat(w, nu, axis=0)
+                      - np.repeat(transpose(m), nu, axis=0) @ j_mgu)
+        conditions = [
+            _condition("storage-decay", "nsd-margin", nsd_margin(transpose(m) @ jac_mf),
+                       tol_margin, pts_x),
+            _condition("output-supply-match", "residual",
+                       frobenius(transpose(jh) @ w - transpose(m) @ m @ g), tol_residual, pts_x),
+            _condition("throughput-gain-match", "residual", frobenius(gain_match),
+                       tol_residual, xs, us),
+            _condition("throughput-positivity", "psd-margin", -psd_margin(transpose(ix) @ w),
+                       tol_margin, pts_x),
+        ]
+    return CertificateReport(conditions, nx * nu, all(c.passed for c in conditions))

@@ -100,7 +100,7 @@ class RcCircuit:
             name="rc-circuit",
         )
         self.storage = QuadraticDifferentialStorage.identity(1)
-        self.supply = SupplyRate(lambda x: [[self._w(float_value(x[0]))]], q=1)
+        self.supply = SupplyRate(lambda x: [[self._w(x[0])]], q=1)
         self.system.storage = self.storage
         self.system.supply = self.supply
 
@@ -110,10 +110,14 @@ class RcCircuit:
     def _dmu(self, q) -> float:
         return jvp(lambda z: [self.mu_value(z[0])], [q], [1.0])[0]
 
-    def _w(self, q: float) -> float:
+    def _w(self, q):
+        """W = 1 / mu'(q) from one dual pass; ``q`` may be a batch array."""
         d = self._dmu(q)
-        if d <= 0.0:
-            raise ModelDomainError(f"d mu/dq = {d:.6g} <= 0 at q = {q:.6g}")
+        low = d <= 0.0
+        if low if low.__class__ is bool else low.any():  # the float test stays cheap
+            qs, ds = np.broadcast_arrays(q, d)
+            k = np.flatnonzero(ds <= 0.0)[0]
+            raise ModelDomainError(f"d mu/dq = {ds.flat[k]:.6g} <= 0 at q = {qs.flat[k]:.6g}")
         return 1.0 / d
 
     def port_trajectory(

@@ -20,12 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
-from .numerics import FLOAT_ERRORS, Rk4, Stepper, integrate, jvp
+from .numerics import FLOAT_ERRORS, Rk4, Stepper, batch_rows, integrate, jvp
 from .systems import (
     DynSystem,
     ProlongedTrajectory,
     Signal,
-    batch_rows,
     lift,
     signal_vector,
     _prolonged_from_solution,

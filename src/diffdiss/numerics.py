@@ -310,6 +310,41 @@ def eye(n: int) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# stacking map outputs over a batch
+
+
+def batch_rows(entries: Sequence, size: int) -> np.ndarray:
+    """Stack a map's vector output over a batch of ``size`` points as a
+    ``(size, len(entries))`` array; an entry that does not depend on the
+    batch (a plain scalar) is repeated down its column."""
+    out = np.empty((size, len(entries)))
+    for j, v in enumerate(entries):
+        out[:, j] = v
+    return out
+
+
+def batch_matrix(rows: Sequence[Sequence], size: int) -> np.ndarray:
+    """Stack a map's matrix output over a batch of ``size`` points as a
+    ``(size, r, c)`` array, repeating entries that are plain scalars."""
+    return np.stack([batch_rows(row, size) for row in rows], axis=1)
+
+
+def grid_point(p) -> tuple[float, ...]:
+    """A grid point as the tuple of floats that reports and errors show."""
+    return tuple(float(v) for v in p)
+
+
+def argworst(values: np.ndarray, what: str, where: Callable[[int], str]) -> int:
+    """Index of the largest of ``values``, the lowest index winning ties.  A
+    non-finite value raises :class:`NumericalError` for ``what``, located by
+    ``where`` at the first such index."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"{what} is not finite at {where(int(bad[0]))}")
+    return int(np.argmax(values))
+
+
+# ---------------------------------------------------------------------------
 # directional derivatives and Jacobians
 
 
@@ -324,9 +359,16 @@ def jvp(fun: Callable[[Sequence], Sequence], x: Sequence, v: Sequence) -> list:
     return [deriv_part(w) for w in out]
 
 
-def jacobian(fun: Callable[[Sequence], Sequence], x: Sequence) -> np.ndarray:
+def jacobian(fun: Callable[[Sequence], Sequence], x) -> np.ndarray:
     """Jacobian of an n -> m map at ``x``; column j is the directional
-    derivative along the unit direction e_j."""
+    derivative along the unit direction e_j.
+
+    A 2-d ``x`` of shape (N, n) is a batch of N points: the result is the
+    (N, m, n) stack of their Jacobians, from n dual passes in total, each over
+    all N points and under :data:`FLOAT_ERRORS`.
+    """
+    if np.ndim(x) == 2:
+        return _batch_jacobian(fun, np.asarray(x, dtype=float))
     x = list(x)
     n = len(x)
     cols = []
@@ -342,6 +384,37 @@ def jacobian(fun: Callable[[Sequence], Sequence], x: Sequence) -> np.ndarray:
     return np.array(cols, dtype=float).T
 
 
+def _batch_jacobian(fun, x: np.ndarray) -> np.ndarray:
+    size, n = x.shape
+    coords = list(x.T)
+    out = None
+    for j in range(n):
+        try:
+            with np.errstate(**FLOAT_ERRORS):
+                col = jvp(fun, coords, [1.0 if k == j else 0.0 for k in range(n)])
+                vals = batch_rows([_base(c) for c in col], size)
+        except (ArithmeticError, ValueError) as err:
+            raise NumericalError(f"Jacobian evaluation failed in column {j}: {err}") from err
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+        if bad.size:
+            raise NumericalError(
+                f"non-finite Jacobian entries in column {j} at x = {grid_point(x[bad[0]])}"
+            )
+        if out is None:
+            out = np.empty((size, vals.shape[1], n))
+        out[:, :, j] = vals
+    return out
+
+
+def gradient(fun: Callable[[Sequence], object], x: Sequence) -> list:
+    """Gradient of a scalar map at ``x``, one dual pass per coordinate.  The
+    entries of ``x`` may be floats, duals or batch arrays, so the gradient
+    can itself be differentiated or evaluated over a batch."""
+    n = len(x)
+    return [deriv_part(fun(seed(x, [1.0 if k == j else 0.0 for k in range(n)])))
+            for j in range(n)]
+
+
 def scalar_deriv(fun: Callable, t):
     """d/dt of a scalar-to-anything map, valid at dual base points too."""
     out = fun(DualScalar(t, 1.0))
@@ -354,37 +427,67 @@ def scalar_deriv(fun: Callable, t):
 # symmetric-matrix margins
 
 
+def transpose(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix on a (..., r, c) stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (A + A^T) / 2."""
+    """Symmetric part (A + A^T) / 2, of each matrix on a (..., r, r) stack."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + transpose(a))
+
+
+def _square(a, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} needs square matrices, got shape {a.shape}")
+    return a
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix; nan for a matrix with
+    a non-finite entry, for which LAPACK may return finite values."""
+    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    if bad.any():
+        a = np.where(bad[..., None, None], 0.0, a)
     try:
-        return np.linalg.eigvalsh(a)
+        lam = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as err:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"symmetric eigenvalue iteration failed: {err}") from err
+    if bad.any():
+        lam[bad] = np.nan
+    return lam
 
 
-def nsd_margin(a: np.ndarray) -> float:
-    """Largest eigenvalue of sym(A); <= 0 certifies negative semidefiniteness."""
+def _per_matrix(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def nsd_margin(a: np.ndarray):
+    """Largest eigenvalue of sym(A); <= 0 certifies negative semidefiniteness.
+    On a (..., r, r) stack, the array of per-matrix margins."""
+    return _per_matrix(_eigvalsh(sym(_square(a, "nsd_margin")))[..., -1])
+
+
+def psd_margin(a: np.ndarray):
+    """Smallest eigenvalue of sym(A); >= 0 certifies positive semidefiniteness.
+    On a (..., r, r) stack, the array of per-matrix margins."""
+    return _per_matrix(_eigvalsh(sym(_square(a, "psd_margin")))[..., 0])
+
+
+def frobenius(a: np.ndarray):
+    """Frobenius norm; on a (..., r, c) stack, the array of per-matrix norms.
+
+    ``np.linalg.norm(a, "fro")`` ravels a matrix and takes a BLAS dot
+    product; the stacked form is a (1 x rc) @ (rc x 1) matmul per matrix,
+    which gives the same bits, where a batched ``norm`` or ``einsum`` does
+    not always."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"nsd_margin needs a square matrix, got shape {a.shape}")
-    return float(_eigvalsh(sym(a))[-1])
-
-
-def psd_margin(a: np.ndarray) -> float:
-    """Smallest eigenvalue of sym(A); >= 0 certifies positive semidefiniteness."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"psd_margin needs a square matrix, got shape {a.shape}")
-    return float(_eigvalsh(sym(a))[0])
-
-
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float), "fro"))
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a, "fro"))
+    flat = a.reshape(-1, a.shape[-2] * a.shape[-1])
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).reshape(a.shape[:-2])
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .numerics import (
     DualScalar,
     Rk4,
     Stepper,
+    batch_rows,
     deriv_part,
     dot,
     float_value,
@@ -365,16 +366,6 @@ def simulate_prolonged(
     X0 = list(x0) + list(dx0)
     sol = integrate(_field_for(lifted, sigs), X0, (0.0, float(t_final)), stepper or Rk4())
     return _prolonged_from_solution(sys, lifted, sigs, sol)[0]
-
-
-def batch_rows(entries: Sequence, size: int) -> np.ndarray:
-    """Stack a map's output over a batch of ``size`` points as a
-    ``(size, len(entries))`` array; an entry that does not depend on the
-    batch (a plain scalar) is repeated down its column."""
-    out = np.empty((size, len(entries)))
-    for j, v in enumerate(entries):
-        out[:, j] = v
-    return out
 
 
 def _prolonged_from_solution(sys, lifted, sigs, sol, members: int = 1):

@@ -236,3 +236,61 @@ class TestCommands:
         report = json.loads((out / "error_report.json").read_text())
         assert report["passed"] is False
         assert "error" in report
+
+
+_NAN_GAIN = [["0"], ["1 + ((x2^16)^16)^2 - ((x2^16)^16)^2"]]  # nan once |x2| >= 5
+
+
+def _nan_gain_config(lo, hi):
+    return {
+        "system": {"n": 2, "q": 1, "f": ["-x1", "-x2"], "g": _NAN_GAIN, "h": ["x2"]},
+        "storage": {"M": "identity"},
+        "supply": {"W": "identity"},
+        "pi": [[0.0], [1.0]],
+        "grid": {"lo": [lo, lo], "hi": [hi, hi], "counts": [5, 5]},
+    }
+
+
+class TestNonFiniteCertificate:
+    """A nan certificate value is an error (exit 1, error report), never a
+    silent PASS or a crash in the writer."""
+
+    def test_some_points_nan(self, tmp_path):
+        cfg = write_config(tmp_path, _nan_gain_config(-10.0, 10.0))
+        code, out = run(tmp_path, "certify-uc", "--config", cfg)
+        assert code == 1
+        assert not (out / "certificate_report.json").exists()
+        error = json.loads((out / "error_report.json").read_text())
+        assert error["error"] == ("NumericalError: certificate condition input-gain-constancy "
+                                  "is not finite at x = (-10.0, -10.0)")
+
+    def test_every_point_nan(self, tmp_path):
+        cfg = write_config(tmp_path, _nan_gain_config(5.0, 10.0))
+        code, out = run(tmp_path, "certify-uc", "--config", cfg)
+        assert code == 1
+        error = json.loads((out / "error_report.json").read_text())
+        assert error["error"] == ("NumericalError: certificate condition input-gain-constancy "
+                                  "is not finite at x = (5.0, 5.0)")
+
+
+# the report the per-point checker wrote for the registry RC circuit
+_RC_UC_REPORT = (
+    '{"kind": "certificate", "passed": true, "n_points": 21, "conditions": ['
+    '{"name": "storage-decay", "kind": "nsd-margin", "worst": -1.0, '
+    '"threshold": 1.0000000000000001e-09, "passed": true, "point": [0.0]}, '
+    '{"name": "input-gain-constancy", "kind": "residual", "worst": 0.0, '
+    '"threshold": 1e-08, "passed": true, "point": [-2.0]}, '
+    '{"name": "output-supply-match", "kind": "residual", "worst": 1.1102230246251565e-16, '
+    '"threshold": 1e-08, "passed": true, "point": [-1.3999999999999999]}]}\n'
+)
+
+
+def test_certify_uc_rc_registry_report_bytes(tmp_path):
+    cfg = write_config(tmp_path, {
+        "system": {"registry": "rc", "params": {"mu": "q + q^3"}},
+        "pi": [[1.0]],
+        "grid": {"lo": [-2.0], "hi": [2.0], "counts": [21]},
+    })
+    code, out = run(tmp_path, "certify-uc", "--config", cfg)
+    assert code == 0
+    assert (out / "certificate_report.json").read_text() == _RC_UC_REPORT

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,12 @@ from diffdiss import (
     rc_circuit,
     simulate_prolonged,
 )
+from diffdiss.dissipativity import CertificateReport, ConditionResult
 from diffdiss.dissipativity import SupplyIntegrabilityError
+from diffdiss.exprlang import evaluate, parse
 from diffdiss.examples import lti
 from diffdiss.numerics import NumericalError
+from diffdiss.numerics import frobenius, jacobian, mat_vec, nsd_margin, psd_margin
 from diffdiss.systems import DynSystem, Signal
 
 from conftest import scalar_leaky, scalar_stiffening
@@ -372,3 +377,193 @@ def test_min_rate_combination_inequality(s1, s2, lam1, lam2):
     a2 = lambda s: lam2 * s
     combined = min(a1((s1 + s2) / 2.0), a2((s1 + s2) / 2.0))
     assert a1(s1) + a2(s2) >= combined - 1e-9 * max(1.0, combined)
+
+
+# ---------------------------------------------------------------------------
+# batched certificate checkers against a per-point reference
+
+
+class _RefWorst:
+    """Per-point max/argmax (lowest index wins ties), as the checkers did
+    before they were batched."""
+
+    def __init__(self):
+        self.value = -np.inf
+        self.point = None
+        self.input = None
+
+    def update(self, value, point, input_=None):
+        if value > self.value:
+            self.value = float(value)
+            self.point = tuple(float(v) for v in point)
+            self.input = None if input_ is None else tuple(float(v) for v in input_)
+
+
+def _ref_check_uc(sys, m_fun, pi, w_fun, grid, tol_margin=1e-9, tol_residual=1e-8, t=0.0):
+    pi = np.asarray(pi, dtype=float)
+    e = sys.exo_at(t)
+    mf = lambda z: mat_vec(m_fun(z), sys.f(z, e))
+    wa, wb, wc = _RefWorst(), _RefWorst(), _RefWorst()
+    pts = grid.points()
+    for p in pts:
+        x = p.tolist()
+        m = np.asarray(m_fun(x), dtype=float)
+        wa.update(nsd_margin(m.T @ jacobian(mf, x)), p)
+        g = np.asarray(sys.g(x, e), dtype=float)
+        wb.update(frobenius(m @ g - pi), p)
+        jh = jacobian(lambda z: sys.h(z, e), x)
+        w = np.asarray(w_fun(x), dtype=float)
+        wc.update(frobenius(jh.T @ w - m.T @ pi), p)
+    conditions = [
+        ConditionResult("storage-decay", "nsd-margin", wa.value, tol_margin,
+                        wa.value <= tol_margin, wa.point),
+        ConditionResult("input-gain-constancy", "residual", wb.value, tol_residual,
+                        wb.value <= tol_residual, wb.point),
+        ConditionResult("output-supply-match", "residual", wc.value, tol_residual,
+                        wc.value <= tol_residual, wc.point),
+    ]
+    return CertificateReport(conditions, len(pts), all(c.passed for c in conditions))
+
+
+def _ref_check_ap(sys, m_fun, w_fun, grid_x, grid_u, tol_margin=1e-9, tol_residual=1e-8,
+                  t=0.0):
+    e = sys.exo_at(t)
+    mf = lambda z: mat_vec(m_fun(z), sys.f(z, e))
+    w1, w2, w3, w4 = _RefWorst(), _RefWorst(), _RefWorst(), _RefWorst()
+    pts_x, pts_u = grid_x.points(), grid_u.points()
+    for p in pts_x:
+        x = p.tolist()
+        m = np.asarray(m_fun(x), dtype=float)
+        w = np.asarray(w_fun(x), dtype=float)
+        w1.update(nsd_margin(m.T @ jacobian(mf, x)), p)
+        g = np.asarray(sys.g(x, e), dtype=float)
+        jh = jacobian(lambda z: sys.h(z, e), x)
+        w2.update(frobenius(jh.T @ w - m.T @ m @ g), p)
+        ix = np.asarray(sys.i(x, e), dtype=float)
+        w4.update(-psd_margin(ix.T @ w), p)
+        for pu in pts_u:
+            u = pu.tolist()
+            j_iu = jacobian(lambda z: mat_vec(sys.i(z, e), u), x)
+            j_mgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)), x)
+            w3.update(frobenius(j_iu.T @ w - m.T @ j_mgu), p, pu)
+    conditions = [
+        ConditionResult("storage-decay", "nsd-margin", w1.value, tol_margin,
+                        w1.value <= tol_margin, w1.point),
+        ConditionResult("output-supply-match", "residual", w2.value, tol_residual,
+                        w2.value <= tol_residual, w2.point),
+        ConditionResult("throughput-gain-match", "residual", w3.value, tol_residual,
+                        w3.value <= tol_residual, w3.point, w3.input),
+        ConditionResult("throughput-positivity", "psd-margin", -w4.value, -tol_margin,
+                        w4.value <= tol_margin, w4.point),
+    ]
+    return CertificateReport(conditions, len(pts_x) * len(pts_u),
+                             all(c.passed for c in conditions))
+
+
+def _expr_vector(texts, n):
+    asts = [parse(t) for t in texts]
+    names = [f"x{k + 1}" for k in range(n)]
+    return lambda x, e=None: [evaluate(a, dict(zip(names, x))) for a in asts]
+
+
+def _expr_matrix(rows, n):
+    fns = [_expr_vector(row, n) for row in rows]
+    return lambda x, e=None: [fn(x) for fn in fns]
+
+
+def _expr_system(n, q, f, g, h, i=None):
+    return DynSystem(n, q, _expr_vector(f, n), _expr_matrix(g, n), _expr_vector(h, n),
+                     i=None if i is None else _expr_matrix(i, n), name="expr")
+
+
+def _same_report(a, b) -> bool:
+    # json text compares floats by their repr, so -0.0 and 0.0 differ
+    return json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+class TestBatchedCheckersMatchReference:
+    def test_uc_constant_margin_ties_pick_the_first_point(self):
+        sys = lti([[-1.0, 1.0], [-1.0, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]])
+        args = (sys, lambda x: [[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]],
+                lambda x: [[1.0]], GridSpec.box([-2.0, -2.0], [2.0, 2.0], [7, 7]))
+        report = check_uc(*args)
+        assert _same_report(report, _ref_check_uc(*args))
+        first = tuple(args[4].points()[0])
+        for cond in report.conditions:
+            assert cond.point == first
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_uc_state_dependent_maps(self, flipped):
+        sign = "" if flipped else "-"
+        sys = _expr_system(
+            2, 1,
+            [f"{sign}0.7*x1 - x1^3 + x2 + 0.1*sin(x2)", "-x1 - 1.3*x2 - x2^3"],
+            [["0"], ["1/(1 + x1^2)"]], ["x2*(1 + x1^2)"],
+        )
+        m_fun = _expr_matrix([["1", "0"], ["0", "1 + x1^2"]], 2)
+        w_fun = _expr_matrix([["1 + 0.5*x1^2 - 0.5*x1^2"]], 2)
+        grid = GridSpec.box([-1.5, -1.5], [1.5, 1.5], [9, 7], extra_random=13, seed=4)
+        args = (sys, m_fun, [[0.0], [1.0]], w_fun, grid)
+        assert _same_report(check_uc(*args), _ref_check_uc(*args))
+
+    def test_uc_scalar_stiffening(self):
+        args = (scalar_stiffening(), lambda x: [[1.0]], [[1.0]], lambda x: [[1.0]],
+                GridSpec.box([-2.0], [2.0], [41]))
+        assert _same_report(check_uc(*args), _ref_check_uc(*args))
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_ap_benchmark_style_system(self, flipped):
+        sign = "-" if flipped else ""
+        sys = _expr_system(
+            2, 2,
+            ["-1.2*x1 - x1^3 + 0.3*x2", "-0.3*x1 - 0.8*x2 - x2^3"],
+            [["1.1", "-0.2"], ["0.3", "0.9"]],
+            ["1.1*x1 + 0.3*x2", "-0.2*x1 + 0.9*x2"],
+            i=[[f"{sign}0.4", "0.5"], ["-0.5", f"{sign}0.6"]],
+        )
+        args = (sys, _expr_matrix([["1", "0"], ["0", "1"]], 2),
+                _expr_matrix([["1", "0"], ["0", "1"]], 2),
+                GridSpec.box([-1.5, -1.5], [1.5, 1.5], [5, 5]),
+                GridSpec.box([-1.0, -1.0], [1.0, 1.0], [3, 3]))
+        report = check_ap(*args)
+        assert _same_report(report, _ref_check_ap(*args))
+        assert report.condition("throughput-positivity").passed is not flipped
+
+    def test_ap_state_dependent_throughput_ties(self):
+        # |2 x u| peaks at all four grid corners; the first in x-major order wins
+        sys = _expr_system(1, 1, ["-x1"], [["1"]], ["x1"], i=[["1 + x1^2 + 0.1*sin(x1)"]])
+        args = (sys, _expr_matrix([["1 + 0.2*x1^2"]], 1), _expr_matrix([["2 - x1^2"]], 1),
+                GridSpec.box([-1.0], [1.0], [5], extra_random=3, seed=2),
+                GridSpec.box([-1.0], [1.0], [4]))
+        report = check_ap(*args)
+        assert _same_report(report, _ref_check_ap(*args))
+        cond = report.condition("throughput-gain-match")
+        assert cond.input is not None
+
+
+class TestNonFiniteCertificate:
+    def test_uc_nan_residual_names_condition_and_first_point(self):
+        sys = _expr_system(2, 1, ["-x1", "-x2"],
+                           [["0"], ["1 + ((x2^16)^16)^2 - ((x2^16)^16)^2"]], ["x2"])
+        with pytest.raises(NumericalError) as caught:
+            check_uc(sys, lambda x: [[1.0, 0.0], [0.0, 1.0]], [[0.0], [1.0]],
+                     lambda x: [[1.0]], GridSpec.box([-10.0, -10.0], [10.0, 10.0], [5, 5]))
+        assert str(caught.value) == (
+            "certificate condition input-gain-constancy is not finite at x = (-10.0, -10.0)")
+
+    def test_uc_overflowing_decay_matrix_is_not_a_finite_margin(self):
+        # M^T D[M f] = -1e400 overflows; LAPACK alone would return a finite margin
+        sys = _expr_system(1, 1, ["-x1"], [["1"]], ["x1"])
+        with pytest.raises(NumericalError) as caught:
+            check_uc(sys, lambda x: [[1e200]], [[1e200]], lambda x: [[1.0]],
+                     GridSpec.box([-1.0], [1.0], [3]))
+        assert str(caught.value) == (
+            "certificate condition storage-decay is not finite at x = (-1.0,)")
+
+    def test_ap_gain_match_overflow_names_the_input(self):
+        sys = _expr_system(1, 1, ["-x1"], [["1"]], ["x1"], i=[["1 + 1e300*x1"]])
+        grids = (GridSpec.box([-1.0], [1.0], [3]), GridSpec.box([0.0], [1.0], [3]))
+        with pytest.raises(NumericalError) as caught:
+            check_ap(sys, lambda x: [[1.0]], lambda x: [[1e10]], *grids)
+        assert str(caught.value) == ("certificate condition throughput-gain-match is not "
+                                     "finite at x = (-1.0,), u = (0.5,)")

@@ -223,3 +223,23 @@ class TestLtiBuilder:
             lti([[1.0]], [[1.0]], [[1.0, 0.0]])
         with pytest.raises(ValueError):
             lti([[1.0]], [[1.0]], [[1.0]], d=[[1.0, 0.0]])
+
+
+class TestRcSupplyBatch:
+    """The RC supply tensor W = 1 / mu'(q) is evaluated over a whole grid by
+    the certificate checkers."""
+
+    def test_batch_equals_each_point(self):
+        rc = rc_circuit(RcParams(mu="q + q^3 + 0.1*sin(q)"))
+        qs = np.linspace(-2.0, 2.0, 9)
+        batch = rc.supply.w_fun([qs])[0][0]
+        for k, q in enumerate(qs.tolist()):
+            assert batch[k] == rc.supply.w_fun([q])[0][0]
+
+    def test_domain_error_at_the_first_bad_point(self):
+        rc = rc_circuit(RcParams(mu="q - q^3", q_range=(-0.5, 0.5)))
+        with pytest.raises(ModelDomainError) as caught:
+            rc.supply.w_fun([np.array([0.0, 0.1, -1.0, 2.0])])
+        with pytest.raises(ModelDomainError) as single:
+            rc.supply.w_fun([-1.0])
+        assert str(caught.value) == str(single.value)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from diffdiss import (
     state_feedback,
 )
 from diffdiss.examples import lti
+from diffdiss.interconnect import EqualizationReport, _lattice
+from diffdiss.numerics import NumericalError, jacobian
 from diffdiss.systems import DynSystem
 
 from conftest import scalar_leaky
@@ -239,3 +243,84 @@ class TestStateFeedback:
         traj_good = simulate_prolonged(good, [0.8, 0.6], [0.5, 0.7], t_final=3.0,
                                        stepper=Rk4(1e-3))
         assert audit(traj_good, good.storage, good.supply, tol=1e-9).passed
+
+
+# ---------------------------------------------------------------------------
+# batched equalization check against a per-point reference
+
+
+def _ref_check_equalization(s1, s2, k1, k2, w1_fun, w2_fun, n_random=100, seed=0,
+                            box=(-1.0, 1.0), tol=1e-8, t=0.0):
+    """The per-pair loop ``check_equalization`` ran before it was batched."""
+    e1, e2 = s1.exo_at(t), s2.exo_at(t)
+    lo, hi = box
+    lattice1 = _lattice(s1.n, lo, hi, 10)
+    lattice2 = _lattice(s2.n, lo, hi, 10)
+    pairs = [(p1, p2) for p1 in lattice1 for p2 in lattice2]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        pairs.append((lo + rng.random(s1.n) * (hi - lo), lo + rng.random(s2.n) * (hi - lo)))
+    worst, worst_pair = -1.0, (lattice1[0], lattice2[0])
+    for p1, p2 in pairs:
+        x1, x2 = p1.tolist(), p2.tolist()
+        jh1 = jacobian(lambda z: s1.h(z, e1), x1)
+        jh2 = jacobian(lambda z: s2.h(z, e2), x2)
+        jk1 = jacobian(k1, x1)
+        jk2 = jacobian(k2, x2)
+        w1 = np.asarray(w1_fun(x1), dtype=float)
+        w2 = np.asarray(w2_fun(x2), dtype=float)
+        resid = float(np.max(np.abs(jh1.T @ w1 @ jk2 - (jh2.T @ w2 @ jk1).T)))
+        if resid > worst:
+            worst, worst_pair = resid, (p1, p2)
+    return EqualizationReport(worst, tuple(map(float, worst_pair[0])),
+                              tuple(map(float, worst_pair[1])), len(pairs), tol, worst <= tol)
+
+
+def _same(a, b) -> bool:
+    return json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+class TestBatchedEqualizationMatchesReference:
+    def test_gradient_feedback(self):
+        s1 = _curvature_matched_scalar()
+        s2 = _curvature_matched_scalar(damping=0.3)
+        k = build_equalizing_feedback(_potential, [[1.0]], 1)
+        for k2 in (k, lambda x: [-k(x)[0]]):
+            args = (s1, s2, k, k2, s1.supply.w_fun, s2.supply.w_fun)
+            assert _same(check_equalization(*args, seed=3), _ref_check_equalization(*args, seed=3))
+
+    def test_zero_residual_ties_pick_the_first_pair(self):
+        s1 = _curvature_matched_scalar()
+        zero = lambda x: [0.0 * x[0]]
+        report = check_equalization(s1, s1, zero, zero, s1.supply.w_fun, s1.supply.w_fun)
+        assert _same(report, _ref_check_equalization(s1, s1, zero, zero, s1.supply.w_fun,
+                                                     s1.supply.w_fun))
+        assert report.worst_x1 == (-1.0,) and report.worst_x2 == (-1.0,)
+
+    def test_unequal_state_dimensions(self):
+        s1 = lti([[-1.0, 0.5], [-0.5, -2.0]], [[1.0], [0.3]], [[1.0, 0.3]])
+        s2 = _curvature_matched_scalar()
+        k1 = lambda x: [x[0] * x[1] + 0.5 * x[0]]
+        k2 = lambda x: [x[0] + x[0] * x[0] * x[0]]
+        w1 = lambda x: [[2.0 + x[1] * x[1]]]
+        args = (s1, s2, k1, k2, w1, s2.supply.w_fun)
+        kwargs = dict(n_random=17, seed=5, box=(-2.0, 0.5))
+        report = check_equalization(*args, **kwargs)
+        assert report.n_pairs == 117
+        assert _same(report, _ref_check_equalization(*args, **kwargs))
+
+    def test_no_random_pairs(self):
+        s1 = _curvature_matched_scalar()
+        k = lambda x: [x[0]]
+        args = (s1, s1, k, k, s1.supply.w_fun, lambda x: [[1.0]])
+        assert _same(check_equalization(*args, n_random=0),
+                     _ref_check_equalization(*args, n_random=0))
+
+    def test_nan_residual_names_the_first_pair(self):
+        s1 = _curvature_matched_scalar()
+        k = lambda x: [x[0]]
+        w_nan = lambda x: [[1.0 + 0.0 * (1e300 * x[0] * 1e300)]]  # nan wherever x != 0
+        with pytest.raises(NumericalError) as caught:
+            check_equalization(s1, s1, k, k, w_nan, s1.supply.w_fun)
+        assert str(caught.value) == (
+            "equalization residual is not finite at x1 = (-1.0,), x2 = (-1.0,)")

@@ -19,6 +19,9 @@ from diffdiss.numerics import (
     sym,
 )
 from diffdiss.examples import MotorParams, motor_currents
+from diffdiss.exprlang import EvalError, evaluate, parse
+
+from test_exprlang import _exprs
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -378,3 +381,140 @@ class TestMargins:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             nsd_margin(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# batched Jacobians, stacked margins and the shared gradient
+
+_VARS = ["x", "y", "zz", "q_c", "w1"]
+
+
+class TestBatchJacobian:
+    """A 2-d ``x`` is a batch of points: ``jacobian`` returns their stacked
+    Jacobians, each bit-identical to the call on that point alone."""
+
+    @given(
+        _exprs(3),
+        _exprs(2),
+        st.lists(st.floats(-50.0, 50.0), min_size=4 * 5, max_size=4 * 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_stacked_scalar_calls(self, e1, e2, values):
+        fun = lambda z: [evaluate(e1, dict(zip(_VARS, z))), evaluate(e2, dict(zip(_VARS, z)))]
+        pts = np.array(values).reshape(4, 5)
+        singles = []
+        for p in pts:
+            try:
+                singles.append(jacobian(fun, p.tolist()))
+            except (numerics.NumericalError, EvalError):
+                singles.append(None)
+        if any(j is None for j in singles):
+            with pytest.raises((numerics.NumericalError, EvalError)):
+                jacobian(fun, pts)
+            return
+        batch = jacobian(fun, pts)
+        assert batch.shape == (4, 2, 5)
+        assert np.array_equal(batch, np.stack(singles))
+
+    def test_constant_and_linear_entries_broadcast(self):
+        fun = lambda z: [1.0, 2.0 * z[1], z[0] * z[1]]
+        pts = np.array([[0.5, -1.0], [2.0, 3.0], [0.0, 0.0]])
+        batch = jacobian(fun, pts)
+        assert np.array_equal(batch, np.stack([jacobian(fun, p.tolist()) for p in pts]))
+
+    def test_one_dimensional_x_unchanged(self):
+        fun = lambda z: [z[0] * z[1], numerics.sin(z[0])]
+        assert jacobian(fun, [0.3, 1.7]).shape == (2, 2)
+        assert jacobian(fun, np.array([0.3, 1.7])).shape == (2, 2)
+
+    def test_division_by_zero_maps_to_the_scalar_error(self):
+        fun = lambda z: [z[0] / (z[1] - 1.0)]
+        with pytest.raises(numerics.NumericalError) as scalar:
+            jacobian(fun, [0.5, 1.0])
+        with pytest.raises(numerics.NumericalError) as batch:
+            jacobian(fun, np.array([[0.5, 2.0], [0.5, 1.0]]))
+        prefix = "Jacobian evaluation failed in column 0: "
+        assert str(scalar.value).startswith(prefix)
+        assert str(batch.value).startswith(prefix)
+        assert isinstance(batch.value.__cause__, FloatingPointError)
+
+    def test_math_domain_error_mapped(self):
+        with pytest.raises(numerics.NumericalError, match="failed in column 0"):
+            jacobian(lambda z: [numerics.exp(z[0])], np.array([[0.0], [1e6]]))
+
+    def test_nonfinite_entry_names_column_and_first_point(self):
+        # column 0 is finite everywhere; column 1 overflows once |x2| > ~1e108
+        fun = lambda z: [z[0], z[1] * z[1] * 1e200]
+        pts = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 1e109], [4.0, 2e109]])
+        with pytest.raises(numerics.NumericalError) as caught:
+            jacobian(fun, pts)
+        assert str(caught.value) == "non-finite Jacobian entries in column 1 at x = (3.0, 1e+109)"
+
+    def test_expression_guard_still_raises_eval_error(self):
+        e = parse("log(x)")
+        with pytest.raises(EvalError):
+            jacobian(lambda z: [evaluate(e, {"x": z[0]})], np.array([[1.0], [-1.0]]))
+
+
+class TestStackedMargins:
+    """``sym``, the margins and ``frobenius`` accept (..., r, c) stacks and
+    give each matrix's scalar result bit for bit."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_margins_equal_per_matrix(self, rng, r):
+        a = rng.standard_normal((50, r, r)) * 10.0 ** rng.integers(-3, 4, (50, 1, 1))
+        for fn in (nsd_margin, psd_margin):
+            stacked = fn(a)
+            assert stacked.shape == (50,)
+            assert np.array_equal(stacked, [fn(m) for m in a])
+        assert np.array_equal(sym(a), np.stack([sym(m) for m in a]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 4), (4, 4)])
+    def test_frobenius_equal_per_matrix(self, rng, shape):
+        a = rng.standard_normal((400, *shape)) * 10.0 ** rng.integers(-5, 6, (400, 1, 1))
+        stacked = numerics.frobenius(a)
+        assert stacked.shape == (400,)
+        assert np.array_equal(stacked, [numerics.frobenius(m) for m in a])
+
+    def test_higher_stacks_keep_their_shape(self, rng):
+        a = rng.standard_normal((3, 5, 2, 2))
+        assert nsd_margin(a).shape == (3, 5)
+        assert numerics.frobenius(a).shape == (3, 5)
+
+    def test_nonfinite_matrix_gives_nan_margin(self):
+        a = np.zeros((3, 2, 2))
+        a[1, 0, 0] = np.nan
+        a[2, 1, 0] = np.inf
+        for fn in (nsd_margin, psd_margin):
+            got = fn(a)
+            assert got[0] == 0.0 and np.isnan(got[1]) and np.isnan(got[2])
+            assert math.isnan(fn(a[1]))
+
+    def test_stack_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            psd_margin(np.ones((4, 2, 3)))
+
+
+class TestGradient:
+    @staticmethod
+    def potential(x):
+        return 0.5 * x[0] * x[0] + 0.25 * x[0] ** 4 + numerics.sin(x[1]) * x[0]
+
+    def test_floats(self):
+        g = numerics.gradient(self.potential, [0.7, -0.4])
+        assert g[0] == pytest.approx(0.7 + 0.7 ** 3 + math.sin(-0.4))
+        assert g[1] == pytest.approx(math.cos(-0.4) * 0.7)
+
+    def test_duals_give_the_hessian(self):
+        x = [0.7, -0.4]
+        hess = jacobian(lambda z: numerics.gradient(self.potential, z), x)
+        want = [[1.0 + 3.0 * 0.49, math.cos(-0.4)], [math.cos(-0.4), -math.sin(-0.4) * 0.7]]
+        assert np.allclose(hess, want, atol=1e-12)
+        assert np.array_equal(hess, hess.T)
+
+    def test_batch_equals_each_point(self):
+        pts = np.array([[0.7, -0.4], [-1.2, 2.0], [0.0, 0.0]])
+        batch = numerics.gradient(self.potential, list(pts.T))
+        for k, p in enumerate(pts):
+            one = numerics.gradient(self.potential, p.tolist())
+            assert [float(b[k]) for b in batch] == one
