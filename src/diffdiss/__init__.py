@@ -18,7 +18,7 @@ from .numerics import (
     psd_margin,
     sym,
 )
-from .exprlang import EvalError, ParseError, evaluate, parse, to_source
+from .exprlang import EvalError, ParseError, compile_map, evaluate, parse, to_source
 from .systems import (
     DynSystem,
     ProlongedTrajectory,

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,13 +106,7 @@ def _vector_fn(entries, names: list[str], exo_names: set[str], path: str):
     allowed = set(names) | exo_names
     for k, ast in enumerate(asts):
         _check_vars(ast, allowed, f"{path}/{k}")
-
-    def fn(x, e):
-        env = {names[k]: x[k] for k in range(len(names))}
-        env.update(e)
-        return [exprlang.evaluate(ast, env) for ast in asts]
-
-    return fn, len(asts)
+    return exprlang.compile_map(asts, names, exo_names), len(asts)
 
 
 def _matrix_fn(entries, names: list[str], exo_names: set[str], path: str):
@@ -126,13 +121,16 @@ def _matrix_fn(entries, names: list[str], exo_names: set[str], path: str):
         for c, ast in enumerate(row):
             _check_vars(ast, allowed, f"{path}/{r}/{c}")
     shape = (len(asts), len(asts[0]))
+    # one compiled map over the entries in row-major order, cut back into rows
+    flat = exprlang.compile_map([ast for row in asts for ast in row], names, exo_names)
+    stops = list(accumulate(len(row) for row in asts))
+    cuts = list(zip([0, *stops], stops))
 
-    def fn_env(x, e):
-        env = {names[k]: x[k] for k in range(len(names))}
-        env.update(e)
-        return [[exprlang.evaluate(ast, env) for ast in row] for row in asts]
+    def fn(x, e):
+        out = flat(x, e)
+        return [out[a:b] for a, b in cuts]
 
-    return fn_env, shape
+    return fn, shape
 
 
 def _signal(spec, path: str) -> Signal:
@@ -149,7 +147,7 @@ def _signal(spec, path: str) -> Signal:
         text = _get(spec, path, "expr", required=True)
         ast = _parse_expr(text, f"{path}/expr")
         _check_vars(ast, {"t"}, f"{path}/expr")
-        return Signal.analytic(lambda t: exprlang.evaluate(ast, {"t": t}))
+        return Signal.from_expr(ast)
     if kind == "sampled":
         times = _as_float_list(_get(spec, path, "times", required=True), f"{path}/times")
         values = _as_float_list(_get(spec, path, "values", required=True), f"{path}/values")
@@ -182,8 +180,12 @@ def _build_expr_system(spec: dict, path: str):
     exo_spec = _get(spec, path, "exo", default={}) or {}
     if not isinstance(exo_spec, dict):
         raise ConfigError(f"{path}/exo", "expected an object of named signals")
-    exo = {name: _signal(s, f"{path}/exo/{name}") for name, s in exo_spec.items()}
     names = _state_names(n)
+    exo = {}
+    for name, s in exo_spec.items():
+        if name in names:
+            raise ConfigError(f"{path}/exo/{name}", f"exogenous signal {name!r} shadows a state")
+        exo[name] = _signal(s, f"{path}/exo/{name}")
     exo_names = set(exo)
     f, nf = _vector_fn(_get(spec, path, "f", required=True), names, exo_names, f"{path}/f")
     if nf != n:

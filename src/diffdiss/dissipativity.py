@@ -13,7 +13,9 @@ displacements, Q = <dy, du>_W, optionally output-strict
 
 Audits differentiate S analytically along the flow (chain rule through
 dual scalars, never finite differences of samples) and report both the
-pointwise and the integral form of the dissipation inequality.
+pointwise and the integral form of the dissipation inequality.  An audit
+evaluates S, dS/dt and the supply over all samples at once, so storage and
+supply maps follow the batch contract of :mod:`diffdiss.systems` too.
 
 The grid checkers evaluate every map once over the whole grid: M, W, g and
 i in one batched call each, and each Jacobian in one dual pass per column
@@ -61,7 +63,8 @@ class InvalidCertificate(Exception):
 
 
 def _is_float_vector(v: Sequence) -> bool:
-    return all(isinstance(a, (int, float)) for a in v)
+    """Floats, or 1-d float arrays of a batch: no dual parts."""
+    return all(isinstance(a, (int, float, np.ndarray)) for a in v)
 
 
 class QuadraticDifferentialStorage:
@@ -120,13 +123,15 @@ class QuadraticDifferentialStorage:
         return cls(hess_rows, n)
 
     def horizontal(self, x: Sequence, dx: Sequence) -> list:
-        """Projected displacement P(x) dx (identity when no projector)."""
+        """Projected displacement P(x) dx (identity when no projector).  On
+        floats, or a batch of them, P is checked to be idempotent."""
         if self.p_fun is None:
             return list(dx)
         p = self.p_fun(x)
         if _is_float_vector(x) and _is_float_vector(dx):
-            arr = np.asarray(p, dtype=float)
-            if frobenius(arr @ arr - arr) > 1e-10:
+            batch = [a for a in (*x, *dx) if isinstance(a, np.ndarray)]
+            arr = batch_matrix(p, len(batch[0])) if batch else np.asarray(p, dtype=float)
+            if np.any(frobenius(arr @ arr - arr) > 1e-10):
                 raise ValueError("projector is not idempotent within 1e-10")
         return mat_vec(p, dx)
 
@@ -187,11 +192,18 @@ class SupplyRate:
         rows = [list(map(float, r)) for r in w]
         return cls(lambda x: rows, len(rows), strictness, state_rate)
 
-    def w_matrix(self, x) -> np.ndarray:
-        w = np.asarray(self.w_fun(x), dtype=float)
-        if w.shape != (self.q, self.q):
-            raise InvalidSupply(f"W must be {self.q}x{self.q}, got {w.shape}")
-        if float(np.max(np.abs(w - w.T))) > 1e-12:
+    def w_matrix(self, x, size: int | None = None) -> np.ndarray:
+        """W(x) as a q x q array; for a batch ``x`` of ``size`` points, the
+        (size, q, q) stack."""
+        if size is None:
+            w = np.asarray(self.w_fun(x), dtype=float)
+            shape, wt = w.shape, w.T
+        else:
+            w = batch_matrix(self.w_fun(x), size)
+            shape, wt = w.shape[1:], transpose(w)
+        if shape != (self.q, self.q):
+            raise InvalidSupply(f"W must be {self.q}x{self.q}, got {shape}")
+        if float(np.max(np.abs(w - wt))) > 1e-12:
             raise InvalidSupply("supply tensor W is not symmetric within 1e-12")
         return w
 
@@ -200,11 +212,18 @@ class SupplyRate:
         w = self.w_matrix(x)
         return float(np.asarray(a, float) @ w @ np.asarray(b, float))
 
-    def value(self, x, dy, du) -> float:
-        """Supply sample Q(x, dy, du)."""
-        w = self.w_matrix(x)
+    def value(self, x, dy, du):
+        """Supply sample Q(x, dy, du).  For a batch ``x``, ``dy`` and ``du``
+        are (N, q) arrays and the result is the (N,) array of samples."""
         dy = np.asarray(dy, float)
         du = np.asarray(du, float)
+        if dy.ndim == 2:
+            dyw = dy[:, None, :] @ self.w_matrix(x, len(dy))
+            q = (dyw @ du[:, :, None])[:, 0, 0]
+            if self.strictness == "output":
+                q = q - (dyw @ dy[:, :, None])[:, 0, 0]
+            return q
+        w = self.w_matrix(x)
         q = float(dy @ w @ du)
         if self.strictness == "output":
             q -= float(dy @ w @ dy)
@@ -254,22 +273,22 @@ def audit(
 
     dS/dt is evaluated analytically from the recorded right-hand sides; Q is
     the supply sample (with the output-strict term folded in when present);
-    state strictness adds the required decay to the violation.  Fills the
-    trajectory's S/Q/slack columns and returns the report.
+    state strictness adds the required decay to the violation.  S, dS/dt and
+    Q are each one batched call over all samples.  Fills the trajectory's
+    S/Q/slack columns and returns the report.
     """
     for col in ("xdot", "dxdot", "y", "dy", "u", "du"):
         if getattr(traj, col) is None:
             raise ValueError(f"trajectory is missing the {col} column")
     N = len(traj.times)
     S = np.empty(N)
-    Q = np.empty(N)
     dS = np.empty(N)
-    for k in range(N):
-        x = traj.x[k].tolist()
-        dx = traj.dx[k].tolist()
-        S[k] = storage.value(x, dx)
-        dS[k] = storage.rate(x, dx, traj.xdot[k].tolist(), traj.dxdot[k].tolist())
-        Q[k] = supply.value(x, traj.dy[k], traj.du[k])
+    x = list(traj.x.T)
+    dx = list(traj.dx.T)
+    with np.errstate(**FLOAT_ERRORS):
+        S[:] = storage.value(x, dx)
+        dS[:] = storage.rate(x, dx, list(traj.xdot.T), list(traj.dxdot.T))
+        Q = supply.value(x, traj.dy, traj.du)
     for col, error, what in (
         (S, NumericalError, "storage column S"),
         (dS, NumericalError, "storage column dS/dt"),

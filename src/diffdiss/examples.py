@@ -22,7 +22,17 @@ import numpy as np
 
 from . import exprlang
 from .dissipativity import GridSpec, QuadraticDifferentialStorage, SupplyRate
-from .numerics import DualScalar, deriv_part, float_value, jvp, mat_vec, psd_margin
+from .numerics import (
+    FLOAT_ERRORS,
+    DualScalar,
+    argworst,
+    deriv_part,
+    float_value,
+    grid_point,
+    jvp,
+    mat_vec,
+    psd_margin,
+)
 from .systems import DynSystem, ProlongedTrajectory, Signal, simulate_prolonged
 
 
@@ -82,6 +92,7 @@ class RcCircuit:
         extra = exprlang.variables(self.mu_ast) - {"q"}
         if extra:
             raise ModelDomainError(f"mu may only use the variable 'q', found {sorted(extra)}")
+        self._mu_map = exprlang.compile_map([self.mu_ast], ["q"])
         lo, hi = params.q_range
         for qv in np.linspace(lo, hi, params.n_check):
             if self._dmu(float(qv)) <= 0.0:
@@ -90,13 +101,13 @@ class RcCircuit:
                     f"(d mu/dq <= 0 at q = {qv:.6g})"
                 )
         R = params.R
-        mu = self.mu_value
+        mu = self._mu_map
         self.system = DynSystem(
             n=1,
             q=1,
-            f=lambda x, e: [-mu(x[0]) / R],
+            f=lambda x, e: [-mu(x, e)[0] / R],
             g=lambda x, e: [[1.0]],
-            h=lambda x, e: [mu(x[0])],
+            h=mu,
             name="rc-circuit",
         )
         self.storage = QuadraticDifferentialStorage.identity(1)
@@ -105,7 +116,7 @@ class RcCircuit:
         self.system.supply = self.supply
 
     def mu_value(self, q):
-        return exprlang.evaluate(self.mu_ast, {"q": q})
+        return self._mu_map((q,), None)[0]
 
     def _dmu(self, q) -> float:
         return jvp(lambda z: [self.mu_value(z[0])], [q], [1.0])[0]
@@ -283,17 +294,18 @@ class MotorVirtual:
         return self.saturation_block(x) + self.leakage_block()
 
     def saturation_block(self, x) -> np.ndarray:
+        """The 4 x 4 block at the flux state ``x``, or the (N, 4, 4) stack at
+        each row of an (N, 4) array of states."""
         p = self.params
-        pr = [float(v) for v in x[0:2]]
-        ps = [float(v) for v in x[2:4]]
-        out = np.zeros((4, 4))
-        for (base, phi, kappa, L) in (
-            (0, pr, p.kappa_r, p.L_r),
-            (2, ps, p.kappa_s, p.L_s),
-        ):
-            mag2 = phi[0] ** 2 + phi[1] ** 2
-            block = kappa * (mag2 * np.eye(2) + 2.0 * np.outer(phi, phi)) + np.eye(2) / L
-            out[base : base + 2, base : base + 2] = block
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4, 4))
+        eye2 = np.eye(2)
+        for (base, kappa, L) in ((0, p.kappa_r, p.L_r), (2, p.kappa_s, p.L_s)):
+            phi = x[..., base : base + 2]
+            mag2 = (phi[..., 0] * phi[..., 0] + phi[..., 1] * phi[..., 1])[..., None, None]
+            outer = phi[..., :, None] * phi[..., None, :]
+            block = kappa * (mag2 * eye2 + 2.0 * outer) + eye2 / L
+            out[..., base : base + 2, base : base + 2] = block
         return out
 
     def leakage_block(self) -> np.ndarray:
@@ -328,12 +340,15 @@ class FluxCouplingReport:
 def motor_flux_margins(motor: MotorVirtual, grid: GridSpec | None = None) -> FluxCouplingReport:
     """Verify on a flux grid that the saturation-plus-inductance block is
     positive definite and the constant leakage coupling is positive
-    semidefinite."""
+    semidefinite.  The saturation margins come from one stacked
+    :func:`psd_margin` call over the grid; a non-finite margin raises
+    :class:`NumericalError` at its first grid point."""
     grid = grid or GridSpec.box([-2.0] * 4, [2.0] * 4, [3] * 4, extra_random=32, seed=7)
     pts = grid.points()
-    worst = np.inf
-    for pt in pts:
-        worst = min(worst, psd_margin(motor.saturation_block(pt.tolist())))
+    with np.errstate(**FLOAT_ERRORS):
+        margins = psd_margin(motor.saturation_block(pts))
+    k = argworst(-margins, "flux saturation margin", lambda j: f"x = {grid_point(pts[j])}")
+    worst = margins[k]
     leak = psd_margin(motor.leakage_block())
     return FluxCouplingReport(
         min_saturation_margin=float(worst),

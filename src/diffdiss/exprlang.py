@@ -21,6 +21,15 @@ Variables may be bound to floats, dual scalars, or either over 1-d float
 arrays (a batch).  A batch evaluates every element with the float
 operations of the scalar path, and a domain guard raises if any element
 fails it.
+
+:func:`compile_map` turns a list of ASTs into one ``fn(x, e) -> list``
+built once from closures, one per AST node, with every name bound when the
+map is built: state names read ``x`` at a fixed index, exogenous names are
+read from ``e`` once per call.  It performs the operations of
+:func:`evaluate`, in the same order and with the same guards, so its results
+and errors are bit for bit those of ``evaluate``; the library evaluates
+config expressions only through compiled maps, and ``evaluate`` remains the
+reference interpreter.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import numerics
 from .numerics import DualScalar
@@ -263,7 +272,9 @@ def evaluate(e: Expr, env: Mapping[str, float | DualScalar]):
     """Evaluate ``e`` over an environment of floats or dual scalars.
 
     The dual channel obeys the chain rule through every node, so forward
-    differentiation works through user expressions.
+    differentiation works through user expressions.  This tree walk is the
+    reference interpreter; :func:`compile_map` gives the same results
+    without walking the tree or building ``env`` on every call.
     """
     if isinstance(e, Const):
         return e.value
@@ -339,6 +350,179 @@ def _call(node: Call, args):
     if name == "min":
         return numerics.minimum(args[0], args[1])
     return numerics.maximum(args[0], args[1])
+
+
+# ---------------------------------------------------------------------------
+# compilation to closures
+
+# A compiled node is a closure ``node(x, v)``: ``x`` is the state sequence and
+# ``v`` the exogenous values a call read from ``e``, in first-use order.
+Node = Callable[[Sequence, Sequence], object]
+
+
+def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] = ()):
+    """Compile ``asts`` into ``fn(x, e) -> list`` of their values.
+
+    ``names`` are the state names, bound by position: ``names[k]`` reads
+    ``x[k]``.  Any other name must be in ``exo``; it is read from the mapping
+    ``e``, once per call.  A name that is neither raises :class:`EvalError`
+    here, at that variable's offset.  Each call returns exactly what
+    :func:`evaluate` returns for each AST on the environment ``names -> x``
+    plus ``e`` (a state name read by position even if ``e`` has it too), on
+    floats, duals and batches alike, or raises the same :class:`EvalError`.
+    """
+    states = {name: k for k, name in enumerate(names)}
+    exo = set(exo)
+    read: dict[str, int] = {}  # exogenous name -> offset of its first use
+
+    def bind(var: Var) -> Node:
+        k = states.get(var.name)
+        if k is not None:
+            return lambda x, v: x[k]
+        if var.name not in exo:
+            raise EvalError(f"unbound variable {var.name!r}", var.offset)
+        read.setdefault(var.name, var.offset)
+        j = list(read).index(var.name)
+        return lambda x, v: v[j]
+
+    nodes = [_compile(a, bind) for a in asts]
+    if not read:
+        def fn(x, e):
+            return [node(x, ()) for node in nodes]
+
+        return fn
+    order = list(read)
+
+    def fn(x, e):
+        try:
+            v = [e[name] for name in order]
+        except KeyError as err:
+            raise EvalError(f"unbound variable {err.args[0]!r}", read[err.args[0]]) from None
+        return [node(x, v) for node in nodes]
+
+    return fn
+
+
+def _compile(e: Expr, bind: Callable[[Var], Node]) -> Node:
+    if isinstance(e, Const):
+        c = e.value
+        return lambda x, v: c
+    if isinstance(e, Var):
+        return bind(e)
+    if isinstance(e, Neg):
+        if isinstance(e.operand, Const):  # -c is the same float at build time
+            c = -e.operand.value
+            return lambda x, v: c
+        a = _compile(e.operand, bind)
+        return lambda x, v: -a(x, v)
+    if isinstance(e, Call):
+        return _compile_call(e, [_compile(a, bind) for a in e.args])
+    if e.op == "^":
+        return _compile_power(e, bind)
+    a = _compile(e.left, bind)
+    b = _compile(e.right, bind)
+    if e.op == "+":
+        return lambda x, v: a(x, v) + b(x, v)
+    if e.op == "-":
+        return lambda x, v: a(x, v) - b(x, v)
+    if e.op == "*":
+        return lambda x, v: a(x, v) * b(x, v)
+    offset = e.offset
+
+    def divide(x, v):
+        num = a(x, v)
+        den = b(x, v)
+        if _hit(operator.eq, den):
+            raise EvalError("division by zero", offset)
+        return num / den
+
+    return divide
+
+
+def _compile_power(node: BinOp, bind) -> Node:
+    a = _compile(node.left, bind)
+    offset = node.offset
+    k = _integer_literal(node.right)
+    if k is None or abs(k) > 16:
+        b = _compile(node.right, bind)
+
+        def real_power(x, v):
+            base = a(x, v)
+            exponent = b(x, v)
+            if _hit(operator.le, base):
+                raise EvalError("power of a non-positive base with non-integer exponent", offset)
+            return numerics.exp(exponent * numerics.log(base))
+
+        return real_power
+    # the exponent is a literal: only the base has anything to run
+    if k == 0:
+        def zeroth_power(x, v):
+            a(x, v)
+            return 1.0
+
+        return zeroth_power
+    chain = _pow_chain(abs(k))
+    if k > 0:
+        return lambda x, v: chain(a(x, v))
+
+    def inverse_power(x, v):
+        base = a(x, v)
+        if _hit(operator.eq, base):
+            raise EvalError("zero raised to a negative power", offset)
+        return 1.0 / chain(base)
+
+    return inverse_power
+
+
+def _pow_chain(k: int):
+    """``base -> numerics.int_pow(base, k)`` for k >= 1, unrolled into one
+    closure per bit of ``k``: the same multiplications in the same order,
+    less int_pow's leading ``1.0 *`` (exact) and its unused last squaring."""
+
+    def step(k: int, first: bool):
+        # ``first``: no factor taken yet, so the step is fn(acc), else fn(out, acc)
+        if k == 1:
+            return (lambda acc: acc) if first else (lambda out, acc: out * acc)
+        rest = step(k >> 1, first and not k & 1)
+        if k & 1:
+            if first:
+                return lambda acc: rest(acc, acc * acc)
+            return lambda out, acc: rest(out * acc, acc * acc)
+        if first:
+            return lambda acc: rest(acc * acc)
+        return lambda out, acc: rest(out, acc * acc)
+
+    return step(k, True)
+
+
+_GUARDED_FN = {
+    "log": (numerics.log, operator.le, "log of a non-positive value"),
+    "sqrt": (numerics.sqrt, operator.lt, "sqrt of a negative value"),
+}
+_BINARY_FN = {"atan2": numerics.atan2, "min": numerics.minimum, "max": numerics.maximum}
+
+
+def _compile_call(node: Call, args: list[Node]) -> Node:
+    name = node.name
+    offset = node.offset
+    if name in _UNARY_FN:
+        fn = _UNARY_FN[name]
+        a = args[0]
+        return lambda x, v: fn(a(x, v))
+    if name in _GUARDED_FN:
+        a = args[0]
+        fn, test, message = _GUARDED_FN[name]
+
+        def guarded(x, v):
+            arg = a(x, v)
+            if _hit(test, arg):
+                raise EvalError(message, offset)
+            return fn(arg)
+
+        return guarded
+    fn = _BINARY_FN[name]
+    a, b = args
+    return lambda x, v: fn(a(x, v), b(x, v))
 
 
 def variables(e: Expr) -> set[str]:

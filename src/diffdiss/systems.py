@@ -95,13 +95,15 @@ class Signal:
         return cls("analytic", fn=fn)
 
     @classmethod
-    def from_expr(cls, text: str) -> "Signal":
-        """Analytic signal defined by an expression in the variable ``t``."""
-        ast = exprlang.parse(text)
+    def from_expr(cls, expr: "str | exprlang.Expr") -> "Signal":
+        """Analytic signal defined by an expression (source text or a parsed
+        AST) in the variable ``t``."""
+        ast = exprlang.parse(expr) if isinstance(expr, str) else expr
         extra = exprlang.variables(ast) - {"t"}
         if extra:
             raise SignalError(f"signal expression may only use 't', found {sorted(extra)}")
-        return cls("analytic", fn=lambda t: exprlang.evaluate(ast, {"t": t}))
+        fn = exprlang.compile_map([ast], ["t"])
+        return cls("analytic", fn=lambda t: fn((t,), None)[0])
 
     def at(self, t):
         """Value at ``t``; accepts dual ``t`` for constant/zero/analytic kinds."""

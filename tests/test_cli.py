@@ -294,3 +294,85 @@ def test_certify_uc_rc_registry_report_bytes(tmp_path):
     code, out = run(tmp_path, "certify-uc", "--config", cfg)
     assert code == 0
     assert (out / "certificate_report.json").read_text() == _RC_UC_REPORT
+
+
+class TestExoNames:
+    def test_exo_named_like_a_state_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "system": {"n": 1, "q": 1, "exo": {"x1": {"kind": "constant", "value": 5}},
+                       "f": ["-x1"], "g": [["1"]], "h": ["x1"]},
+            "run": {"x0": [1.0], "dx0": [0.0], "t_final": 1.0},
+        })
+        code, out = run(tmp_path, "simulate", "--config", cfg, "--dt", "0.1")
+        assert code == 2
+        assert "/system/exo/x1" in capsys.readouterr().err
+        error = json.loads((out / "error_report.json").read_text())
+        assert "/system/exo/x1" in error["error"]
+
+    def test_sibling_exo_cannot_shadow_a_state(self, tmp_path):
+        # system 2 has only the state x1, so it may name a signal x2; the loop
+        # merges it into the e both subsystems see, where system 1 has a state x2
+        def config(name):
+            return {
+                "system": {"n": 2, "q": 1, "f": ["x2 - x1", "-x1 - x2"],
+                           "g": [["1"], ["0"]], "h": ["x1"]},
+                "storage": {"M": "identity"},
+                "supply": {"W": "identity"},
+                "interconnect": {
+                    "coupling": "output",
+                    "system2": {"n": 1, "q": 1, "exo": {name: {"kind": "expr", "expr": "sin(t)"}},
+                                "f": [f"-x1 + 0.5*{name}"], "g": [["1"]], "h": ["x1"]},
+                    "storage2": {"M": "identity"},
+                    "supply2": {"W": "identity"},
+                },
+                "run": {"x0": [1.0, -0.5, 0.2], "dx0": [0.5, 0.5, 0.1], "t_final": 1.0},
+            }
+
+        outs = []
+        for name in ("x2", "w"):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, config(name))
+            code, out = run(tmp_path / name, "interconnect", "--config", cfg)
+            assert code in (0, 1)
+            outs.append(out)
+        for file in ("interconnect_report.json", "interconnect_trace.csv"):
+            assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+
+
+def test_library_does_not_call_the_reference_interpreter(tmp_path, monkeypatch):
+    import diffdiss
+    from diffdiss import exprlang
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exprlang.evaluate was called")
+
+    monkeypatch.setattr(exprlang, "evaluate", refuse)
+    monkeypatch.setattr(diffdiss, "evaluate", refuse)
+    state_loop = {
+        "system": {"n": 1, "q": 1, "f": ["-0.3*x1"], "g": [["1/(1 + 3*x1^2)"]], "h": ["x1"]},
+        "storage": {"M": [["1 + 3*x1^2"]]},
+        "supply": {"W": [["1 + 3*x1^2"]]},
+        "run": {"x0": [0.5, -0.2], "dx0": [1.0, 0.5], "t_final": 0.2, "seed": 3,
+                "u": [{"kind": "expr", "expr": "0.5*sin(2*t)"}, 0.0]},
+    }
+    state_loop["interconnect"] = {
+        "coupling": "state", "system2": state_loop["system"],
+        "storage2": state_loop["storage"], "supply2": state_loop["supply"],
+        "k1": ["x1 + x1^3"], "k2": ["x1 + x1^3"],
+    }
+    audit_cfg = dict(state_loop, run={"x0": [0.5], "dx0": [1.0], "t_final": 0.2,
+                                      "u": [{"kind": "expr", "expr": "sin(t)"}]})
+    uc_cfg = {
+        "system": {"n": 2, "q": 1, "f": ["-x1 - x1^3 + x2", "-x1 - x2 - x2^3"],
+                   "g": [["0"], ["1"]], "h": ["x2"]},
+        "storage": {"M": "identity"},
+        "supply": {"W": "identity"},
+        "pi": [[0.0], [1.0]],
+        "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [5, 5]},
+    }
+    for command, cfg in (("audit", audit_cfg), ("interconnect", state_loop),
+                         ("certify-uc", uc_cfg)):
+        (tmp_path / command).mkdir()
+        path = write_config(tmp_path / command, cfg)
+        code, out = run(tmp_path / command, command, "--config", path)
+        assert code == 0, (out / "error_report.json").read_text()

@@ -567,3 +567,144 @@ class TestNonFiniteCertificate:
             check_ap(sys, lambda x: [[1.0]], lambda x: [[1e10]], *grids)
         assert str(caught.value) == ("certificate condition throughput-gain-match is not "
                                      "finite at x = (-1.0,), u = (0.5,)")
+
+
+def _ref_audit(traj, storage, supply, tol=1e-9):
+    """The per-sample audit the batched one replaced, kept as the reference."""
+    N = len(traj.times)
+    S = np.empty(N)
+    Q = np.empty(N)
+    dS = np.empty(N)
+    for k in range(N):
+        x = traj.x[k].tolist()
+        dx = traj.dx[k].tolist()
+        S[k] = storage.value(x, dx)
+        dS[k] = storage.rate(x, dx, traj.xdot[k].tolist(), traj.dxdot[k].tolist())
+        Q[k] = supply.value(x, traj.dy[k], traj.du[k])
+    for col, error, what in (
+        (S, NumericalError, "storage column S"),
+        (dS, NumericalError, "storage column dS/dt"),
+        (Q, SupplyIntegrabilityError, "supply sample"),
+    ):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise error(f"{what} is not finite at t={traj.times[bad[0]]:.6g}")
+    decay = np.zeros(N)
+    if supply.strictness == "state":
+        decay = np.array([supply.state_rate(s) for s in S])
+    violation = dS + decay - Q
+    q_eff = Q - decay
+    integral_q = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (q_eff[1:] + q_eff[:-1]) * np.diff(traj.times)))
+    )
+    worst = int(np.argmax(violation))
+    return S, dS, Q, -violation, integral_q - (S - S[0]), worst
+
+
+def _two_state_system():
+    from diffdiss.numerics import sin
+    return DynSystem(
+        2, 2,
+        lambda x, e: [-x[0] - x[0] * x[0] * x[0] + x[1], -x[1] - sin(x[0])],
+        lambda x, e: [[1.0, 0.0], [0.0, 1.0 + 0.5 * x[0] * x[0]]],
+        lambda x, e: [x[0], x[1] + 0.1 * x[0] * x[0]],
+        name="two-state",
+    )
+
+
+def _two_state_trajectory():
+    return simulate_prolonged(
+        _two_state_system(), [0.8, -0.4], [0.3, 0.9],
+        u=[Signal.from_expr("0.5*sin(3*t)"), Signal.from_expr("cos(t)")],
+        du=[Signal.from_expr("0.2*cos(t)"), Signal.constant(0.1)],
+        t_final=0.5, stepper=Rk4(1e-3),
+    )
+
+
+class TestBatchedAuditMatchesReference:
+    """The batched audit fills S, dS/dt, Q and the slacks with the bits of
+    the per-sample reference, and raises the same errors."""
+
+    @staticmethod
+    def _assert_same(traj, storage, supply):
+        S, dS, Q, slack, integral_slack, worst = _ref_audit(traj, storage, supply)
+        report = audit(traj, storage, supply)
+        for got, want in ((report.S, S), (report.dSdt, dS), (report.Q, Q),
+                          (report.slack, slack), (report.integral_slack, integral_slack)):
+            assert got.tobytes() == want.tobytes()
+        assert report.worst_time == traj.times[worst]
+        assert report.worst_violation == -slack[worst]
+
+    def test_passive_lti(self):
+        traj = simulate_prolonged(
+            scalar_leaky(), [1.0], [1.0], u=Signal.from_expr("sin(t)"),
+            du=Signal.from_expr("0.5*cos(t)"), t_final=1.0, stepper=Rk4(1e-3),
+        )
+        self._assert_same(traj, _storage1(), SupplyRate.identity(1))
+
+    def test_rc_state_dependent_supply(self):
+        rc = rc_circuit()
+        traj = rc.port_trajectory(0.3, 0.7, Signal.from_expr("0.4*sin(2*t)"),
+                                  t_final=1.0, stepper=Rk4(1e-3))
+        self._assert_same(traj, rc.storage, rc.supply)
+
+    def test_motor_output_strict(self):
+        from diffdiss import induction_motor_virtual
+        motor = induction_motor_virtual()
+        traj = simulate_prolonged(
+            motor.system, [1.2, -0.3, 0.9, 0.4], [0.5, -0.4, 0.3, 0.2],
+            u=[Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")],
+            t_final=0.5, stepper=Rk4(1e-3),
+        )
+        self._assert_same(traj, motor.storage, motor.supply)
+
+    @pytest.mark.parametrize("strictness", ["none", "output"])
+    def test_projector_and_state_dependent_maps(self, strictness):
+        storage = QuadraticDifferentialStorage(
+            lambda x: [[1.0 + x[0] * x[0], 0.0], [0.5 * x[1], 2.0]], 2,
+            p_fun=lambda x: [[1.0, 0.0], [0.0, 0.0]],
+        )
+        supply = SupplyRate(
+            lambda x: [[1.0 + x[1] * x[1], 0.3], [0.3, 2.0 + x[0]]], 2, strictness,
+        )
+        self._assert_same(_two_state_trajectory(), storage, supply)
+
+    def test_state_strict_decay(self):
+        traj = simulate_prolonged(scalar_leaky(), [1.0], [1.0], t_final=1.0,
+                                  stepper=Rk4(1e-3))
+        supply = SupplyRate.identity(1, strictness="state", state_rate=lambda s: 2.0 * s)
+        self._assert_same(traj, _storage1(), supply)
+
+    def test_composite_loop_storage_and_supply(self):
+        from diffdiss import output_feedback
+        a, b = scalar_stiffening(), scalar_leaky(0.5)
+        for sub in (a, b):
+            sub.storage = _storage1()
+            sub.supply = SupplyRate.identity(1)
+        loop = output_feedback(a, b)
+        traj = simulate_prolonged(
+            loop, [0.5, -0.5], [1.0, 0.2], u=[Signal.from_expr("sin(t)"), Signal.zero()],
+            t_final=0.5, stepper=Rk4(1e-3),
+        )
+        self._assert_same(traj, loop.storage, loop.supply)
+
+    @pytest.mark.parametrize("storage, supply", [
+        (QuadraticDifferentialStorage(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
+                                      p_fun=lambda x: [[1.0, 0.1], [0.0, 0.9]]),
+         SupplyRate.identity(2)),
+        (QuadraticDifferentialStorage.identity(2),
+         SupplyRate(lambda x: [[1.0, 0.1 * x[0]], [0.0, 1.0]], 2)),
+        (QuadraticDifferentialStorage.identity(2), SupplyRate(lambda x: [[1.0, 0.0]], 2)),
+        (QuadraticDifferentialStorage(lambda x: [[1e200 * x[0], 0.0], [0.0, 1.0]], 2),
+         SupplyRate.identity(2)),
+        (QuadraticDifferentialStorage.identity(2),
+         SupplyRate(lambda x: [[1e300 * (1e10 + x[0] * x[0]), 0.0], [0.0, 1.0]], 2)),
+    ], ids=["non-idempotent-projector", "asymmetric-W", "W-shape", "S-overflow",
+            "Q-overflow"])
+    def test_same_errors(self, storage, supply):
+        traj = _two_state_trajectory()
+        with pytest.raises(Exception) as want, np.errstate(invalid="ignore"):
+            _ref_audit(traj, storage, supply)
+        with pytest.raises(Exception) as got:
+            audit(traj, storage, supply)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

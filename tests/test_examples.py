@@ -243,3 +243,31 @@ class TestRcSupplyBatch:
         with pytest.raises(ModelDomainError) as single:
             rc.supply.w_fun([-1.0])
         assert str(caught.value) == str(single.value)
+
+
+class TestFluxMarginsStacked:
+    """The saturation margins come from one stacked eigenvalue call; a
+    non-finite margin is an error, never skipped."""
+
+    def test_matches_per_point_margins(self):
+        from diffdiss import GridSpec
+        from diffdiss.numerics import psd_margin
+
+        motor = induction_motor_virtual(MotorParams(kappa_r=0.8, kappa_s=0.3, L_r=0.7))
+        grid = GridSpec.box([-2.0] * 4, [2.0] * 4, [3] * 4, extra_random=64, seed=5)
+        pts = grid.points()
+        stack = motor.saturation_block(pts)
+        for k, pt in enumerate(pts):
+            assert stack[k].tobytes() == motor.saturation_block(pt.tolist()).tobytes()
+        report = motor_flux_margins(motor, grid)
+        assert report.min_saturation_margin == min(
+            psd_margin(motor.saturation_block(pt.tolist())) for pt in pts)
+        assert report.n_points == len(pts)
+
+    def test_nonfinite_margin_raises(self):
+        from diffdiss.numerics import NumericalError
+
+        motor = induction_motor_virtual(MotorParams(kappa_r=math.inf))
+        with pytest.raises(NumericalError, match=r"flux saturation margin is not finite "
+                                                 r"at x = \(-2\.0, -2\.0, -2\.0, -2\.0\)"):
+            motor_flux_margins(motor)

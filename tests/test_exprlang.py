@@ -14,12 +14,13 @@ from diffdiss.exprlang import (
     Neg,
     ParseError,
     Var,
+    compile_map,
     evaluate,
     parse,
     to_source,
     variables,
 )
-from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, value_part
+from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, int_pow, value_part
 
 
 class TestParse:
@@ -264,6 +265,115 @@ class TestBatchEvaluation:
                     evaluate(e, env)
                 assert caught.value.offset == single.value.offset
                 assert str(caught.value) == str(single.value)
+
+
+def _bits(r) -> list:
+    """Every float of a (nested, possibly batched) dual as raw bytes, with
+    the nesting shape, so two results compare bit for bit."""
+    if isinstance(r, DualScalar):
+        return ["dual", _bits(r.value), _bits(r.deriv)]
+    return [type(r).__name__, np.asarray(r, dtype=float).tobytes()]
+
+
+def _outcome(fn):
+    try:
+        return _bits(fn()), None
+    except Exception as err:  # the same exception type and text is the contract
+        return None, (type(err), str(err), getattr(err, "offset", None))
+
+
+# states are bound by position, the other strategy names come from ``e``
+_STATES = ["x", "zz", "w1"]
+_EXO = ["y", "q_c"]
+
+
+class TestCompileMap:
+    """A compiled map returns exactly what ``evaluate`` returns, node for
+    node, or raises the same error at the same offset."""
+
+    @staticmethod
+    def _check(asts, values):
+        env = dict(zip(_NAMES, values))
+        x = [env[name] for name in _STATES]
+        e = {name: env[name] for name in _EXO}
+        fn = compile_map(asts, _STATES, _EXO)
+        with np.errstate(**FLOAT_ERRORS):
+            got = _outcome(lambda: fn(x, e))
+            want = _outcome(lambda: [evaluate(a, env) for a in asts])
+        assert got == want
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_floats(self, asts, values):
+        self._check(asts, values)
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_duals(self, asts, values, derivs):
+        self._check(asts, [DualScalar(v, d) for v, d in zip(values, derivs)])
+
+    @given(_exprs(3),
+           st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_nested_duals(self, e, values, derivs):
+        self._check([e], [DualScalar(DualScalar(v, 1.0), DualScalar(d, 0.0))
+                          for v, d in zip(values, derivs)])
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(-1e3, 1e3), min_size=5 * _BATCH, max_size=5 * _BATCH),
+           st.lists(st.floats(-10.0, 10.0), min_size=5 * _BATCH, max_size=5 * _BATCH),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_batches(self, asts, values, derivs, dual):
+        vals = np.array(values).reshape(5, _BATCH)
+        ders = np.array(derivs).reshape(5, _BATCH)
+        self._check(asts, [DualScalar(v, d) for v, d in zip(vals, ders)] if dual else list(vals))
+
+    @pytest.mark.parametrize("k", range(-16, 17))
+    def test_integer_powers(self, k):
+        e = parse(f"b^{k}" if k >= 0 else f"b^-{-k}")
+        fn = compile_map([e], ["b"])
+        bases = [0.7, -1.3, 2.5, 1e-3, 3.0000000000000004,
+                 DualScalar(1.1, 0.3), DualScalar(-0.9, 2.0),
+                 DualScalar(DualScalar(0.9, 1.0), DualScalar(0.4, 0.0)),
+                 np.array([0.7, -1.3, 1.0000000149011612]),
+                 DualScalar(np.array([0.7, -2.1]), np.array([1.0, 0.5]))]
+        for b in bases:
+            got = fn([b], None)[0]
+            assert _bits(got) == _bits(evaluate(e, {"b": b}))
+            assert _bits(got) == _bits(int_pow(b, k))
+
+    def test_guards_raise_at_the_node_offset(self):
+        for text, env in (("1 + x / (zz - 1)", {"x": 2.0, "zz": 1.0}),
+                          ("x^-2 + zz", {"x": 0.0, "zz": 1.0}),
+                          ("x^0 + log(zz)", {"x": 0.0, "zz": -1.0}),
+                          ("2 * (x + zz)^1.5", {"x": -6.0, "zz": 1.0}),
+                          ("zz + sqrt(x - 3)", {"x": 2.0, "zz": 1.0}),
+                          ("log(1/x) + 1/(x - x)", {"x": 0.0, "zz": 1.0})):
+            e = parse(text)
+            with pytest.raises(EvalError) as want:
+                evaluate(e, env)
+            with pytest.raises(EvalError) as got:
+                compile_map([e], ["x", "zz"])([env["x"], env["zz"]], None)
+            assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
+    def test_unbound_name_raises_when_built(self):
+        with pytest.raises(EvalError, match="unbound variable 'y' at offset 8") as err:
+            compile_map([parse("x"), parse("x + 2 * y")], ["x"], ["w"])
+        assert err.value.offset == 8
+
+    def test_state_is_read_by_position_not_from_e(self):
+        fn = compile_map([parse("x1 + w")], ["x1"], ["x1", "w"])
+        assert fn([1.0], {"x1": 5.0, "w": 0.5}) == [1.5]
+
+    def test_exo_missing_at_call_is_unbound(self):
+        fn = compile_map([parse("x1 + 2*w")], ["x1"], ["w"])
+        with pytest.raises(EvalError, match="unbound variable 'w' at offset 7"):
+            fn([1.0], {})
 
 
 class TestPrinter:
