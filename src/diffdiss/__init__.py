@@ -27,6 +27,7 @@ from .systems import (
     Trajectory,
     lift,
     simulate,
+    simulate_ensemble,
     simulate_prolonged,
 )
 from .dissipativity import (

@@ -207,11 +207,6 @@ class SupplyRate:
             raise InvalidSupply("supply tensor W is not symmetric within 1e-12")
         return w
 
-    def quad(self, x, a, b) -> float:
-        """<a, b>_W(x)."""
-        w = self.w_matrix(x)
-        return float(np.asarray(a, float) @ w @ np.asarray(b, float))
-
     def value(self, x, dy, du):
         """Supply sample Q(x, dy, du).  For a batch ``x``, ``dy`` and ``du``
         are (N, q) arrays and the result is the (N,) array of samples."""

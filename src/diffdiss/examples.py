@@ -135,15 +135,21 @@ class RcCircuit:
         self, q0: float, dq0: float, current, d_current=None, t_final: float = 1.0, stepper=None
     ) -> ProlongedTrajectory:
         """Simulate under a port-current drive and emit the audited port
-        pairing: (u, du) = (V, dV) and (y, dy) = (I, dI).
-
-        The native simulation has u = I and y = V; the scalar supply value
-        W dV dI is symmetric in that pairing, so the remap only renames the
-        columns to the conventional port orientation."""
+        pairing (see :meth:`port_view`)."""
         native = simulate_prolonged(
             self.system, [q0], [dq0], u=current, du=d_current,
             t_final=t_final, stepper=stepper,
         )
+        return self.port_view(native)
+
+    @staticmethod
+    def port_view(native: ProlongedTrajectory) -> ProlongedTrajectory:
+        """The audited port pairing (u, du) = (V, dV) and (y, dy) = (I, dI)
+        of a native simulation of :attr:`system`.
+
+        The native simulation has u = I and y = V; the scalar supply value
+        W dV dI is symmetric in that pairing, so the remap only renames the
+        columns to the conventional port orientation."""
         return ProlongedTrajectory(
             times=native.times,
             x=native.x,

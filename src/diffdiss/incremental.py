@@ -8,8 +8,9 @@ A homotopy family transports an initial curve gamma0: [0,1] -> R^n through
 the flow: each s-node carries a prolonged trajectory seeded with
 dx(0, s) = gamma0'(s) under du = 0, so integrating the gauge K over s
 upper-bounds the distance between the endpoint trajectories at every time.
-All family members are co-integrated as one stacked ODE so they share the
-time grid under any stepper.
+All family members are co-integrated as one ensemble
+(``systems.simulate_ensemble``) so they share the time grid under any
+stepper.
 """
 
 from __future__ import annotations
@@ -20,15 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
-from .numerics import FLOAT_ERRORS, Rk4, Stepper, batch_rows, integrate, jvp
-from .systems import (
-    DynSystem,
-    ProlongedTrajectory,
-    Signal,
-    lift,
-    signal_vector,
-    _prolonged_from_solution,
-)
+from .numerics import FLOAT_ERRORS, Rk4, Stepper, argworst, integrate, jvp, sym
+from .systems import DynSystem, ProlongedTrajectory, signal_vector, simulate_ensemble
 
 
 class InvalidFinslerStructure(Exception):
@@ -79,15 +73,15 @@ def homotopy_integrate(
 
     For each node of a uniform s-grid on [0, 1], co-integrates (x, dx) from
     x(0,s) = gamma0(s), dx(0,s) = gamma0'(s) under the shared input ``u``
-    and du = 0.  All members are stacked into a single ODE so they share the
-    time grid even under adaptive stepping.  ``gamma0`` must be
+    and du = 0.  The members are one :func:`simulate_ensemble` call, so they
+    share the time grid even under adaptive stepping.  ``gamma0`` must be
     dual-evaluable in s unless ``gamma0_deriv`` is supplied.
     """
     if n_s < 3:
         raise ValueError("need at least 3 homotopy nodes")
-    n, q = sys.n, sys.q
+    n = sys.n
     s_grid = np.linspace(0.0, 1.0, n_s)
-    seeds = []
+    x0s, dx0s = [], []
     for s in s_grid:
         x0 = [float(v) for v in gamma0(float(s))]
         if gamma0_deriv is not None:
@@ -96,20 +90,9 @@ def homotopy_integrate(
             dx0 = [float(v) for v in jvp(lambda z: gamma0(z[0]), [float(s)], [1.0])]
         if len(x0) != n or len(dx0) != n:
             raise ValueError(f"gamma0 must produce {n}-dimensional points")
-        seeds.append(x0 + dx0)
-    lifted = lift(sys)
-    sigs = signal_vector(u, q) + [Signal.zero() for _ in range(q)]
-    width = 2 * n
-
-    def stacked_field(t, z):
-        uv = [s.value(t) for s in sigs]
-        X = list(z.reshape(n_s, width).T)
-        with np.errstate(**FLOAT_ERRORS):
-            return batch_rows(lifted.rhs_with(X, lifted.exo_at(t), uv), n_s).ravel()
-
-    z0 = np.concatenate([np.asarray(s, dtype=float) for s in seeds])
-    sol = integrate(stacked_field, z0, (0.0, float(t_final)), stepper or Rk4())
-    members = _prolonged_from_solution(sys, lifted, sigs, sol, n_s)
+        x0s.append(x0)
+        dx0s.append(dx0)
+    members = simulate_ensemble(sys, x0s, dx0s, u=u, t_final=t_final, stepper=stepper)
     return HomotopyFamily(s_grid=s_grid, members=members)
 
 
@@ -255,7 +238,9 @@ def verify_output_convergence(
     (the precondition for the vanishing-derivative argument), samples the
     smallest eigenvalue of W along the family (flagged, not failed, if it
     approaches zero), and finally checks
-    |y_a(T) - y_b(T)| <= tol * |y_a(0) - y_b(0)|.
+    |y_a(T) - y_b(T)| <= tol * |y_a(0) - y_b(0)|.  A non-finite supply
+    sample <dy, dy>_W raises :class:`NumericalError` naming its member and
+    first time.
     """
     if supply.strictness != "output":
         raise ValueError("output convergence needs an output-strict supply rate")
@@ -277,22 +262,27 @@ def verify_output_convergence(
                 f"family member s={s:.3g} reached |x| = {peak:.3g} >= bound {state_bound:.3g}"
             )
     times = family.times
+    N = len(times)
+    stride = max(1, N // 64)
     barbalat = []
     barbalat_ok = True
-    w_floor = np.inf
+    sampled_w = []
     for m, s in zip(family.members, family.s_grid):
-        quad = np.array(
-            [supply.quad(m.x[k].tolist(), m.dy[k], m.dy[k]) for k in range(len(times))]
-        )
+        with np.errstate(**FLOAT_ERRORS):
+            W = supply.w_matrix(list(m.x.T), N)
+        quad = ((m.dy[:, None, :] @ W) @ m.dy[:, :, None])[:, 0, 0]
+        # a batch gives nan for 0/0 where a float call raised: fail, never pass
+        argworst(quad, f"supply <dy, dy>_W of family member s={s:.3g}",
+                 lambda k: f"t = {times[k]:.6g}")
         integral = _trapezoid(quad, times)
         s0 = float(storage.value(m.x[0].tolist(), m.dx[0].tolist()))
         barbalat.append((integral, s0))
         if integral > s0 * (1.0 + 1e-9) + 1e-12:
             barbalat_ok = False
-        stride = max(1, len(times) // 64)
-        for k in range(0, len(times), stride):
-            w = supply.w_matrix(m.x[k].tolist())
-            w_floor = min(w_floor, float(np.linalg.eigvalsh(0.5 * (w + w.T))[0]))
+        sampled_w.append(W[::stride])
+    # smallest eigenvalue of sym(W) on every stride-th sample of every member;
+    # min() from +inf skips a nan eigenvalue
+    w_floor = min([np.inf, *np.linalg.eigvalsh(sym(np.concatenate(sampled_w)))[:, 0].tolist()])
     gap = np.linalg.norm(family.members[-1].y - family.members[0].y, axis=1)
     lengths = finsler_length(family, storage.gauge)
     initial_gap = float(gap[0])

@@ -34,7 +34,8 @@ class IntegrationError(Exception):
 # Float error semantics for batch arrays (``np.errstate(**FLOAT_ERRORS)``):
 # x / 0 raises, as it does on floats, while overflow and invalid operations
 # give inf or nan without a warning, as float arithmetic does.  Unlike on
-# floats, 0 / 0 gives nan.
+# floats, 0 / 0 gives nan in plain array arithmetic; the dual rules here
+# divide through :func:`_div`, which raises on it too.
 FLOAT_ERRORS = {"divide": "raise", "over": "ignore", "under": "ignore", "invalid": "ignore"}
 
 
@@ -91,13 +92,13 @@ class DualScalar:
         if isinstance(other, DualScalar):
             v = other.value
             return DualScalar(
-                self.value / v, (self.deriv * v - self.value * other.deriv) / (v * v)
+                _div(self.value, v), _div(self.deriv * v - self.value * other.deriv, v * v)
             )
-        return DualScalar(self.value / other, self.deriv / other)
+        return DualScalar(_div(self.value, other), _div(self.deriv, other))
 
     def __rtruediv__(self, other):
         v = self.value
-        return DualScalar(other / v, -other * self.deriv / (v * v))
+        return DualScalar(_div(other, v), _div(-other * self.deriv, v * v))
 
     def __neg__(self):
         return DualScalar(-self.value, -self.deriv)
@@ -135,6 +136,18 @@ class DualScalar:
 
     def __ge__(self, other):
         return float_value(self) >= float_value(other)
+
+
+def _div(a, b):
+    """``a / b``, raising on a zero divisor in a batch as float division
+    does: numpy's ``divide="raise"`` lets 0 / 0 through as nan, which a later
+    branch (``min``, ``^ 0``) could drop where the float call had raised."""
+    if b.__class__ is np.ndarray:
+        if not b.all():
+            raise FloatingPointError("divide by zero")
+    elif a.__class__ is np.ndarray and b == 0:
+        raise FloatingPointError("divide by zero")
+    return a / b
 
 
 def _base(x):
@@ -224,7 +237,7 @@ def cos(x):
 def tan(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
-        return DualScalar(tan(x.value), x.deriv / (c * c))
+        return DualScalar(tan(x.value), _div(x.deriv, c * c))
     if isinstance(x, np.ndarray):
         return _each(math.tan, x)
     return math.tan(x)
@@ -241,7 +254,7 @@ def exp(x):
 
 def log(x):
     if isinstance(x, DualScalar):
-        return DualScalar(log(x.value), x.deriv / x.value)
+        return DualScalar(log(x.value), _div(x.deriv, x.value))
     if isinstance(x, np.ndarray):
         return _each(math.log, x)
     return math.log(x)
@@ -250,7 +263,7 @@ def log(x):
 def sqrt(x):
     if isinstance(x, DualScalar):
         r = sqrt(x.value)
-        return DualScalar(r, x.deriv / (2.0 * r))
+        return DualScalar(r, _div(x.deriv, 2.0 * r))
     if isinstance(x, np.ndarray):
         return _each(math.sqrt, x)
     return math.sqrt(x)
@@ -272,7 +285,7 @@ def atan2(y, x):
         yd = deriv_part(y)
         xd = deriv_part(x)
         denom = xv * xv + yv * yv
-        return DualScalar(atan2(yv, xv), (xv * yd - yv * xd) / denom)
+        return DualScalar(atan2(yv, xv), _div(xv * yd - yv * xd, denom))
     if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
         return _each(math.atan2, y, x)
     return math.atan2(y, x)

@@ -20,9 +20,19 @@ batch member.  One call then evaluates the whole batch, and each element
 must come out exactly as a call on that point alone would.  Plain
 arithmetic and the ``numerics`` helpers do; branching on a batched value
 (``if x[0] > 0``) raises ``TypeError`` instead of picking one branch for
-every member, so use ``numerics.minimum``/``maximum``/``absolute``.  The
-homotopy RHS evaluates all members in one call, and the post-integration
-pass all samples (of all members) in one call.
+every member, so use ``numerics.minimum``/``maximum``/``absolute``.
+
+:func:`simulate_ensemble` is the one integrator of the lifted system
+(:func:`simulate_prolonged` and the homotopy family are ensembles).  Its
+RHS evaluates all members in one call, and the post-integration pass all
+samples of all members in one call; plain :func:`simulate` evaluates its
+outputs at all samples in one call.  An ensemble's input signals may be
+per-member: ``Signal.at(t)`` returns a float shared by every member or a
+length-m array, one value per member.  Exogenous signals are shared by
+all members.  Under ``Rk45`` the members share one adaptive grid, and a
+step is accepted only when every member's error passes, so a member's
+grid differs from its solo run's; under ``Rk4`` every member is
+bit-identical to its solo run.
 """
 
 from __future__ import annotations
@@ -340,10 +350,12 @@ def simulate(
     sigs = signal_vector(u, sys.q)
     sol = integrate(_field_for(sys, sigs), x0, (0.0, float(t_final)), stepper or Rk4())
     times = sol.times
+    N = len(times)
     uu = np.array([[s.value(t) for s in sigs] for t in times])
-    yy = np.array(
-        [sys.output(t, sol.states[k].tolist(), uu[k].tolist()) for k, t in enumerate(times)]
-    )
+    exo = [sys.exo_at(t) for t in times]
+    E = {name: np.array([ek[name] for ek in exo]) for name in sys.exo}
+    with np.errstate(**FLOAT_ERRORS):
+        yy = batch_rows(sys.output_with(list(sol.states.T), E, list(uu.T)), N)
     return Trajectory(times, sol.states, uu, yy)
 
 
@@ -363,24 +375,71 @@ def simulate_prolonged(
     """
     if len(x0) != sys.n or len(dx0) != sys.n:
         raise ValueError(f"x0 and dx0 must have {sys.n} entries")
+    return simulate_ensemble(sys, [x0], [dx0], u=u, du=du, t_final=t_final, stepper=stepper)[0]
+
+
+def simulate_ensemble(
+    sys: DynSystem,
+    x0s: Sequence[Sequence[float]],
+    dx0s: Sequence[Sequence[float]],
+    u=None,
+    du=None,
+    t_final: float = 1.0,
+    stepper: Stepper | None = None,
+) -> list[ProlongedTrajectory]:
+    """Co-integrate m prolonged trajectories, one per row of ``x0s`` and
+    ``dx0s``, as one stacked ODE on a shared grid.
+
+    The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...], and each
+    right-hand-side evaluation is one ``lift(sys).rhs_with`` call over all
+    members.  An input signal may return a float (shared by every member)
+    or a length-m array (one value per member); exogenous signals are
+    shared.  Under ``Rk45`` the members share one adaptive grid: a step is
+    accepted only when every member's error passes.
+    """
+    X0 = np.asarray(x0s, dtype=float)
+    dX0 = np.asarray(dx0s, dtype=float)
+    if X0.ndim != 2 or X0.shape != dX0.shape or X0.shape[1] != sys.n or not len(X0):
+        raise ValueError(
+            f"x0s and dx0s must both be (m, {sys.n}) with m >= 1, "
+            f"got {X0.shape} and {dX0.shape}"
+        )
+    m, width = len(X0), 2 * sys.n
     lifted = lift(sys)
     sigs = signal_vector(u, sys.q) + signal_vector(du, sys.q)
-    X0 = list(x0) + list(dx0)
-    sol = integrate(_field_for(lifted, sigs), X0, (0.0, float(t_final)), stepper or Rk4())
-    return _prolonged_from_solution(sys, lifted, sigs, sol)[0]
+
+    # one member runs on plain floats, a length-1 input array read as its one
+    # float: about half the cost of length-1 arrays through the dual layer,
+    # and a Python map divides by zero as in a solo float call
+    if m == 1:
+        def field(t, z):
+            uv = [v.item() if type(v) is np.ndarray else v for v in (s.at(t) for s in sigs)]
+            return np.asarray(lifted.rhs_with(z.tolist(), lifted.exo_at(t), uv), dtype=float)
+    else:
+        def field(t, z):
+            uv = [s.at(t) for s in sigs]
+            X = list(z.reshape(m, width).T)
+            return batch_rows(lifted.rhs_with(X, lifted.exo_at(t), uv), m).ravel()
+
+    z0 = np.concatenate([X0, dX0], axis=1).ravel()
+    with np.errstate(**FLOAT_ERRORS):
+        sol = integrate(field, z0, (0.0, float(t_final)), stepper or Rk4())
+    return _prolonged_from_solution(sys, lifted, sigs, sol, m)
 
 
-def _prolonged_from_solution(sys, lifted, sigs, sol, members: int = 1):
+def _prolonged_from_solution(sys, lifted, sigs, sol, members):
     """Port and rate columns of ``members`` prolonged trajectories stored side
     by side in ``sol.states``, from one ``output_with`` and one ``rhs_with``
-    call over every member at every sample."""
+    call over every member at every sample.  Each input column is broadcast
+    to the members, so a per-member input lands in each member's column."""
     n, q = sys.n, sys.q
     times = sol.times
     N = len(times)
-    U = np.array([[s.value(t) for s in sigs] for t in times])
+    cols = [np.array([s.at(t) for t in times], dtype=float) for s in sigs]
+    U = np.stack([np.broadcast_to(c.T, (members, N)) for c in cols], axis=-1)
     exo = [lifted.exo_at(t) for t in times]
     E = {name: np.tile([ek[name] for ek in exo], members) for name in lifted.exo}
-    Ub = [np.tile(U[:, j], members) for j in range(2 * q)]
+    Ub = list(U.reshape(members * N, 2 * q).T)
     states = sol.states.reshape(N, members, 2 * n).transpose(1, 0, 2)
     X = list(states.reshape(members * N, 2 * n).T)
     with np.errstate(**FLOAT_ERRORS):
@@ -391,8 +450,8 @@ def _prolonged_from_solution(sys, lifted, sigs, sol, members: int = 1):
             times=times,
             x=states[m, :, :n].copy(),
             dx=states[m, :, n:].copy(),
-            u=U[:, :q].copy(),
-            du=U[:, q:].copy(),
+            u=U[m, :, :q].copy(),
+            du=U[m, :, q:].copy(),
             y=Y[m, :, :q].copy(),
             dy=Y[m, :, q:].copy(),
             xdot=Xdot[m, :, :n].copy(),

@@ -41,6 +41,34 @@ class TestDemos:
         _, out2 = run(tmp_path / "b", "demo", "rc", "--seed", "2")
         assert (out1 / "rc_audit.json").read_bytes() != (out2 / "rc_audit.json").read_bytes()
 
+    def test_rc_demo_under_rk45_shares_one_grid(self, tmp_path):
+        cfg = write_config(tmp_path, {"run": {"stepper": {"kind": "rk45", "tol": 1e-8},
+                                              "n_trajectories": 4}})
+        code, out = run(tmp_path, "demo", "rc", "--config", cfg, "--seed", "7")
+        assert code == 0
+        report = json.loads((out / "rc_audit.json").read_text())
+        assert report["kind"] == "rc-demo" and report["passed"] is True
+        assert report["n_trajectories"] == 4
+        assert report["worst_violation"] <= report["tolerance"]
+        assert report["identity_residual"] <= 1e-8
+        lines = (out / "rc_trace.csv").read_text().splitlines()
+        assert len(lines) > 2
+        assert {len(line.split(",")) for line in lines} == {len(lines[0].split(","))}
+
+    def test_rc_demo_with_one_trajectory(self, tmp_path):
+        cfg = write_config(tmp_path, {"run": {"n_trajectories": 1}})
+        code, out = run(tmp_path, "demo", "rc", "--config", cfg, "--seed", "3")
+        assert code == 0
+        report = json.loads((out / "rc_audit.json").read_text())
+        assert report["passed"] is True and report["n_trajectories"] == 1
+
+    def test_rc_demo_without_trajectories_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"run": {"n_trajectories": 0}})
+        code, out = run(tmp_path, "demo", "rc", "--config", cfg)
+        assert code == 2
+        assert "/run/n_trajectories" in capsys.readouterr().err
+        assert (out / "error_report.json").exists()
+
     def test_lti_demo_passes(self, tmp_path):
         code, out = run(tmp_path, "demo", "lti")
         assert code == 0
@@ -88,6 +116,17 @@ class TestConfigErrors:
         code, _ = run(tmp_path, "simulate", "--config", cfg)
         assert code == 2
         assert "x2" in capsys.readouterr().err
+
+    def test_ragged_matrix_located(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "system": {"n": 2, "q": 1, "f": ["-x1", "-x2"], "g": [["1"], ["1", "5"]],
+                       "h": ["x1"]},
+            "run": {"x0": [1.0, 0.0], "t_final": 0.2},
+        })
+        code, out = run(tmp_path, "simulate", "--config", cfg, "--dt", "0.1")
+        assert code == 2
+        assert "/system/g/1" in capsys.readouterr().err
+        assert (out / "error_report.json").exists()
 
     def test_certify_rejects_projector(self, tmp_path, capsys):
         for command, extra in (("certify-uc", {"pi": [[1.0]]}),

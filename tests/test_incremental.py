@@ -6,6 +6,7 @@ import pytest
 from diffdiss import (
     DynSystem,
     InvalidFinslerStructure,
+    NumericalError,
     QuadraticDifferentialStorage,
     Rk4,
     Rk45,
@@ -258,6 +259,15 @@ class TestOutputConvergence:
         with pytest.raises(ValueError, match="output-strict"):
             verify_output_convergence(sys, storage, SupplyRate.identity(1),
                                       [0.0], [1.0])
+
+    def test_zero_over_zero_in_the_supply_fails_the_check(self):
+        # member s = 0 rests at x = 0, where W = x/x is 0/0: a float call
+        # raised, a batch gives nan, and a nan must not pass the bound
+        sys, storage, _ = _strict_scalar()
+        supply = SupplyRate(lambda x: [[x[0] / x[0]]], 1, strictness="output")
+        with pytest.raises(NumericalError, match="member s=0 .* t = 0"):
+            verify_output_convergence(sys, storage, supply, [0.0], [1.0],
+                                      t_final=0.5, n_s=3, stepper=Rk4(1e-2))
 
     def test_unbounded_trajectory_detected(self):
         growing = DynSystem(1, 1, lambda x, e: [x[0]], lambda x, e: [[1.0]],

@@ -455,6 +455,16 @@ class TestBatchJacobian:
         with pytest.raises(EvalError):
             jacobian(lambda z: [evaluate(e, {"x": z[0]})], np.array([[1.0], [-1.0]]))
 
+    def test_zero_over_zero_in_a_dual_rule_raises_like_floats(self):
+        # atan2's derivative rule divides 0 by 0 at x = 0: floats raise, and
+        # a batch must too, even though "^ 0" drops the nan it would give
+        e = parse("atan2(0, x) ^ 0")
+        fun = lambda z: [evaluate(e, {"x": z[0]})]
+        with pytest.raises(numerics.NumericalError):
+            jacobian(fun, [0.0])
+        with pytest.raises(numerics.NumericalError, match="failed in column 0"):
+            jacobian(fun, np.array([[1.0], [0.0]]))
+
 
 class TestStackedMargins:
     """``sym``, the margins and ``frobenius`` accept (..., r, c) stacks and

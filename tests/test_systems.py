@@ -6,15 +6,17 @@ import pytest
 from diffdiss import (
     DynSystem,
     Rk4,
+    Rk45,
     Signal,
     SignalError,
     lift,
     rc_circuit,
     simulate,
+    simulate_ensemble,
     simulate_prolonged,
 )
-from diffdiss.examples import induction_motor_virtual, lti
-from diffdiss.numerics import FLOAT_ERRORS
+from diffdiss.examples import MotorParams, induction_motor_virtual, lti
+from diffdiss.numerics import FLOAT_ERRORS, sin
 from diffdiss.systems import batch_rows
 
 from conftest import rotation, scalar_cubic, scalar_leaky
@@ -240,6 +242,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(scalar_leaky(), [0.0], u=[Signal.zero(), Signal.zero()])
 
+    def test_batched_outputs_equal_per_sample_outputs(self):
+        # a time-varying rotor speed, so the exo values differ per sample
+        sys = induction_motor_virtual(MotorParams(omega_r=Signal.from_expr("9 + sin(3*t)"))).system
+        u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
+        traj = simulate(sys, [1.0, 0.0, 1.3, 0.2], u=u, t_final=0.3, stepper=Rk4(1e-2))
+        want = [sys.output(t, traj.x[k].tolist(), traj.u[k].tolist())
+                for k, t in enumerate(traj.times)]
+        assert np.array_equal(traj.y, np.array(want))
+
 
 class TestSimulateProlonged:
     def test_zero_section_invariant(self):
@@ -318,3 +329,112 @@ class TestSimulateProlonged:
         want = traj.dx[:, 0] + 2.0 * x * traj.u[:, 0] * traj.dx[:, 0] \
             + (1.0 + x**2) * traj.du[:, 0]
         assert np.max(np.abs(traj.dy[:, 0] - want)) < 1e-13
+
+
+_COLUMNS = ("times", "x", "dx", "u", "du", "y", "dy", "xdot", "dxdot")
+
+
+def _assert_same_run(got, want):
+    for col in _COLUMNS:
+        assert np.array_equal(getattr(got, col), getattr(want, col)), col
+
+
+class TestEnsemble:
+    """Members of one stacked integration against solo runs."""
+
+    def _rc_members(self, rng, m=5):
+        x0s = rng.uniform(-1.0, 1.0, size=(m, 1))
+        dx0s = rng.uniform(-1.0, 1.0, size=(m, 1))
+        amp, freq, bias = rng.uniform(0.2, 1.0, m), rng.uniform(0.5, 3.0, m), rng.uniform(-0.3, 0.3, m)
+        drive = Signal.analytic(lambda t: amp * sin(freq * t) + bias)
+        solo_drive = lambda k: Signal.analytic(lambda t: amp[k] * sin(freq[k] * t) + bias[k])
+        return x0s, dx0s, drive, solo_drive
+
+    def test_rc_per_member_drive_equals_solo_runs_under_rk4(self, rng):
+        rc = rc_circuit()
+        x0s, dx0s, drive, solo_drive = self._rc_members(rng)
+        members = simulate_ensemble(rc.system, x0s, dx0s, u=drive, t_final=0.3,
+                                    stepper=Rk4(1e-2))
+        assert len(members) == len(x0s)
+        for k, member in enumerate(members):
+            solo = simulate_prolonged(rc.system, x0s[k], dx0s[k], u=solo_drive(k),
+                                      t_final=0.3, stepper=Rk4(1e-2))
+            _assert_same_run(member, solo)
+
+    def test_motor_with_exogenous_speed_equals_solo_runs_under_rk4(self, rng):
+        sys = induction_motor_virtual(MotorParams(omega_r=Signal.from_expr("9 + sin(3*t)"))).system
+        u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
+        x0s = rng.uniform(-1.5, 1.5, size=(3, 4))
+        dx0s = rng.uniform(-1.0, 1.0, size=(3, 4))
+        du = [Signal.constant(0.1), Signal.from_expr("0.05*t")]
+        members = simulate_ensemble(sys, x0s, dx0s, u=u, du=du, t_final=0.2, stepper=Rk4(1e-2))
+        for k, member in enumerate(members):
+            solo = simulate_prolonged(sys, x0s[k].tolist(), dx0s[k].tolist(), u=u, du=du,
+                                      t_final=0.2, stepper=Rk4(1e-2))
+            _assert_same_run(member, solo)
+
+    def test_one_member_equals_simulate_prolonged(self):
+        sys = lti([[-1.0, 2.0], [-3.0, -0.5]], [[1.0], [0.5]], [[1.0, -1.0]], [[0.25]])
+        u, du = Signal.from_expr("sin(2*t)"), Signal.constant(0.1)
+        (member,) = simulate_ensemble(sys, [[0.4, -0.2]], [[1.0, 0.5]], u=u, du=du,
+                                      t_final=0.5, stepper=Rk45(1e-8))
+        solo = simulate_prolonged(sys, [0.4, -0.2], [1.0, 0.5], u=u, du=du,
+                                  t_final=0.5, stepper=Rk45(1e-8))
+        _assert_same_run(member, solo)
+
+    def test_one_member_with_array_drive_equals_scalar_drive(self, rng):
+        rc = rc_circuit()
+        x0s, dx0s, drive, solo_drive = self._rc_members(rng, m=1)
+        (member,) = simulate_ensemble(rc.system, x0s, dx0s, u=drive, t_final=0.3,
+                                      stepper=Rk4(1e-2))
+        solo = simulate_prolonged(rc.system, x0s[0], dx0s[0], u=solo_drive(0),
+                                  t_final=0.3, stepper=Rk4(1e-2))
+        _assert_same_run(member, solo)
+
+    def test_rk45_members_share_one_grid_within_tolerance(self, rng, monkeypatch):
+        import diffdiss.systems as systems
+
+        sols = []
+        integrate = systems.integrate
+
+        def recording(*args):
+            sol = integrate(*args)
+            sols.append(sol)
+            return sol
+
+        monkeypatch.setattr(systems, "integrate", recording)
+        rc = rc_circuit()
+        x0s, dx0s, drive, solo_drive = self._rc_members(rng, m=4)
+        members = simulate_ensemble(rc.system, x0s, dx0s, u=drive, t_final=1.0,
+                                    stepper=Rk45(1e-8))
+        (sol,) = sols
+        assert sol.nfev == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+        for k, member in enumerate(members):
+            assert member.times is sol.times
+            ref = simulate_prolonged(rc.system, x0s[k], dx0s[k], u=solo_drive(k),
+                                     t_final=1.0, stepper=Rk45(1e-12))
+            # compare at the shared grid's final time, which both runs end on
+            assert member.times[-1] == ref.times[-1] == 1.0
+            assert np.allclose(member.x[-1], ref.x[-1], rtol=0.0, atol=1e-7)
+            assert np.allclose(member.dx[-1], ref.dx[-1], rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("dx0s", [np.zeros((3, 1)), np.zeros((2, 2)), np.zeros(2)])
+    def test_mismatched_shapes_rejected(self, dx0s):
+        with pytest.raises(ValueError):
+            simulate_ensemble(scalar_cubic(), np.zeros((2, 1)), dx0s)
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_ensemble(scalar_cubic(), np.zeros((0, 1)), np.zeros((0, 1)))
+
+    def test_python_float_division_by_zero_raises_as_before(self):
+        sys = DynSystem(
+            1, 1,
+            lambda x, e: [1.0 / x[0]],
+            lambda x, e: [[1.0]],
+            lambda x, e: [x[0]],
+        )
+        with pytest.raises(ZeroDivisionError):
+            simulate_prolonged(sys, [0.0], [1.0], t_final=0.1, stepper=Rk4(1e-2))
+        with pytest.raises(ZeroDivisionError):
+            simulate_ensemble(sys, [[0.0]], [[1.0]], t_final=0.1, stepper=Rk4(1e-2))
