@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import accumulate
 
 import numpy as np
 
@@ -66,6 +65,14 @@ def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
     return float(value)
+
+
+def _as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
+    if not float(value).is_integer():
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _as_float_list(value, path: str) -> list[float]:
@@ -124,17 +131,7 @@ def _matrix_fn(entries, names: list[str], exo_names: set[str], path: str):
     for r, row in enumerate(asts):
         for c, ast in enumerate(row):
             _check_vars(ast, allowed, f"{path}/{r}/{c}")
-    shape = (len(asts), len(asts[0]))
-    # one compiled map over the entries in row-major order, cut back into rows
-    flat = exprlang.compile_map([ast for row in asts for ast in row], names, exo_names)
-    stops = list(accumulate(len(row) for row in asts))
-    cuts = list(zip([0, *stops], stops))
-
-    def fn(x, e):
-        out = flat(x, e)
-        return [out[a:b] for a, b in cuts]
-
-    return fn, shape
+    return exprlang.compile_matrix(asts, names, exo_names), (len(asts), len(asts[0]))
 
 
 def _signal(spec, path: str) -> Signal:
@@ -218,11 +215,9 @@ def _build_system(cfg: dict, path: str = "/system"):
     registry = _get(spec, path, "registry")
     if registry is None:
         return _build_expr_system(spec, path), None
-    params = _get(spec, path, "params", default={}) or {}
+    params = _registry_params(spec, path)
     if registry == "rc":
-        mu = params.get("mu", "q + q^3")
-        q_range = tuple(params.get("q_range", (-1.5, 1.5)))
-        bundle = rc_circuit(RcParams(R=float(params.get("R", 1.0)), mu=mu, q_range=q_range))
+        bundle = _rc_bundle(params, f"{path}/params")
         return bundle.system, bundle
     if registry == "motor":
         kwargs = {}
@@ -254,6 +249,24 @@ def _build_system(cfg: dict, path: str = "/system"):
         except ValueError as err:
             raise ConfigError(f"{path}/params", str(err)) from None
     raise ConfigError(f"{path}/registry", f"unknown registry name {registry!r}")
+
+
+def _registry_params(spec: dict, path: str) -> dict:
+    params = _get(spec, path, "params", default={}) or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}/params", "expected an object")
+    return params
+
+
+def _rc_bundle(params: dict, path: str):
+    """The registry RC circuit from its ``params`` object at ``path``."""
+    R = _as_float(params.get("R", 1.0), f"{path}/R")
+    mu = _parse_expr(params.get("mu", "q + q^3"), f"{path}/mu")
+    _check_vars(mu, {"q"}, f"{path}/mu")
+    q_range = _as_float_list(params.get("q_range", [-1.5, 1.5]), f"{path}/q_range")
+    if len(q_range) != 2:
+        raise ConfigError(f"{path}/q_range", f"expected [lo, hi], got {len(q_range)} numbers")
+    return rc_circuit(RcParams(R=R, mu=mu, q_range=tuple(q_range)))
 
 
 def _build_storage(cfg: dict, sys_, bundle, key: str = "storage", required: bool = False):
@@ -318,8 +331,15 @@ def _build_supply(cfg: dict, sys_, bundle, key: str = "supply", required: bool =
     return SupplyRate(lambda x: w_fun(x, {}), sys_.q, strictness, rate)
 
 
-def _build_stepper(cfg: dict, args) -> Rk4 | Rk45:
+def _run(cfg: dict) -> dict:
     run = cfg.get("run", {})
+    if not isinstance(run, dict):
+        raise ConfigError("/run", "expected an object")
+    return run
+
+
+def _build_stepper(cfg: dict, args) -> Rk4 | Rk45:
+    run = _run(cfg)
     spec = run.get("stepper")
     if args.dt is not None:
         return Rk4(dt=args.dt)
@@ -349,7 +369,7 @@ def _build_grid(cfg: dict, key: str, n: int, seed: int, default_span=2.0) -> Gri
 
 
 def _run_params(cfg: dict, sys_, args):
-    run = cfg.get("run", {})
+    run = _run(cfg)
     path = "/run"
     x0 = _as_float_list(_get(run, path, "x0", default=[0.0] * sys_.n), f"{path}/x0")
     dx0 = _as_float_list(_get(run, path, "dx0", default=[0.0] * sys_.n), f"{path}/dx0")
@@ -366,13 +386,13 @@ def _run_params(cfg: dict, sys_, args):
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("run", {}).get("seed", 0))
+    return _as_int(_run(cfg).get("seed", 0), "/run/seed")
 
 
 def _tol(cfg: dict, args, default: float) -> float:
     if args.tol is not None:
         return args.tol
-    return float(cfg.get("run", {}).get("tol", default))
+    return _as_float(_run(cfg).get("tol", default), "/run/tol")
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +525,12 @@ def cmd_interconnect(cfg, args, out_dir):
 def cmd_homotopy(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
     storage = _build_storage(cfg, sys_, bundle)
-    run = cfg.get("run", {})
+    run = _run(cfg)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
     x0_b = _as_float_list(_get(run, "/run", "x0_b", required=True), "/run/x0_b")
     if len(x0_b) != sys_.n:
         raise ConfigError("/run/x0_b", f"expected {sys_.n} entries")
-    n_s = int(run.get("n_s", 9))
+    n_s = _as_int(run.get("n_s", 9), "/run/n_s")
     stepper = _build_stepper(cfg, args)
     a = np.asarray(x0)
     b = np.asarray(x0_b)
@@ -536,14 +556,14 @@ def cmd_converge(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
     storage = _build_storage(cfg, sys_, bundle, required=True)
     supply = _build_supply(cfg, sys_, bundle, required=True)
-    run = cfg.get("run", {})
+    run = _run(cfg)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
     x0_b = _as_float_list(_get(run, "/run", "x0_b", required=True), "/run/x0_b")
     stepper = _build_stepper(cfg, args)
     report = verify_output_convergence(
         sys_, storage, supply, x0, x0_b, u=u, t_final=t_final,
-        tol=_tol(cfg, args, 1e-3), n_s=int(run.get("n_s", 9)), stepper=stepper,
-        state_bound=float(run.get("bound", 1e6)),
+        tol=_tol(cfg, args, 1e-3), n_s=_as_int(run.get("n_s", 9), "/run/n_s"), stepper=stepper,
+        state_bound=_as_float(run.get("bound", 1e6), "/run/bound"),
     )
     write_json(os.path.join(out_dir, "convergence_report.json"), report.to_json_dict())
     write_length_gap_csv(
@@ -570,18 +590,18 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def cmd_demo_rc(cfg, args, out_dir):
-    params = cfg.get("system", {}).get("params", {})
-    bundle = rc_circuit(RcParams(
-        R=float(params.get("R", 1.0)), mu=params.get("mu", "q + q^3"),
-        q_range=tuple(params.get("q_range", (-1.5, 1.5))),
-    ))
+    spec = _get(cfg, "", "system", default={})
+    if not isinstance(spec, dict):
+        raise ConfigError("/system", "expected an object")
+    bundle = _rc_bundle(_registry_params(spec, "/system"), "/system/params")
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
-    n_traj = int(cfg.get("run", {}).get("n_trajectories", 20))
+    run = _run(cfg)
+    n_traj = _as_int(run.get("n_trajectories", 20), "/run/n_trajectories")
     if n_traj < 1:
         raise ConfigError("/run/n_trajectories", "need at least one trajectory")
-    t_final = args.t_final if args.t_final is not None else float(
-        cfg.get("run", {}).get("t_final", 1.0)
+    t_final = args.t_final if args.t_final is not None else _as_float(
+        run.get("t_final", 1.0), "/run/t_final"
     )
     stepper = _build_stepper(cfg, args)
     tol = _tol(cfg, args, 1e-9)
@@ -627,10 +647,11 @@ def cmd_demo_motor(cfg, args, out_dir):
     sys_, bundle = _build_system(_deep_merge({"system": {"registry": "motor"}}, cfg))
     p = bundle.params
     phi_s_ref, u_sig = motor_feedforward(p)
-    t_final = args.t_final if args.t_final is not None else float(
-        cfg.get("run", {}).get("t_final", 10.0)
+    run = _run(cfg)
+    t_final = args.t_final if args.t_final is not None else _as_float(
+        run.get("t_final", 10.0), "/run/t_final"
     )
-    stepper = _build_stepper(cfg, args) if cfg.get("run", {}).get("stepper") or args.dt else Rk4(2e-3)
+    stepper = _build_stepper(cfg, args) if run.get("stepper") or args.dt else Rk4(2e-3)
     ref0 = [p.phi_r_ref[0].value(0.0), p.phi_r_ref[1].value(0.0),
             phi_s_ref[0].value(0.0), phi_s_ref[1].value(0.0)]
     offset = np.array([0.5, -0.4, 0.3, 0.2])

@@ -100,14 +100,15 @@ class RcCircuit:
                     f"mu is not strictly increasing on [{lo:.6g}, {hi:.6g}] "
                     f"(d mu/dq <= 0 at q = {qv:.6g})"
                 )
-        R = params.R
-        mu = self._mu_map
+        # f = -(mu)/R, g = 1, h = mu as compiled expressions, so the lift runs
+        # their tangents instead of a dual pass
+        f = exprlang.BinOp("/", exprlang.Neg(self.mu_ast), exprlang.Const(params.R))
         self.system = DynSystem(
             n=1,
             q=1,
-            f=lambda x, e: [-mu(x, e)[0] / R],
-            g=lambda x, e: [[1.0]],
-            h=mu,
+            f=exprlang.compile_map([f], ["q"]),
+            g=exprlang.compile_matrix([[exprlang.Const(1.0)]], ["q"]),
+            h=self._mu_map,
             name="rc-circuit",
         )
         self.storage = QuadraticDifferentialStorage.identity(1)

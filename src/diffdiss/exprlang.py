@@ -29,15 +29,27 @@ read from ``e`` once per call.  It performs the operations of
 :func:`evaluate`, in the same order and with the same guards, so its results
 and errors are bit for bit those of ``evaluate``; the library evaluates
 config expressions only through compiled maps, and ``evaluate`` remains the
-reference interpreter.
+reference interpreter.  :func:`compile_matrix` is its matrix form.
+
+Every compiled map also has ``fn.tangent(x, dx, e) -> (values, tangents)``,
+its forward-mode tangent, which the lift of a system runs in place of a dual
+pass.  It is built on its first call, from one closure per AST node, and
+each closure performs the float operations the DualScalar rules perform on
+``x`` seeded with ``dx``, so the result is bit for bit the value and
+derivative parts of ``fn(numerics.seed(x, dx), e)``, with no dual
+arithmetic (see :func:`_build_tangent`).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import numerics
 from .numerics import DualScalar
@@ -313,6 +325,16 @@ def _hit(test, x) -> bool:
     return hit if hit.__class__ is bool else hit.any()
 
 
+def _literal(e: Expr):
+    """The value of a literal ``c``, or of ``-c`` (the same float at build
+    time), else None."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Neg) and isinstance(e.operand, Const):
+        return -e.operand.value
+    return None
+
+
 def _integer_literal(e: Expr) -> int | None:
     if isinstance(e, Const) and float(e.value).is_integer():
         return int(e.value)
@@ -370,6 +392,14 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     :func:`evaluate` returns for each AST on the environment ``names -> x``
     plus ``e`` (a state name read by position even if ``e`` has it too), on
     floats, duals and batches alike, or raises the same :class:`EvalError`.
+
+    ``fn.tangent(x, dx, e) -> (values, tangents)`` returns the value and
+    derivative parts of ``fn(numerics.seed(x, dx), e)`` (a derivative part
+    is 0.0 for an entry that reads no state), bit for bit, or raises what
+    that dual pass raises.  It is built on its first use, from the AST (see
+    :func:`_build_tangent`); ``fn.tangent.build()`` returns the built
+    closure, which the lift calls directly.  ``e`` holds plain values there
+    (floats or batch arrays), as it does in the lift.
     """
     states = {name: k for k, name in enumerate(names)}
     exo = set(exo)
@@ -386,33 +416,88 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
         return lambda x, v: v[j]
 
     nodes = [_compile(a, bind) for a in asts]
-    if not read:
-        def fn(x, e):
-            return [node(x, ()) for node in nodes]
-
-        return fn
     order = list(read)
 
-    def fn(x, e):
+    def exo_values(e):
         try:
-            v = [e[name] for name in order]
+            return [e[name] for name in order]
         except KeyError as err:
             raise EvalError(f"unbound variable {err.args[0]!r}", read[err.args[0]]) from None
-        return [node(x, v) for node in nodes]
 
+    if not read:
+        exo_values = None
+
+        def fn(x, e):
+            return [node(x, ()) for node in nodes]
+    else:
+        def fn(x, e):
+            v = exo_values(e)
+            return [node(x, v) for node in nodes]
+
+    @functools.cache
+    def build():
+        return _build_tangent(fn, asts, states, bind, exo_values)
+
+    fn.tangent = _lazy_tangent(build)
+    return fn
+
+
+def _lazy_tangent(build):
+    """``tangent(x, dx, e)``, which calls the closure ``build()`` returns;
+    ``tangent.build`` is that (cached) builder, so a caller that evaluates
+    the tangent many times, such as the lift, can take the built closure
+    once and call it directly."""
+
+    def tangent(x, dx, e):
+        return build()(x, dx, e)
+
+    tangent.build = build
+    return tangent
+
+
+def compile_matrix(rows: Sequence[Sequence[Expr]], names: Sequence[str], exo: Iterable[str] = ()):
+    """The matrix form of :func:`compile_map`: ``fn(x, e)`` returns the
+    entries of ``rows`` as a list of rows, from one compiled map over the
+    entries in row-major order, and ``fn.tangent(x, dx, e)`` returns the
+    value rows and the tangent rows of that map's tangent."""
+    flat = compile_map([ast for row in rows for ast in row], names, exo)
+    stops = list(accumulate(len(row) for row in rows))
+    cuts = list(zip([0, *stops], stops))
+    # one row (the RC's g) is the whole list: skipping the cut copies shows in
+    # the audit_rc benchmark end to end (CHANGES.md)
+    if len(rows) == 1:
+        def fn(x, e):
+            return [flat(x, e)]
+    else:
+        def fn(x, e):
+            out = flat(x, e)
+            return [out[a:b] for a, b in cuts]
+
+    @functools.cache
+    def build():
+        flat_tangent = flat.tangent.build()
+        if len(rows) == 1:
+            def tangent(x, dx, e):
+                values, tangents = flat_tangent(x, dx, e)
+                return [values], [tangents]
+        else:
+            def tangent(x, dx, e):
+                values, tangents = flat_tangent(x, dx, e)
+                return [values[a:b] for a, b in cuts], [tangents[a:b] for a, b in cuts]
+
+        return tangent
+
+    fn.tangent = _lazy_tangent(build)
     return fn
 
 
 def _compile(e: Expr, bind: Callable[[Var], Node]) -> Node:
-    if isinstance(e, Const):
-        c = e.value
+    c = _literal(e)
+    if c is not None:
         return lambda x, v: c
     if isinstance(e, Var):
         return bind(e)
     if isinstance(e, Neg):
-        if isinstance(e.operand, Const):  # -c is the same float at build time
-            c = -e.operand.value
-            return lambda x, v: c
         a = _compile(e.operand, bind)
         return lambda x, v: -a(x, v)
     if isinstance(e, Call):
@@ -474,16 +559,27 @@ def _compile_power(node: BinOp, bind) -> Node:
     return inverse_power
 
 
-def _pow_chain(k: int):
+def _pow_chain(k: int, mul=None):
     """``base -> numerics.int_pow(base, k)`` for k >= 1, unrolled into one
     closure per bit of ``k``: the same multiplications in the same order,
-    less int_pow's leading ``1.0 *`` (exact) and its unused last squaring."""
+    less int_pow's leading ``1.0 *`` (exact) and its unused last squaring.
+    ``mul(a, b)``, if given, multiplies in place of ``a * b``."""
 
     def step(k: int, first: bool):
         # ``first``: no factor taken yet, so the step is fn(acc), else fn(out, acc)
         if k == 1:
-            return (lambda acc: acc) if first else (lambda out, acc: out * acc)
+            if first:
+                return lambda acc: acc
+            return (lambda out, acc: out * acc) if mul is None else mul
         rest = step(k >> 1, first and not k & 1)
+        if mul is not None:
+            if k & 1:
+                if first:
+                    return lambda acc: rest(acc, mul(acc, acc))
+                return lambda out, acc: rest(mul(out, acc), mul(acc, acc))
+            if first:
+                return lambda acc: rest(mul(acc, acc))
+            return lambda out, acc: rest(out, mul(acc, acc))
         if k & 1:
             if first:
                 return lambda acc: rest(acc, acc * acc)
@@ -523,6 +619,286 @@ def _compile_call(node: Call, args: list[Node]) -> Node:
     fn = _BINARY_FN[name]
     a, b = args
     return lambda x, v: fn(a(x, v), b(x, v))
+
+
+# ---------------------------------------------------------------------------
+# forward-mode tangents of compiled maps
+#
+# A tangent node is built from an AST node whose value depends on the state.
+# It is a closure ``node(x, dx, v) -> (value, derivative)`` that performs the
+# float operations the DualScalar rules perform for that node on ``x``
+# seeded with ``dx``: the same products in the same order, the same ``_div``
+# and ``_hit`` guards and the same EvalError offsets.  Which rule applies
+# (dual with dual, dual with plain, plain with dual) is decided when the
+# node is built.  A node that reads no state is the plain closure of
+# :func:`_compile`, called as ``p(x, v)``, as the dual rules run it.  The
+# closures only apply Python operators and ``numerics`` functions to the
+# parts, so ``x`` and ``dx`` may be floats, batch arrays or duals.
+
+
+class _KindNotStatic(Exception):
+    """A node whose dual rule can return a plain value from a dual operand
+    (``min``/``max`` of a dual and a plain operand, ``b^0`` of a dual base):
+    whether it is dual is known only when it runs."""
+
+
+def _build_tangent(fn, asts, states, bind, exo_values):
+    """``tangent(x, dx, e) -> (values, tangents)`` of the compiled map ``fn``
+    (see :func:`compile_map`), which reads ``exo_values(e)`` once per call,
+    or nothing if ``exo_values`` is None.  A map with a node of
+    :class:`_KindNotStatic` runs one dual pass of ``fn`` instead."""
+    try:
+        nodes = [_tangent(a, states, bind) for a in asts]
+    except _KindNotStatic:
+        return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
+    # an entry that reads no state has derivative part 0.0, as deriv_part gives
+    if not any(dual for dual, _ in nodes):
+        size = len(nodes)
+        return lambda x, dx, e: (fn(x, e), [0.0] * size)
+    pairs = [node if dual else (lambda p: lambda x, dx, v: (p(x, v), 0.0))(node)
+             for dual, node in nodes]
+    # without exogenous names no node reads v, so split takes e in its place
+    if len(pairs) == 1:
+        # a one-entry map (each RC map) skips the general path's three list builds,
+        # a cost that shows in the audit_rc benchmark end to end (CHANGES.md)
+        pair = pairs[0]
+
+        def split(x, dx, v):
+            value, deriv = pair(x, dx, v)
+            return [value], [deriv]
+    else:
+        def split(x, dx, v):
+            out = [pair(x, dx, v) for pair in pairs]
+            return [value for value, _ in out], [deriv for _, deriv in out]
+
+    if exo_values is None:
+        return split
+    return lambda x, dx, e: split(x, dx, exo_values(e))
+
+
+def _tangent(e: Expr, states, bind):
+    """``(dual, node)``: a dual node ``node(x, dx, v) -> (value, derivative)``
+    if ``e`` reads the state, else the plain node ``node(x, v)``."""
+    if not variables(e) & states.keys():
+        return False, _compile(e, bind)
+    if isinstance(e, Var):
+        k = states[e.name]
+        return True, lambda x, dx, v: (x[k], dx[k])
+    if isinstance(e, Neg):
+        a = _tangent(e.operand, states, bind)[1]
+
+        def neg(x, dx, v):
+            av, ad = a(x, dx, v)
+            return -av, -ad
+
+        return True, neg
+    if isinstance(e, Call):
+        return True, _tangent_call(e, [_tangent(arg, states, bind) for arg in e.args])
+    if e.op == "^":
+        return True, _tangent_power(e, states, bind)
+    left = _tangent(e.left, states, bind)
+    right = _tangent(e.right, states, bind)
+    return True, _TANGENT_BINOPS[e.op](e, left, right)
+
+
+def _tangent_add(node, left, right):
+    (da, a), (db, b) = left, right
+    if da and db:
+        def add(x, dx, v):
+            av, ad = a(x, dx, v)
+            bv, bd = b(x, dx, v)
+            return av + bv, ad + bd
+    elif da:
+        def add(x, dx, v):
+            av, ad = a(x, dx, v)
+            return av + b(x, v), ad
+    else:
+        def add(x, dx, v):
+            p = a(x, v)
+            bv, bd = b(x, dx, v)
+            return bv + p, bd  # DualScalar.__radd__
+    return add
+
+
+def _tangent_sub(node, left, right):
+    (da, a), (db, b) = left, right
+    if da and db:
+        def sub(x, dx, v):
+            av, ad = a(x, dx, v)
+            bv, bd = b(x, dx, v)
+            return av - bv, ad - bd
+    elif da:
+        def sub(x, dx, v):
+            av, ad = a(x, dx, v)
+            return av - b(x, v), ad
+    else:
+        def sub(x, dx, v):
+            p = a(x, v)
+            bv, bd = b(x, dx, v)
+            return p - bv, -bd  # DualScalar.__rsub__
+    return sub
+
+
+def _tangent_mul(node, left, right):
+    (da, a), (db, b) = left, right
+    if da and db:
+        def mul(x, dx, v):
+            av, ad = a(x, dx, v)
+            bv, bd = b(x, dx, v)
+            return av * bv, av * bd + ad * bv
+    elif da:
+        def mul(x, dx, v):
+            av, ad = a(x, dx, v)
+            p = b(x, v)
+            return av * p, ad * p
+    else:
+        def mul(x, dx, v):
+            p = a(x, v)
+            bv, bd = b(x, dx, v)
+            return bv * p, bd * p  # DualScalar.__rmul__
+    return mul
+
+
+def _tangent_div(node, left, right):
+    (da, a), (db, b) = left, right
+    offset = node.offset
+    _div = numerics._div
+    if da and db:
+        def div(x, dx, v):
+            av, ad = a(x, dx, v)
+            bv, bd = b(x, dx, v)
+            if _hit(operator.eq, bv):
+                raise EvalError("division by zero", offset)
+            return _div(av, bv), _div(ad * bv - av * bd, bv * bv)
+    elif da:
+        c = _literal(node.right)
+        if c is not None and c != 0.0:
+            # the guard cannot hit a nonzero literal, and _div(a, c) is a / c; the RC's
+            # f divides by R, and the guard's calls show in audit_rc end to end (CHANGES.md)
+            def div(x, dx, v):
+                av, ad = a(x, dx, v)
+                return av / c, ad / c
+        else:
+            def div(x, dx, v):
+                av, ad = a(x, dx, v)
+                p = b(x, v)
+                if _hit(operator.eq, p):
+                    raise EvalError("division by zero", offset)
+                return _div(av, p), _div(ad, p)
+    else:
+        def div(x, dx, v):
+            p = a(x, v)
+            bv, bd = b(x, dx, v)
+            if _hit(operator.eq, bv):
+                raise EvalError("division by zero", offset)
+            return _div(p, bv), _div(-p * bd, bv * bv)  # DualScalar.__rtruediv__
+    return div
+
+
+_TANGENT_BINOPS = {"+": _tangent_add, "-": _tangent_sub, "*": _tangent_mul, "/": _tangent_div}
+
+
+def _pair_mul(a, b):
+    """DualScalar.__mul__ of two duals, on (value, derivative) pairs."""
+    av, ad = a
+    bv, bd = b
+    return av * bv, av * bd + ad * bv
+
+
+def _tangent_power(node: BinOp, states, bind):
+    k = _integer_literal(node.right)
+    offset = node.offset
+    if k is not None and abs(k) <= 16:
+        if k == 0:
+            raise _KindNotStatic  # the dual rule drops the base's derivative
+        a = _tangent(node.left, states, bind)[1]
+        chain = _pow_chain(abs(k), _pair_mul)
+        if k > 0:
+            return lambda x, dx, v: chain(a(x, dx, v))
+        _div = numerics._div
+
+        def inverse_power(x, dx, v):
+            base = a(x, dx, v)
+            if _hit(operator.eq, base[0]):
+                raise EvalError("zero raised to a negative power", offset)
+            cv, cd = chain(base)
+            return _div(1.0, cv), _div(-1.0 * cd, cv * cv)  # DualScalar.__rtruediv__
+
+        return inverse_power
+    # exp(exponent * log(base)), each rule picked by which operands are dual
+    base_dual, a = _tangent(node.left, states, bind)
+    exponent_dual, b = _tangent(node.right, states, bind)
+    log = numerics.log
+    exp = numerics.exp
+    _div = numerics._div
+
+    def real_power(x, dx, v):
+        base = a(x, dx, v) if base_dual else a(x, v)
+        exponent = b(x, dx, v) if exponent_dual else b(x, v)
+        if _hit(operator.le, base[0] if base_dual else base):
+            raise EvalError("power of a non-positive base with non-integer exponent", offset)
+        if base_dual:
+            lv, ld = base
+            lg = (log(lv), _div(ld, lv))
+            if exponent_dual:
+                pv, pd = _pair_mul(exponent, lg)
+            else:
+                pv, pd = lg[0] * exponent, lg[1] * exponent  # DualScalar.__rmul__
+        else:
+            lg = log(base)
+            ev, ed = exponent
+            pv, pd = ev * lg, ed * lg
+        ex = exp(pv)
+        return ex, ex * pd
+
+    return real_power
+
+
+def _tangent_call(node: Call, args) -> Callable:
+    name = node.name
+    offset = node.offset
+    if name in numerics.DUAL_RULES:
+        rule = numerics.DUAL_RULES[name]
+        a = args[0][1]
+        if name not in _GUARDED_FN:
+            def unary(x, dx, v):
+                av, ad = a(x, dx, v)
+                return rule(av, ad)
+
+            return unary
+        _, test, message = _GUARDED_FN[name]
+
+        def guarded(x, dx, v):
+            av, ad = a(x, dx, v)
+            if _hit(test, av):
+                raise EvalError(message, offset)
+            return rule(av, ad)
+
+        return guarded
+    (da, a), (db, b) = args
+    if name == "atan2":
+        atan2 = numerics._dual_atan2
+
+        def two_argument(x, dx, v):
+            # a plain operand has derivative part 0.0, as deriv_part gives
+            yv, yd = a(x, dx, v) if da else (a(x, v), 0.0)
+            xv, xd = b(x, dx, v) if db else (b(x, v), 0.0)
+            return atan2(yv, yd, xv, xd)
+
+        return two_argument
+    if not (da and db):
+        raise _KindNotStatic  # the dual rule returns whichever operand wins
+    test = operator.le if name == "min" else operator.ge
+
+    def pick(x, dx, v):
+        av, ad = a(x, dx, v)
+        bv, bd = b(x, dx, v)
+        mask = test(numerics._base(av), numerics._base(bv))
+        if isinstance(mask, np.ndarray):
+            return numerics._pick(mask, av, bv), numerics._pick(mask, ad, bd)
+        return (av, ad) if mask else (bv, bd)
+
+    return pick
 
 
 def variables(e: Expr) -> set[str]:

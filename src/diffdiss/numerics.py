@@ -107,7 +107,7 @@ class DualScalar:
         return self
 
     def __abs__(self):
-        return _pick(_base(self) >= 0.0, self, -self)
+        return DualScalar(*_dual_abs(self.value, self.deriv))
 
     def __pow__(self, exponent):
         if isinstance(exponent, DualScalar):
@@ -191,6 +191,12 @@ def deriv_part(x):
     return x.deriv if isinstance(x, DualScalar) else 0.0
 
 
+def dual_parts(out):
+    """The value parts and the derivative parts of the entries of ``out``,
+    the result of one dual pass of a map."""
+    return [value_part(w) for w in out], [deriv_part(w) for w in out]
+
+
 def int_pow(base, k: int):
     """``base ** k`` by repeated squaring; the same float operations on
     plain scalars and on the value part of duals."""
@@ -218,9 +224,65 @@ def _each(fn, *args):
     return np.fromiter(map(fn, *cols), float, len(cols[0]))
 
 
+# The derivative rule of each function, on the parts of a dual: ``rule(v, d)``
+# returns the (value, derivative) pair of ``fn(DualScalar(v, d))``.  The
+# dual functions below and the compiled tangents of ``exprlang`` both call
+# these, so they perform the same float operations.
+
+
+def _dual_sin(v, d):
+    return sin(v), cos(v) * d
+
+
+def _dual_cos(v, d):
+    return cos(v), -sin(v) * d
+
+
+def _dual_tan(v, d):
+    c = cos(v)
+    return tan(v), _div(d, c * c)
+
+
+def _dual_exp(v, d):
+    e = exp(v)
+    return e, e * d
+
+
+def _dual_log(v, d):
+    return log(v), _div(d, v)
+
+
+def _dual_sqrt(v, d):
+    r = sqrt(v)
+    return r, _div(d, 2.0 * r)
+
+
+def _dual_tanh(v, d):
+    t = tanh(v)
+    return t, (1.0 - t * t) * d
+
+
+def _dual_atan2(yv, yd, xv, xd):
+    denom = xv * xv + yv * yv
+    return atan2(yv, xv), _div(xv * yd - yv * xd, denom)
+
+
+def _dual_abs(v, d):
+    # both branches are built, then picked elementwise on a batch
+    mask = _base(v) >= 0.0
+    nv, nd = -v, -d
+    if isinstance(mask, np.ndarray):
+        return _pick(mask, v, nv), _pick(mask, d, nd)
+    return (v, d) if mask else (nv, nd)
+
+
+DUAL_RULES = {"sin": _dual_sin, "cos": _dual_cos, "tan": _dual_tan, "exp": _dual_exp,
+              "log": _dual_log, "sqrt": _dual_sqrt, "tanh": _dual_tanh, "abs": _dual_abs}
+
+
 def sin(x):
     if isinstance(x, DualScalar):
-        return DualScalar(sin(x.value), cos(x.value) * x.deriv)
+        return DualScalar(*_dual_sin(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.sin, x)
     return math.sin(x)
@@ -228,7 +290,7 @@ def sin(x):
 
 def cos(x):
     if isinstance(x, DualScalar):
-        return DualScalar(cos(x.value), -sin(x.value) * x.deriv)
+        return DualScalar(*_dual_cos(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.cos, x)
     return math.cos(x)
@@ -236,8 +298,7 @@ def cos(x):
 
 def tan(x):
     if isinstance(x, DualScalar):
-        c = cos(x.value)
-        return DualScalar(tan(x.value), _div(x.deriv, c * c))
+        return DualScalar(*_dual_tan(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.tan, x)
     return math.tan(x)
@@ -245,8 +306,7 @@ def tan(x):
 
 def exp(x):
     if isinstance(x, DualScalar):
-        e = exp(x.value)
-        return DualScalar(e, e * x.deriv)
+        return DualScalar(*_dual_exp(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.exp, x)
     return math.exp(x)
@@ -254,7 +314,7 @@ def exp(x):
 
 def log(x):
     if isinstance(x, DualScalar):
-        return DualScalar(log(x.value), _div(x.deriv, x.value))
+        return DualScalar(*_dual_log(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.log, x)
     return math.log(x)
@@ -262,8 +322,7 @@ def log(x):
 
 def sqrt(x):
     if isinstance(x, DualScalar):
-        r = sqrt(x.value)
-        return DualScalar(r, _div(x.deriv, 2.0 * r))
+        return DualScalar(*_dual_sqrt(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.sqrt, x)
     return math.sqrt(x)
@@ -271,8 +330,7 @@ def sqrt(x):
 
 def tanh(x):
     if isinstance(x, DualScalar):
-        t = tanh(x.value)
-        return DualScalar(t, (1.0 - t * t) * x.deriv)
+        return DualScalar(*_dual_tanh(x.value, x.deriv))
     if isinstance(x, np.ndarray):
         return _each(math.tanh, x)
     return math.tanh(x)
@@ -280,12 +338,7 @@ def tanh(x):
 
 def atan2(y, x):
     if isinstance(y, DualScalar) or isinstance(x, DualScalar):
-        yv = y.value if isinstance(y, DualScalar) else y
-        xv = x.value if isinstance(x, DualScalar) else x
-        yd = deriv_part(y)
-        xd = deriv_part(x)
-        denom = xv * xv + yv * yv
-        return DualScalar(atan2(yv, xv), _div(xv * yd - yv * xd, denom))
+        return DualScalar(*_dual_atan2(value_part(y), deriv_part(y), value_part(x), deriv_part(x)))
     if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
         return _each(math.atan2, y, x)
     return math.atan2(y, x)
@@ -634,7 +687,7 @@ def _finite_checking(field, nfev: list):
     def wrapped(t, x):
         nfev[0] += 1
         dx = np.asarray(field(t, x), dtype=float)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise _NonFinite(t)
         return dx
 
@@ -655,14 +708,14 @@ def _run_rk4(field, x, t0, t1, dt, times, states):
         for k in range(n_full):
             t = t0 + k * dt
             x = _rk4_step(field, t, x, dt)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise _NonFinite(t)
             t_last = t1 if (k == n_full - 1 and rem <= 1e-12 * max(dt, 1.0)) else t0 + (k + 1) * dt
             times.append(t_last)
             states.append(x.copy())
         if rem > 1e-12 * max(dt, 1.0):
             x = _rk4_step(field, t_last, x, t1 - t_last)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise _NonFinite(t_last)
             times.append(t1)
             states.append(x.copy())
@@ -710,7 +763,7 @@ def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
                 t = t1 if t1 - (t + h) < 1e-14 * max(1.0, abs(t1)) else t + h
                 x = x5
                 k1 = ks[6]
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(x).all():
                     raise _NonFinite(t)
                 times.append(t)
                 states.append(x.copy())

@@ -20,9 +20,25 @@ from .systems import ProlongedTrajectory
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite float {x!r}")
-    if x == int(x) and abs(x) < 1e16:
+    return _fmt_finite(x)
+
+
+def _fmt_finite(x: float) -> str:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
+
+
+def _table_csv(header: list[str], columns) -> str:
+    """CSV of ``header`` over the columns stacked as one float table, rows
+    formatted as :func:`_fmt_float` formats each value.  A non-finite value
+    raises as ``_fmt_float`` does on the first one in row-major order."""
+    table = np.column_stack(columns).astype(float, copy=False)
+    if not np.isfinite(table).all():
+        _fmt_float(float(table.ravel()[~np.isfinite(table.ravel())][0]))
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt_finite, row)) for row in table.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def _json_fragment(obj, out: list[str]) -> None:
@@ -99,20 +115,8 @@ def trace_csv(traj: ProlongedTrajectory) -> str:
     S = traj.S if traj.S is not None else zeros
     Q = traj.Q if traj.Q is not None else zeros
     slack = traj.slack if traj.slack is not None else zeros
-    lines = [",".join(header)]
-    for k, t in enumerate(traj.times):
-        row = (
-            [t]
-            + list(traj.x[k])
-            + list(traj.dx[k])
-            + list(traj.u[k])
-            + list(traj.du[k])
-            + list(traj.y[k])
-            + list(traj.dy[k])
-            + [S[k], Q[k], slack[k]]
-        )
-        lines.append(",".join(_fmt_float(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return _table_csv(header, [traj.times, traj.x, traj.dx, traj.u, traj.du, traj.y, traj.dy,
+                               S, Q, slack])
 
 
 def write_trace_csv(path: str, traj: ProlongedTrajectory) -> None:
@@ -121,10 +125,9 @@ def write_trace_csv(path: str, traj: ProlongedTrajectory) -> None:
 
 def length_gap_csv(times, lengths, gaps) -> str:
     """Homotopy trace: t, L (curve length), gap (endpoint output/state gap)."""
-    lines = ["t,L,gap"]
-    for t, l, g in zip(times, lengths, gaps):
-        lines.append(",".join(_fmt_float(float(v)) for v in (t, l, g)))
-    return "\n".join(lines) + "\n"
+    size = min(len(times), len(lengths), len(gaps))
+    return _table_csv(["t", "L", "gap"], [np.asarray(c, dtype=float)[:size]
+                                         for c in (times, lengths, gaps)])
 
 
 def write_length_gap_csv(path: str, times, lengths, gaps) -> None:

@@ -10,9 +10,14 @@ coefficients under the lift: the displacement of an exogenous signal is
 zero).  All maps take ``(x, e)`` with ``x`` a sequence of scalars (floats
 or dual scalars) and ``e`` a dict of exogenous values, and return nested
 lists.  Evaluability on dual scalars is what makes every map C^1
-accessible to the lift and to the certificate checkers.  The lift also
-reads each map's value from the value part of that dual evaluation, so the
-value on duals must equal the value on floats.
+accessible to the lift and to the certificate checkers.  The lift has two
+paths.  A map compiled from expressions (``exprlang.compile_map`` or
+``compile_matrix``) is lifted through its ``tangent``, which returns the
+value and the Jacobian action on dx from closures that perform the float
+operations of the dual rules, with no dual arithmetic.  Any other map is
+evaluated once on x seeded with dx, and the lift reads its value from the
+value part of that dual evaluation, so the value on duals must equal the
+value on floats.  Both paths give the same bits for the same map.
 
 Batch contract: the entries of ``x`` (and the values in ``e`` and ``u``)
 may be floats, duals, or duals over 1-d float arrays, one element per
@@ -49,14 +54,13 @@ from .numerics import (
     Rk4,
     Stepper,
     batch_rows,
-    deriv_part,
     dot,
+    dual_parts,
     float_value,
     integrate,
     jvp,  # noqa: F401  -- unused here; perfbench/tracing.py patches systems.jvp by name
     scalar_deriv,
     seed,
-    value_part,
 )
 
 
@@ -248,28 +252,33 @@ def lift(sys: DynSystem) -> DynSystem:
     the dy output applies the same Jacobian action to h and i.  Exogenous
     signals enter as frozen coefficients (their displacement is zero).
 
-    Each lifted map evaluates the base map once, on x seeded with dx: the
-    value parts of the result are the map at x and the derivative parts its
-    Jacobian action on dx.
+    A map with a ``tangent`` (every map :func:`exprlang.compile_map` or
+    :func:`exprlang.compile_matrix` returns) is lifted through it: one call
+    gives the map at x and its Jacobian action on dx, from closures that
+    perform the float operations of the dual rules, so the lift is bit for
+    bit what the dual pass gives.  Any other map (a Python callable) is
+    evaluated once on x seeded with dx: the value parts of the result are
+    the map at x and the derivative parts its Jacobian action on dx.
     """
     n, q = sys.n, sys.q
 
     def lift_vector(fun):
+        tangent = _tangent_of(fun, matrix=False)
+
         def lifted(X, e):
-            out = fun(seed(X[:n], X[n:]), e)
-            return [value_part(w) for w in out] + [deriv_part(w) for w in out]
+            values, tangents = tangent(X[:n], X[n:], e)
+            return values + tangents
 
         return lifted
 
     def lift_matrix(fun):
         # [[G, 0], [dG, G]] for an r x q matrix map G
+        tangent = _tangent_of(fun, matrix=True)
+        zero_row = [0.0] * q
+
         def lifted(X, e):
-            rows = fun(seed(X[:n], X[n:]), e)
-            values = [[value_part(w) for w in row] for row in rows]
-            zero_row = [0.0] * q
-            top = [v + zero_row for v in values]
-            bottom = [[deriv_part(w) for w in row] + v for row, v in zip(rows, values)]
-            return top + bottom
+            values, tangents = tangent(X[:n], X[n:], e)
+            return [v + zero_row for v in values] + [d + v for d, v in zip(tangents, values)]
 
         return lifted
 
@@ -280,6 +289,24 @@ def lift(sys: DynSystem) -> DynSystem:
     )
     lifted.base = sys
     return lifted
+
+
+def _tangent_of(fun, matrix: bool):
+    """``tangent(x, dx, e) -> (values, tangents)`` of a map: the built
+    closure of its own ``tangent`` (``tangent.build()``) if it has one, else
+    one dual pass of ``fun`` on x seeded with dx, split into value and
+    derivative parts (row by row for a matrix map)."""
+    tangent = getattr(fun, "tangent", None)
+    if tangent is not None:
+        return tangent.build()
+    if matrix:
+        def dual_tangent(x, dx, e):
+            parts = [dual_parts(row) for row in fun(seed(x, dx), e)]
+            return [values for values, _ in parts], [derivs for _, derivs in parts]
+    else:
+        def dual_tangent(x, dx, e):
+            return dual_parts(fun(seed(x, dx), e))
+    return dual_tangent
 
 
 # ---------------------------------------------------------------------------

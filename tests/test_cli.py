@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from diffdiss.cli import main
 
 
@@ -149,6 +151,59 @@ class TestConfigErrors:
         assert "/storage/projector" in capsys.readouterr().err
         error = json.loads((out / "error_report.json").read_text())
         assert "/storage/projector" in error["error"]
+
+
+class TestLocatedConfigErrors:
+    """Registry and run parameters of the wrong type exit 2 with a JSON pointer."""
+
+    RC = {"system": {"registry": "rc"}, "run": {"x0": [0.2], "t_final": 0.1}}
+    CASES = [
+        ("audit", RC, ("system", "params", "R"), "abc", "/system/params/R"),
+        ("audit", RC, ("system", "params", "q_range"), "ab", "/system/params/q_range"),
+        ("audit", RC, ("system", "params", "q_range"), [0.0, "1"], "/system/params/q_range/1"),
+        ("audit", RC, ("system", "params", "q_range"), [-1.0, 0.0, 1.0], "/system/params/q_range"),
+        ("audit", RC, ("system", "params", "mu"), 5, "/system/params/mu"),
+        ("audit", RC, ("system", "params", "mu"), "q +", "/system/params/mu"),
+        ("audit", RC, ("system", "params", "mu"), "q + z", "/system/params/mu"),
+        ("audit", RC, ("system", "params"), [1.0], "/system/params"),
+        ("audit", RC, ("run", "tol"), "tight", "/run/tol"),
+        ("audit", SCALAR_SYS, ("run",), [1.0], "/run"),
+        ("demo rc", {}, ("system", "params", "R"), "abc", "/system/params/R"),
+        ("demo rc", {}, ("system",), "rc", "/system"),
+        ("demo rc", {}, ("run", "t_final"), "1", "/run/t_final"),
+        ("demo rc", {}, ("run", "n_trajectories"), 2.5, "/run/n_trajectories"),
+        ("demo rc", {}, ("run", "seed"), "7", "/run/seed"),
+        ("demo motor", {}, ("run", "t_final"), None, "/run/t_final"),
+        ("demo lti", {}, ("run", "seed"), True, "/run/seed"),
+        ("homotopy", dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5])),
+         ("run", "n_s"), "9", "/run/n_s"),
+        ("converge", dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5])),
+         ("run", "bound"), "big", "/run/bound"),
+        ("converge", dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5])),
+         ("run", "n_s"), 4.5, "/run/n_s"),
+    ]
+
+    @pytest.mark.parametrize("command, base, keys, value, pointer", CASES,
+                             ids=[f"{c[0]}:{c[4]}" for c in CASES])
+    def test_located(self, tmp_path, capsys, command, base, keys, value, pointer):
+        cfg = json.loads(json.dumps(base))
+        node = cfg
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+        code, out = run(tmp_path, *command.split(), "--config", write_config(tmp_path, cfg))
+        assert code == 2
+        assert f"config error at {pointer}:" in capsys.readouterr().err
+        error = json.loads((out / "error_report.json").read_text())
+        assert f"config error at {pointer}:" in error["error"]
+
+    def test_integral_numbers_still_accepted(self, tmp_path):
+        cfg = {"system": {"params": {"R": 2, "q_range": [-1, 1]}},
+               "run": {"n_trajectories": 2.0, "seed": 5.0, "t_final": 1, "tol": 1}}
+        code, out = run(tmp_path, "demo", "rc", "--config", write_config(tmp_path, cfg))
+        assert code == 0
+        report = json.loads((out / "rc_audit.json").read_text())
+        assert report["n_trajectories"] == 2 and report["seed"] == 5
 
 
 class TestCommands:

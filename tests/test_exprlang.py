@@ -15,12 +15,14 @@ from diffdiss.exprlang import (
     ParseError,
     Var,
     compile_map,
+    compile_matrix,
     evaluate,
     parse,
     to_source,
     variables,
 )
-from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, int_pow, value_part
+from diffdiss import numerics
+from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, int_pow, seed, value_part
 
 
 class TestParse:
@@ -374,6 +376,150 @@ class TestCompileMap:
         fn = compile_map([parse("x1 + 2*w")], ["x1"], ["w"])
         with pytest.raises(EvalError, match="unbound variable 'w' at offset 7"):
             fn([1.0], {})
+
+
+def _all_exprs(depth):
+    """Like ``_exprs``, with every builtin and literal integer exponents from
+    -3 to 3 (``b^0`` and min/max of a dual and a plain operand included)."""
+    if depth == 0:
+        return _exprs(0)
+    sub = _all_exprs(depth - 1)
+    unary = st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh"])
+    binary = st.sampled_from(["atan2", "min", "max"])
+    literal = st.integers(-3, 3).map(lambda k: Const(float(k)) if k >= 0 else Neg(Const(-k)))
+    return st.one_of(
+        _exprs(depth),
+        st.builds(lambda name, a: Call(name, (a,)), unary, sub),
+        st.builds(lambda name, a, b: Call(name, (a, b)), binary, sub, sub),
+        st.builds(lambda a, k: BinOp("^", a, k), sub, literal),
+    )
+
+
+def _tangent_outcome(call):
+    try:
+        values, derivs = call()
+        return [_bits(w) for w in values], [_bits(w) for w in derivs]
+    except Exception as err:  # the same exception type and text is the contract
+        return None, (type(err), str(err), getattr(err, "offset", None))
+
+
+def _dual_pass(fn, x, dx, e):
+    out = fn(seed(x, dx), e)
+    return [value_part(w) for w in out], [deriv_part(w) for w in out]
+
+
+class TestTangent:
+    """``fn.tangent(x, dx, e)`` is the value and derivative parts of
+    ``fn(seed(x, dx), e)`` bit for bit (signed zeros and nan included), or
+    raises the same error with the same text and offset."""
+
+    @staticmethod
+    def _check(asts, x, dx, e):
+        fn = compile_map(asts, _STATES, _EXO)
+        with np.errstate(**FLOAT_ERRORS):
+            got = _tangent_outcome(lambda: fn.tangent(x, dx, e))
+            want = _tangent_outcome(lambda: _dual_pass(fn, x, dx, e))
+        assert got == want
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_floats(self, asts, values, derivs):
+        env = dict(zip(_NAMES, values))
+        self._check(asts, [env[name] for name in _STATES], derivs,
+                    {name: env[name] for name in _EXO})
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(-1e3, 1e3), min_size=5 * _BATCH, max_size=5 * _BATCH),
+           st.lists(st.floats(-10.0, 10.0), min_size=3 * _BATCH, max_size=3 * _BATCH))
+    @settings(max_examples=300, deadline=None)
+    def test_batches(self, asts, values, derivs):
+        env = dict(zip(_NAMES, np.array(values).reshape(5, _BATCH)))
+        self._check(asts, [env[name] for name in _STATES],
+                    list(np.array(derivs).reshape(3, _BATCH)),
+                    {name: env[name] for name in _EXO})
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_dual_inputs(self, asts, values, derivs):
+        env = dict(zip(_NAMES, values))
+        x = [DualScalar(env[name], d) for name, d in zip(_STATES, derivs)]
+        dx = [DualScalar(d, 1.0) for d in derivs[3:]]
+        self._check(asts, x, dx, {name: env[name] for name in _EXO})
+
+    @given(st.lists(_all_exprs(3), min_size=1, max_size=3),
+           st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_every_builtin(self, asts, values, derivs, batch):
+        env = dict(zip(_NAMES, values))
+        x = [env[name] for name in _STATES]
+        e = {name: env[name] for name in _EXO}
+        if batch:  # the same point twice and its negation
+            x = [np.array([v, v, -v]) for v in x]
+            e = {k: np.array([v, v, -v]) for k, v in e.items()}
+            derivs = [np.array([d, -d, d]) for d in derivs]
+        self._check(asts, x, derivs, e)
+
+    @pytest.mark.parametrize("text, x, dx", [
+        ("x * zz", [-0.0, 2.0, 1.0], [1.0, -0.0, 0.0]),
+        ("-x + 0.0 * zz", [0.0, -0.0, 1.0], [-0.0, -0.0, 0.0]),
+        ("x / zz - w1 * y", [1e308, 1e-308, 2.0], [1e308, -1.0, 0.0]),
+        ("(x - x) * zz + abs(w1)", [float("inf"), 1.0, -0.0], [1.0, 1.0, -1.0]),
+        ("1 / (zz - 1)", [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+        ("1 / x", [1e-200, 1.0, 0.0], [1.0, 0.0, 0.0]),
+        ("x^-2 + zz^0.5", [0.0, 4.0, 0.0], [1.0, 1.0, 0.0]),
+        ("log(x) + sqrt(zz)", [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]),
+        ("y + q_c", [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ("min(x, zz) + max(zz, 2)", [1.0, 1.0, 0.0], [3.0, -1.0, 0.0]),
+        ("x^0 + w1", [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),
+    ])
+    def test_fixed_cases(self, text, x, dx):
+        self._check([parse(text)], x, dx, {"y": -0.0, "q_c": float("nan")})
+
+    @pytest.mark.parametrize("text", ["x^-2", "1 / x", "zz / x", "x^-3 * zz", "abs(x) - min(x, zz)"])
+    def test_fixed_batch_cases(self, text):
+        # 1e-200 squared underflows to 0: the derivative's (or a power's) divisor is zero
+        x = [np.array([1e-200, 1.0, -0.0]), np.array([2.0, -0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
+        dx = [np.array([1.0, -1.0, 0.0])] * 3
+        self._check([parse(text)], [a[:2] for a in x], [d[:2] for d in dx], {})
+        self._check([parse(text)], [a[1:] for a in x], [d[1:] for d in dx], {})
+
+    def test_missing_exo_is_unbound(self):
+        fn = compile_map([parse("x1 + 2*w")], ["x1"], ["w"])
+        with pytest.raises(EvalError, match="unbound variable 'w' at offset 7"):
+            fn.tangent([1.0], [1.0], {})
+
+    def test_runs_no_dual_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("seed was called")
+
+        monkeypatch.setattr(numerics, "seed", refuse)
+        fn = compile_map([parse("-(x + x^3)/2 + sin(x) * y"), parse("min(x, x*x)"), parse("3")],
+                         ["x"], ["y"])
+        values, derivs = fn.tangent([0.5], [2.0], {"y": 1.5})
+        assert values == fn([0.5], {"y": 1.5})
+        assert derivs[2] == 0.0
+
+    def test_built_once(self):
+        for fn in (compile_map([parse("x*x")], ["x"]), compile_matrix([[parse("x*x")]], ["x"])):
+            built = fn.tangent.build()
+            assert fn.tangent.build() is built
+            assert fn.tangent([3.0], [1.0], None) == built([3.0], [1.0], None)
+
+    def test_matrix_form(self):
+        rows = [[parse("x"), parse("2")], [parse("x*y"), parse("min(x, 1)")]]
+        fn = compile_matrix(rows, ["x"], ["y"])
+        assert fn([3.0], {"y": 2.0}) == [[3.0, 2.0], [6.0, 1.0]]
+        assert fn.tangent([3.0], [0.5], {"y": 2.0}) == ([[3.0, 2.0], [6.0, 1.0]],
+                                                        [[0.5, 0.0], [1.0, 0.0]])
+        row = compile_matrix([[parse("x*x"), parse("y")]], ["x"], ["y"])
+        assert row([3.0], {"y": 2.0}) == [[9.0, 2.0]]
+        assert row.tangent([3.0], [1.0], {"y": 2.0}) == ([[9.0, 2.0]], [[6.0, 0.0]])
 
 
 class TestPrinter:

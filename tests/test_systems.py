@@ -227,6 +227,69 @@ class TestBatchLift:
             lifted.f([np.array([0.5, -0.5]), np.array([1.0, 1.0])], {})
 
 
+def _tangent_free_config_system():
+    """An expression system whose maps all have static dual kinds (no min/max
+    of a dual and a plain operand), with an exogenous signal and a throughput."""
+    from diffdiss.cli import _build_expr_system
+
+    spec = {
+        "n": 2, "q": 2,
+        "f": ["sin(x1) * cos(x2) - tan(x1 / 4) + w * x2",
+              "exp(-x1^2) - log(2 + x2^2) + sqrt(1 + x1^2)^1.5 - x2^3 / (1 + x1^2)"],
+        "g": [["1 + abs(x1)", "tanh(x2)"], ["atan2(x2, x1 + 3)", "min(x1, x2) + 2"]],
+        "h": ["x1 / (2 + w) + x2", "atan2(x1, 2)"],
+        "i": [["0.5", "0"], ["x2^-2", "1 + abs(x2)"]],
+        "exo": {"w": {"kind": "expr", "expr": "sin(3*t)"}},
+    }
+    return _build_expr_system(spec, "/system")
+
+
+def _python_maps(sys):
+    """The same system with each map wrapped in a Python callable, which the
+    lift evaluates through a dual pass."""
+    wrap = lambda fun: None if fun is None else (lambda x, e: fun(x, e))
+    return DynSystem(sys.n, sys.q, wrap(sys.f), wrap(sys.g), wrap(sys.h), i=wrap(sys.i),
+                     exo=sys.exo, name=sys.name)
+
+
+class TestTangentLift:
+    """Expression maps are lifted through their compiled tangents; the result
+    is bit for bit the dual lift of the same maps."""
+
+    SYSTEMS = {"rc": lambda: rc_circuit().system, "config": _tangent_free_config_system,
+               "config-min-max": _config_system}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_tangent_lift_equals_dual_lift(self, name, rng):
+        sys = self.SYSTEMS[name]()
+        python = _python_maps(sys)
+        m = 4
+        x0s = rng.uniform(-0.8, 0.8, size=(m, sys.n)) + 1.5 * (name != "rc")
+        dx0s = rng.uniform(-1.0, 1.0, size=(m, sys.n))
+        u = [Signal.from_expr(f"{k + 1}*sin(t)") for k in range(sys.q)]
+        du = [Signal.from_expr(f"cos({k + 2}*t)") for k in range(sys.q)]
+        for x0, dx0 in ((x0s, dx0s), (x0s[:1], dx0s[:1])):
+            got = simulate_ensemble(sys, x0, dx0, u=u, du=du, t_final=0.2, stepper=Rk4(1e-2))
+            want = simulate_ensemble(python, x0, dx0, u=u, du=du, t_final=0.2,
+                                     stepper=Rk4(1e-2))
+            for a, b in zip(got, want):
+                _assert_same_run(a, b)
+
+    @pytest.mark.parametrize("name", ["rc", "config"])
+    def test_lift_runs_no_dual_pass(self, name, rng, monkeypatch):
+        import diffdiss.systems
+
+        def refuse(*args):
+            raise AssertionError("systems.seed was called")
+
+        monkeypatch.setattr(diffdiss.systems, "seed", refuse)
+        sys = self.SYSTEMS[name]()
+        x0s = rng.uniform(1.0, 1.5, size=(3, sys.n))
+        u = [Signal.from_expr("sin(t)")] * sys.q
+        simulate_ensemble(sys, x0s, x0s - 1.0, u=u, t_final=0.05, stepper=Rk4(1e-2))
+        simulate_prolonged(sys, x0s[0], x0s[1], u=u, t_final=0.05, stepper=Rk4(1e-2))
+
+
 class TestSimulate:
     def test_decay_to_one_over_e(self):
         traj = simulate(scalar_leaky(), [1.0], t_final=1.0, stepper=Rk4(1e-3))
