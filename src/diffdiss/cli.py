@@ -42,7 +42,7 @@ from .incremental import (
 from .interconnect import check_equalization, output_feedback, state_feedback
 from .numerics import Rk4, Rk45, sin as d_sin
 from .serialize import write_json, write_length_gap_csv, write_trace_csv
-from .systems import Signal, simulate_ensemble, simulate_prolonged
+from .systems import DynSystem, Signal, simulate_ensemble, simulate_prolonged
 
 
 class ConfigError(Exception):
@@ -61,6 +61,12 @@ def _get(cfg: dict, path: str, key: str, required: bool = False, default=None):
     return cfg[key]
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    return value
+
+
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
@@ -75,63 +81,61 @@ def _as_int(value, path: str) -> int:
     return int(value)
 
 
-def _as_float_list(value, path: str) -> list[float]:
+def _as_list(value, path: str, item=_as_float, size: int | None = None) -> list:
+    """The list at ``path`` (of ``size`` entries, if given), each entry read
+    by ``item`` at its own pointer."""
     if not isinstance(value, list):
         raise ConfigError(path, "expected a list of numbers")
-    return [_as_float(v, f"{path}/{k}") for k, v in enumerate(value)]
+    if size is not None and len(value) != size:
+        raise ConfigError(path, f"expected {size} entries, got {len(value)}")
+    return [item(v, f"{path}/{k}") for k, v in enumerate(value)]
 
 
 def _as_matrix(value, path: str) -> list[list[float]]:
     if not isinstance(value, list) or not value or not isinstance(value[0], list):
         raise ConfigError(path, "expected a nested list (matrix)")
-    return [_as_float_list(row, f"{path}/{r}") for r, row in enumerate(value)]
+    return [_as_list(row, f"{path}/{r}") for r, row in enumerate(value)]
 
 
 # ---------------------------------------------------------------------------
 # expression and signal builders
 
 
-def _parse_expr(text, path: str) -> exprlang.Expr:
+def _expr(text, allowed: set[str], path: str) -> exprlang.Expr:
+    """The parsed expression ``text``, which may use only the names in ``allowed``."""
     if not isinstance(text, str):
         raise ConfigError(path, "expected an expression string")
     try:
-        return exprlang.parse(text)
+        ast = exprlang.parse(text)
     except exprlang.ParseError as err:
         raise ConfigError(path, str(err)) from None
-
-
-def _check_vars(ast, allowed: set[str], path: str) -> None:
     extra = exprlang.variables(ast) - allowed
     if extra:
         raise ConfigError(path, f"unknown variable(s) {sorted(extra)}")
+    return ast
 
 
-def _vector_fn(entries, names: list[str], exo_names: set[str], path: str):
-    if not isinstance(entries, list):
-        raise ConfigError(path, "expected a list of expression strings")
-    asts = [_parse_expr(s, f"{path}/{k}") for k, s in enumerate(entries)]
-    allowed = set(names) | exo_names
-    for k, ast in enumerate(asts):
-        _check_vars(ast, allowed, f"{path}/{k}")
-    return exprlang.compile_map(asts, names, exo_names), len(asts)
+def _vector_fn(entries, names: list[str], exo: set[str], path: str, size: int):
+    """The compiled map of the ``size`` expression strings at ``path``."""
+    if not isinstance(entries, list) or len(entries) != size:
+        raise ConfigError(path, f"expected a list of {size} expression strings")
+    allowed = set(names) | exo
+    asts = [_expr(s, allowed, f"{path}/{k}") for k, s in enumerate(entries)]
+    return exprlang.compile_map(asts, names, exo)
 
 
-def _matrix_fn(entries, names: list[str], exo_names: set[str], path: str):
-    if not isinstance(entries, list) or not entries or not isinstance(entries[0], list):
-        raise ConfigError(path, "expected a nested list of expression strings")
+def _matrix_fn(entries, names: list[str], exo: set[str], path: str, shape: tuple[int, int]):
+    """The compiled matrix map of the ``shape`` nested expression strings at ``path``."""
+    rows, cols = shape
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise ConfigError(path, f"expected {rows} rows of {cols} expression strings")
+    allowed = set(names) | exo
+    asts = []
     for r, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != len(entries[0]):
-            raise ConfigError(f"{path}/{r}", f"expected a row of {len(entries[0])} "
-                                             "expression strings, like row 0")
-    asts = [
-        [_parse_expr(s, f"{path}/{r}/{c}") for c, s in enumerate(row)]
-        for r, row in enumerate(entries)
-    ]
-    allowed = set(names) | exo_names
-    for r, row in enumerate(asts):
-        for c, ast in enumerate(row):
-            _check_vars(ast, allowed, f"{path}/{r}/{c}")
-    return exprlang.compile_matrix(asts, names, exo_names), (len(asts), len(asts[0]))
+        if not isinstance(row, list) or len(row) != cols:
+            raise ConfigError(f"{path}/{r}", f"expected a row of {cols} expression strings")
+        asts.append([_expr(s, allowed, f"{path}/{r}/{c}") for c, s in enumerate(row)])
+    return exprlang.compile_matrix(asts, names, exo)
 
 
 def _signal(spec, path: str) -> Signal:
@@ -145,13 +149,10 @@ def _signal(spec, path: str) -> Signal:
     if kind == "constant":
         return Signal.constant(_as_float(_get(spec, path, "value", required=True), f"{path}/value"))
     if kind == "expr":
-        text = _get(spec, path, "expr", required=True)
-        ast = _parse_expr(text, f"{path}/expr")
-        _check_vars(ast, {"t"}, f"{path}/expr")
-        return Signal.from_expr(ast)
+        return Signal.from_expr(_expr(_get(spec, path, "expr", required=True), {"t"}, f"{path}/expr"))
     if kind == "sampled":
-        times = _as_float_list(_get(spec, path, "times", required=True), f"{path}/times")
-        values = _as_float_list(_get(spec, path, "values", required=True), f"{path}/values")
+        times = _as_list(_get(spec, path, "times", required=True), f"{path}/times")
+        values = _as_list(_get(spec, path, "values", required=True), f"{path}/values")
         return Signal.sampled(times, values)
     raise ConfigError(f"{path}/kind", f"unknown signal kind {kind!r}")
 
@@ -175,43 +176,34 @@ def _state_names(n: int) -> list[str]:
     return [f"x{k + 1}" for k in range(n)]
 
 
+def _dimension(spec: dict, path: str, key: str) -> int:
+    value = _as_int(_get(spec, path, key, required=True), f"{path}/{key}")
+    if value < 1:
+        raise ConfigError(f"{path}/{key}", f"expected a positive integer, got {value}")
+    return value
+
+
 def _build_expr_system(spec: dict, path: str):
-    n = int(_as_float(_get(spec, path, "n", required=True), f"{path}/n"))
-    q = int(_as_float(_get(spec, path, "q", required=True), f"{path}/q"))
-    exo_spec = _get(spec, path, "exo", default={}) or {}
-    if not isinstance(exo_spec, dict):
-        raise ConfigError(f"{path}/exo", "expected an object of named signals")
+    n = _dimension(spec, path, "n")
+    q = _dimension(spec, path, "q")
     names = _state_names(n)
     exo = {}
-    for name, s in exo_spec.items():
+    for name, s in _object(_get(spec, path, "exo", default={}) or {}, f"{path}/exo").items():
         if name in names:
             raise ConfigError(f"{path}/exo/{name}", f"exogenous signal {name!r} shadows a state")
         exo[name] = _signal(s, f"{path}/exo/{name}")
     exo_names = set(exo)
-    f, nf = _vector_fn(_get(spec, path, "f", required=True), names, exo_names, f"{path}/f")
-    if nf != n:
-        raise ConfigError(f"{path}/f", f"expected {n} entries, got {nf}")
-    g, gshape = _matrix_fn(_get(spec, path, "g", required=True), names, exo_names, f"{path}/g")
-    if gshape != (n, q):
-        raise ConfigError(f"{path}/g", f"expected {n}x{q} entries, got {gshape[0]}x{gshape[1]}")
-    h, nh = _vector_fn(_get(spec, path, "h", required=True), names, exo_names, f"{path}/h")
-    if nh != q:
-        raise ConfigError(f"{path}/h", f"expected {q} entries, got {nh}")
-    i_fn = None
-    if _get(spec, path, "i") is not None:
-        i_fn, ishape = _matrix_fn(spec["i"], names, exo_names, f"{path}/i")
-        if ishape != (q, q):
-            raise ConfigError(f"{path}/i", f"expected {q}x{q} entries")
-    from .systems import DynSystem
-
+    f = _vector_fn(_get(spec, path, "f", required=True), names, exo_names, f"{path}/f", n)
+    g = _matrix_fn(_get(spec, path, "g", required=True), names, exo_names, f"{path}/g", (n, q))
+    h = _vector_fn(_get(spec, path, "h", required=True), names, exo_names, f"{path}/h", q)
+    i_spec = _get(spec, path, "i")
+    i_fn = None if i_spec is None else _matrix_fn(i_spec, names, exo_names, f"{path}/i", (q, q))
     return DynSystem(n, q, f, g, h, i=i_fn, exo=exo, name="config-system")
 
 
 def _build_system(cfg: dict, path: str = "/system"):
     """Returns (system, bundle) where bundle may carry registry extras."""
-    spec = _get(cfg, "", "system", required=True)
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
+    spec = _object(_get(cfg, "", "system", required=True), path)
     registry = _get(spec, path, "registry")
     if registry is None:
         return _build_expr_system(spec, path), None
@@ -252,51 +244,36 @@ def _build_system(cfg: dict, path: str = "/system"):
 
 
 def _registry_params(spec: dict, path: str) -> dict:
-    params = _get(spec, path, "params", default={}) or {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}/params", "expected an object")
-    return params
+    return _object(_get(spec, path, "params", default={}) or {}, f"{path}/params")
 
 
 def _rc_bundle(params: dict, path: str):
     """The registry RC circuit from its ``params`` object at ``path``."""
     R = _as_float(params.get("R", 1.0), f"{path}/R")
-    mu = _parse_expr(params.get("mu", "q + q^3"), f"{path}/mu")
-    _check_vars(mu, {"q"}, f"{path}/mu")
-    q_range = _as_float_list(params.get("q_range", [-1.5, 1.5]), f"{path}/q_range")
-    if len(q_range) != 2:
-        raise ConfigError(f"{path}/q_range", f"expected [lo, hi], got {len(q_range)} numbers")
+    mu = _expr(params.get("mu", "q + q^3"), {"q"}, f"{path}/mu")
+    q_range = _as_list(params.get("q_range", [-1.5, 1.5]), f"{path}/q_range", size=2)
     return rc_circuit(RcParams(R=R, mu=mu, q_range=tuple(q_range)))
 
 
-def _build_storage(cfg: dict, sys_, bundle, key: str = "storage", required: bool = False):
+def _build_storage(cfg: dict, sys_, bundle, required: bool = False,
+                   key: str = "storage", parent: str = ""):
+    """The storage at ``{parent}/{key}``, or the one attached to the system."""
     spec = cfg.get(key)
+    path = f"{parent}/{key}"
     if spec is None:
         attached = getattr(bundle, "storage", None) or sys_.storage
         if attached is None and required:
-            raise ConfigError(f"/{key}", "missing storage (and system has none attached)")
+            raise ConfigError(path, "missing storage (and system has none attached)")
         return attached
-    path = f"/{key}"
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
-    m_spec = _get(spec, path, "M", required=True)
-    c1 = _as_float(spec.get("c1", 1.0), f"{path}/c1")
-    c2 = _as_float(spec.get("c2", 1.0), f"{path}/c2")
-    names = _state_names(sys_.n)
+    m_spec = _get(_object(spec, path), path, "M", required=True)
+    names, shape = _state_names(sys_.n), (sys_.n, sys_.n)
     if m_spec == "identity":
         m_fun = QuadraticDifferentialStorage.identity(sys_.n).m_fun
     else:
-        m_rows, shape = _matrix_fn(m_spec, names, set(), f"{path}/M")
-        if shape != (sys_.n, sys_.n):
-            raise ConfigError(f"{path}/M", f"expected {sys_.n}x{sys_.n}")
-        m_fun = lambda x: m_rows(x, {})
-    p_fun = None
-    if spec.get("projector") is not None:
-        p_rows, pshape = _matrix_fn(spec["projector"], names, set(), f"{path}/projector")
-        if pshape != (sys_.n, sys_.n):
-            raise ConfigError(f"{path}/projector", f"expected {sys_.n}x{sys_.n}")
-        p_fun = lambda x: p_rows(x, {})
-    return QuadraticDifferentialStorage(m_fun, sys_.n, p_fun=p_fun, c1=c1, c2=c2)
+        m_fun = _matrix_fn(m_spec, names, set(), f"{path}/M", shape)
+    p_spec = spec.get("projector")
+    p_fun = None if p_spec is None else _matrix_fn(p_spec, names, set(), f"{path}/projector", shape)
+    return QuadraticDifferentialStorage(m_fun, sys_.n, p_fun=p_fun)
 
 
 def _reject_projector(cfg: dict, command: str) -> None:
@@ -305,17 +282,17 @@ def _reject_projector(cfg: dict, command: str) -> None:
         raise ConfigError("/storage/projector", f"{command} does not support a projector")
 
 
-def _build_supply(cfg: dict, sys_, bundle, key: str = "supply", required: bool = False):
+def _build_supply(cfg: dict, sys_, bundle, required: bool = False,
+                  key: str = "supply", parent: str = ""):
+    """The supply at ``{parent}/{key}``, or the one attached to the system."""
     spec = cfg.get(key)
+    path = f"{parent}/{key}"
     if spec is None:
         attached = getattr(bundle, "supply", None) or sys_.supply
         if attached is None and required:
-            raise ConfigError(f"/{key}", "missing supply (and system has none attached)")
+            raise ConfigError(path, "missing supply (and system has none attached)")
         return attached
-    path = f"/{key}"
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
-    w_spec = _get(spec, path, "W", required=True)
+    w_spec = _get(_object(spec, path), path, "W", required=True)
     strictness = spec.get("strictness", "none")
     if strictness not in ("none", "output", "state"):
         raise ConfigError(f"{path}/strictness", f"unknown strictness {strictness!r}")
@@ -325,17 +302,12 @@ def _build_supply(cfg: dict, sys_, bundle, key: str = "supply", required: bool =
         rate = lambda s: lam * s
     if w_spec == "identity":
         return SupplyRate.identity(sys_.q, strictness, rate)
-    w_fun, shape = _matrix_fn(w_spec, _state_names(sys_.n), set(), f"{path}/W")
-    if shape != (sys_.q, sys_.q):
-        raise ConfigError(f"{path}/W", f"expected {sys_.q}x{sys_.q}")
-    return SupplyRate(lambda x: w_fun(x, {}), sys_.q, strictness, rate)
+    w_fun = _matrix_fn(w_spec, _state_names(sys_.n), set(), f"{path}/W", (sys_.q, sys_.q))
+    return SupplyRate(w_fun, sys_.q, strictness, rate)
 
 
 def _run(cfg: dict) -> dict:
-    run = cfg.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("/run", "expected an object")
-    return run
+    return _object(cfg.get("run", {}), "/run")
 
 
 def _build_stepper(cfg: dict, args) -> Rk4 | Rk45:
@@ -358,29 +330,37 @@ def _build_grid(cfg: dict, key: str, n: int, seed: int, default_span=2.0) -> Gri
     if spec is None:
         return GridSpec.box([-default_span] * n, [default_span] * n, [9] * n, seed=seed)
     path = f"/{key}"
-    lo = _as_float_list(_get(spec, path, "lo", required=True), f"{path}/lo")
-    hi = _as_float_list(_get(spec, path, "hi", required=True), f"{path}/hi")
-    counts = [int(v) for v in _as_float_list(_get(spec, path, "counts", required=True), f"{path}/counts")]
+    spec = _object(spec, path)
+    lo, hi, counts = (
+        _as_list(_get(spec, path, name, required=True), f"{path}/{name}", item, n)
+        for name, item in (("lo", _as_float), ("hi", _as_float), ("counts", _as_int))
+    )
+    extra_random = _as_int(spec.get("extra_random", 0), f"{path}/extra_random")
+    seed = _as_int(spec.get("seed", seed), f"{path}/seed")
     try:
-        return GridSpec.box(lo, hi, counts, int(spec.get("extra_random", 0)),
-                            int(spec.get("seed", seed)))
+        return GridSpec.box(lo, hi, counts, extra_random, seed)
     except ValueError as err:
         raise ConfigError(path, str(err)) from None
 
 
+def _point(cfg: dict, key: str, n: int, required: bool = False) -> list[float]:
+    """The ``n`` numbers at ``/run/<key>``; zeros if it is absent and not required."""
+    return _as_list(_get(_run(cfg), "/run", key, required, [0.0] * n), f"/run/{key}", size=n)
+
+
+def _t_final(cfg: dict, args, default: float) -> float:
+    if args.t_final is not None:
+        return args.t_final
+    return _as_float(_run(cfg).get("t_final", default), "/run/t_final")
+
+
 def _run_params(cfg: dict, sys_, args):
     run = _run(cfg)
-    path = "/run"
-    x0 = _as_float_list(_get(run, path, "x0", default=[0.0] * sys_.n), f"{path}/x0")
-    dx0 = _as_float_list(_get(run, path, "dx0", default=[0.0] * sys_.n), f"{path}/dx0")
-    if len(x0) != sys_.n or len(dx0) != sys_.n:
-        raise ConfigError(f"{path}/x0", f"x0 and dx0 must have {sys_.n} entries")
-    t_final = args.t_final if args.t_final is not None else _as_float(
-        run.get("t_final", 1.0), f"{path}/t_final"
-    )
-    u = _signal_vector(run.get("u"), sys_.q, f"{path}/u")
-    du = _signal_vector(run.get("du"), sys_.q, f"{path}/du")
-    return x0, dx0, u, du, t_final
+    x0 = _point(cfg, "x0", sys_.n)
+    dx0 = _point(cfg, "dx0", sys_.n)
+    u = _signal_vector(run.get("u"), sys_.q, "/run/u")
+    du = _signal_vector(run.get("du"), sys_.q, "/run/du")
+    return x0, dx0, u, du, _t_final(cfg, args, 1.0)
 
 
 def _seed(cfg: dict, args) -> int:
@@ -404,11 +384,25 @@ def _say(args, text: str) -> None:
         print(text)
 
 
+def _simulated(cfg: dict, sys_, args):
+    """The prolonged trajectory of ``sys_`` under the run parameters of ``cfg``."""
+    x0, dx0, u, du, t_final = _run_params(cfg, sys_, args)
+    return simulate_prolonged(sys_, x0, dx0, u=u, du=du, t_final=t_final,
+                              stepper=_build_stepper(cfg, args))
+
+
+def _finish(args, out_dir: str, name: str, payload: dict, text: str) -> int:
+    """Write the report ``payload`` to ``name``, say ``text`` with its verdict,
+    and return the verdict's exit code."""
+    write_json(os.path.join(out_dir, name), payload)
+    passed = payload["passed"]
+    _say(args, f"{text}: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
+
+
 def cmd_simulate(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
-    x0, dx0, u, du, t_final = _run_params(cfg, sys_, args)
-    stepper = _build_stepper(cfg, args)
-    traj = simulate_prolonged(sys_, x0, dx0, u=u, du=du, t_final=t_final, stepper=stepper)
+    traj = _simulated(cfg, sys_, args)
     storage = _build_storage(cfg, sys_, bundle)
     supply = _build_supply(cfg, sys_, bundle)
     if storage is not None and supply is not None:
@@ -427,7 +421,7 @@ def cmd_simulate(cfg, args, out_dir):
         write_json(os.path.join(out_dir, "trajectory.json"), payload)
     else:
         write_trace_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    _say(args, f"simulated {len(traj.times)} samples over [0, {t_final}]")
+    _say(args, f"simulated {len(traj.times)} samples over [0, {traj.times[-1]:.6g}]")
     return 0
 
 
@@ -435,29 +429,32 @@ def cmd_audit(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
     storage = _build_storage(cfg, sys_, bundle, required=True)
     supply = _build_supply(cfg, sys_, bundle, required=True)
-    x0, dx0, u, du, t_final = _run_params(cfg, sys_, args)
-    stepper = _build_stepper(cfg, args)
-    traj = simulate_prolonged(sys_, x0, dx0, u=u, du=du, t_final=t_final, stepper=stepper)
+    traj = _simulated(cfg, sys_, args)
     report = audit(traj, storage, supply, tol=_tol(cfg, args, 1e-9))
-    write_json(os.path.join(out_dir, "audit_report.json"), report.to_json_dict())
     write_trace_csv(os.path.join(out_dir, "audit_trace.csv"), traj)
-    _say(args, f"audit {'PASS' if report.passed else 'FAIL'} "
-               f"(worst violation {report.worst_violation:.3e} at t={report.worst_time:.3g})")
-    return 0 if report.passed else 1
+    return _finish(args, out_dir, "audit_report.json", report.to_json_dict(),
+                   f"audit (worst violation {report.worst_violation:.3e} "
+                   f"at t={report.worst_time:.3g})")
+
+
+def _certificate_uc(cfg: dict, args, command: str):
+    """``(system, storage, supply, report)``: the uniform-tensor passivity
+    certificate of the system of ``cfg`` checked on its grid."""
+    sys_, bundle = _build_system(cfg)
+    storage = _build_storage(cfg, sys_, bundle, required=True)
+    _reject_projector(cfg, command)
+    supply = _build_supply(cfg, sys_, bundle, required=True)
+    pi = _as_matrix(_get(cfg, "", "pi", required=True), "/pi")
+    if np.shape(pi) != (sys_.n, sys_.q):
+        raise ConfigError("/pi", f"expected {sys_.n} rows of {sys_.q} numbers")
+    grid = _build_grid(cfg, "grid", sys_.n, _seed(cfg, args))
+    return sys_, storage, supply, check_uc(sys_, storage.m_fun, pi, supply.w_fun, grid)
 
 
 def cmd_certify_uc(cfg, args, out_dir):
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle, required=True)
-    _reject_projector(cfg, "certify-uc")
-    supply = _build_supply(cfg, sys_, bundle, required=True)
-    pi = _as_matrix(_get(cfg, "", "pi", required=True), "/pi")
-    seed = _seed(cfg, args)
-    grid = _build_grid(cfg, "grid", sys_.n, seed)
-    report = check_uc(sys_, storage.m_fun, pi, supply.w_fun, grid)
-    write_json(os.path.join(out_dir, "certificate_report.json"), report.to_json_dict())
-    _say(args, f"certificate {'PASS' if report.passed else 'FAIL'} over {report.n_points} points")
-    return 0 if report.passed else 1
+    report = _certificate_uc(cfg, args, "certify-uc")[-1]
+    return _finish(args, out_dir, "certificate_report.json", report.to_json_dict(),
+                   f"certificate over {report.n_points} points")
 
 
 def cmd_certify_ap(cfg, args, out_dir):
@@ -469,87 +466,68 @@ def cmd_certify_ap(cfg, args, out_dir):
     grid_x = _build_grid(cfg, "grid", sys_.n, seed)
     grid_u = _build_grid(cfg, "grid_u", sys_.q, seed + 1, default_span=1.0)
     report = check_ap(sys_, storage.m_fun, supply.w_fun, grid_x, grid_u)
-    write_json(os.path.join(out_dir, "certificate_report.json"), report.to_json_dict())
-    _say(args, f"certificate {'PASS' if report.passed else 'FAIL'} over {report.n_points} points")
-    return 0 if report.passed else 1
+    return _finish(args, out_dir, "certificate_report.json", report.to_json_dict(),
+                   f"certificate over {report.n_points} points")
 
 
 def cmd_interconnect(cfg, args, out_dir):
     sys1, bundle1 = _build_system(cfg)
-    ic = _get(cfg, "", "interconnect", required=True)
     path = "/interconnect"
-    spec2 = {"system": _get(ic, path, "system2", required=True)}
-    sys2, bundle2 = _build_system(spec2, f"{path}/system2")
+    ic = _object(_get(cfg, "", "interconnect", required=True), path)
+    sys2, bundle2 = _build_system({"system": _get(ic, path, "system2", required=True)},
+                                  f"{path}/system2")
     sys1.storage = _build_storage(cfg, sys1, bundle1)
     sys1.supply = _build_supply(cfg, sys1, bundle1)
-    sys2.storage = _build_storage({"storage": ic.get("storage2")}, sys2, bundle2)
-    sys2.supply = _build_supply({"supply": ic.get("supply2")}, sys2, bundle2)
+    sys2.storage = _build_storage(ic, sys2, bundle2, key="storage2", parent=path)
+    sys2.supply = _build_supply(ic, sys2, bundle2, key="supply2", parent=path)
     coupling = _get(ic, path, "coupling", default="output")
-    report_extra = {}
+    eq = None
     if coupling == "output":
         loop = output_feedback(sys1, sys2)
     elif coupling == "state":
-        k1, nk1 = _vector_fn(_get(ic, path, "k1", required=True),
-                             _state_names(sys1.n), set(), f"{path}/k1")
-        k2, nk2 = _vector_fn(_get(ic, path, "k2", required=True),
-                             _state_names(sys2.n), set(), f"{path}/k2")
-        if nk1 != sys2.q or nk2 != sys1.q:
-            raise ConfigError(f"{path}/k1", "feedback maps must match port dimensions")
-        k1_fn = lambda x: k1(x, {})
-        k2_fn = lambda x: k2(x, {})
-        loop = state_feedback(sys1, sys2, k1_fn, k2_fn)
+        k1 = _vector_fn(_get(ic, path, "k1", required=True), _state_names(sys1.n), set(),
+                        f"{path}/k1", sys2.q)
+        k2 = _vector_fn(_get(ic, path, "k2", required=True), _state_names(sys2.n), set(),
+                        f"{path}/k2", sys1.q)
+        loop = state_feedback(sys1, sys2, k1, k2)
         if sys1.supply is not None and sys2.supply is not None:
-            eq = check_equalization(
-                sys1, sys2, k1_fn, k2_fn, sys1.supply.w_fun, sys2.supply.w_fun,
-                seed=_seed(cfg, args),
-            )
-            report_extra["equalization"] = eq.to_json_dict()
+            eq = check_equalization(sys1, sys2, k1, k2, sys1.supply.w_fun, sys2.supply.w_fun,
+                                    seed=_seed(cfg, args))
     else:
         raise ConfigError(f"{path}/coupling", f"unknown coupling {coupling!r}")
-    x0, dx0, u, du, t_final = _run_params(cfg, loop, args)
-    stepper = _build_stepper(cfg, args)
-    traj = simulate_prolonged(loop, x0, dx0, u=u, du=du, t_final=t_final, stepper=stepper)
+    traj = _simulated(cfg, loop, args)
     if loop.storage is None or loop.supply is None:
         raise ConfigError("/storage", "both subsystems need storage and supply for the loop audit")
-    report = audit(traj, loop.storage, loop.supply, tol=_tol(cfg, args, 1e-9))
-    payload = report.to_json_dict()
-    payload.update(report_extra)
-    if report_extra.get("equalization", {}).get("passed") is False:
-        payload["passed"] = False
-    write_json(os.path.join(out_dir, "interconnect_report.json"), payload)
+    payload = audit(traj, loop.storage, loop.supply, tol=_tol(cfg, args, 1e-9)).to_json_dict()
+    if eq is not None:
+        payload["equalization"] = eq.to_json_dict()
+        payload["passed"] = payload["passed"] and payload["equalization"]["passed"]
     write_trace_csv(os.path.join(out_dir, "interconnect_trace.csv"), traj)
-    _say(args, f"interconnect audit {'PASS' if payload['passed'] else 'FAIL'}")
-    return 0 if payload["passed"] else 1
+    return _finish(args, out_dir, "interconnect_report.json", payload, "interconnect audit")
 
 
 def cmd_homotopy(cfg, args, out_dir):
     sys_, bundle = _build_system(cfg)
     storage = _build_storage(cfg, sys_, bundle)
-    run = _run(cfg)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
-    x0_b = _as_float_list(_get(run, "/run", "x0_b", required=True), "/run/x0_b")
-    if len(x0_b) != sys_.n:
-        raise ConfigError("/run/x0_b", f"expected {sys_.n} entries")
-    n_s = _as_int(run.get("n_s", 9), "/run/n_s")
-    stepper = _build_stepper(cfg, args)
     a = np.asarray(x0)
-    b = np.asarray(x0_b)
+    b = np.asarray(_point(cfg, "x0_b", sys_.n, required=True))
     family = homotopy_integrate(
         sys_, lambda s: (a + s * (b - a)).tolist(), u=u, t_final=t_final,
-        n_s=n_s, stepper=stepper, gamma0_deriv=lambda s: (b - a).tolist(),
+        n_s=_as_int(_run(cfg).get("n_s", 9), "/run/n_s"), stepper=_build_stepper(cfg, args),
+        gamma0_deriv=lambda s: (b - a).tolist(),
     )
     gauge = storage.gauge if storage is not None else (
         lambda x, dx: float(np.linalg.norm(dx))
     )
     report = verify_nonexpansion(family, gauge)
     gaps = np.linalg.norm(family.members[-1].x - family.members[0].x, axis=1)
-    write_json(os.path.join(out_dir, "homotopy_report.json"), report.to_json_dict())
     write_length_gap_csv(
         os.path.join(out_dir, "homotopy_trace.csv"),
         report.trace.times, report.trace.lengths, gaps,
     )
-    _say(args, f"nonexpansion {'PASS' if report.passed else 'FAIL'} (margin {report.margin:.3e})")
-    return 0 if report.passed else 1
+    return _finish(args, out_dir, "homotopy_report.json", report.to_json_dict(),
+                   f"nonexpansion (margin {report.margin:.3e})")
 
 
 def cmd_converge(cfg, args, out_dir):
@@ -558,21 +536,19 @@ def cmd_converge(cfg, args, out_dir):
     supply = _build_supply(cfg, sys_, bundle, required=True)
     run = _run(cfg)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
-    x0_b = _as_float_list(_get(run, "/run", "x0_b", required=True), "/run/x0_b")
-    stepper = _build_stepper(cfg, args)
+    x0_b = _point(cfg, "x0_b", sys_.n, required=True)
     report = verify_output_convergence(
         sys_, storage, supply, x0, x0_b, u=u, t_final=t_final,
-        tol=_tol(cfg, args, 1e-3), n_s=_as_int(run.get("n_s", 9), "/run/n_s"), stepper=stepper,
+        tol=_tol(cfg, args, 1e-3), n_s=_as_int(run.get("n_s", 9), "/run/n_s"),
+        stepper=_build_stepper(cfg, args),
         state_bound=_as_float(run.get("bound", 1e6), "/run/bound"),
     )
-    write_json(os.path.join(out_dir, "convergence_report.json"), report.to_json_dict())
     write_length_gap_csv(
         os.path.join(out_dir, "convergence_trace.csv"),
         report.times, report.lengths.lengths, report.output_gap,
     )
-    _say(args, f"convergence {'PASS' if report.passed else 'FAIL'} "
-               f"(gap {report.initial_gap:.3e} -> {report.final_gap:.3e})")
-    return 0 if report.passed else 1
+    return _finish(args, out_dir, "convergence_report.json", report.to_json_dict(),
+                   f"convergence (gap {report.initial_gap:.3e} -> {report.final_gap:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +566,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def cmd_demo_rc(cfg, args, out_dir):
-    spec = _get(cfg, "", "system", default={})
-    if not isinstance(spec, dict):
-        raise ConfigError("/system", "expected an object")
+    spec = _object(_get(cfg, "", "system", default={}), "/system")
     bundle = _rc_bundle(_registry_params(spec, "/system"), "/system/params")
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
-    run = _run(cfg)
-    n_traj = _as_int(run.get("n_trajectories", 20), "/run/n_trajectories")
+    n_traj = _as_int(_run(cfg).get("n_trajectories", 20), "/run/n_trajectories")
     if n_traj < 1:
         raise ConfigError("/run/n_trajectories", "need at least one trajectory")
-    t_final = args.t_final if args.t_final is not None else _as_float(
-        run.get("t_final", 1.0), "/run/t_final"
-    )
+    t_final = _t_final(cfg, args, 1.0)
     stepper = _build_stepper(cfg, args)
     tol = _tol(cfg, args, 1e-9)
     draws = []
@@ -626,32 +597,27 @@ def cmd_demo_rc(cfg, args, out_dir):
         di_r = traj.du[:, 0] / bundle.params.R
         resid = traj.Q - (report.dSdt + w * bundle.params.R * di_r**2)
         identity_residual = max(identity_residual, float(np.max(np.abs(resid))))
-    passed = worst <= tol and identity_residual <= 1e-8
     payload = {
         "kind": "rc-demo",
-        "passed": bool(passed),
+        "passed": bool(worst <= tol and identity_residual <= 1e-8),
         "seed": seed,
         "n_trajectories": n_traj,
         "worst_violation": float(worst),
         "identity_residual": identity_residual,
         "tolerance": tol,
     }
-    write_json(os.path.join(out_dir, "rc_audit.json"), payload)
     write_trace_csv(os.path.join(out_dir, "rc_trace.csv"), trajs[0])
-    _say(args, f"rc demo {'PASS' if passed else 'FAIL'} "
-               f"(worst violation {worst:.3e}, identity residual {identity_residual:.3e})")
-    return 0 if passed else 1
+    return _finish(args, out_dir, "rc_audit.json", payload,
+                   f"rc demo (worst violation {worst:.3e}, "
+                   f"identity residual {identity_residual:.3e})")
 
 
 def cmd_demo_motor(cfg, args, out_dir):
     sys_, bundle = _build_system(_deep_merge({"system": {"registry": "motor"}}, cfg))
     p = bundle.params
     phi_s_ref, u_sig = motor_feedforward(p)
-    run = _run(cfg)
-    t_final = args.t_final if args.t_final is not None else _as_float(
-        run.get("t_final", 10.0), "/run/t_final"
-    )
-    stepper = _build_stepper(cfg, args) if run.get("stepper") or args.dt else Rk4(2e-3)
+    t_final = _t_final(cfg, args, 10.0)
+    stepper = _build_stepper(cfg, args) if _run(cfg).get("stepper") or args.dt else Rk4(2e-3)
     ref0 = [p.phi_r_ref[0].value(0.0), p.phi_r_ref[1].value(0.0),
             phi_s_ref[0].value(0.0), phi_s_ref[1].value(0.0)]
     offset = np.array([0.5, -0.4, 0.3, 0.2])
@@ -667,10 +633,9 @@ def cmd_demo_motor(cfg, args, out_dir):
     gap = np.linalg.norm(traj.x - ref_t, axis=1)
     ratio = float(gap[-1] / gap[0]) if gap[0] > 0 else 0.0
     flux = motor_flux_margins(bundle)
-    passed = report.passed and flux.passed and ratio <= 1e-3
     payload = {
         "kind": "motor-demo",
-        "passed": bool(passed),
+        "passed": bool(report.passed and flux.passed and ratio <= 1e-3),
         "audit": report.to_json_dict(),
         "flux_margins": flux.to_json_dict(),
         "regulation_initial_gap": float(gap[0]),
@@ -678,10 +643,9 @@ def cmd_demo_motor(cfg, args, out_dir):
         "regulation_ratio": ratio,
         "t_final": t_final,
     }
-    write_json(os.path.join(out_dir, "motor_report.json"), payload)
     write_trace_csv(os.path.join(out_dir, "motor_trace.csv"), traj)
-    _say(args, f"motor demo {'PASS' if passed else 'FAIL'} (regulation ratio {ratio:.3e})")
-    return 0 if passed else 1
+    return _finish(args, out_dir, "motor_report.json", payload,
+                   f"motor demo (regulation ratio {ratio:.3e})")
 
 
 _DEMO_LTI = {
@@ -699,28 +663,18 @@ _DEMO_LTI = {
 
 
 def cmd_demo_lti(cfg, args, out_dir):
+    """``certify-uc`` and ``audit`` on the ``_DEMO_LTI`` config, with ``cfg``
+    merged over it, in one report."""
     merged = _deep_merge(_DEMO_LTI, cfg)
-    sys_, bundle = _build_system(merged)
-    storage = _build_storage(merged, sys_, bundle, required=True)
-    _reject_projector(merged, "demo lti")
-    supply = _build_supply(merged, sys_, bundle, required=True)
-    seed = _seed(merged, args)
-    grid = _build_grid(merged, "grid", sys_.n, seed)
-    cert = check_uc(sys_, storage.m_fun, _as_matrix(merged["pi"], "/pi"), supply.w_fun, grid)
-    x0, dx0, u, du, t_final = _run_params(merged, sys_, args)
-    traj = simulate_prolonged(sys_, x0, dx0, u=u, du=du, t_final=t_final,
-                              stepper=_build_stepper(merged, args))
-    report = audit(traj, storage, supply, tol=_tol(merged, args, 1e-9))
-    passed = cert.passed and report.passed
+    sys_, storage, supply, cert = _certificate_uc(merged, args, "demo lti")
+    report = audit(_simulated(merged, sys_, args), storage, supply, tol=_tol(merged, args, 1e-9))
     payload = {
         "kind": "lti-demo",
-        "passed": bool(passed),
+        "passed": bool(cert.passed and report.passed),
         "certificate": cert.to_json_dict(),
         "audit": report.to_json_dict(),
     }
-    write_json(os.path.join(out_dir, "lti_report.json"), payload)
-    _say(args, f"lti demo {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return _finish(args, out_dir, "lti_report.json", payload, "lti demo")
 
 
 # ---------------------------------------------------------------------------

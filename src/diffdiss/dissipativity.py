@@ -75,15 +75,10 @@ class QuadraticDifferentialStorage:
     dual-evaluable so the storage can be differentiated along flows.
     """
 
-    def __init__(self, m_fun, n: int, p_fun=None, c1: float = 1.0, c2: float = 1.0):
-        if c1 <= 0.0 or c2 <= 0.0 or c1 > c2:
-            raise ValueError("storage bounds must satisfy 0 < c1 <= c2")
+    def __init__(self, m_fun, n: int, p_fun=None):
         self.m_fun = m_fun
         self.p_fun = p_fun
         self.n = int(n)
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        self.p = 2  # homogeneity degree of S
 
     @classmethod
     def identity(cls, n: int) -> "QuadraticDifferentialStorage":

@@ -24,14 +24,13 @@ from . import exprlang
 from .dissipativity import GridSpec, QuadraticDifferentialStorage, SupplyRate
 from .numerics import (
     FLOAT_ERRORS,
-    DualScalar,
     argworst,
-    deriv_part,
     float_value,
     grid_point,
     jvp,
     mat_vec,
     psd_margin,
+    scalar_deriv,
 )
 from .systems import DynSystem, ProlongedTrajectory, Signal, simulate_prolonged
 
@@ -94,12 +93,14 @@ class RcCircuit:
             raise ModelDomainError(f"mu may only use the variable 'q', found {sorted(extra)}")
         self._mu_map = exprlang.compile_map([self.mu_ast], ["q"])
         lo, hi = params.q_range
-        for qv in np.linspace(lo, hi, params.n_check):
-            if self._dmu(float(qv)) <= 0.0:
-                raise ModelDomainError(
-                    f"mu is not strictly increasing on [{lo:.6g}, {hi:.6g}] "
-                    f"(d mu/dq <= 0 at q = {qv:.6g})"
-                )
+        # one batched dual pass over the check grid; a nan slope fails too
+        qs = np.linspace(lo, hi, params.n_check)
+        bad = np.flatnonzero(~(np.broadcast_to(self._dmu(qs), qs.shape) > 0.0))
+        if bad.size:
+            raise ModelDomainError(
+                f"mu is not strictly increasing on [{lo:.6g}, {hi:.6g}] "
+                f"(d mu/dq <= 0 at q = {qs[bad[0]]:.6g})"
+            )
         # f = -(mu)/R, g = 1, h = mu as compiled expressions, so the lift runs
         # their tangents instead of a dual pass
         f = exprlang.BinOp("/", exprlang.Neg(self.mu_ast), exprlang.Const(params.R))
@@ -117,7 +118,7 @@ class RcCircuit:
         self.system.supply = self.supply
 
     def mu_value(self, q):
-        return self._mu_map((q,), None)[0]
+        return self._mu_map((q,))[0]
 
     def _dmu(self, q) -> float:
         return jvp(lambda z: [self.mu_value(z[0])], [q], [1.0])[0]
@@ -365,15 +366,6 @@ def motor_flux_margins(motor: MotorVirtual, grid: GridSpec | None = None) -> Flu
     )
 
 
-def _signal_derivative(sig: Signal):
-    """d/dt of a signal as a dual-capable callable (chain rule safe)."""
-
-    def d(t):
-        return deriv_part(sig.at(DualScalar(t, 1.0)))
-
-    return d
-
-
 def motor_feedforward(
     p: MotorParams,
     t_check: float = 1.0,
@@ -399,21 +391,20 @@ def motor_feedforward(
     """
     ref = p.phi_r_ref
     for sig in (*ref, p.omega_r, p.omega_s):
-        if sig.kind == "sampled":
+        if not sig.smooth:
             raise FeedforwardConstructionError(
                 "feedforward needs twice-differentiable reference and speed signals"
             )
     a_r = 1.0 / p.L_r + 1.0 / p.L_l
     a_s = 1.0 / p.L_s + 1.0 / p.L_l
     b = 1.0 / p.L_l
-    d_ref = (_signal_derivative(ref[0]), _signal_derivative(ref[1]))
 
     def phi_r_star(t):
         return [ref[0].at(t), ref[1].at(t)]
 
     def phi_s_star(t):
         pr = phi_r_star(t)
-        prdot = [d_ref[0](t), d_ref[1](t)]
+        prdot = [ref[0].deriv(t), ref[1].deriv(t)]
         w_g = p.omega_s.at(t) - p.omega_r.at(t)
         fr = _saturation(p.kappa_r, pr)
         rot = _jmul(pr)
@@ -422,14 +413,10 @@ def motor_feedforward(
             for k in range(2)
         ]
 
-    def psdot_at(t):
-        out = phi_s_star(DualScalar(t, 1.0))
-        return [deriv_part(v) for v in out]
-
     def u_s(t):
         pr = phi_r_star(t)
         ps = phi_s_star(t)
-        psdot = psdot_at(t)
+        psdot = scalar_deriv(phi_s_star, t)
         fs = _saturation(p.kappa_s, ps)
         i_s = [fs[k] + a_s * ps[k] - b * pr[k] for k in range(2)]
         rot = _jmul(ps)

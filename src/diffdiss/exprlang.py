@@ -392,6 +392,8 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     :func:`evaluate` returns for each AST on the environment ``names -> x``
     plus ``e`` (a state name read by position even if ``e`` has it too), on
     floats, duals and batches alike, or raises the same :class:`EvalError`.
+    A map that reads no exogenous name is ``fn(x, e=None)``: ``fn(x)`` and
+    ``fn(x, e)`` return the same values.
 
     ``fn.tangent(x, dx, e) -> (values, tangents)`` returns the value and
     derivative parts of ``fn(numerics.seed(x, dx), e)`` (a derivative part
@@ -427,7 +429,7 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     if not read:
         exo_values = None
 
-        def fn(x, e):
+        def fn(x, e=None):
             return [node(x, ()) for node in nodes]
     else:
         def fn(x, e):
@@ -458,20 +460,23 @@ def _lazy_tangent(build):
 def compile_matrix(rows: Sequence[Sequence[Expr]], names: Sequence[str], exo: Iterable[str] = ()):
     """The matrix form of :func:`compile_map`: ``fn(x, e)`` returns the
     entries of ``rows`` as a list of rows, from one compiled map over the
-    entries in row-major order, and ``fn.tangent(x, dx, e)`` returns the
-    value rows and the tangent rows of that map's tangent."""
+    entries in row-major order (``e`` optional as it is for that map), and
+    ``fn.tangent(x, dx, e)`` returns the value rows and the tangent rows of
+    that map's tangent."""
     flat = compile_map([ast for row in rows for ast in row], names, exo)
     stops = list(accumulate(len(row) for row in rows))
     cuts = list(zip([0, *stops], stops))
     # one row (the RC's g) is the whole list: skipping the cut copies shows in
     # the audit_rc benchmark end to end (CHANGES.md)
     if len(rows) == 1:
-        def fn(x, e):
+        def fn(x, e=None):
             return [flat(x, e)]
     else:
-        def fn(x, e):
+        def fn(x, e=None):
             out = flat(x, e)
             return [out[a:b] for a, b in cuts]
+    # ``e`` is optional exactly when it is for the flat map
+    fn.__defaults__ = flat.__defaults__
 
     @functools.cache
     def build():

@@ -100,10 +100,7 @@ def _composite_storage(s1: DynSystem, s2: DynSystem):
             p2 = st2.p_fun(x[n1:]) if st2.p_fun is not None else eye(st2.n)
             return _block_rows(p1, _zeros(st1.n, st2.n), _zeros(st2.n, st1.n), p2)
 
-    return QuadraticDifferentialStorage(
-        m_fun, st1.n + st2.n, p_fun=p_fun,
-        c1=min(st1.c1, st2.c1), c2=max(st1.c2, st2.c2),
-    )
+    return QuadraticDifferentialStorage(m_fun, st1.n + st2.n, p_fun=p_fun)
 
 
 def _composite_supply(s1: DynSystem, s2: DynSystem):

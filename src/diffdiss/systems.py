@@ -69,29 +69,28 @@ class SignalError(Exception):
 
 
 class Signal:
-    """Scalar time signal: constant, zero, sampled, or analytic.
+    """Scalar time signal: the closure ``at(t)`` picked at construction, and
+    whether the signal is ``smooth``.
 
-    Analytic signals are backed by a dual-evaluable callable (or an
-    expression in ``t``) and therefore expose first and second derivatives;
-    sampled signals interpolate linearly and have no derivative.
+    Smooth signals (constant, analytic, expression) are dual-evaluable, so
+    ``deriv`` and ``deriv2`` are dual passes of ``at`` and accept dual ``t``
+    too; sampled signals interpolate linearly and have no derivative.
     """
 
-    __slots__ = ("kind", "_value", "_times", "_samples", "_fn")
+    __slots__ = ("at", "smooth")
 
-    def __init__(self, kind, value=0.0, times=None, samples=None, fn=None):
-        self.kind = kind
-        self._value = value
-        self._times = times
-        self._samples = samples
-        self._fn = fn
+    def __init__(self, at: Callable, smooth: bool = True):
+        self.at = at
+        self.smooth = smooth
 
     @classmethod
     def zero(cls) -> "Signal":
-        return cls("zero")
+        return cls.constant(0.0)
 
     @classmethod
     def constant(cls, value: float) -> "Signal":
-        return cls("constant", value=float(value))
+        value = float(value)
+        return cls(lambda t: value)
 
     @classmethod
     def sampled(cls, times: Sequence[float], samples: Sequence[float]) -> "Signal":
@@ -101,12 +100,22 @@ class Signal:
             raise SignalError("sampled signal needs matching 1-d times and samples")
         if np.any(np.diff(times) <= 0.0):
             raise SignalError("sample times must be strictly increasing")
-        return cls("sampled", times=times, samples=samples)
+        lo, hi = times[0], times[-1]
+        slack = 1e-9 * max(hi - lo, 1.0)
+
+        def at(t):
+            if isinstance(t, DualScalar):
+                raise SignalError("sampled signals are not dual-evaluable and have no derivative")
+            if t < lo - slack or t > hi + slack:
+                raise SignalError(f"sampled signal queried at t={t:.6g} outside [{lo:.6g}, {hi:.6g}]")
+            return float(np.interp(t, times, samples))
+
+        return cls(at, smooth=False)
 
     @classmethod
     def analytic(cls, fn: Callable) -> "Signal":
         """Wrap a dual-evaluable callable of time."""
-        return cls("analytic", fn=fn)
+        return cls(fn)
 
     @classmethod
     def from_expr(cls, expr: "str | exprlang.Expr") -> "Signal":
@@ -117,44 +126,18 @@ class Signal:
         if extra:
             raise SignalError(f"signal expression may only use 't', found {sorted(extra)}")
         fn = exprlang.compile_map([ast], ["t"])
-        return cls("analytic", fn=lambda t: fn((t,), None)[0])
-
-    def at(self, t):
-        """Value at ``t``; accepts dual ``t`` for constant/zero/analytic kinds."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self._value
-        if self.kind == "analytic":
-            return self._fn(t)
-        if isinstance(t, DualScalar):
-            raise SignalError("sampled signals are not dual-evaluable")
-        times = self._times
-        lo, hi = times[0], times[-1]
-        span = hi - lo
-        if t < lo - 1e-9 * max(span, 1.0) or t > hi + 1e-9 * max(span, 1.0):
-            raise SignalError(f"sampled signal queried at t={t:.6g} outside [{lo:.6g}, {hi:.6g}]")
-        return float(np.interp(t, times, self._samples))
+        return cls(lambda t: fn((t,))[0])
 
     def value(self, t: float) -> float:
         return float_value(self.at(t))
 
-    def deriv(self, t: float) -> float:
-        if self.kind in ("zero", "constant"):
-            return 0.0
-        if self.kind == "analytic":
-            return float_value(scalar_deriv(self._fn, t))
-        raise SignalError("sampled signals have no derivative")
+    def deriv(self, t):
+        """d/dt at ``t``, which may be a dual; a sampled signal raises
+        :class:`SignalError`."""
+        return scalar_deriv(self.at, t)
 
-    def deriv2(self, t: float) -> float:
-        if self.kind in ("zero", "constant"):
-            return 0.0
-        if self.kind == "analytic":
-            outer = self._fn(DualScalar(DualScalar(t, 1.0), DualScalar(1.0, 0.0)))
-            first = outer.deriv if isinstance(outer, DualScalar) else 0.0
-            second = first.deriv if isinstance(first, DualScalar) else 0.0
-            return float_value(second)
-        raise SignalError("sampled signals have no derivative")
+    def deriv2(self, t):
+        return scalar_deriv(self.deriv, t)
 
     def __call__(self, t: float) -> float:
         return self.value(t)

@@ -157,6 +157,12 @@ class TestLocatedConfigErrors:
     """Registry and run parameters of the wrong type exit 2 with a JSON pointer."""
 
     RC = {"system": {"registry": "rc"}, "run": {"x0": [0.2], "t_final": 0.1}}
+    CERT = dict(SCALAR_SYS, pi=[[1.0]], grid={"lo": [-1.0], "hi": [1.0], "counts": [3]})
+    CONVERGE = dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5]))
+    LOOP = dict(SCALAR_SYS, run={"x0": [0.5, -0.2], "t_final": 0.1, "seed": 3},
+                interconnect={"coupling": "state", "system2": SCALAR_SYS["system"],
+                              "storage2": {"M": "identity"}, "supply2": {"W": "identity"},
+                              "k1": ["x1"], "k2": ["x1"]})
     CASES = [
         ("audit", RC, ("system", "params", "R"), "abc", "/system/params/R"),
         ("audit", RC, ("system", "params", "q_range"), "ab", "/system/params/q_range"),
@@ -181,6 +187,23 @@ class TestLocatedConfigErrors:
          ("run", "bound"), "big", "/run/bound"),
         ("converge", dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5])),
          ("run", "n_s"), 4.5, "/run/n_s"),
+        # integer keys are read as integers, not truncated
+        ("audit", SCALAR_SYS, ("system", "n"), 1.5, "/system/n"),
+        ("audit", SCALAR_SYS, ("system", "n"), 0, "/system/n"),
+        ("audit", SCALAR_SYS, ("system", "q"), 1.5, "/system/q"),
+        ("certify-uc", CERT, ("grid", "counts"), [2.5], "/grid/counts/0"),
+        ("certify-uc", CERT, ("grid", "extra_random"), 1.5, "/grid/extra_random"),
+        ("certify-uc", CERT, ("grid", "seed"), 2.5, "/grid/seed"),
+        # a grid of the wrong dimension, and points of the wrong length
+        ("certify-uc", CERT, ("grid", "lo"), [-1.0, -1.0], "/grid/lo"),
+        ("certify-uc", CERT, ("pi",), [[1.0], [0.0]], "/pi"),
+        ("demo lti", {}, ("pi",), [[1.0, 0.0]], "/pi"),
+        ("converge", CONVERGE, ("run", "x0_b"), [0.5, 0.1], "/run/x0_b"),
+        ("audit", SCALAR_SYS, ("run", "dx0"), [1.0, 0.0], "/run/dx0"),
+        # a shape error is reported at the map's own pointer
+        ("interconnect", LOOP, ("interconnect", "k2"), ["x1", "x1"], "/interconnect/k2"),
+        ("interconnect", LOOP, ("interconnect", "storage2", "M"), [["1", "0"]],
+         "/interconnect/storage2/M/0"),
     ]
 
     @pytest.mark.parametrize("command, base, keys, value, pointer", CASES,

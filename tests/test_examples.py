@@ -19,7 +19,7 @@ from diffdiss import (
     simulate,
     simulate_prolonged,
 )
-from diffdiss.examples import lti
+from diffdiss.examples import RcCircuit, lti
 from diffdiss.numerics import cos as d_cos, sin as d_sin
 
 
@@ -53,8 +53,31 @@ class TestRcCircuit:
         assert rc.supply.w_matrix([0.0])[0, 0] == pytest.approx(1.0)
 
     def test_decreasing_law_rejected_past_turning_point(self):
-        with pytest.raises(ModelDomainError):
+        with pytest.raises(ModelDomainError) as err:
             rc_circuit(RcParams(mu="q - q^3", q_range=(-0.6, 0.6)))
+        assert str(err.value) == ("mu is not strictly increasing on [-0.6, 0.6] "
+                                  "(d mu/dq <= 0 at q = -0.6)")
+
+    def test_batched_slope_check_equals_scalar_slopes(self):
+        for mu in ("q + q^3", "q", "exp(q) + tanh(q)/3"):
+            rc = rc_circuit(RcParams(mu=mu))
+            qs = np.linspace(-1.5, 1.5, rc.params.n_check)
+            batch = np.broadcast_to(rc._dmu(qs), qs.shape)
+            assert np.array_equal(batch, [rc._dmu(float(q)) for q in qs])
+
+    def test_first_bad_point_is_reported(self):
+        with pytest.raises(ModelDomainError, match=r"at q = 0\.58\)"):
+            rc_circuit(RcParams(mu="q - q^3", q_range=(0.0, 1.0), n_check=101))
+
+    def test_nan_slope_fails_the_monotonicity_check(self, monkeypatch):
+        slope = RcCircuit._dmu
+
+        def nan_at_half(self, q):
+            return np.where(q == 0.5, np.nan, slope(self, q))
+
+        monkeypatch.setattr(RcCircuit, "_dmu", nan_at_half)
+        with pytest.raises(ModelDomainError, match=r"at q = 0\.5\)"):
+            rc_circuit(RcParams(q_range=(0.0, 1.0), n_check=11))
 
     def test_runtime_domain_guard(self):
         rc = rc_circuit(RcParams(mu="q - q^3", q_range=(-0.5, 0.5)))

@@ -377,6 +377,33 @@ class TestCompileMap:
         with pytest.raises(EvalError, match="unbound variable 'w' at offset 7"):
             fn([1.0], {})
 
+    def test_exo_free_map_takes_e_optionally(self):
+        """``fn(x)``, ``fn(x, None)`` and ``fn(x, {})`` give the same bits on
+        floats, batches and duals, in vector and matrix form (the matrix may
+        name exogenous signals it never reads); the tangent still takes ``e``."""
+        entries = [parse("x*sin(zz) - w1^3"), parse("x/(1 + zz^2)")]
+        vector = compile_map(entries, _STATES)
+        matrix = compile_matrix([entries, [parse("exp(-x)"), parse("2")]], _STATES, _EXO)
+        batch = [np.array([0.3, -0.1]), np.array([-1.2, 4.0]), np.array([2.0, 0.5])]
+        points = ([0.3, -1.2, 2.0], batch,
+                  [DualScalar(0.3, 1.0), DualScalar(-1.2, 0.5), 2.0],
+                  [DualScalar(batch[0], np.array([1.0, 0.0])), batch[1], 2.0])
+        flat = lambda out: [_bits(w) for row in out for w in (row if isinstance(row, list) else [row])]
+        for fn in (vector, matrix):
+            for x in points:
+                assert flat(fn(x)) == flat(fn(x, None)) == flat(fn(x, {}))
+        dx = [1.0, 0.5, -2.0]
+        assert vector.tangent([0.3, -1.2, 2.0], dx, {}) == _dual_pass(vector, [0.3, -1.2, 2.0], dx, {})
+        with pytest.raises(TypeError):
+            vector.tangent([0.3, -1.2, 2.0], dx)
+
+    def test_map_reading_exo_still_needs_e(self):
+        for fn in (compile_map([parse("x + y")], ["x"], ["y"]),
+                   compile_matrix([[parse("x + y")]], ["x"], ["y"])):
+            assert fn([1.0], {"y": 2.0}) in ([3.0], [[3.0]])
+            with pytest.raises(TypeError):
+                fn([1.0])
+
 
 def _all_exprs(depth):
     """Like ``_exprs``, with every builtin and literal integer exponents from

@@ -16,7 +16,7 @@ from diffdiss import (
     simulate_prolonged,
 )
 from diffdiss.examples import MotorParams, induction_motor_virtual, lti
-from diffdiss.numerics import FLOAT_ERRORS, sin
+from diffdiss.numerics import FLOAT_ERRORS, DualScalar, sin
 from diffdiss.systems import batch_rows
 
 from conftest import rotation, scalar_cubic, scalar_leaky
@@ -40,6 +40,20 @@ class TestSignal:
         s = Signal.from_expr("t^2 + 1")
         assert s.value(3.0) == 10.0
         assert s.deriv(3.0) == pytest.approx(6.0)
+
+    def test_derivatives_accept_dual_time(self):
+        assert Signal.constant(2.5).deriv(DualScalar(0.3, 1.0)) == 0.0
+        s = Signal.from_expr("t^3")
+        d = s.deriv(DualScalar(2.0, 1.0))
+        assert (d.value, d.deriv) == pytest.approx((12.0, 12.0))
+        assert s.deriv2(2.0) == pytest.approx(12.0)
+
+    def test_only_sampled_signals_are_not_smooth(self):
+        s = Signal.sampled([0.0, 1.0], [0.0, 2.0])
+        assert not s.smooth
+        assert Signal.zero().smooth and Signal.from_expr("t").smooth
+        with pytest.raises(SignalError):
+            s.deriv2(0.5)
 
     def test_expr_signal_rejects_other_variables(self):
         with pytest.raises(SignalError):
