@@ -26,6 +26,7 @@ from .dissipativity import (
     check_uc,
 )
 from .examples import (
+    ModelDomainError,
     MotorParams,
     RcParams,
     induction_motor_virtual,
@@ -67,17 +68,21 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _as_float(value, path: str) -> float:
+def _as_float(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    if positive and not value > 0.0:
+        raise ConfigError(path, f"expected a positive number, got {value!r}")
     return float(value)
 
 
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
     if not float(value).is_integer():
         raise ConfigError(path, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"expected an integer >= {minimum}, got {int(value)}")
     return int(value)
 
 
@@ -177,10 +182,7 @@ def _state_names(n: int) -> list[str]:
 
 
 def _dimension(spec: dict, path: str, key: str) -> int:
-    value = _as_int(_get(spec, path, key, required=True), f"{path}/{key}")
-    if value < 1:
-        raise ConfigError(f"{path}/{key}", f"expected a positive integer, got {value}")
-    return value
+    return _as_int(_get(spec, path, key, required=True), f"{path}/{key}", minimum=1)
 
 
 def _build_expr_system(spec: dict, path: str):
@@ -249,10 +251,13 @@ def _registry_params(spec: dict, path: str) -> dict:
 
 def _rc_bundle(params: dict, path: str):
     """The registry RC circuit from its ``params`` object at ``path``."""
-    R = _as_float(params.get("R", 1.0), f"{path}/R")
+    R = _as_float(params.get("R", 1.0), f"{path}/R", positive=True)
     mu = _expr(params.get("mu", "q + q^3"), {"q"}, f"{path}/mu")
     q_range = _as_list(params.get("q_range", [-1.5, 1.5]), f"{path}/q_range", size=2)
-    return rc_circuit(RcParams(R=R, mu=mu, q_range=tuple(q_range)))
+    try:
+        return rc_circuit(RcParams(R=R, mu=mu, q_range=tuple(q_range)))
+    except ModelDomainError as err:  # mu fails its slope check on q_range
+        raise ConfigError(f"{path}/mu", str(err)) from None
 
 
 def _build_storage(cfg: dict, sys_, bundle, required: bool = False,
@@ -319,9 +324,9 @@ def _build_stepper(cfg: dict, args) -> Rk4 | Rk45:
         return Rk4()
     kind = _get(spec, "/run/stepper", "kind", required=True)
     if kind == "rk4":
-        return Rk4(dt=_as_float(spec.get("dt", 1e-3), "/run/stepper/dt"))
+        return Rk4(dt=_as_float(spec.get("dt", 1e-3), "/run/stepper/dt", positive=True))
     if kind == "rk45":
-        return Rk45(tol=_as_float(spec.get("tol", 1e-8), "/run/stepper/tol"))
+        return Rk45(tol=_as_float(spec.get("tol", 1e-8), "/run/stepper/tol", positive=True))
     raise ConfigError("/run/stepper/kind", f"unknown stepper {kind!r}")
 
 
@@ -335,8 +340,8 @@ def _build_grid(cfg: dict, key: str, n: int, seed: int, default_span=2.0) -> Gri
         _as_list(_get(spec, path, name, required=True), f"{path}/{name}", item, n)
         for name, item in (("lo", _as_float), ("hi", _as_float), ("counts", _as_int))
     )
-    extra_random = _as_int(spec.get("extra_random", 0), f"{path}/extra_random")
-    seed = _as_int(spec.get("seed", seed), f"{path}/seed")
+    extra_random = _as_int(spec.get("extra_random", 0), f"{path}/extra_random", minimum=0)
+    seed = _as_int(spec.get("seed", seed), f"{path}/seed", minimum=0)
     try:
         return GridSpec.box(lo, hi, counts, extra_random, seed)
     except ValueError as err:
@@ -351,7 +356,7 @@ def _point(cfg: dict, key: str, n: int, required: bool = False) -> list[float]:
 def _t_final(cfg: dict, args, default: float) -> float:
     if args.t_final is not None:
         return args.t_final
-    return _as_float(_run(cfg).get("t_final", default), "/run/t_final")
+    return _as_float(_run(cfg).get("t_final", default), "/run/t_final", positive=True)
 
 
 def _run_params(cfg: dict, sys_, args):
@@ -363,10 +368,15 @@ def _run_params(cfg: dict, sys_, args):
     return x0, dx0, u, du, _t_final(cfg, args, 1.0)
 
 
+def _n_s(cfg: dict) -> int:
+    """The number of homotopy nodes, at least 3 (both ends and a midpoint)."""
+    return _as_int(_run(cfg).get("n_s", 9), "/run/n_s", minimum=3)
+
+
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return args.seed
-    return _as_int(_run(cfg).get("seed", 0), "/run/seed")
+    return _as_int(_run(cfg).get("seed", 0), "/run/seed", minimum=0)
 
 
 def _tol(cfg: dict, args, default: float) -> float:
@@ -514,7 +524,7 @@ def cmd_homotopy(cfg, args, out_dir):
     b = np.asarray(_point(cfg, "x0_b", sys_.n, required=True))
     family = homotopy_integrate(
         sys_, lambda s: (a + s * (b - a)).tolist(), u=u, t_final=t_final,
-        n_s=_as_int(_run(cfg).get("n_s", 9), "/run/n_s"), stepper=_build_stepper(cfg, args),
+        n_s=_n_s(cfg), stepper=_build_stepper(cfg, args),
         gamma0_deriv=lambda s: (b - a).tolist(),
     )
     gauge = storage.gauge if storage is not None else (
@@ -539,7 +549,7 @@ def cmd_converge(cfg, args, out_dir):
     x0_b = _point(cfg, "x0_b", sys_.n, required=True)
     report = verify_output_convergence(
         sys_, storage, supply, x0, x0_b, u=u, t_final=t_final,
-        tol=_tol(cfg, args, 1e-3), n_s=_as_int(run.get("n_s", 9), "/run/n_s"),
+        tol=_tol(cfg, args, 1e-3), n_s=_n_s(cfg),
         stepper=_build_stepper(cfg, args),
         state_bound=_as_float(run.get("bound", 1e6), "/run/bound"),
     )
@@ -570,9 +580,7 @@ def cmd_demo_rc(cfg, args, out_dir):
     bundle = _rc_bundle(_registry_params(spec, "/system"), "/system/params")
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
-    n_traj = _as_int(_run(cfg).get("n_trajectories", 20), "/run/n_trajectories")
-    if n_traj < 1:
-        raise ConfigError("/run/n_trajectories", "need at least one trajectory")
+    n_traj = _as_int(_run(cfg).get("n_trajectories", 20), "/run/n_trajectories", minimum=1)
     t_final = _t_final(cfg, args, 1.0)
     stepper = _build_stepper(cfg, args)
     tol = _tol(cfg, args, 1e-9)

@@ -95,7 +95,11 @@ class RcCircuit:
         lo, hi = params.q_range
         # one batched dual pass over the check grid; a nan slope fails too
         qs = np.linspace(lo, hi, params.n_check)
-        bad = np.flatnonzero(~(np.broadcast_to(self._dmu(qs), qs.shape) > 0.0))
+        try:
+            slopes = self._dmu(qs)
+        except (ArithmeticError, exprlang.EvalError) as err:
+            raise self._unslopeable(qs, err) from None
+        bad = np.flatnonzero(~(np.broadcast_to(slopes, qs.shape) > 0.0))
         if bad.size:
             raise ModelDomainError(
                 f"mu is not strictly increasing on [{lo:.6g}, {hi:.6g}] "
@@ -116,6 +120,17 @@ class RcCircuit:
         self.supply = SupplyRate(lambda x: [[self._w(x[0])]], q=1)
         self.system.storage = self.storage
         self.system.supply = self.supply
+
+    def _unslopeable(self, qs, err) -> Exception:
+        """The error naming the first of ``qs`` whose slope cannot be computed,
+        which the batched check ``err`` came from (one scalar pass per point,
+        on this error path only); ``err`` itself if every point's passes."""
+        for q in qs:
+            try:
+                self._dmu(float(q))
+            except (ArithmeticError, exprlang.EvalError) as point_err:
+                return ModelDomainError(f"d mu/dq cannot be computed at q = {q:.6g} ({point_err})")
+        return err
 
     def mu_value(self, q):
         return self._mu_map((q,))[0]

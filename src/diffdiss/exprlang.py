@@ -402,6 +402,9 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     :func:`_build_tangent`); ``fn.tangent.build()`` returns the built
     closure, which the lift calls directly.  ``e`` holds plain values there
     (floats or batch arrays), as it does in the lift.
+
+    ``fn.asts``, ``fn.names`` and ``fn.exo`` are the ASTs, state names and
+    exogenous names ``fn`` was compiled from.
     """
     states = {name: k for k, name in enumerate(names)}
     exo = set(exo)
@@ -441,7 +444,16 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
         return _build_tangent(fn, asts, states, bind, exo_values)
 
     fn.tangent = _lazy_tangent(build)
+    _keep_source(fn, list(asts), names, exo)
     return fn
+
+
+def _keep_source(fn, asts, names, exo) -> None:
+    """Keep what ``fn`` was compiled from on it, so that maps built from it
+    (an interconnection's loop maps) can be compiled from expressions too."""
+    fn.asts = asts
+    fn.names = list(names)
+    fn.exo = frozenset(exo)
 
 
 def _lazy_tangent(build):
@@ -462,7 +474,7 @@ def compile_matrix(rows: Sequence[Sequence[Expr]], names: Sequence[str], exo: It
     entries of ``rows`` as a list of rows, from one compiled map over the
     entries in row-major order (``e`` optional as it is for that map), and
     ``fn.tangent(x, dx, e)`` returns the value rows and the tangent rows of
-    that map's tangent."""
+    that map's tangent.  ``fn.asts`` is the list of rows."""
     flat = compile_map([ast for row in rows for ast in row], names, exo)
     stops = list(accumulate(len(row) for row in rows))
     cuts = list(zip([0, *stops], stops))
@@ -493,6 +505,7 @@ def compile_matrix(rows: Sequence[Sequence[Expr]], names: Sequence[str], exo: It
         return tangent
 
     fn.tangent = _lazy_tangent(build)
+    _keep_source(fn, [list(row) for row in rows], names, flat.exo)
     return fn
 
 
@@ -653,7 +666,10 @@ def _build_tangent(fn, asts, states, bind, exo_values):
     or nothing if ``exo_values`` is None.  A map with a node of
     :class:`_KindNotStatic` runs one dual pass of ``fn`` instead."""
     try:
-        nodes = [_tangent(a, states, bind) for a in asts]
+        reads: set[int] = set()
+        for a in asts:
+            _read_state(a, states, reads)
+        nodes = [_tangent(a, states, reads, bind) for a in asts]
     except _KindNotStatic:
         return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
     # an entry that reads no state has derivative part 0.0, as deriv_part gives
@@ -681,16 +697,36 @@ def _build_tangent(fn, asts, states, bind, exo_values):
     return lambda x, dx, e: split(x, dx, exo_values(e))
 
 
-def _tangent(e: Expr, states, bind):
+def _read_state(e: Expr, states, reads: set[int]) -> bool:
+    """Whether ``e`` reads a state name; adds the id of each node of ``e``
+    that does to ``reads`` (one walk, where asking :func:`variables` at
+    every node would walk each subtree once per ancestor)."""
+    if isinstance(e, Var):
+        hit = e.name in states
+    elif isinstance(e, Neg):
+        hit = _read_state(e.operand, states, reads)
+    elif isinstance(e, BinOp):
+        hit = _read_state(e.left, states, reads) | _read_state(e.right, states, reads)
+    elif isinstance(e, Call):
+        hit = any([_read_state(a, states, reads) for a in e.args])
+    else:
+        hit = False
+    if hit:
+        reads.add(id(e))
+    return hit
+
+
+def _tangent(e: Expr, states, reads: set[int], bind):
     """``(dual, node)``: a dual node ``node(x, dx, v) -> (value, derivative)``
-    if ``e`` reads the state, else the plain node ``node(x, v)``."""
-    if not variables(e) & states.keys():
+    if ``e`` reads the state (its id is in ``reads``, see
+    :func:`_read_state`), else the plain node ``node(x, v)``."""
+    if id(e) not in reads:
         return False, _compile(e, bind)
     if isinstance(e, Var):
         k = states[e.name]
         return True, lambda x, dx, v: (x[k], dx[k])
     if isinstance(e, Neg):
-        a = _tangent(e.operand, states, bind)[1]
+        a = _tangent(e.operand, states, reads, bind)[1]
 
         def neg(x, dx, v):
             av, ad = a(x, dx, v)
@@ -698,11 +734,11 @@ def _tangent(e: Expr, states, bind):
 
         return True, neg
     if isinstance(e, Call):
-        return True, _tangent_call(e, [_tangent(arg, states, bind) for arg in e.args])
+        return True, _tangent_call(e, [_tangent(arg, states, reads, bind) for arg in e.args])
     if e.op == "^":
-        return True, _tangent_power(e, states, bind)
-    left = _tangent(e.left, states, bind)
-    right = _tangent(e.right, states, bind)
+        return True, _tangent_power(e, states, reads, bind)
+    left = _tangent(e.left, states, reads, bind)
+    right = _tangent(e.right, states, reads, bind)
     return True, _TANGENT_BINOPS[e.op](e, left, right)
 
 
@@ -810,13 +846,13 @@ def _pair_mul(a, b):
     return av * bv, av * bd + ad * bv
 
 
-def _tangent_power(node: BinOp, states, bind):
+def _tangent_power(node: BinOp, states, reads, bind):
     k = _integer_literal(node.right)
     offset = node.offset
     if k is not None and abs(k) <= 16:
         if k == 0:
             raise _KindNotStatic  # the dual rule drops the base's derivative
-        a = _tangent(node.left, states, bind)[1]
+        a = _tangent(node.left, states, reads, bind)[1]
         chain = _pow_chain(abs(k), _pair_mul)
         if k > 0:
             return lambda x, dx, v: chain(a(x, dx, v))
@@ -831,8 +867,8 @@ def _tangent_power(node: BinOp, states, bind):
 
         return inverse_power
     # exp(exponent * log(base)), each rule picked by which operands are dual
-    base_dual, a = _tangent(node.left, states, bind)
-    exponent_dual, b = _tangent(node.right, states, bind)
+    base_dual, a = _tangent(node.left, states, reads, bind)
+    exponent_dual, b = _tangent(node.right, states, reads, bind)
     log = numerics.log
     exp = numerics.exp
     _div = numerics._div
@@ -904,6 +940,57 @@ def _tangent_call(node: Call, args) -> Callable:
         return (av, ad) if mask else (bv, bd)
 
     return pick
+
+
+def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
+    """``e`` with every variable named in ``env`` replaced by its expression.
+
+    The replacements are made all at once, so a replacement is not itself
+    substituted into; every other node keeps its offset, so an
+    :class:`EvalError` it raises is located as in ``e``."""
+    if isinstance(e, Var):
+        return env.get(e.name, e)
+    if isinstance(e, Neg):
+        return Neg(substitute(e.operand, env), e.offset)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, substitute(e.left, env), substitute(e.right, env), e.offset)
+    if isinstance(e, Call):
+        return Call(e.name, tuple(substitute(a, env) for a in e.args), e.offset)
+    return e
+
+
+class Traced:
+    """A value that records the arithmetic done on it as an AST, ``expr``.
+
+    ``a + b``, ``a * b`` and ``-a`` between traced values and floats build
+    the BinOp and Neg nodes of those operations, operands in the same order,
+    so code that runs on traced values records, as one AST per result, the
+    float operations it would run (:func:`as_expr` reads the results)."""
+
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
+
+    def __add__(self, other):
+        return Traced(BinOp("+", self.expr, as_expr(other)))
+
+    def __radd__(self, other):
+        return Traced(BinOp("+", as_expr(other), self.expr))
+
+    def __mul__(self, other):
+        return Traced(BinOp("*", self.expr, as_expr(other)))
+
+    def __rmul__(self, other):
+        return Traced(BinOp("*", as_expr(other), self.expr))
+
+    def __neg__(self):
+        return Traced(Neg(self.expr))
+
+
+def as_expr(value) -> Expr:
+    """The AST of a traced value, or the literal of a float."""
+    return value.expr if isinstance(value, Traced) else Const(float(value))
 
 
 def variables(e: Expr) -> set[str]:

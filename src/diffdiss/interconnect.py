@@ -18,6 +18,10 @@ identity exactly.
 The closed loop is an ordinary DynSystem over the stacked state with input
 v = (v1, v2) and output (y1, y2); composite storage S1 + S2 and the
 block-diagonal supply tensor are attached when both subsystems carry them.
+Its maps are closures over the subsystems' maps; when every one of those
+(and k1, k2) is a compiled expression map, the loop's maps are compiled
+from the expressions the closures perform (see :func:`_compiled_loop`), so
+the lift runs their tangents rather than a dual pass of the closures.
 
 ``check_equalization`` evaluates h1, h2, k1, k2, W1 and W2 once over all its
 sampled pairs (each Jacobian in one dual pass per column), so those maps
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exprlang
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
 from .numerics import (
     FLOAT_ERRORS,
@@ -142,6 +147,17 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
     _check_ports(s1, s2)
     if s1.has_throughput and s2.has_throughput:
         raise AlgebraicLoopError("both subsystems have throughput")
+    f, g, h, i = _loop_maps(_output_maps, s1, s2)
+    return InterconnectedSystem(
+        s1.n + s2.n, 2 * s1.q, f, g, h, i=i, exo=_merge_exo(s1, s2),
+        storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
+        name=f"feedback({s1.name},{s2.name})",
+        sub1=s1, sub2=s2, coupling="output-feedback",
+    )
+
+
+def _output_maps(s1: DynSystem, s2: DynSystem):
+    """The maps (f, g, h, i) of the output-coupled loop of ``s1`` and ``s2``."""
     n1, n2, q = s1.n, s2.n, s1.q
 
     if not s2.has_throughput:
@@ -206,13 +222,7 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
             i2 = s2.i(x[n1:], e)
             return _block_rows(_zeros(q, q), _zeros(q, q), _zeros(q, q), i2)
 
-    loop = InterconnectedSystem(
-        n1 + n2, 2 * q, f, g, h, i=i, exo=_merge_exo(s1, s2),
-        storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
-        name=f"feedback({s1.name},{s2.name})",
-        sub1=s1, sub2=s2, coupling="output-feedback",
-    )
-    return loop
+    return f, g, h, i
 
 
 def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem:
@@ -222,6 +232,17 @@ def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem
     cancellation is NOT assumed; verify it with :func:`check_equalization`.
     """
     _check_ports(s1, s2)
+    f, g, h, i = _loop_maps(_state_maps, s1, s2, k1, k2)
+    return InterconnectedSystem(
+        s1.n + s2.n, 2 * s1.q, f, g, h, i=i, exo=_merge_exo(s1, s2),
+        storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
+        name=f"state-feedback({s1.name},{s2.name})",
+        sub1=s1, sub2=s2, coupling="state-feedback", k1=k1, k2=k2,
+    )
+
+
+def _state_maps(s1: DynSystem, s2: DynSystem, k1, k2):
+    """The maps (f, g, h, i) of the state-coupled loop of ``s1`` and ``s2``."""
     n1, n2, q = s1.n, s2.n, s1.q
 
     def f(x, e):
@@ -252,12 +273,85 @@ def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem
             i2 = s2.i(x2, e) if s2.has_throughput else _zeros(q, q)
             return _block_rows(i1, _zeros(q, q), _zeros(q, q), i2)
 
-    return InterconnectedSystem(
-        n1 + n2, 2 * q, f, g, h, i=i, exo=_merge_exo(s1, s2),
-        storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
-        name=f"state-feedback({s1.name},{s2.name})",
-        sub1=s1, sub2=s2, coupling="state-feedback", k1=k1, k2=k2,
-    )
+    return f, g, h, i
+
+
+# ---------------------------------------------------------------------------
+# loops of expression systems
+
+
+class _NotCompiled(Exception):
+    """A constituent map has no expressions to compose."""
+
+
+def _loop_maps(build, s1: DynSystem, s2: DynSystem, *feedback):
+    """The loop maps ``build(s1, s2, *feedback)`` returns: compiled maps when
+    every constituent map is a compiled map (:func:`_compiled_loop`), else
+    those closures."""
+    try:
+        return _compiled_loop(build, s1, s2, feedback)
+    except _NotCompiled:
+        return build(s1, s2, *feedback)
+
+
+def _compiled_loop(build, s1, s2, feedback):
+    """The closures ``build`` returns, run once on traced states, with every
+    constituent map standing in as its ASTs with its state names renamed to
+    the loop's (:func:`exprlang.substitute`).  Each traced result is the AST
+    of the float operations the closure performs (``f1 + dot(g1, u)`` with
+    ``dot`` as ``(0.0 + a*b) + a*b ...``, ``u1 = -k2`` as a Neg, ``0.0``
+    padding as a literal), so the maps compiled from those ASTs return what
+    the closures return, errors included, and their tangents are what a dual
+    pass of the closures gives, bit for bit.  An error is raised by the same
+    node at the same offset; when more than one entry fails, the compiled
+    map may report another one first, since it runs each row's entries in
+    turn.  Raises :class:`_NotCompiled` if a constituent map has no ASTs or
+    the closures fail on the traced states (they then fail when called)."""
+    exo: set[str] = set()
+
+    def traced(fun):
+        if fun is None:
+            return None
+        asts = getattr(fun, "asts", None)
+        if asts is None:
+            raise _NotCompiled
+        exo.update(fun.exo)
+        names = fun.names
+
+        def stand_in(x, e=None):
+            if len(names) > len(x):
+                raise _NotCompiled  # the map would read past its subsystem's states
+            return _renamed(asts, {name: v.expr for name, v in zip(names, x)})
+
+        return stand_in
+
+    views = [DynSystem(s.n, s.q, traced(s.f), traced(s.g), traced(s.h), i=traced(s.i),
+                       name=s.name) for s in (s1, s2)]
+    f, g, h, i = build(*views, *map(traced, feedback))
+    names = [f"x[{k}]" for k in range(s1.n + s2.n)]  # never an expression name
+    if exo & set(names):
+        raise _NotCompiled
+    x = [exprlang.Traced(exprlang.Var(name)) for name in names]
+
+    def vector(m):
+        return exprlang.compile_map([exprlang.as_expr(v) for v in m(x, None)], names, exo)
+
+    def matrix(m):
+        rows = [[exprlang.as_expr(v) for v in row] for row in m(x, None)]
+        return exprlang.compile_matrix(rows, names, exo)
+
+    try:
+        return vector(f), matrix(g), vector(h), None if i is None else matrix(i)
+    except (ValueError, IndexError):  # a map of the wrong size, which the closures raise on
+        raise _NotCompiled from None
+
+
+def _renamed(asts, env):
+    """Each AST of ``asts`` (a list, or a list of rows) traced, with ``env``
+    substituted into it."""
+    if isinstance(asts, list):
+        return [_renamed(a, env) for a in asts]
+    return exprlang.Traced(exprlang.substitute(asts, env))
 
 
 # ---------------------------------------------------------------------------

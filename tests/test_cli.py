@@ -153,11 +153,29 @@ class TestConfigErrors:
         assert "/storage/projector" in error["error"]
 
 
+def _assert_located(tmp_path, capsys, command, base, keys, value, pointer):
+    """``command`` on ``base`` with ``value`` set at ``keys`` exits 2 with a
+    config error at ``pointer``, on stderr and in the error report."""
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = value
+    code, out = run(tmp_path, *command.split(), "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert f"config error at {pointer}:" in capsys.readouterr().err
+    error = json.loads((out / "error_report.json").read_text())
+    assert f"config error at {pointer}:" in error["error"]
+
+
 class TestLocatedConfigErrors:
     """Registry and run parameters of the wrong type exit 2 with a JSON pointer."""
 
     RC = {"system": {"registry": "rc"}, "run": {"x0": [0.2], "t_final": 0.1}}
     CERT = dict(SCALAR_SYS, pi=[[1.0]], grid={"lo": [-1.0], "hi": [1.0], "counts": [3]})
+    RC_FROM_ZERO = {"system": {"registry": "rc", "params": {"q_range": [0.0, 1.0]}},
+                    "run": {"x0": [0.2], "t_final": 0.1}}
+    CERT_RANDOM = dict(CERT, grid=dict(CERT["grid"], extra_random=2))
     CONVERGE = dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5]))
     LOOP = dict(SCALAR_SYS, run={"x0": [0.5, -0.2], "t_final": 0.1, "seed": 3},
                 interconnect={"coupling": "state", "system2": SCALAR_SYS["system"],
@@ -206,19 +224,33 @@ class TestLocatedConfigErrors:
          "/interconnect/storage2/M/0"),
     ]
 
+    # numbers out of their range, and RC laws the model rejects
+    OUT_OF_RANGE = [
+        # run and grid numbers, each at its own key
+        ("audit", SCALAR_SYS, ("run", "stepper"), {"kind": "rk4", "dt": 0}, "/run/stepper/dt"),
+        ("audit", SCALAR_SYS, ("run", "stepper"), {"kind": "rk45", "tol": -1},
+         "/run/stepper/tol"),
+        ("audit", SCALAR_SYS, ("run", "t_final"), -1, "/run/t_final"),
+        ("homotopy", CONVERGE, ("run", "n_s"), 1, "/run/n_s"),
+        ("converge", CONVERGE, ("run", "n_s"), 2, "/run/n_s"),
+        ("certify-uc", CERT_RANDOM, ("grid", "seed"), -1, "/grid/seed"),
+        ("certify-uc", CERT, ("grid", "extra_random"), -1, "/grid/extra_random"),
+        ("interconnect", LOOP, ("run", "seed"), -1, "/run/seed"),
+        # RC parameters the model rejects
+        ("audit", RC, ("system", "params", "R"), -1.0, "/system/params/R"),
+        ("audit", RC_FROM_ZERO, ("system", "params", "mu"), "q + sqrt(abs(q))",
+         "/system/params/mu"),
+    ]
+
     @pytest.mark.parametrize("command, base, keys, value, pointer", CASES,
                              ids=[f"{c[0]}:{c[4]}" for c in CASES])
     def test_located(self, tmp_path, capsys, command, base, keys, value, pointer):
-        cfg = json.loads(json.dumps(base))
-        node = cfg
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-        node[keys[-1]] = value
-        code, out = run(tmp_path, *command.split(), "--config", write_config(tmp_path, cfg))
-        assert code == 2
-        assert f"config error at {pointer}:" in capsys.readouterr().err
-        error = json.loads((out / "error_report.json").read_text())
-        assert f"config error at {pointer}:" in error["error"]
+        _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
+
+    @pytest.mark.parametrize("command, base, keys, value, pointer", OUT_OF_RANGE,
+                             ids=[f"{c[0]}:{c[4]}" for c in OUT_OF_RANGE])
+    def test_out_of_range_located(self, tmp_path, capsys, command, base, keys, value, pointer):
+        _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
 
     def test_integral_numbers_still_accepted(self, tmp_path):
         cfg = {"system": {"params": {"R": 2, "q_range": [-1, 1]}},

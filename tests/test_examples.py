@@ -79,6 +79,17 @@ class TestRcCircuit:
         with pytest.raises(ModelDomainError, match=r"at q = 0\.5\)"):
             rc_circuit(RcParams(q_range=(0.0, 1.0), n_check=11))
 
+    @pytest.mark.parametrize("mu, q_range, located", [
+        ("q + sqrt(abs(q))", (0.0, 1.0), "at q = 0 (float division by zero)"),
+        ("q + sqrt(abs(q))", (-1.0, 1.0), "at q = 0 (float division by zero)"),
+        ("q + 1/q", (-1.0, 1.0), "at q = 0 (division by zero at offset 5)"),
+        ("log(q) + q", (-1.0, 1.0), "at q = -1 (log of a non-positive value at offset 0)"),
+    ])
+    def test_slope_that_cannot_be_computed_is_located(self, mu, q_range, located):
+        with pytest.raises(ModelDomainError) as err:
+            rc_circuit(RcParams(mu=mu, q_range=q_range, n_check=11))
+        assert str(err.value) == f"d mu/dq cannot be computed {located}"
+
     def test_runtime_domain_guard(self):
         rc = rc_circuit(RcParams(mu="q - q^3", q_range=(-0.5, 0.5)))
         with pytest.raises(ModelDomainError):

@@ -13,11 +13,14 @@ from diffdiss.exprlang import (
     EvalError,
     Neg,
     ParseError,
+    Traced,
     Var,
+    as_expr,
     compile_map,
     compile_matrix,
     evaluate,
     parse,
+    substitute,
     to_source,
     variables,
 )
@@ -547,6 +550,43 @@ class TestTangent:
         row = compile_matrix([[parse("x*x"), parse("y")]], ["x"], ["y"])
         assert row([3.0], {"y": 2.0}) == [[9.0, 2.0]]
         assert row.tangent([3.0], [1.0], {"y": 2.0}) == ([[9.0, 2.0]], [[6.0, 0.0]])
+
+
+class TestSubstituteAndTrace:
+    def test_substitution_is_simultaneous(self):
+        swapped = substitute(parse("x + y*x"), {"x": Var("y"), "y": Var("x")})
+        assert swapped == parse("y + x*y")
+        assert substitute(parse("sin(x)^2 - w"), {"x": parse("a*b")}) == parse("sin(a*b)^2 - w")
+
+    def test_substitution_keeps_offsets(self):
+        renamed = substitute(parse("1 + 1/(x - 2)"), {"x": Var("z")})
+        with pytest.raises(EvalError) as caught:
+            compile_map([renamed], ["z"])([2.0])
+        assert caught.value.offset == 5
+
+    def test_traced_arithmetic_records_the_operations_in_order(self):
+        a, b = Traced(Var("a")), Traced(Var("b"))
+        assert as_expr(0.0 + a * b) == BinOp("+", Const(0.0), BinOp("*", Var("a"), Var("b")))
+        assert as_expr(2.0 * -a + b) == parse("2*(-a) + b")
+        assert as_expr(a * 3.0 + 0.5) == parse("a*3 + 0.5")
+        assert as_expr(1) == Const(1.0)
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_traced_dot_compiles_to_numerics_dot(self, values):
+        names = [f"v{k}" for k in range(6)]
+        traced = [Traced(Var(name)) for name in names]
+        fn = compile_map([as_expr(numerics.dot(traced[:3], traced[3:]))], names)
+        want = numerics.dot(values[:3], values[3:])
+        assert struct.pack("d", fn(values)[0]) == struct.pack("d", want)
+
+    def test_compiled_maps_keep_their_source(self):
+        asts = [parse("x + w"), parse("2*x")]
+        fn = compile_map(asts, ["x"], ["w"])
+        assert (fn.asts, fn.names, fn.exo) == (asts, ["x"], frozenset({"w"}))
+        matrix = compile_matrix([asts, asts[::-1]], ["x"], ["w"])
+        assert (matrix.asts, matrix.names, matrix.exo) == ([asts, asts[::-1]], ["x"],
+                                                           frozenset({"w"}))
 
 
 class TestPrinter:

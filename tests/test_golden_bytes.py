@@ -2,8 +2,8 @@
 
 Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
-byte of a demo, an RC audit or a state-coupled loop fails here, so the
-"byte-identical to the parent" check no longer depends on a manual
+byte of a demo, an RC audit or an output- or state-coupled loop fails here,
+so the "byte-identical to the parent" check no longer depends on a manual
 ``diff -r``.
 
 The digests depend on the platform's libm and numpy builds (the last digit
@@ -40,6 +40,21 @@ STATE_LOOP = {
     "run": dict(RK4_RUN, x0=[0.5, -0.3], dx0=[0.2, 0.9], seed=11),
 }
 
+OUTPUT_LOOP = {
+    "system": {"n": 1, "q": 1, "f": ["-0.800000*x1 - x1^3"], "g": [["1"]], "h": ["x1"]},
+    "storage": {"M": "identity"},
+    "supply": {"W": "identity"},
+    "interconnect": {
+        "coupling": "output",
+        "system2": {"n": 1, "q": 1, "f": ["-1.200000*x1 - 0.700000*x1^3"], "g": [["1"]],
+                    "h": ["x1"]},
+        "storage2": {"M": "identity"},
+        "supply2": {"W": "identity"},
+    },
+    "run": dict(RK4_RUN, x0=[0.6, -0.4], dx0=[0.3, 0.8],
+                u=[{"kind": "expr", "expr": "0.500000*sin(2.000000*t)"}, 0.0]),
+}
+
 CASES = {
     "demo-rc": (["demo", "rc", "--seed", "42"], None, {
         "rc_audit.json": "737c66be9719e192ae02f44b86f395b4473fd6d1b7ac73c926b702be61dcabf6",
@@ -55,6 +70,12 @@ CASES = {
     "audit-rc": (["audit"], RC_AUDIT, {
         "audit_report.json": "b86304c5a05fe9c6e8496d1b13e9d8c750c7de9b0cb0be9e562b1df1f84e160c",
         "audit_trace.csv": "93de1c6b8dfdfe1bf103e869414ad1a8f3dabfe2c057e358a696f296523b91c0",
+    }),
+    "interconnect-output": (["interconnect"], OUTPUT_LOOP, {
+        "interconnect_report.json":
+            "64a800fc1e789c4cb825d91c49200604ce5a069563eb3574df367f3d0e29cc45",
+        "interconnect_trace.csv":
+            "4283fe141f1b3560c6af18760885a1fc332de25872ffc8ce08c698a489198a94",
     }),
     "interconnect-state": (["interconnect"], STATE_LOOP, {
         "interconnect_report.json":

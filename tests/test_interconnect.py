@@ -16,10 +16,12 @@ from diffdiss import (
     simulate_prolonged,
     state_feedback,
 )
+from diffdiss.cli import _build_system
 from diffdiss.examples import lti
+from diffdiss.exprlang import EvalError, compile_map, compile_matrix, parse
 from diffdiss.interconnect import EqualizationReport, _lattice
 from diffdiss.numerics import NumericalError, jacobian
-from diffdiss.systems import DynSystem
+from diffdiss.systems import DynSystem, lift
 
 from conftest import scalar_leaky
 
@@ -324,3 +326,162 @@ class TestBatchedEqualizationMatchesReference:
             check_equalization(s1, s1, k, k, w_nan, s1.supply.w_fun)
         assert str(caught.value) == (
             "equalization residual is not finite at x1 = (-1.0,), x2 = (-1.0,)")
+
+
+# ---------------------------------------------------------------------------
+# loops of expression systems are compiled maps
+
+_W = Signal.from_expr("0.5 + sin(t)")
+
+
+def _expr_system(f, g, h, i=None, exo=()):
+    """A system whose maps are compiled from the expression strings given."""
+    names = [f"x{k + 1}" for k in range(len(f))]
+    vector = lambda rows: compile_map([parse(s) for s in rows], names, exo)
+    matrix = lambda rows: compile_matrix([[parse(s) for s in row] for row in rows], names, exo)
+    return DynSystem(len(f), len(h), vector(f), matrix(g), vector(h),
+                     i=None if i is None else matrix(i), exo={name: _W for name in exo})
+
+
+def _python(sys):
+    """``sys`` with each map wrapped in a Python function, which has no ASTs."""
+    wrap = lambda fn: None if fn is None else (lambda x, e: fn(x, e))
+    return DynSystem(sys.n, sys.q, wrap(sys.f), wrap(sys.g), wrap(sys.h), i=wrap(sys.i),
+                     exo=sys.exo, name=sys.name)
+
+
+def _plant1(i=None, g="1/(1 + x1^2)"):
+    return _expr_system(["-x1 + x2*w", "-x2^3 + sin(x1)"], [[g], ["x2"]],
+                        ["x1 + 0.5*x2"], i=i, exo=("w",))
+
+
+def _plant2(i=None):
+    return _expr_system(["-0.7*x1 - x1^3"], [["2 + cos(x1)"]], ["x1*w"], i=i, exo=("w",))
+
+
+_K1 = compile_map([parse("x1 + x2^3")], ["x1", "x2"])
+_K2 = compile_map([parse("x1 + x1^3")], ["x1"])
+
+
+def _two_port(i=None):
+    return _expr_system(["-x1 + x2", "-x2 - x1*x2^2"], [["1", "x1"], ["0.5", "exp(-x2)"]],
+                        ["x1", "x2 - x1"], i=i)
+
+
+def _loops(plant1, plant2, *k):
+    """The loop of the two plants, compiled, and the same loop of Python maps."""
+    couple = state_feedback if k else output_feedback
+    wrapped = [lambda x, k=k: k(x) for k in k]
+    return couple(plant1, plant2, *k), couple(_python(plant1), _python(plant2), *wrapped)
+
+
+_LOOPS = {
+    "output": lambda: _loops(_plant1(), _plant2()),
+    "output-i1": lambda: _loops(_plant1(i=[["0.3 + x2^2"]]), _plant2()),
+    "output-i2": lambda: _loops(_plant1(), _plant2(i=[["1 + x1^2"]])),
+    "output-two-port-i2": lambda: _loops(_two_port(), _two_port(i=[["1", "x1"], ["0", "2"]])),
+    "state": lambda: _loops(_plant1(), _plant2(), _K1, _K2),
+    "state-i1": lambda: _loops(_plant1(i=[["0.3 + x2^2"]]), _plant2(), _K1, _K2),
+    "state-i12": lambda: _loops(_plant1(i=[["0.3 + x2^2"]]), _plant2(i=[["1 + x1^2"]]),
+                                _K1, _K2),
+    "state-two-port": lambda: _loops(
+        _two_port(), _two_port(i=[["x2", "0"], ["0", "1"]]),
+        compile_map([parse("x1 + x2"), parse("x2^3")], ["x1", "x2"]),
+        compile_map([parse("sin(x1)"), parse("x1 - x2")], ["x1", "x2"])),
+}
+
+
+def _assert_bits(a, b):
+    """``a`` and ``b`` are the same nested lists of the same float bits."""
+    if isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b)
+        for u, v in zip(a, b):
+            _assert_bits(u, v)
+    else:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _maps(sys, x, e, u):
+    i = [] if sys.i is None else sys.i(x, e)
+    return [sys.f(x, e), sys.g(x, e), sys.h(x, e), i, sys.rhs_with(x, e, u),
+            sys.output_with(x, e, u)]
+
+
+class TestComposedLoop:
+    @pytest.mark.parametrize("case", sorted(_LOOPS))
+    def test_maps_and_lift_match_the_closures_bit_for_bit(self, case, rng):
+        loop, reference = _LOOPS[case]()
+        assert hasattr(loop.f, "asts") and not hasattr(reference.f, "asts")
+        assert (loop.i is None) == (reference.i is None)
+        n, q = loop.n, loop.q
+        for size in (None, 5):
+            shape = (n,) if size is None else (n, size)
+            x = list(rng.uniform(-1.0, 1.0, shape))
+            dx = list(rng.uniform(-1.0, 1.0, shape))
+            u = list(rng.uniform(-1.0, 1.0, (2 * q,)))
+            e = {"w": 0.25 if size is None else rng.uniform(0.0, 1.0, size)}
+            if size is None:
+                x, dx = [float(v) for v in x], [float(v) for v in dx]
+            _assert_bits(_maps(loop, x, e, u[:q]), _maps(reference, x, e, u[:q]))
+            _assert_bits(_maps(lift(loop), x + dx, e, u), _maps(lift(reference), x + dx, e, u))
+
+    @pytest.mark.parametrize("coupling", ["output", "state"])
+    def test_evaluation_errors_match_the_closures(self, coupling):
+        k = (_K1, _K2) if coupling == "state" else ()
+        loop, reference = _loops(_plant1(g="1/(x1 - 0.5)"), _plant2(), *k)
+        x = [0.5, 0.2, -0.3]
+        batch = [np.array([0.1, 0.5]), np.array([0.2, 0.2]), np.array([-0.3, 0.4])]
+        for args in ((x, [0.1, 0.3]), (batch, [0.1, 0.3])):
+            for sys in (loop, reference):
+                for call in (lambda s: s.rhs_with(args[0], {"w": 0.25}, [0.0, 0.0]),
+                             lambda s: lift(s).rhs_with(args[0] + args[0], {"w": 0.25},
+                                                        [0.0] * 4)):
+                    with pytest.raises(EvalError) as caught:
+                        with np.errstate(all="raise"):
+                            call(sys)
+                    assert str(caught.value) == "division by zero at offset 1"
+                    assert caught.value.offset == 1
+
+    def test_trajectory_matches_the_closures(self):
+        loop, reference = _LOOPS["state-i1"]()
+        u = [Signal.from_expr("sin(t)"), Signal.from_expr("0.3*cos(2*t)")]
+        got, want = (simulate_prolonged(s, [0.3, -0.2, 0.6], [1.0, 0.5, -0.4], u=u,
+                                        t_final=0.2, stepper=Rk4(1e-2))
+                     for s in (loop, reference))
+        for name in ("x", "dx", "y", "dy", "xdot", "dxdot"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_a_python_constituent_keeps_the_closures(self):
+        loop = output_feedback(_plant1(), _python(_plant2()))
+        assert not hasattr(loop.f, "asts")
+        loop = state_feedback(_plant1(), _plant2(), _K1, lambda x: _K2(x))
+        assert not hasattr(loop.f, "asts")
+
+    def test_nested_loops_compose(self):
+        inner, reference = _LOOPS["output"]()
+        outer = output_feedback(inner, _two_port())
+        assert hasattr(outer.f, "asts")
+        x = [0.3, -0.2, 0.6, 0.1, -0.7]
+        want = output_feedback(reference, _python(_two_port()))
+        _assert_bits(_maps(lift(outer), x + x, {"w": 0.5}, [0.1, 0.2, 0.3, 0.4] * 2),
+                     _maps(lift(want), x + x, {"w": 0.5}, [0.1, 0.2, 0.3, 0.4] * 2))
+
+    @pytest.mark.parametrize("coupling", ["output", "state"])
+    def test_lifting_a_config_loop_runs_no_dual_pass(self, coupling, monkeypatch):
+        import diffdiss.systems
+
+        def refuse(*args):
+            raise AssertionError("systems.seed was called")
+
+        monkeypatch.setattr(diffdiss.systems, "seed", refuse)
+        plant = {"n": 1, "q": 1, "f": ["-0.25*x1"], "g": [["1/(1 + 3*x1^2)"]], "h": ["x1"]}
+        s1, _ = _build_system({"system": plant})
+        s2, _ = _build_system({"system": plant})
+        k = compile_map([parse("x1 + x1^3")], ["x1"])
+        loop = state_feedback(s1, s2, k, k) if coupling == "state" else output_feedback(s1, s2)
+        lifted = lift(loop)
+        lifted.rhs_with([0.5, -0.3, 0.2, 0.9], {}, [0.1, 0.0, 0.0, 0.0])
+        lifted.output_with([0.5, -0.3, 0.2, 0.9], {}, [0.1, 0.0, 0.0, 0.0])
+        simulate_prolonged(loop, [0.5, -0.3], [0.2, 0.9], u=[Signal.from_expr("sin(t)"), 0.0],
+                           t_final=0.05, stepper=Rk4(1e-2))
