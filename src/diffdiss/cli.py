@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -68,12 +69,22 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _as_float(value, path: str, positive: bool = False) -> float:
+def _as_float(value, path: str, positive: bool = False, finite: bool = False) -> float:
+    """The number at ``path``: never nan, finite if ``finite`` or
+    ``positive``, and > 0 if ``positive``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    if positive and not value > 0.0:
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(path, f"number out of range: {value!r}") from None
+    if math.isnan(number):
+        raise ConfigError(path, "expected a number, got nan")
+    if (finite or positive) and not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {number!r}")
+    if positive and not number > 0.0:
         raise ConfigError(path, f"expected a positive number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -319,7 +330,7 @@ def _build_stepper(cfg: dict, args) -> Rk4 | Rk45:
     run = _run(cfg)
     spec = run.get("stepper")
     if args.dt is not None:
-        return Rk4(dt=args.dt)
+        return Rk4(dt=_as_float(args.dt, "--dt", positive=True))
     if spec is None:
         return Rk4()
     kind = _get(spec, "/run/stepper", "kind", required=True)
@@ -355,7 +366,7 @@ def _point(cfg: dict, key: str, n: int, required: bool = False) -> list[float]:
 
 def _t_final(cfg: dict, args, default: float) -> float:
     if args.t_final is not None:
-        return args.t_final
+        return _as_float(args.t_final, "--t-final", positive=True)
     return _as_float(_run(cfg).get("t_final", default), "/run/t_final", positive=True)
 
 
@@ -375,14 +386,14 @@ def _n_s(cfg: dict) -> int:
 
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _as_int(args.seed, "--seed", minimum=0)
     return _as_int(_run(cfg).get("seed", 0), "/run/seed", minimum=0)
 
 
 def _tol(cfg: dict, args, default: float) -> float:
     if args.tol is not None:
-        return args.tol
-    return _as_float(_run(cfg).get("tol", default), "/run/tol")
+        return _as_float(args.tol, "--tol", finite=True)
+    return _as_float(_run(cfg).get("tol", default), "/run/tol", finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +636,8 @@ def cmd_demo_motor(cfg, args, out_dir):
     p = bundle.params
     phi_s_ref, u_sig = motor_feedforward(p)
     t_final = _t_final(cfg, args, 10.0)
-    stepper = _build_stepper(cfg, args) if _run(cfg).get("stepper") or args.dt else Rk4(2e-3)
+    explicit = _run(cfg).get("stepper") or args.dt is not None
+    stepper = _build_stepper(cfg, args) if explicit else Rk4(2e-3)
     ref0 = [p.phi_r_ref[0].value(0.0), p.phi_r_ref[1].value(0.0),
             phi_s_ref[0].value(0.0), phi_s_ref[1].value(0.0)]
     offset = np.array([0.5, -0.4, 0.3, 0.2])

@@ -33,11 +33,16 @@ reference interpreter.  :func:`compile_matrix` is its matrix form.
 
 Every compiled map also has ``fn.tangent(x, dx, e) -> (values, tangents)``,
 its forward-mode tangent, which the lift of a system runs in place of a dual
-pass.  It is built on its first call, from one closure per AST node, and
-each closure performs the float operations the DualScalar rules perform on
-``x`` seeded with ``dx``, so the result is bit for bit the value and
-derivative parts of ``fn(numerics.seed(x, dx), e)``, with no dual
-arithmetic (see :func:`_build_tangent`).
+pass.  It is generated on its first call as one straight-line Python
+function over the hash-consed DAG of the map's rows, which performs the
+float operations the DualScalar rules perform on ``x`` seeded with ``dx``,
+so the result is bit for bit the value and derivative parts of
+``fn(numerics.seed(x, dx), e)``, with no dual arithmetic.
+:func:`lifted_rhs` generates one such program for the lifted right-hand
+side f + g·u of a system (see "generated tangent programs" below).
+Generating a program costs one ``compile()`` (about 0.3-0.5 ms), so it is
+done once per map or lifted system, when first needed, and never cached
+across processes.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import struct
 from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -398,10 +404,10 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     ``fn.tangent(x, dx, e) -> (values, tangents)`` returns the value and
     derivative parts of ``fn(numerics.seed(x, dx), e)`` (a derivative part
     is 0.0 for an entry that reads no state), bit for bit, or raises what
-    that dual pass raises.  It is built on its first use, from the AST (see
-    :func:`_build_tangent`); ``fn.tangent.build()`` returns the built
-    closure, which the lift calls directly.  ``e`` holds plain values there
-    (floats or batch arrays), as it does in the lift.
+    that dual pass raises.  It is generated on its first use, from the ASTs
+    (see :func:`_build_tangent`); ``fn.tangent.build()`` returns the
+    generated function, which a caller can call directly.  ``e`` holds plain
+    values there (floats or batch arrays), as it does in the lift.
 
     ``fn.asts``, ``fn.names`` and ``fn.exo`` are the ASTs, state names and
     exogenous names ``fn`` was compiled from.
@@ -423,25 +429,20 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     nodes = [_compile(a, bind) for a in asts]
     order = list(read)
 
-    def exo_values(e):
-        try:
-            return [e[name] for name in order]
-        except KeyError as err:
-            raise EvalError(f"unbound variable {err.args[0]!r}", read[err.args[0]]) from None
-
     if not read:
-        exo_values = None
-
         def fn(x, e=None):
             return [node(x, ()) for node in nodes]
     else:
         def fn(x, e):
-            v = exo_values(e)
+            try:
+                v = [e[name] for name in order]
+            except KeyError as err:
+                raise _unbound(err, read) from None
             return [node(x, v) for node in nodes]
 
     @functools.cache
     def build():
-        return _build_tangent(fn, asts, states, bind, exo_values)
+        return _build_tangent(fn)
 
     fn.tangent = _lazy_tangent(build)
     _keep_source(fn, list(asts), names, exo)
@@ -457,10 +458,10 @@ def _keep_source(fn, asts, names, exo) -> None:
 
 
 def _lazy_tangent(build):
-    """``tangent(x, dx, e)``, which calls the closure ``build()`` returns;
+    """``tangent(x, dx, e)``, which calls the function ``build()`` returns;
     ``tangent.build`` is that (cached) builder, so a caller that evaluates
-    the tangent many times, such as the lift, can take the built closure
-    once and call it directly."""
+    the tangent many times can take the built function once and call it
+    directly."""
 
     def tangent(x, dx, e):
         return build()(x, dx, e)
@@ -530,6 +531,10 @@ def _compile(e: Expr, bind: Callable[[Var], Node]) -> Node:
         return lambda x, v: a(x, v) - b(x, v)
     if e.op == "*":
         return lambda x, v: a(x, v) * b(x, v)
+    c = _literal(e.right)
+    if c is not None and c != 0.0:
+        # the guard cannot hit a nonzero literal
+        return lambda x, v: a(x, v) / c
     offset = e.offset
 
     def divide(x, v):
@@ -564,49 +569,30 @@ def _compile_power(node: BinOp, bind) -> Node:
             return 1.0
 
         return zeroth_power
-    chain = _pow_chain(abs(k))
+    k_abs = abs(k)
     if k > 0:
-        return lambda x, v: chain(a(x, v))
+        return lambda x, v: _pow_chain(k_abs, a(x, v))
 
     def inverse_power(x, v):
         base = a(x, v)
         if _hit(operator.eq, base):
             raise EvalError("zero raised to a negative power", offset)
-        return 1.0 / chain(base)
+        return 1.0 / _pow_chain(k_abs, base)
 
     return inverse_power
 
 
-def _pow_chain(k: int, mul=None):
-    """``base -> numerics.int_pow(base, k)`` for k >= 1, unrolled into one
-    closure per bit of ``k``: the same multiplications in the same order,
-    less int_pow's leading ``1.0 *`` (exact) and its unused last squaring.
-    ``mul(a, b)``, if given, multiplies in place of ``a * b``."""
-
-    def step(k: int, first: bool):
-        # ``first``: no factor taken yet, so the step is fn(acc), else fn(out, acc)
-        if k == 1:
-            if first:
-                return lambda acc: acc
-            return (lambda out, acc: out * acc) if mul is None else mul
-        rest = step(k >> 1, first and not k & 1)
-        if mul is not None:
-            if k & 1:
-                if first:
-                    return lambda acc: rest(acc, mul(acc, acc))
-                return lambda out, acc: rest(mul(out, acc), mul(acc, acc))
-            if first:
-                return lambda acc: rest(mul(acc, acc))
-            return lambda out, acc: rest(out, mul(acc, acc))
+def _pow_chain(k: int, acc, mul=operator.mul):
+    """``numerics.int_pow(acc, k)`` for k >= 1 by repeated squaring, with
+    ``mul(a, b)`` for ``a * b``: the same multiplications in the same order,
+    less int_pow's leading ``1.0 *`` (exact) and its unused last squaring."""
+    out = None
+    while k > 1:
         if k & 1:
-            if first:
-                return lambda acc: rest(acc, acc * acc)
-            return lambda out, acc: rest(out * acc, acc * acc)
-        if first:
-            return lambda acc: rest(acc * acc)
-        return lambda out, acc: rest(out, acc * acc)
-
-    return step(k, True)
+            out = acc if out is None else mul(out, acc)
+        acc = mul(acc, acc)
+        k >>= 1
+    return acc if out is None else mul(out, acc)
 
 
 _GUARDED_FN = {
@@ -640,18 +626,28 @@ def _compile_call(node: Call, args: list[Node]) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# forward-mode tangents of compiled maps
+# generated tangent programs
 #
-# A tangent node is built from an AST node whose value depends on the state.
-# It is a closure ``node(x, dx, v) -> (value, derivative)`` that performs the
-# float operations the DualScalar rules perform for that node on ``x``
-# seeded with ``dx``: the same products in the same order, the same ``_div``
-# and ``_hit`` guards and the same EvalError offsets.  Which rule applies
-# (dual with dual, dual with plain, plain with dual) is decided when the
-# node is built.  A node that reads no state is the plain closure of
-# :func:`_compile`, called as ``p(x, v)``, as the dual rules run it.  The
-# closures only apply Python operators and ``numerics`` functions to the
-# parts, so ``x`` and ``dx`` may be floats, batch arrays or duals.
+# A tangent program is one straight-line Python function, built with
+# ``compile()``, that evaluates the ASTs of one or more compiled maps and
+# their forward-mode tangents.  The ASTs are hash-consed into one DAG: each
+# distinct subexpression is one node, keyed on its operation and the nodes of
+# its operands (a literal on its float bits, so ``0.0`` and ``-0.0`` stay
+# apart), assigned once, in the post-order of its first occurrence (operands
+# first, then its guard).  A node that reads a state is dual: its lines
+# perform the float operations the DualScalar rule performs on ``x`` seeded
+# with ``dx`` (the same products in the same operand order, the reflected
+# ``__radd__``/``__rmul__``/``__rtruediv__`` orders, the same ``_div`` and
+# ``_hit`` guards), the rule picked when the line is generated by which
+# operands are dual.  Any other node performs the operations of its value
+# closure (:func:`_compile`).  A program therefore returns, bit for bit, the
+# value and derivative parts of a dual pass, and its first failing guard is
+# the dual pass's first: a repeated node fails where its first occurrence
+# failed already, at that occurrence's offset.  The lines only apply
+# operators and ``numerics`` functions, so the parts may be floats, batch
+# arrays or duals.  The source holds generated names only: states are read
+# by index, and constants, exogenous names and helpers are bound in the
+# program's globals, so no config text enters it.
 
 
 class _KindNotStatic(Exception):
@@ -660,286 +656,353 @@ class _KindNotStatic(Exception):
     whether it is dual is known only when it runs."""
 
 
-def _build_tangent(fn, asts, states, bind, exo_values):
-    """``tangent(x, dx, e) -> (values, tangents)`` of the compiled map ``fn``
-    (see :func:`compile_map`), which reads ``exo_values(e)`` once per call,
-    or nothing if ``exo_values`` is None.  A map with a node of
-    :class:`_KindNotStatic` runs one dual pass of ``fn`` instead."""
-    try:
-        reads: set[int] = set()
+def _pick_pair(test, av, ad, bv, bd):
+    """The min/max dual rule on the parts of two duals: the operand that
+    ``test`` picks, elementwise through every dual level on a batch."""
+    mask = test(numerics._base(av), numerics._base(bv))
+    if isinstance(mask, np.ndarray):
+        return numerics._pick(mask, av, bv), numerics._pick(mask, ad, bd)
+    return (av, ad) if mask else (bv, bd)
+
+
+def _unbound(err: KeyError, offsets: Mapping[str, int]) -> EvalError:
+    """The error for an exogenous name missing from ``e`` (``err``), at the
+    offset of its first use."""
+    name = err.args[0]
+    return EvalError(f"unbound variable {name!r}", offsets[name])
+
+
+# a program's globals, besides its constants and exogenous names
+_SCOPE = {
+    "EvalError": EvalError, "_unbound": _unbound, "_hit": _hit, "_div": numerics._div,
+    "_eq": operator.eq, "_le": operator.le, "_lt": operator.lt,
+    "_sin": numerics.sin, "_cos": numerics.cos, "_tan": numerics.tan, "_exp": numerics.exp,
+    "_log": numerics.log, "_sqrt": numerics.sqrt, "_tanh": numerics.tanh,
+    "_abs": numerics.absolute, "_atan2": numerics.atan2, "_min": numerics.minimum,
+    "_max": numerics.maximum, "_dual_atan2": numerics._dual_atan2, "_pick_pair": _pick_pair,
+    "_min_test": operator.le, "_max_test": operator.ge,
+    **{f"_dual_{name}": rule for name, rule in numerics.DUAL_RULES.items()},
+}
+_TEST_NAMES = {operator.eq: "_eq", operator.le: "_le", operator.lt: "_lt"}
+_PRODUCT = BinOp("*", Const(0.0), Const(0.0))  # stands for a product the generator makes
+
+
+class _Program:
+    """One generated function under construction: the lines of the
+    hash-consed DAG of the ASTs passed to :meth:`entries`, in SSA order.
+    ``state(k)`` and ``deriv(k)`` are the sources that read x_k and dx_k."""
+
+    def __init__(self, names: Sequence[str], state: Callable[[int], str],
+                 deriv: Callable[[int], str]):
+        self.states = {name: k for k, name in enumerate(names)}
+        self.state = state
+        self.deriv = deriv
+        self.lines: list[str] = []
+        self.count = 0
+        self.nodes: dict[tuple, tuple] = {}  # node key -> (value, derivative or None)
+        self.consts: dict[tuple, str] = {}  # (type, float bits) -> global name
+        self.literals: dict[str, float] = {}  # global name -> constant
+        self.exo: dict[str, str] = {}  # exogenous name -> the local holding it
+        self.guarded: set[tuple] = set()  # (test, value) of every guard so far
+        self.scope = dict(_SCOPE)
+
+    def fresh(self, prefix: str = "t") -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def let(self, source: str) -> str:
+        name = self.fresh()
+        self.lines.append(f"{name} = {source}")
+        return name
+
+    def let_pair(self, source: str) -> tuple[str, str]:
+        value, deriv = self.fresh(), self.fresh()
+        self.lines.append(f"{value}, {deriv} = {source}")
+        return value, deriv
+
+    def guard(self, test, value: str, message: str, offset: int) -> None:
+        """A line raising EvalError if ``test(value, 0.0)`` holds; none if
+        an earlier guard ran the same test on the same value, which passed."""
+        if (test, value) in self.guarded:
+            return
+        self.guarded.add((test, value))
+        self.lines.append(f"if _hit({_TEST_NAMES[test]}, {value}): "
+                          f"raise EvalError({message!r}, {int(offset)})")
+
+    def const(self, value) -> str:
+        key = (value.__class__, struct.pack("<d", value))
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = self.fresh("C")
+            self.scope[name] = self.literals[name] = value
+        return name
+
+    def literal(self, node: tuple):
+        """The value of a literal node, else None."""
+        return self.literals.get(node[0]) if node[1] is None else None
+
+    def nonzero_literal(self, name: str) -> bool:
+        c = self.literals.get(name)
+        return c is not None and c != 0.0
+
+    def entries(self, asts: Sequence[Expr]) -> list[tuple]:
+        """The node of each AST, after lines that read from ``e`` each
+        exogenous name the ASTs use and no earlier call read, in first-use
+        order; a missing one raises at its first offset in ``asts``."""
+        reads: dict[str, int] = {}
         for a in asts:
-            _read_state(a, states, reads)
-        nodes = [_tangent(a, states, reads, bind) for a in asts]
-    except _KindNotStatic:
-        return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
-    # an entry that reads no state has derivative part 0.0, as deriv_part gives
-    if not any(dual for dual, _ in nodes):
-        size = len(nodes)
-        return lambda x, dx, e: (fn(x, e), [0.0] * size)
-    pairs = [node if dual else (lambda p: lambda x, dx, v: (p(x, v), 0.0))(node)
-             for dual, node in nodes]
-    # without exogenous names no node reads v, so split takes e in its place
-    if len(pairs) == 1:
-        # a one-entry map (each RC map) skips the general path's three list builds,
-        # a cost that shows in the audit_rc benchmark end to end (CHANGES.md)
-        pair = pairs[0]
+            _exo_reads(a, self.states, reads)
+        new = [name for name in reads if name not in self.exo]
+        if new:
+            table, offsets = self.fresh("N"), self.fresh("O")
+            self.scope[table] = tuple(new)
+            self.scope[offsets] = reads
+            self.lines.append("try:")
+            for j, name in enumerate(new):
+                self.exo[name] = self.fresh("w")
+                self.lines.append(f"    {self.exo[name]} = e[{table}[{j}]]")
+            self.lines.append("except KeyError as err:")
+            self.lines.append(f"    raise _unbound(err, {offsets}) from None")
+        return [self.node(a) for a in asts]
 
-        def split(x, dx, v):
-            value, deriv = pair(x, dx, v)
-            return [value], [deriv]
-    else:
-        def split(x, dx, v):
-            out = [pair(x, dx, v) for pair in pairs]
-            return [value for value, _ in out], [deriv for _, deriv in out]
-
-    if exo_values is None:
-        return split
-    return lambda x, dx, e: split(x, dx, exo_values(e))
-
-
-def _read_state(e: Expr, states, reads: set[int]) -> bool:
-    """Whether ``e`` reads a state name; adds the id of each node of ``e``
-    that does to ``reads`` (one walk, where asking :func:`variables` at
-    every node would walk each subtree once per ancestor)."""
-    if isinstance(e, Var):
-        hit = e.name in states
-    elif isinstance(e, Neg):
-        hit = _read_state(e.operand, states, reads)
-    elif isinstance(e, BinOp):
-        hit = _read_state(e.left, states, reads) | _read_state(e.right, states, reads)
-    elif isinstance(e, Call):
-        hit = any([_read_state(a, states, reads) for a in e.args])
-    else:
-        hit = False
-    if hit:
-        reads.add(id(e))
-    return hit
-
-
-def _tangent(e: Expr, states, reads: set[int], bind):
-    """``(dual, node)``: a dual node ``node(x, dx, v) -> (value, derivative)``
-    if ``e`` reads the state (its id is in ``reads``, see
-    :func:`_read_state`), else the plain node ``node(x, v)``."""
-    if id(e) not in reads:
-        return False, _compile(e, bind)
-    if isinstance(e, Var):
-        k = states[e.name]
-        return True, lambda x, dx, v: (x[k], dx[k])
-    if isinstance(e, Neg):
-        a = _tangent(e.operand, states, reads, bind)[1]
-
-        def neg(x, dx, v):
-            av, ad = a(x, dx, v)
-            return -av, -ad
-
-        return True, neg
-    if isinstance(e, Call):
-        return True, _tangent_call(e, [_tangent(arg, states, reads, bind) for arg in e.args])
-    if e.op == "^":
-        return True, _tangent_power(e, states, reads, bind)
-    left = _tangent(e.left, states, reads, bind)
-    right = _tangent(e.right, states, reads, bind)
-    return True, _TANGENT_BINOPS[e.op](e, left, right)
-
-
-def _tangent_add(node, left, right):
-    (da, a), (db, b) = left, right
-    if da and db:
-        def add(x, dx, v):
-            av, ad = a(x, dx, v)
-            bv, bd = b(x, dx, v)
-            return av + bv, ad + bd
-    elif da:
-        def add(x, dx, v):
-            av, ad = a(x, dx, v)
-            return av + b(x, v), ad
-    else:
-        def add(x, dx, v):
-            p = a(x, v)
-            bv, bd = b(x, dx, v)
-            return bv + p, bd  # DualScalar.__radd__
-    return add
-
-
-def _tangent_sub(node, left, right):
-    (da, a), (db, b) = left, right
-    if da and db:
-        def sub(x, dx, v):
-            av, ad = a(x, dx, v)
-            bv, bd = b(x, dx, v)
-            return av - bv, ad - bd
-    elif da:
-        def sub(x, dx, v):
-            av, ad = a(x, dx, v)
-            return av - b(x, v), ad
-    else:
-        def sub(x, dx, v):
-            p = a(x, v)
-            bv, bd = b(x, dx, v)
-            return p - bv, -bd  # DualScalar.__rsub__
-    return sub
-
-
-def _tangent_mul(node, left, right):
-    (da, a), (db, b) = left, right
-    if da and db:
-        def mul(x, dx, v):
-            av, ad = a(x, dx, v)
-            bv, bd = b(x, dx, v)
-            return av * bv, av * bd + ad * bv
-    elif da:
-        def mul(x, dx, v):
-            av, ad = a(x, dx, v)
-            p = b(x, v)
-            return av * p, ad * p
-    else:
-        def mul(x, dx, v):
-            p = a(x, v)
-            bv, bd = b(x, dx, v)
-            return bv * p, bd * p  # DualScalar.__rmul__
-    return mul
-
-
-def _tangent_div(node, left, right):
-    (da, a), (db, b) = left, right
-    offset = node.offset
-    _div = numerics._div
-    if da and db:
-        def div(x, dx, v):
-            av, ad = a(x, dx, v)
-            bv, bd = b(x, dx, v)
-            if _hit(operator.eq, bv):
-                raise EvalError("division by zero", offset)
-            return _div(av, bv), _div(ad * bv - av * bd, bv * bv)
-    elif da:
-        c = _literal(node.right)
-        if c is not None and c != 0.0:
-            # the guard cannot hit a nonzero literal, and _div(a, c) is a / c; the RC's
-            # f divides by R, and the guard's calls show in audit_rc end to end (CHANGES.md)
-            def div(x, dx, v):
-                av, ad = a(x, dx, v)
-                return av / c, ad / c
+    def node(self, e: Expr) -> tuple:
+        """``(value, derivative)``: the names holding the node of ``e``, the
+        derivative None for a node that reads no state."""
+        if isinstance(e, Const):
+            return self.const(e.value), None
+        if isinstance(e, Var):
+            k = self.states.get(e.name)
+            if k is None:
+                return self.exo[e.name], None
+            key, args = ("x", k), ()
+        elif isinstance(e, Neg):
+            args = (self.node(e.operand),)
+            c = self.literal(args[0])
+            if c is not None:
+                return self.const(-c), None
+            key = ("neg", *args)
+        elif isinstance(e, Call):
+            args = tuple(self.node(a) for a in e.args)
+            key = (e.name, *args)
         else:
-            def div(x, dx, v):
-                av, ad = a(x, dx, v)
-                p = b(x, v)
-                if _hit(operator.eq, p):
-                    raise EvalError("division by zero", offset)
-                return _div(av, p), _div(ad, p)
-    else:
-        def div(x, dx, v):
-            p = a(x, v)
-            bv, bd = b(x, dx, v)
-            if _hit(operator.eq, bv):
-                raise EvalError("division by zero", offset)
-            return _div(p, bv), _div(-p * bd, bv * bv)  # DualScalar.__rtruediv__
-    return div
+            k = _integer_literal(e.right) if e.op == "^" else None
+            if k is not None and abs(k) <= 16:  # only the base has anything to run
+                args = (self.node(e.left),)
+                key = ("^", *args, k)
+            else:
+                args = (self.node(e.left), self.node(e.right))
+                key = (e.op, *args)
+        return self.memo(e, key, args)
 
+    def memo(self, e: Expr, key: tuple, args: tuple) -> tuple:
+        """The node ``key`` of ``e`` on the operand nodes ``args``: its lines
+        are generated on its first occurrence only."""
+        out = self.nodes.get(key)
+        if out is None:
+            if isinstance(e, Var) or any(d is not None for _, d in args):
+                out = self.dual(e, key, args)
+            else:
+                out = self.plain(e, key, [v for v, _ in args]), None
+            self.nodes[key] = out
+        return out
 
-_TANGENT_BINOPS = {"+": _tangent_add, "-": _tangent_sub, "*": _tangent_mul, "/": _tangent_div}
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """The ``*`` node of the nodes ``a`` and ``b``: the product of two
+        duals is DualScalar.__mul__, which an unrolled power shares with an
+        explicit product of the same operands."""
+        return self.memo(_PRODUCT, ("*", a, b), (a, b))
 
+    def plain(self, e: Expr, key: tuple, args: list[str]) -> str:
+        """The value of a node that reads no state, as its closure computes it."""
+        if isinstance(e, Neg):
+            return self.let(f"-{args[0]}")
+        if isinstance(e, Call):
+            if e.name in _GUARDED_FN:
+                _, test, message = _GUARDED_FN[e.name]
+                self.guard(test, args[0], message, e.offset)
+            return self.let(f"_{e.name}({', '.join(args)})")
+        a = args[0]
+        if len(args) == 1:  # a literal integer power
+            k = key[-1]
+            if k == 0:
+                return self.const(1.0)
+            if k < 0:
+                self.guard(operator.eq, a, "zero raised to a negative power", e.offset)
+            power = _pow_chain(abs(k), (a, None), self.mul)[0]
+            return power if k > 0 else self.let(f"1.0 / {power}")
+        b = args[1]
+        if e.op == "^":
+            self.guard(operator.le, a, "power of a non-positive base with non-integer exponent",
+                       e.offset)
+            return self.let(f"_exp({b} * _log({a}))")
+        if e.op == "/" and not self.nonzero_literal(b):  # the guard cannot hit one
+            self.guard(operator.eq, b, "division by zero", e.offset)
+        return self.let(f"{a} {e.op} {b}")
 
-def _pair_mul(a, b):
-    """DualScalar.__mul__ of two duals, on (value, derivative) pairs."""
-    av, ad = a
-    bv, bd = b
-    return av * bv, av * bd + ad * bv
+    def dual(self, e: Expr, key: tuple, args: tuple) -> tuple[str, str]:
+        """The value and derivative of a node that reads a state, as the dual
+        rule computes them on its operands' parts."""
+        if isinstance(e, Var):
+            k = key[1]
+            return self.let(self.state(k)), self.let(self.deriv(k))
+        if isinstance(e, Neg):
+            (a, da), = args
+            return self.let(f"-{a}"), self.let(f"-{da}")
+        if isinstance(e, Call):
+            return self.dual_call(e, args)
+        if len(args) == 1:
+            return self.dual_power(e, args[0], key[-1])
+        (a, da), (b, db) = args
+        op = e.op
+        if op == "^":
+            return self.dual_real_power(e, a, da, b, db)
+        if da is not None and db is not None:
+            if op == "*":
+                return self.let(f"{a} * {b}"), self.let(f"{a} * {db} + {da} * {b}")
+            if op != "/":
+                return self.let(f"{a} {op} {b}"), self.let(f"{da} {op} {db}")
+            self.guard(operator.eq, b, "division by zero", e.offset)
+            return (self.let(f"_div({a}, {b})"),
+                    self.let(f"_div({da} * {b} - {a} * {db}, {b} * {b})"))
+        if da is not None:  # a plain right operand
+            if op in "+-":
+                return self.let(f"{a} {op} {b}"), da
+            if op == "*":
+                return self.let(f"{a} * {b}"), self.let(f"{da} * {b}")
+            if self.nonzero_literal(b):
+                # the guard cannot hit a nonzero literal, and _div(a, c) is a / c
+                return self.let(f"{a} / {b}"), self.let(f"{da} / {b}")
+            self.guard(operator.eq, b, "division by zero", e.offset)
+            return self.let(f"_div({a}, {b})"), self.let(f"_div({da}, {b})")
+        # a plain left operand: DualScalar's reflected rules
+        if op == "+":
+            return self.let(f"{b} + {a}"), db
+        if op == "-":
+            return self.let(f"{a} - {b}"), self.let(f"-{db}")
+        if op == "*":
+            return self.let(f"{b} * {a}"), self.let(f"{db} * {a}")
+        self.guard(operator.eq, b, "division by zero", e.offset)
+        return self.let(f"_div({a}, {b})"), self.let(f"_div(-{a} * {db}, {b} * {b})")
 
-
-def _tangent_power(node: BinOp, states, reads, bind):
-    k = _integer_literal(node.right)
-    offset = node.offset
-    if k is not None and abs(k) <= 16:
+    def dual_power(self, e: Expr, base: tuple, k: int) -> tuple[str, str]:
         if k == 0:
             raise _KindNotStatic  # the dual rule drops the base's derivative
-        a = _tangent(node.left, states, reads, bind)[1]
-        chain = _pow_chain(abs(k), _pair_mul)
+        if k < 0:
+            self.guard(operator.eq, base[0], "zero raised to a negative power", e.offset)
+        cv, cd = _pow_chain(abs(k), base, self.mul)
         if k > 0:
-            return lambda x, dx, v: chain(a(x, dx, v))
-        _div = numerics._div
+            return cv, cd
+        # DualScalar.__rtruediv__ of 1.0
+        return self.let(f"_div(1.0, {cv})"), self.let(f"_div(-1.0 * {cd}, {cv} * {cv})")
 
-        def inverse_power(x, dx, v):
-            base = a(x, dx, v)
-            if _hit(operator.eq, base[0]):
-                raise EvalError("zero raised to a negative power", offset)
-            cv, cd = chain(base)
-            return _div(1.0, cv), _div(-1.0 * cd, cv * cv)  # DualScalar.__rtruediv__
-
-        return inverse_power
-    # exp(exponent * log(base)), each rule picked by which operands are dual
-    base_dual, a = _tangent(node.left, states, reads, bind)
-    exponent_dual, b = _tangent(node.right, states, reads, bind)
-    log = numerics.log
-    exp = numerics.exp
-    _div = numerics._div
-
-    def real_power(x, dx, v):
-        base = a(x, dx, v) if base_dual else a(x, v)
-        exponent = b(x, dx, v) if exponent_dual else b(x, v)
-        if _hit(operator.le, base[0] if base_dual else base):
-            raise EvalError("power of a non-positive base with non-integer exponent", offset)
-        if base_dual:
-            lv, ld = base
-            lg = (log(lv), _div(ld, lv))
-            if exponent_dual:
-                pv, pd = _pair_mul(exponent, lg)
-            else:
-                pv, pd = lg[0] * exponent, lg[1] * exponent  # DualScalar.__rmul__
+    def dual_real_power(self, e: Expr, a, da, b, db) -> tuple[str, str]:
+        """exp(exponent * log(base)), each rule picked by which operands are dual."""
+        self.guard(operator.le, a, "power of a non-positive base with non-integer exponent",
+                   e.offset)
+        if da is not None:
+            lv, ld = self.let(f"_log({a})"), self.let(f"_div({da}, {a})")
+            if db is not None:
+                pv, pd = self.mul((b, db), (lv, ld))
+            else:  # DualScalar.__rmul__
+                pv, pd = self.let(f"{lv} * {b}"), self.let(f"{ld} * {b}")
         else:
-            lg = log(base)
-            ev, ed = exponent
-            pv, pd = ev * lg, ed * lg
-        ex = exp(pv)
-        return ex, ex * pd
+            lg = self.let(f"_log({a})")
+            pv, pd = self.let(f"{b} * {lg}"), self.let(f"{db} * {lg}")
+        ex = self.let(f"_exp({pv})")
+        return ex, self.let(f"{ex} * {pd}")
 
-    return real_power
+    def dual_call(self, e: Call, args: tuple) -> tuple[str, str]:
+        name = e.name
+        if name in numerics.DUAL_RULES:
+            (v, d), = args
+            if name in _GUARDED_FN:
+                _, test, message = _GUARDED_FN[name]
+                self.guard(test, v, message, e.offset)
+            return self.let_pair(f"_dual_{name}({v}, {d})")
+        (y, dy), (x, dx) = args
+        if name == "atan2":  # a plain operand has derivative part 0.0
+            return self.let_pair(f"_dual_atan2({y}, {dy or '0.0'}, {x}, {dx or '0.0'})")
+        if dy is None or dx is None:
+            raise _KindNotStatic  # the dual rule returns whichever operand wins
+        return self.let_pair(f"_pick_pair(_{name}_test, {y}, {dy}, {x}, {dx})")
+
+    def dot(self, first: str, row: Sequence[str], u: Sequence[str]) -> str:
+        """``first + numerics.dot(row, u)``: ``acc = acc + a * b`` from 0.0."""
+        acc = "0.0"
+        for a, b in zip(row, u):
+            acc = self.let(f"{acc} + {a} * {b}")
+        return self.let(f"{first} + {acc}")
+
+    def function(self, params: str, result: str):
+        """The generated function ``program(params) -> result``, compiled
+        once; ``program.source`` is its source."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        source = f"def program({params}):\n{body}    return {result}\n"
+        exec(compile(source, "<exprlang program>", "exec"), self.scope)
+        program = self.scope.pop("program")
+        program.source = source
+        return program
 
 
-def _tangent_call(node: Call, args) -> Callable:
-    name = node.name
-    offset = node.offset
-    if name in numerics.DUAL_RULES:
-        rule = numerics.DUAL_RULES[name]
-        a = args[0][1]
-        if name not in _GUARDED_FN:
-            def unary(x, dx, v):
-                av, ad = a(x, dx, v)
-                return rule(av, ad)
+def _exo_reads(e: Expr, states, reads: dict[str, int]) -> None:
+    """Adds each exogenous (non-state) name ``e`` uses to ``reads`` with the
+    offset of its first use, in the order a compiled map reads them."""
+    if isinstance(e, Var):
+        if e.name not in states:
+            reads.setdefault(e.name, e.offset)
+    elif isinstance(e, Neg):
+        _exo_reads(e.operand, states, reads)
+    elif isinstance(e, BinOp):
+        _exo_reads(e.left, states, reads)
+        _exo_reads(e.right, states, reads)
+    elif isinstance(e, Call):
+        for a in e.args:
+            _exo_reads(a, states, reads)
 
-            return unary
-        _, test, message = _GUARDED_FN[name]
 
-        def guarded(x, dx, v):
-            av, ad = a(x, dx, v)
-            if _hit(test, av):
-                raise EvalError(message, offset)
-            return rule(av, ad)
+def _build_tangent(fn):
+    """``tangent(x, dx, e) -> (values, tangents)`` of the compiled map
+    ``fn``: its generated program, or one dual pass of ``fn`` for a map with
+    a node of :class:`_KindNotStatic`."""
+    program = _Program(fn.names, "x[{}]".format, "dx[{}]".format)
+    try:
+        entries = program.entries(fn.asts)
+    except _KindNotStatic:
+        return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
+    values = ", ".join(v for v, _ in entries)
+    # an entry that reads no state has derivative part 0.0, as deriv_part gives
+    derivs = ", ".join(d or "0.0" for _, d in entries)
+    return program.function("x, dx, e", f"[{values}], [{derivs}]")
 
-        return guarded
-    (da, a), (db, b) = args
-    if name == "atan2":
-        atan2 = numerics._dual_atan2
 
-        def two_argument(x, dx, v):
-            # a plain operand has derivative part 0.0, as deriv_part gives
-            yv, yd = a(x, dx, v) if da else (a(x, v), 0.0)
-            xv, xd = b(x, dx, v) if db else (b(x, v), 0.0)
-            return atan2(yv, yd, xv, xd)
+def lifted_rhs(f, g):
+    """``rhs(X, e, U)``: the right-hand side of the lift of
+    ``xdot = f(x, e) + g(x, e) u`` as one generated program, or None if f or
+    g has a node of :class:`_KindNotStatic`.
 
-        return two_argument
-    if not (da and db):
-        raise _KindNotStatic  # the dual rule returns whichever operand wins
-    test = operator.le if name == "min" else operator.ge
-
-    def pick(x, dx, v):
-        av, ad = a(x, dx, v)
-        bv, bd = b(x, dx, v)
-        mask = test(numerics._base(av), numerics._base(bv))
-        if isinstance(mask, np.ndarray):
-            return numerics._pick(mask, av, bv), numerics._pick(mask, ad, bd)
-        return (av, ad) if mask else (bv, bd)
-
-    return pick
+    ``f`` is a compiled map of n entries and ``g`` a compiled n x q matrix,
+    both over the same n state names.  ``X`` is (x, dx) and ``U`` is
+    (u, du), of 2n and 2q entries.  Row k < n is ``f_k + dot([g_k, 0...], U)``
+    and row n + k is ``df_k + dot([dg_k, g_k], U)``, each ``dot`` the
+    left-to-right ``0.0 + a*b`` chain of :func:`numerics.dot` (``0.0 * du``
+    terms kept), where ``f_k``, ``g_k`` and their tangents ``df_k``, ``dg_k``
+    come from the shared DAG of both maps.  So each row is, bit for bit,
+    what the lift of f and g through their own tangents gives, and the first
+    error raised is the one their tangents raise, f's rows before g's."""
+    n, q = len(f.asts), len(g.asts[0])
+    program = _Program(f.names, "X[{}]".format, lambda k: f"X[{n + k}]")
+    try:
+        fs = program.entries(f.asts)
+        gs = program.entries([a for row in g.asts for a in row])
+    except _KindNotStatic:
+        return None
+    u = [program.fresh("u") for _ in range(2 * q)]
+    program.lines.append(f"{', '.join(u)}, = U")
+    values = [[v for v, _ in gs[k * q:(k + 1) * q]] for k in range(n)]
+    derivs = [[d or "0.0" for _, d in gs[k * q:(k + 1) * q]] for k in range(n)]
+    rows = [program.dot(fs[k][0], values[k] + ["0.0"] * q, u) for k in range(n)]
+    rows += [program.dot(fs[k][1] or "0.0", derivs[k] + values[k], u) for k in range(n)]
+    return program.function("X, e, U", f"[{', '.join(rows)}]")
 
 
 def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:

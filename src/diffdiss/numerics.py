@@ -567,8 +567,8 @@ class Rk4:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("Rk4 step size must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"Rk4 step size must be positive and finite, got {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -579,8 +579,8 @@ class Rk45:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("Rk45 tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"Rk45 tolerance must be positive and finite, got {self.tol!r}")
 
 
 Stepper = Rk4 | Rk45
@@ -654,6 +654,8 @@ def integrate(
     if stepper is None:
         stepper = Rk45()
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {(t0, t1)!r}")
     if t1 < t0:
         raise ValueError("t_span must be increasing")
     x = np.asarray(x0, dtype=float).copy()

@@ -13,8 +13,9 @@ lists.  Evaluability on dual scalars is what makes every map C^1
 accessible to the lift and to the certificate checkers.  The lift has two
 paths.  A map compiled from expressions (``exprlang.compile_map`` or
 ``compile_matrix``) is lifted through its ``tangent``, which returns the
-value and the Jacobian action on dx from closures that perform the float
-operations of the dual rules, with no dual arithmetic.  Any other map is
+value and the Jacobian action on dx from a generated program that performs
+the float operations of the dual rules, with no dual arithmetic; a lift of
+compiled f and g runs one program for the whole of f + g·u.  Any other map is
 evaluated once on x seeded with dx, and the lift reads its value from the
 value part of that dual evaluation, so the value on duals must equal the
 value on floats.  Both paths give the same bits for the same map.
@@ -69,18 +70,22 @@ class SignalError(Exception):
 
 
 class Signal:
-    """Scalar time signal: the closure ``at(t)`` picked at construction, and
-    whether the signal is ``smooth``.
+    """Scalar time signal: the closures ``at(t)`` and ``many(times)``
+    picked at construction, and whether the signal is ``smooth``.
 
-    Smooth signals (constant, analytic, expression) are dual-evaluable, so
-    ``deriv`` and ``deriv2`` are dual passes of ``at`` and accept dual ``t``
-    too; sampled signals interpolate linearly and have no derivative.
+    ``many(times)`` returns ``at`` at each of a 1-d array of times, bit for
+    bit, as one array (one row per time for a per-member signal) from one
+    call where the signal allows it.  Smooth signals (constant, analytic,
+    expression) are dual-evaluable, so ``deriv`` and ``deriv2`` are dual
+    passes of ``at`` and accept dual ``t`` too; sampled signals interpolate
+    linearly and have no derivative.
     """
 
-    __slots__ = ("at", "smooth")
+    __slots__ = ("at", "many", "smooth")
 
-    def __init__(self, at: Callable, smooth: bool = True):
+    def __init__(self, at: Callable, smooth: bool = True, many: Callable | None = None):
         self.at = at
+        self.many = many or (lambda times: np.array([at(t) for t in times], dtype=float))
         self.smooth = smooth
 
     @classmethod
@@ -90,7 +95,7 @@ class Signal:
     @classmethod
     def constant(cls, value: float) -> "Signal":
         value = float(value)
-        return cls(lambda t: value)
+        return cls(lambda t: value, many=lambda times: np.full(len(times), value))
 
     @classmethod
     def sampled(cls, times: Sequence[float], samples: Sequence[float]) -> "Signal":
@@ -103,14 +108,24 @@ class Signal:
         lo, hi = times[0], times[-1]
         slack = 1e-9 * max(hi - lo, 1.0)
 
+        def check(t):
+            if t < lo - slack or t > hi + slack:
+                raise SignalError(f"sampled signal queried at t={t:.6g} outside [{lo:.6g}, {hi:.6g}]")
+
         def at(t):
             if isinstance(t, DualScalar):
                 raise SignalError("sampled signals are not dual-evaluable and have no derivative")
-            if t < lo - slack or t > hi + slack:
-                raise SignalError(f"sampled signal queried at t={t:.6g} outside [{lo:.6g}, {hi:.6g}]")
+            check(t)
             return float(np.interp(t, times, samples))
 
-        return cls(at, smooth=False)
+        def many(ts):
+            ts = np.asarray(ts, dtype=float)
+            outside = np.flatnonzero((ts < lo - slack) | (ts > hi + slack))
+            if outside.size:
+                check(ts[outside[0]])
+            return np.interp(ts, times, samples)
+
+        return cls(at, smooth=False, many=many)
 
     @classmethod
     def analytic(cls, fn: Callable) -> "Signal":
@@ -126,7 +141,13 @@ class Signal:
         if extra:
             raise SignalError(f"signal expression may only use 't', found {sorted(extra)}")
         fn = exprlang.compile_map([ast], ["t"])
-        return cls(lambda t: fn((t,))[0])
+
+        def many(times):
+            # one call on the array: the same float operations per element
+            out = fn((np.asarray(times, dtype=float),))[0]
+            return out if isinstance(out, np.ndarray) else np.full(len(times), float(out))
+
+        return cls(lambda t: fn((t,))[0], many=many)
 
     def value(self, t: float) -> float:
         return float_value(self.at(t))
@@ -237,11 +258,15 @@ def lift(sys: DynSystem) -> DynSystem:
 
     A map with a ``tangent`` (every map :func:`exprlang.compile_map` or
     :func:`exprlang.compile_matrix` returns) is lifted through it: one call
-    gives the map at x and its Jacobian action on dx, from closures that
-    perform the float operations of the dual rules, so the lift is bit for
-    bit what the dual pass gives.  Any other map (a Python callable) is
-    evaluated once on x seeded with dx: the value parts of the result are
-    the map at x and the derivative parts its Jacobian action on dx.
+    gives the map at x and its Jacobian action on dx, from a generated
+    program that performs the float operations of the dual rules, so the
+    lift is bit for bit what the dual pass gives.  When f and g are both
+    compiled over the same state names, ``rhs_with`` is one generated
+    program of both (:func:`exprlang.lifted_rhs`), which shares their
+    common subexpressions and returns f + g·u directly, with the same bits.
+    Any other map (a Python callable) is evaluated once on x seeded with dx:
+    the value parts of the result are the map at x and the derivative parts
+    its Jacobian action on dx.
     """
     n, q = sys.n, sys.q
 
@@ -270,18 +295,37 @@ def lift(sys: DynSystem) -> DynSystem:
         i=lift_matrix(sys.i) if sys.i is not None else None,
         exo=sys.exo, name=f"lift({sys.name})" if sys.name else "lift",
     )
+    rhs = _compiled_rhs(sys)
+    if rhs is not None:
+        lifted.rhs_with = rhs
     lifted.base = sys
     return lifted
 
 
+def _compiled_rhs(sys: DynSystem):
+    """The generated ``rhs_with(X, e, U)`` of the lift of ``sys`` if its f
+    and g are compiled maps of the right shape over the same n state names
+    and have no node the generator leaves to a dual pass, else None."""
+    f, g = sys.f, sys.g
+    names = getattr(f, "names", None)
+    if names is None or getattr(g, "names", None) != names or len(names) != sys.n:
+        return None
+    if len(f.asts) != sys.n or any(isinstance(a, list) for a in f.asts):
+        return None
+    if len(g.asts) != sys.n or any(not isinstance(row, list) or len(row) != sys.q
+                                   for row in g.asts):
+        return None
+    return exprlang.lifted_rhs(f, g)
+
+
 def _tangent_of(fun, matrix: bool):
-    """``tangent(x, dx, e) -> (values, tangents)`` of a map: the built
-    closure of its own ``tangent`` (``tangent.build()``) if it has one, else
-    one dual pass of ``fun`` on x seeded with dx, split into value and
-    derivative parts (row by row for a matrix map)."""
+    """``tangent(x, dx, e) -> (values, tangents)`` of a map: its own
+    ``tangent``, which generates its program on the first call, if it has
+    one, else one dual pass of ``fun`` on x seeded with dx, split into value
+    and derivative parts (row by row for a matrix map)."""
     tangent = getattr(fun, "tangent", None)
     if tangent is not None:
-        return tangent.build()
+        return tangent
     if matrix:
         def dual_tangent(x, dx, e):
             parts = [dual_parts(row) for row in fun(seed(x, dx), e)]
@@ -445,14 +489,12 @@ def _prolonged_from_solution(sys, lifted, sigs, sol, members):
     n, q = sys.n, sys.q
     times = sol.times
     N = len(times)
-    cols = [np.array([s.at(t) for t in times], dtype=float) for s in sigs]
-    U = np.stack([np.broadcast_to(c.T, (members, N)) for c in cols], axis=-1)
-    exo = [lifted.exo_at(t) for t in times]
-    E = {name: np.tile([ek[name] for ek in exo], members) for name in lifted.exo}
-    Ub = list(U.reshape(members * N, 2 * q).T)
     states = sol.states.reshape(N, members, 2 * n).transpose(1, 0, 2)
     X = list(states.reshape(members * N, 2 * n).T)
     with np.errstate(**FLOAT_ERRORS):
+        U = np.stack([np.broadcast_to(s.many(times).T, (members, N)) for s in sigs], axis=-1)
+        E = {name: np.tile(sig.many(times), members) for name, sig in lifted.exo.items()}
+        Ub = list(U.reshape(members * N, 2 * q).T)
         Y = batch_rows(lifted.output_with(X, E, Ub), members * N).reshape(members, N, 2 * q)
         Xdot = batch_rows(lifted.rhs_with(X, E, Ub), members * N).reshape(members, N, 2 * n)
     return [

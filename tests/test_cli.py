@@ -153,15 +153,17 @@ class TestConfigErrors:
         assert "/storage/projector" in error["error"]
 
 
-def _assert_located(tmp_path, capsys, command, base, keys, value, pointer):
-    """``command`` on ``base`` with ``value`` set at ``keys`` exits 2 with a
-    config error at ``pointer``, on stderr and in the error report."""
+def _assert_located(tmp_path, capsys, command, base, keys, value, pointer, flags=()):
+    """``command`` on ``base`` with ``value`` set at ``keys`` (if any) and
+    ``flags`` exits 2 with a config error at ``pointer``, on stderr and in
+    the error report."""
     cfg = json.loads(json.dumps(base))
     node = cfg
     for key in keys[:-1]:
         node = node.setdefault(key, {})
-    node[keys[-1]] = value
-    code, out = run(tmp_path, *command.split(), "--config", write_config(tmp_path, cfg))
+    if keys:
+        node[keys[-1]] = value
+    code, out = run(tmp_path, *command.split(), "--config", write_config(tmp_path, cfg), *flags)
     assert code == 2
     assert f"config error at {pointer}:" in capsys.readouterr().err
     error = json.loads((out / "error_report.json").read_text())
@@ -242,6 +244,28 @@ class TestLocatedConfigErrors:
          "/system/params/mu"),
     ]
 
+    # no number is nan, and the positive keys and run.tol are finite
+    NON_FINITE = [
+        ("audit", SCALAR_SYS, ("run", "stepper"), {"kind": "rk4", "dt": float("inf")},
+         "/run/stepper/dt"),
+        ("audit", SCALAR_SYS, ("run", "t_final"), float("inf"), "/run/t_final"),
+        ("audit", SCALAR_SYS, ("run", "tol"), float("nan"), "/run/tol"),
+        ("audit", SCALAR_SYS, ("run", "x0"), [float("nan")], "/run/x0/0"),
+        ("audit", RC, ("system", "params", "R"), float("inf"), "/system/params/R"),
+    ]
+
+    # command-line flags go through the readers of their config keys
+    FLAGS = [
+        ("audit", SCALAR_SYS, ("--t-final", "nan"), "--t-final"),
+        ("audit", SCALAR_SYS, ("--t-final", "-1"), "--t-final"),
+        ("audit", SCALAR_SYS, ("--t-final", "inf"), "--t-final"),
+        ("audit", SCALAR_SYS, ("--dt", "0"), "--dt"),
+        ("audit", SCALAR_SYS, ("--dt", "nan"), "--dt"),
+        ("demo motor", {}, ("--dt", "0"), "--dt"),
+        ("audit", SCALAR_SYS, ("--tol", "nan"), "--tol"),
+        ("interconnect", LOOP, ("--seed", "-1"), "--seed"),
+    ]
+
     @pytest.mark.parametrize("command, base, keys, value, pointer", CASES,
                              ids=[f"{c[0]}:{c[4]}" for c in CASES])
     def test_located(self, tmp_path, capsys, command, base, keys, value, pointer):
@@ -251,6 +275,16 @@ class TestLocatedConfigErrors:
                              ids=[f"{c[0]}:{c[4]}" for c in OUT_OF_RANGE])
     def test_out_of_range_located(self, tmp_path, capsys, command, base, keys, value, pointer):
         _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
+
+    @pytest.mark.parametrize("command, base, keys, value, pointer", NON_FINITE,
+                             ids=[f"{c[0]}:{c[4]}" for c in NON_FINITE])
+    def test_non_finite_located(self, tmp_path, capsys, command, base, keys, value, pointer):
+        _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
+
+    @pytest.mark.parametrize("command, base, flags, pointer", FLAGS,
+                             ids=[f"{c[0]}:{' '.join(c[2])}" for c in FLAGS])
+    def test_flag_located(self, tmp_path, capsys, command, base, flags, pointer):
+        _assert_located(tmp_path, capsys, command, base, (), None, pointer, flags)
 
     def test_integral_numbers_still_accepted(self, tmp_path):
         cfg = {"system": {"params": {"R": 2, "q_range": [-1, 1]}},

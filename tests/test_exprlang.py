@@ -552,6 +552,122 @@ class TestTangent:
         assert row.tangent([3.0], [1.0], {"y": 2.0}) == ([[9.0, 2.0]], [[6.0, 0.0]])
 
 
+def _numbered(e, offsets):
+    """``e`` with a fresh offset at every node, in pre-order, so a subtree
+    that occurs twice carries a different offset at each occurrence."""
+    offset = next(offsets)
+    if isinstance(e, Neg):
+        return Neg(_numbered(e.operand, offsets), offset)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _numbered(e.left, offsets), _numbered(e.right, offsets), offset)
+    if isinstance(e, Call):
+        return Call(e.name, tuple(_numbered(a, offsets) for a in e.args), offset)
+    return type(e)(e.value if isinstance(e, Const) else e.name, offset)
+
+
+def _shared_rows():
+    """Rows combining a small pool of subexpressions (signed zeros included)
+    several times each, renumbered, so a generated program shares nodes
+    whose occurrences have different offsets."""
+    zeros = st.sampled_from([Const(0.0), Const(-0.0)])
+    pools = st.lists(st.one_of(_all_exprs(2), zeros), min_size=1, max_size=4)
+
+    def rows(pool):
+        part = st.sampled_from(pool)
+        row = st.one_of(part, st.builds(lambda op, a, b: BinOp(op, a, b),
+                                        st.sampled_from("+-*/^"), part, part))
+        return st.lists(row, min_size=1, max_size=4)
+
+    return pools.flatmap(rows).map(
+        lambda asts: [_numbered(a, iter(range(1000 * k, 1000 * (k + 1))))
+                      for k, a in enumerate(asts)])
+
+
+class TestGeneratedTangent:
+    """``fn.tangent`` is one generated straight-line program over the
+    hash-consed DAG of the map's rows; it returns ``dual_parts`` of a dual
+    pass bit for bit, or raises the same error at the same offset."""
+
+    @staticmethod
+    def _check(asts, x, dx, e):
+        fn = compile_map(asts, _STATES, _EXO)
+        with np.errstate(**FLOAT_ERRORS):
+            got = _tangent_outcome(lambda: fn.tangent(x, dx, e))
+            want = _tangent_outcome(lambda: numerics.dual_parts(fn(seed(x, dx), e)))
+        assert got == want
+        return fn
+
+    @given(_shared_rows(),
+           st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_floats(self, asts, values, derivs):
+        env = dict(zip(_NAMES, values))
+        self._check(asts, [env[name] for name in _STATES], derivs,
+                    {name: env[name] for name in _EXO})
+
+    @given(_shared_rows(),
+           st.lists(st.floats(-1e3, 1e3), min_size=5 * _BATCH, max_size=5 * _BATCH),
+           st.lists(st.floats(-10.0, 10.0), min_size=3 * _BATCH, max_size=3 * _BATCH))
+    @settings(max_examples=300, deadline=None)
+    def test_batches(self, asts, values, derivs):
+        env = dict(zip(_NAMES, np.array(values).reshape(5, _BATCH)))
+        self._check(asts, [env[name] for name in _STATES],
+                    list(np.array(derivs).reshape(3, _BATCH)),
+                    {name: env[name] for name in _EXO})
+
+    def test_shared_subexpressions_are_computed_once(self):
+        fn = compile_map([parse("1/(1 + 3*x^2) * y"), parse("x^3 + 1/(1 + 3*x^2)")], ["x"], ["y"])
+        source = fn.tangent.build().source
+        assert source.count("_div(") == 2  # the one division's value and derivative
+        assert source.count("_hit(") == 1
+        assert source.count(" x[0]") == 1 and source.count(" dx[0]") == 1
+        self._check([parse("1/(1 + 3*x^2) * y"), parse("x^3 + 1/(1 + 3*x^2)")],
+                    [0.5, 1.0, 2.0], [1.0, 0.0, 0.0], {"y": 2.0, "q_c": 0.0})
+
+    def test_source_holds_no_config_text(self):
+        fn = compile_map([parse("alpha * gamma + 1e999*beta - 0.25")], ["alpha", "beta"],
+                         ["gamma"])
+        source = fn.tangent.build().source
+        for text in ("alpha", "beta", "gamma", "inf", "0.25", "1e999"):
+            assert text not in source
+        values, derivs = fn.tangent([2.0, 1.0], [1.0, 0.5], {"gamma": 3.0})
+        assert values == [math.inf] and derivs == [math.inf]
+
+    def test_infinite_literal(self):
+        self._check([parse("1e999*x")], [2.0, 1.0, 0.0], [1.0, 0.0, 0.0], {})
+        self._check([parse("x - 1e999*x")], [-0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], {})
+
+    def test_signed_zero_literals_stay_apart(self):
+        x = Traced(Var("x"))
+        asts = [as_expr(x * 0.0), as_expr(x * -0.0)]
+        assert asts[0] == asts[1]  # equal as dataclasses, distinct as literals
+        fn = self._check(asts, [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], {})
+        (a, b), (da, db) = fn.tangent([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], {})
+        assert math.copysign(1.0, a) == -1.0 and math.copysign(1.0, b) == 1.0
+        assert math.copysign(1.0, da) == 1.0 and math.copysign(1.0, db) == -1.0
+
+    def test_reflected_rules_keep_signed_zeros(self):
+        # a plain left operand runs DualScalar's __rsub__/__radd__: 1 - x at x = 1 is +0.0
+        asts = [parse("1 - x"), parse("-0.0 + x*0"), parse("2 / (x - 1 + zz)")]
+        fn = self._check(asts, [1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], {})
+        self._check(asts, [1.0, 2.0, 0.0], [1.0, -1.0, 0.0], {})
+        assert math.copysign(1.0, fn.tangent([1.0, 2.0, 0.0], [1.0, 0.0, 0.0], {})[0][0]) == 1.0
+
+    @pytest.mark.parametrize("text", ["min(x, 1)", "x^0", "max(2, x) + x"])
+    def test_kind_not_static_takes_the_dual_pass(self, text):
+        fn = self._check([parse(text), parse("x*zz")], [0.5, 2.0, 0.0], [1.0, 1.0, 0.0], {})
+        assert not hasattr(fn.tangent.build(), "source")
+
+    def test_first_error_keeps_the_first_offset(self):
+        # (zz - 1) divides at offsets 5 and 21: the first occurrence reports
+        asts = [parse("2 + x/(zz - 1)"), parse("x + 1/(zz - 1)")]
+        for x in ([1.0, 1.0, 0.0], [np.array([1.0, 2.0]), np.array([3.0, 1.0]), np.zeros(2)]):
+            self._check(asts, x, [1.0, 1.0, 0.0], {})
+            with pytest.raises(EvalError, match="division by zero at offset 5"):
+                compile_map(asts, _STATES, _EXO).tangent(x, [1.0, 1.0, 0.0], {})
+
+
 class TestSubstituteAndTrace:
     def test_substitution_is_simultaneous(self):
         swapped = substitute(parse("x + y*x"), {"x": Var("y"), "y": Var("x")})

@@ -229,6 +229,18 @@ class TestIntegrate:
         sol = integrate(field, [1.0, 0.0], (0.0, 2.0 * math.pi), Rk4(1e-3))
         assert np.linalg.norm(sol.states[-1] - [1.0, 0.0]) < 1e-6
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_steppers_reject_non_positive_or_non_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Rk4(bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Rk45(bad)
+
+    @pytest.mark.parametrize("span", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_span_rejected(self, span):
+        with pytest.raises(ValueError, match="t_span must be finite"):
+            integrate(lambda t, x: -x, [1.0], span, Rk4(0.1))
+
     def test_rk4_fourth_order(self):
         # dt pair chosen so truncation error stays well above roundoff
         errs = []

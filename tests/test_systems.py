@@ -17,6 +17,7 @@ from diffdiss import (
 )
 from diffdiss.examples import MotorParams, induction_motor_virtual, lti
 from diffdiss.numerics import FLOAT_ERRORS, DualScalar, sin
+from diffdiss.exprlang import EvalError
 from diffdiss.systems import batch_rows
 
 from conftest import rotation, scalar_cubic, scalar_leaky
@@ -302,6 +303,103 @@ class TestTangentLift:
         u = [Signal.from_expr("sin(t)")] * sys.q
         simulate_ensemble(sys, x0s, x0s - 1.0, u=u, t_final=0.05, stepper=Rk4(1e-2))
         simulate_prolonged(sys, x0s[0], x0s[1], u=u, t_final=0.05, stepper=Rk4(1e-2))
+
+
+def _entry_bits(out) -> list:
+    return [np.asarray(v, dtype=float).tobytes() for v in out]
+
+
+def _fused(lifted) -> bool:
+    """Whether ``lifted.rhs_with`` is one generated program of f and g."""
+    return hasattr(lifted.rhs_with, "source")
+
+
+def _expr_system(f, g, h="x1"):
+    from diffdiss.cli import _build_expr_system
+
+    return _build_expr_system({"n": len(f), "q": len(g[0]), "f": f, "g": g,
+                               "h": [h] * len(g[0])}, "/system")
+
+
+class TestFusedLift:
+    """A lift of compiled f and g runs one generated program for f + g·u and
+    its tangent; it gives what the lift of the same maps wrapped in Python
+    (one dual pass each) gives, bit for bit, errors included."""
+
+    @pytest.mark.parametrize("name", ["rc", "config", "output-i1", "state-i12",
+                                      "state-two-port"])
+    def test_equals_the_dual_lift_bit_for_bit(self, name, rng):
+        from test_interconnect import _LOOPS  # loops with throughput and exo signals
+
+        systems = {"rc": lambda: rc_circuit().system, "config": _tangent_free_config_system}
+        sys = systems.get(name, lambda: _LOOPS[name]()[0])()
+        lifted, reference = lift(sys), lift(_python_maps(sys))
+        assert _fused(lifted) and not _fused(reference)
+        n, q = sys.n, sys.q
+        names = sorted(sys.exo)
+        for m in (None, 1, 4):  # floats, then batches of one and of several members
+            shape = (2 * n,) if m is None else (2 * n, m)
+            X = list(rng.uniform(0.6, 1.4, shape))
+            U = list(rng.uniform(-1.0, 1.0, (2 * q,) if m is None else (2 * q, m)))
+            U[q] = 0.0  # a zero du, shared by all members
+            e = {w: 0.3 if m is None else rng.uniform(0.0, 1.0, m) for w in names}
+            if m is None:
+                X, U = [float(v) for v in X], [float(v) for v in U]
+            with np.errstate(**FLOAT_ERRORS):
+                got = lifted.rhs_with(X, e, U)
+                want = reference.rhs_with(X, e, U)
+            assert _entry_bits(got) == _entry_bits(want)
+
+    def test_zero_terms_of_dot_are_kept(self):
+        # the value rows multiply du by g's 0.0 padding: 0.0 * inf is nan
+        sys = _tangent_free_config_system()
+        lifted, reference = lift(sys), lift(_python_maps(sys))
+        X, U = [1.2, 0.8, 0.5, -0.5], [0.5, -0.25, math.inf, -0.0]
+        got = lifted.rhs_with(X, {"w": 0.3}, U)
+        assert math.isnan(got[0])
+        assert _entry_bits(got) == _entry_bits(reference.rhs_with(X, {"w": 0.3}, U))
+
+    def test_trajectories_equal_the_dual_lift(self, rng):
+        sys = _tangent_free_config_system()
+        x0s = rng.uniform(1.0, 1.5, size=(3, sys.n))
+        u = [Signal.from_expr("sin(t)"), Signal.from_expr("0.5*cos(t)")]
+        for x0 in (x0s, x0s[:1]):
+            got = simulate_ensemble(sys, x0, x0 - 1.0, u=u, du=u[::-1], t_final=0.1,
+                                    stepper=Rk4(1e-2))
+            want = simulate_ensemble(_python_maps(sys), x0, x0 - 1.0, u=u, du=u[::-1],
+                                     t_final=0.1, stepper=Rk4(1e-2))
+            for a, b in zip(got, want):
+                _assert_same_run(a, b)
+
+    @pytest.mark.parametrize("f, g", [
+        (["min(x1, 1)"], [["1"]]),
+        (["-x1"], [["x1^0"]]),
+    ])
+    def test_kind_not_static_keeps_the_map_tangents(self, f, g):
+        sys = _expr_system(f, g)
+        lifted = lift(sys)
+        assert not _fused(lifted)
+        X, U = [0.5, 1.0], [0.3, 0.2]
+        want = lift(_python_maps(sys)).rhs_with(X, {}, U)
+        assert _entry_bits(lifted.rhs_with(X, {}, U)) == _entry_bits(want)
+
+    @pytest.mark.parametrize("f, g, offset", [
+        (["x1 + 2/(x1 - 1)"], [["1/(x1 - 1)"]], 6),  # f and g share the divisor: f's offset
+        (["x1^2"], [["3/(x1 - 1)"]], 1),  # only g divides by zero: g's offset
+        (["sqrt(x1 - 2) + 1/(x1 - 1)"], [["1/(x1 - 1)"]], 0),  # f's first guard fails first
+    ])
+    def test_first_error_is_the_dual_lift_error(self, f, g, offset):
+        sys = _expr_system(f, g)
+        lifted, reference = lift(sys), lift(_python_maps(sys))
+        assert _fused(lifted)
+        for X in ([1.0, 1.0], [np.array([2.0, 1.0]), np.array([1.0, 1.0])]):
+            errors = []
+            for system in (lifted, reference):
+                with pytest.raises(EvalError) as caught, np.errstate(**FLOAT_ERRORS):
+                    system.rhs_with(X, {}, [0.5, 0.0])
+                errors.append((str(caught.value), caught.value.offset))
+            assert errors[0] == errors[1]
+            assert errors[0][1] == offset
 
 
 class TestSimulate:
