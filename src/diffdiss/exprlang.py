@@ -22,27 +22,32 @@ arrays (a batch).  A batch evaluates every element with the float
 operations of the scalar path, and a domain guard raises if any element
 fails it.
 
-:func:`compile_map` turns a list of ASTs into one ``fn(x, e) -> list``
-built once from closures, one per AST node, with every name bound when the
-map is built: state names read ``x`` at a fixed index, exogenous names are
-read from ``e`` once per call.  It performs the operations of
-:func:`evaluate`, in the same order and with the same guards, so its results
-and errors are bit for bit those of ``evaluate``; the library evaluates
-config expressions only through compiled maps, and ``evaluate`` remains the
-reference interpreter.  :func:`compile_matrix` is its matrix form.
+:func:`compile_map` turns a list of ASTs into one ``fn(x, e) -> list``, a
+straight-line Python function generated from the hash-consed DAG of the
+ASTs, with every name bound when the map is built: state names read ``x``
+at a fixed index, exogenous names are read from ``e`` once per call.  It
+performs the operations of :func:`evaluate`, in the same order and with the
+same guards, so its results and errors are bit for bit those of
+``evaluate``; the library evaluates config expressions only through
+compiled maps, and ``evaluate`` remains the reference interpreter.
+:func:`compile_matrix` is its matrix form.
 
 Every compiled map also has ``fn.tangent(x, dx, e) -> (values, tangents)``,
 its forward-mode tangent, which the lift of a system runs in place of a dual
-pass.  It is generated on its first call as one straight-line Python
-function over the hash-consed DAG of the map's rows, which performs the
-float operations the DualScalar rules perform on ``x`` seeded with ``dx``,
-so the result is bit for bit the value and derivative parts of
+pass.  It is generated on its first call, from the same DAG, and performs
+the float operations the DualScalar rules perform on ``x`` seeded with
+``dx``, so the result is bit for bit the value and derivative parts of
 ``fn(numerics.seed(x, dx), e)``, with no dual arithmetic.
 :func:`lifted_rhs` generates one such program for the lifted right-hand
-side f + g·u of a system (see "generated tangent programs" below).
-Generating a program costs one ``compile()`` (about 0.3-0.5 ms), so it is
-done once per map or lifted system, when first needed, and never cached
-across processes.
+side f + g·u of a system (see "generated programs" below).  No config text
+enters a program's source, so maps of one structure share one compiled code
+object (:func:`_code` keeps the last 256 sources it compiled); a new
+structure costs one ``compile()``, about 0.3-0.5 ms.
+
+Expressions nest at most :data:`MAX_DEPTH` levels deep (each operator,
+function call, sign and pair of parentheses is a level), so that every tree
+walk here, and a loop composed of two such expressions, stays within
+Python's recursion limit; :func:`parse` rejects a deeper one.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import functools
 import operator
 import re
 import struct
-from itertools import accumulate
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -170,11 +175,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # parser
 
 
+MAX_DEPTH = 150
+"""The deepest nesting :func:`parse` accepts, in levels: an operator, a
+function call, a sign or a pair of parentheses is one level over the
+deepest of its operands, a number or a name none."""
+
+
 class _Parser:
+    """Recursive descent; each rule returns ``(ast, depth)``, the depth in
+    the levels of :data:`MAX_DEPTH`."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # levels open around the token being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -195,52 +210,75 @@ class _Parser:
             return self.advance()
         self.fail((f"'{op}'",))
 
+    def over(self, offset: int, *depths: int) -> int:
+        """The depth of the level opened at ``offset`` over operands of
+        ``depths``; a ParseError there if it is past MAX_DEPTH."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def inside(self, offset: int, rule) -> tuple:
+        """``rule()`` inside the level opened at ``offset``; a ParseError
+        there, before descending, if the open levels pass MAX_DEPTH, so the
+        recursion stays bounded."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        out = rule()
+        self.open -= 1
+        return out
+
     def parse(self) -> Expr:
-        e = self.sum_()
+        e, _ = self.sum_()
         if self.peek()[0] != "end":
             self.fail(("end of input", "operator"))
         return e
 
-    def sum_(self) -> Expr:
-        left = self.term()
+    def sum_(self) -> tuple:
+        left, depth = self.term()
         while True:
             kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                left = BinOp(text, left, self.term(), offset)
+                right, right_depth = self.term()
+                left, depth = BinOp(text, left, right, offset), self.over(offset, depth, right_depth)
             else:
-                return left
+                return left, depth
 
-    def term(self) -> Expr:
-        left = self.unary()
+    def term(self) -> tuple:
+        left, depth = self.unary()
         while True:
             kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                left = BinOp(text, left, self.unary(), offset)
+                right, right_depth = self.unary()
+                left, depth = BinOp(text, left, right, offset), self.over(offset, depth, right_depth)
             else:
-                return left
+                return left, depth
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple:
         kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary(), offset)
+            operand, depth = self.inside(offset, self.unary)
+            return Neg(operand, offset), self.over(offset, depth)
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple:
+        base, depth = self.atom()
         kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return BinOp("^", base, self.unary(), offset)
-        return base
+            exponent, exponent_depth = self.inside(offset, self.unary)
+            return BinOp("^", base, exponent, offset), self.over(offset, depth, exponent_depth)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple:
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(text), offset)
+            return Const(float(text), offset), 0
         if kind == "ident":
             self.advance()
             nk, nt, _ = self.peek()
@@ -248,28 +286,30 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", offset, tuple(sorted(FUNCTIONS)))
                 self.advance()
-                args = [self.sum_()]
+                args = [self.inside(offset, self.sum_)]
                 while self.peek()[:2] == ("op", ","):
                     self.advance()
-                    args.append(self.sum_())
+                    args.append(self.inside(offset, self.sum_))
                 self.expect_op(")")
                 arity = FUNCTIONS[text]
                 if len(args) != arity:
                     raise ParseError(
                         f"{text} takes {arity} argument(s), got {len(args)}", offset
                     )
-                return Call(text, tuple(args), offset)
-            return Var(text, offset)
+                return (Call(text, tuple(a for a, _ in args), offset),
+                        self.over(offset, *(depth for _, depth in args)))
+            return Var(text, offset), 0
         if kind == "op" and text == "(":
             self.advance()
-            e = self.sum_()
+            e, depth = self.inside(offset, self.sum_)
             self.expect_op(")")
-            return e
+            return e, self.over(offset, depth)
         self.fail(("number", "identifier", "'('", "'-'"))
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into an AST, or raise :class:`ParseError`."""
+    """Parse ``text`` into an AST, or raise :class:`ParseError` (also for
+    nesting deeper than :data:`MAX_DEPTH`)."""
     return _Parser(text).parse()
 
 
@@ -331,16 +371,6 @@ def _hit(test, x) -> bool:
     return hit if hit.__class__ is bool else hit.any()
 
 
-def _literal(e: Expr):
-    """The value of a literal ``c``, or of ``-c`` (the same float at build
-    time), else None."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg) and isinstance(e.operand, Const):
-        return -e.operand.value
-    return None
-
-
 def _integer_literal(e: Expr) -> int | None:
     if isinstance(e, Const) and float(e.value).is_integer():
         return int(e.value)
@@ -381,11 +411,7 @@ def _call(node: Call, args):
 
 
 # ---------------------------------------------------------------------------
-# compilation to closures
-
-# A compiled node is a closure ``node(x, v)``: ``x`` is the state sequence and
-# ``v`` the exogenous values a call read from ``e``, in first-use order.
-Node = Callable[[Sequence, Sequence], object]
+# compiled maps
 
 
 def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] = ()):
@@ -399,62 +425,45 @@ def compile_map(asts: Sequence[Expr], names: Sequence[str], exo: Iterable[str] =
     plus ``e`` (a state name read by position even if ``e`` has it too), on
     floats, duals and batches alike, or raises the same :class:`EvalError`.
     A map that reads no exogenous name is ``fn(x, e=None)``: ``fn(x)`` and
-    ``fn(x, e)`` return the same values.
+    ``fn(x, e)`` return the same values.  ``fn`` is the generated value
+    program of the ASTs (see "generated programs" below); ``fn.source`` is
+    its source.
 
     ``fn.tangent(x, dx, e) -> (values, tangents)`` returns the value and
     derivative parts of ``fn(numerics.seed(x, dx), e)`` (a derivative part
     is 0.0 for an entry that reads no state), bit for bit, or raises what
-    that dual pass raises.  It is generated on its first use, from the ASTs
-    (see :func:`_build_tangent`); ``fn.tangent.build()`` returns the
-    generated function, which a caller can call directly.  ``e`` holds plain
-    values there (floats or batch arrays), as it does in the lift.
+    that dual pass raises.  Its program is generated on its first use;
+    ``fn.tangent.build()`` returns the generated function, which a caller
+    can call directly.  ``e`` holds plain values there (floats or batch
+    arrays), as it does in the lift.
 
     ``fn.asts``, ``fn.names`` and ``fn.exo`` are the ASTs, state names and
     exogenous names ``fn`` was compiled from.
     """
-    states = {name: k for k, name in enumerate(names)}
-    exo = set(exo)
-    read: dict[str, int] = {}  # exogenous name -> offset of its first use
+    return _compiled(list(asts), None, names, exo)
 
-    def bind(var: Var) -> Node:
-        k = states.get(var.name)
-        if k is not None:
-            return lambda x, v: x[k]
-        if var.name not in exo:
-            raise EvalError(f"unbound variable {var.name!r}", var.offset)
-        read.setdefault(var.name, var.offset)
-        j = list(read).index(var.name)
-        return lambda x, v: v[j]
 
-    nodes = [_compile(a, bind) for a in asts]
-    order = list(read)
+def compile_matrix(rows: Sequence[Sequence[Expr]], names: Sequence[str], exo: Iterable[str] = ()):
+    """The matrix form of :func:`compile_map`: ``fn(x, e)`` returns the
+    entries of ``rows`` as a list of rows (``e`` optional as it is for a
+    map), and ``fn.tangent(x, dx, e)`` returns the value rows and the tangent
+    rows, each from one generated program over all the entries in row-major
+    order.  ``fn.asts`` is the list of rows."""
+    rows = [list(row) for row in rows]
+    return _compiled(rows, [len(row) for row in rows], names, exo)
 
-    if not read:
-        def fn(x, e=None):
-            return [node(x, ()) for node in nodes]
-    else:
-        def fn(x, e):
-            try:
-                v = [e[name] for name in order]
-            except KeyError as err:
-                raise _unbound(err, read) from None
-            return [node(x, v) for node in nodes]
 
-    @functools.cache
-    def build():
-        return _build_tangent(fn)
-
-    fn.tangent = _lazy_tangent(build)
-    _keep_source(fn, list(asts), names, exo)
+def _compiled(asts: list, widths: list[int] | None, names: Sequence[str], exo: Iterable[str]):
+    """The compiled map of ``asts``, a list of ASTs, or with row ``widths``
+    a list of rows of them; ``cells`` are the ASTs in row-major order."""
+    cells = asts if widths is None else [a for row in asts for a in row]
+    exo = frozenset(exo)
+    program = _Program(names, "x[{}]".format)
+    values = [v for v, _ in program.entries(cells, exo)]
+    fn = program.function("x, e" if program.exo else "x, e=None", _layout(values, widths))
+    fn.asts, fn.names, fn.exo = asts, list(names), exo
+    fn.tangent = _lazy_tangent(functools.cache(lambda: _build_tangent(fn, cells, widths)))
     return fn
-
-
-def _keep_source(fn, asts, names, exo) -> None:
-    """Keep what ``fn`` was compiled from on it, so that maps built from it
-    (an interconnection's loop maps) can be compiled from expressions too."""
-    fn.asts = asts
-    fn.names = list(names)
-    fn.exo = frozenset(exo)
 
 
 def _lazy_tangent(build):
@@ -470,119 +479,45 @@ def _lazy_tangent(build):
     return tangent
 
 
-def compile_matrix(rows: Sequence[Sequence[Expr]], names: Sequence[str], exo: Iterable[str] = ()):
-    """The matrix form of :func:`compile_map`: ``fn(x, e)`` returns the
-    entries of ``rows`` as a list of rows, from one compiled map over the
-    entries in row-major order (``e`` optional as it is for that map), and
-    ``fn.tangent(x, dx, e)`` returns the value rows and the tangent rows of
-    that map's tangent.  ``fn.asts`` is the list of rows."""
-    flat = compile_map([ast for row in rows for ast in row], names, exo)
-    stops = list(accumulate(len(row) for row in rows))
-    cuts = list(zip([0, *stops], stops))
-    # one row (the RC's g) is the whole list: skipping the cut copies shows in
-    # the audit_rc benchmark end to end (CHANGES.md)
-    if len(rows) == 1:
-        def fn(x, e=None):
-            return [flat(x, e)]
-    else:
-        def fn(x, e=None):
-            out = flat(x, e)
-            return [out[a:b] for a, b in cuts]
-    # ``e`` is optional exactly when it is for the flat map
-    fn.__defaults__ = flat.__defaults__
-
-    @functools.cache
-    def build():
-        flat_tangent = flat.tangent.build()
-        if len(rows) == 1:
-            def tangent(x, dx, e):
-                values, tangents = flat_tangent(x, dx, e)
-                return [values], [tangents]
-        else:
-            def tangent(x, dx, e):
-                values, tangents = flat_tangent(x, dx, e)
-                return [values[a:b] for a, b in cuts], [tangents[a:b] for a, b in cuts]
-
-        return tangent
-
-    fn.tangent = _lazy_tangent(build)
-    _keep_source(fn, [list(row) for row in rows], names, flat.exo)
-    return fn
+def _layout(items: list[str], widths: list[int] | None) -> str:
+    """The source of the list of ``items``, or of its rows of ``widths``."""
+    if widths is None:
+        return f"[{', '.join(items)}]"
+    rest = iter(items)
+    return "[" + ", ".join(f"[{', '.join(islice(rest, w))}]" for w in widths) + "]"
 
 
-def _compile(e: Expr, bind: Callable[[Var], Node]) -> Node:
-    c = _literal(e)
-    if c is not None:
-        return lambda x, v: c
-    if isinstance(e, Var):
-        return bind(e)
-    if isinstance(e, Neg):
-        a = _compile(e.operand, bind)
-        return lambda x, v: -a(x, v)
-    if isinstance(e, Call):
-        return _compile_call(e, [_compile(a, bind) for a in e.args])
-    if e.op == "^":
-        return _compile_power(e, bind)
-    a = _compile(e.left, bind)
-    b = _compile(e.right, bind)
-    if e.op == "+":
-        return lambda x, v: a(x, v) + b(x, v)
-    if e.op == "-":
-        return lambda x, v: a(x, v) - b(x, v)
-    if e.op == "*":
-        return lambda x, v: a(x, v) * b(x, v)
-    c = _literal(e.right)
-    if c is not None and c != 0.0:
-        # the guard cannot hit a nonzero literal
-        return lambda x, v: a(x, v) / c
-    offset = e.offset
-
-    def divide(x, v):
-        num = a(x, v)
-        den = b(x, v)
-        if _hit(operator.eq, den):
-            raise EvalError("division by zero", offset)
-        return num / den
-
-    return divide
+# ---------------------------------------------------------------------------
+# generated programs
+#
+# Every compiled map is one straight-line Python function, built with
+# ``compile()``, that evaluates the ASTs of one or more maps: their values
+# (a value program) or their values and forward-mode tangents (a tangent
+# program).  The ASTs are hash-consed into one DAG: each distinct
+# subexpression is one node, keyed on its operation and the nodes of its
+# operands (a literal on its float bits, so ``0.0`` and ``-0.0`` stay apart),
+# assigned once, in the post-order of its first occurrence (operands first,
+# then its guard).  In a value program every node is plain: its lines apply
+# the operator or ``numerics`` function :func:`evaluate` applies, with the
+# same guard, so the parts may be floats, batch arrays or duals and the
+# program returns what ``evaluate`` returns.  In a tangent program a node
+# that reads a state is dual: its lines perform the float operations the
+# DualScalar rule performs on ``x`` seeded with ``dx`` (the same products in
+# the same operand order, the reflected ``__radd__``/``__rmul__``/
+# ``__rtruediv__`` orders, the same ``_div`` and ``_hit`` guards), the rule
+# picked when the line is generated by which operands are dual; the other
+# nodes are plain.  A tangent program therefore returns, bit for bit, the
+# value and derivative parts of a dual pass.  Either program's first failing
+# guard is the tree walk's first: a repeated node fails where its first
+# occurrence failed already, at that occurrence's offset.  The source holds
+# generated names only: states are read by index, and constants, guard
+# offsets, exogenous names and helpers are bound in the program's globals, so
+# no config text enters it.  Maps of one structure then have one source, and
+# :func:`_code` compiles it once for all of them; each binds its own
+# constants in its own globals.
 
 
-def _compile_power(node: BinOp, bind) -> Node:
-    a = _compile(node.left, bind)
-    offset = node.offset
-    k = _integer_literal(node.right)
-    if k is None or abs(k) > 16:
-        b = _compile(node.right, bind)
-
-        def real_power(x, v):
-            base = a(x, v)
-            exponent = b(x, v)
-            if _hit(operator.le, base):
-                raise EvalError("power of a non-positive base with non-integer exponent", offset)
-            return numerics.exp(exponent * numerics.log(base))
-
-        return real_power
-    # the exponent is a literal: only the base has anything to run
-    if k == 0:
-        def zeroth_power(x, v):
-            a(x, v)
-            return 1.0
-
-        return zeroth_power
-    k_abs = abs(k)
-    if k > 0:
-        return lambda x, v: _pow_chain(k_abs, a(x, v))
-
-    def inverse_power(x, v):
-        base = a(x, v)
-        if _hit(operator.eq, base):
-            raise EvalError("zero raised to a negative power", offset)
-        return 1.0 / _pow_chain(k_abs, base)
-
-    return inverse_power
-
-
-def _pow_chain(k: int, acc, mul=operator.mul):
+def _pow_chain(k: int, acc, mul):
     """``numerics.int_pow(acc, k)`` for k >= 1 by repeated squaring, with
     ``mul(a, b)`` for ``a * b``: the same multiplications in the same order,
     less int_pow's leading ``1.0 *`` (exact) and its unused last squaring."""
@@ -596,58 +531,15 @@ def _pow_chain(k: int, acc, mul=operator.mul):
 
 
 _GUARDED_FN = {
-    "log": (numerics.log, operator.le, "log of a non-positive value"),
-    "sqrt": (numerics.sqrt, operator.lt, "sqrt of a negative value"),
+    "log": (operator.le, "log of a non-positive value"),
+    "sqrt": (operator.lt, "sqrt of a negative value"),
 }
-_BINARY_FN = {"atan2": numerics.atan2, "min": numerics.minimum, "max": numerics.maximum}
 
 
-def _compile_call(node: Call, args: list[Node]) -> Node:
-    name = node.name
-    offset = node.offset
-    if name in _UNARY_FN:
-        fn = _UNARY_FN[name]
-        a = args[0]
-        return lambda x, v: fn(a(x, v))
-    if name in _GUARDED_FN:
-        a = args[0]
-        fn, test, message = _GUARDED_FN[name]
-
-        def guarded(x, v):
-            arg = a(x, v)
-            if _hit(test, arg):
-                raise EvalError(message, offset)
-            return fn(arg)
-
-        return guarded
-    fn = _BINARY_FN[name]
-    a, b = args
-    return lambda x, v: fn(a(x, v), b(x, v))
-
-
-# ---------------------------------------------------------------------------
-# generated tangent programs
-#
-# A tangent program is one straight-line Python function, built with
-# ``compile()``, that evaluates the ASTs of one or more compiled maps and
-# their forward-mode tangents.  The ASTs are hash-consed into one DAG: each
-# distinct subexpression is one node, keyed on its operation and the nodes of
-# its operands (a literal on its float bits, so ``0.0`` and ``-0.0`` stay
-# apart), assigned once, in the post-order of its first occurrence (operands
-# first, then its guard).  A node that reads a state is dual: its lines
-# perform the float operations the DualScalar rule performs on ``x`` seeded
-# with ``dx`` (the same products in the same operand order, the reflected
-# ``__radd__``/``__rmul__``/``__rtruediv__`` orders, the same ``_div`` and
-# ``_hit`` guards), the rule picked when the line is generated by which
-# operands are dual.  Any other node performs the operations of its value
-# closure (:func:`_compile`).  A program therefore returns, bit for bit, the
-# value and derivative parts of a dual pass, and its first failing guard is
-# the dual pass's first: a repeated node fails where its first occurrence
-# failed already, at that occurrence's offset.  The lines only apply
-# operators and ``numerics`` functions, so the parts may be floats, batch
-# arrays or duals.  The source holds generated names only: states are read
-# by index, and constants, exogenous names and helpers are bound in the
-# program's globals, so no config text enters it.
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    """The code of a program's ``source``, compiled once per distinct source."""
+    return compile(source, "<exprlang program>", "exec")
 
 
 class _KindNotStatic(Exception):
@@ -672,7 +564,7 @@ def _unbound(err: KeyError, offsets: Mapping[str, int]) -> EvalError:
     return EvalError(f"unbound variable {name!r}", offsets[name])
 
 
-# a program's globals, besides its constants and exogenous names
+# a program's globals, besides its constants, guard offsets and exogenous-name tables
 _SCOPE = {
     "EvalError": EvalError, "_unbound": _unbound, "_hit": _hit, "_div": numerics._div,
     "_eq": operator.eq, "_le": operator.le, "_lt": operator.lt,
@@ -690,10 +582,11 @@ _PRODUCT = BinOp("*", Const(0.0), Const(0.0))  # stands for a product the genera
 class _Program:
     """One generated function under construction: the lines of the
     hash-consed DAG of the ASTs passed to :meth:`entries`, in SSA order.
-    ``state(k)`` and ``deriv(k)`` are the sources that read x_k and dx_k."""
+    ``state(k)`` and ``deriv(k)`` are the sources that read x_k and dx_k;
+    without ``deriv`` it is a value program, in which every node is plain."""
 
     def __init__(self, names: Sequence[str], state: Callable[[int], str],
-                 deriv: Callable[[int], str]):
+                 deriv: Callable[[int], str] | None = None):
         self.states = {name: k for k, name in enumerate(names)}
         self.state = state
         self.deriv = deriv
@@ -704,7 +597,8 @@ class _Program:
         self.literals: dict[str, float] = {}  # global name -> constant
         self.exo: dict[str, str] = {}  # exogenous name -> the local holding it
         self.guarded: set[tuple] = set()  # (test, value) of every guard so far
-        self.scope = dict(_SCOPE)
+        self.offsets: list[int] = []  # the offset each guard reports, by guard
+        self.scope = dict(_SCOPE, _at=self.offsets)
 
     def fresh(self, prefix: str = "t") -> str:
         self.count += 1
@@ -727,7 +621,8 @@ class _Program:
             return
         self.guarded.add((test, value))
         self.lines.append(f"if _hit({_TEST_NAMES[test]}, {value}): "
-                          f"raise EvalError({message!r}, {int(offset)})")
+                          f"raise EvalError({message!r}, _at[{len(self.offsets)}])")
+        self.offsets.append(int(offset))
 
     def const(self, value) -> str:
         key = (value.__class__, struct.pack("<d", value))
@@ -745,13 +640,18 @@ class _Program:
         c = self.literals.get(name)
         return c is not None and c != 0.0
 
-    def entries(self, asts: Sequence[Expr]) -> list[tuple]:
+    def entries(self, asts: Sequence[Expr], exo: frozenset[str]) -> list[tuple]:
         """The node of each AST, after lines that read from ``e`` each
         exogenous name the ASTs use and no earlier call read, in first-use
-        order; a missing one raises at its first offset in ``asts``."""
+        order; a missing one raises at its first offset in ``asts``.  A name
+        that is neither a state nor in ``exo`` raises :class:`EvalError`
+        here, at its first offset."""
         reads: dict[str, int] = {}
         for a in asts:
             _exo_reads(a, self.states, reads)
+        for name, offset in reads.items():
+            if name not in exo:
+                raise EvalError(f"unbound variable {name!r}", offset)
         new = [name for name in reads if name not in self.exo]
         if new:
             table, offsets = self.fresh("N"), self.fresh("O")
@@ -799,7 +699,8 @@ class _Program:
         are generated on its first occurrence only."""
         out = self.nodes.get(key)
         if out is None:
-            if isinstance(e, Var) or any(d is not None for _, d in args):
+            if self.deriv is not None and (isinstance(e, Var)
+                                           or any(d is not None for _, d in args)):
                 out = self.dual(e, key, args)
             else:
                 out = self.plain(e, key, [v for v, _ in args]), None
@@ -813,12 +714,14 @@ class _Program:
         return self.memo(_PRODUCT, ("*", a, b), (a, b))
 
     def plain(self, e: Expr, key: tuple, args: list[str]) -> str:
-        """The value of a node that reads no state, as its closure computes it."""
+        """The value of a node, as :func:`evaluate` computes it."""
+        if isinstance(e, Var):
+            return self.let(self.state(key[1]))
         if isinstance(e, Neg):
             return self.let(f"-{args[0]}")
         if isinstance(e, Call):
             if e.name in _GUARDED_FN:
-                _, test, message = _GUARDED_FN[e.name]
+                test, message = _GUARDED_FN[e.name]
                 self.guard(test, args[0], message, e.offset)
             return self.let(f"_{e.name}({', '.join(args)})")
         a = args[0]
@@ -916,7 +819,7 @@ class _Program:
         if name in numerics.DUAL_RULES:
             (v, d), = args
             if name in _GUARDED_FN:
-                _, test, message = _GUARDED_FN[name]
+                test, message = _GUARDED_FN[name]
                 self.guard(test, v, message, e.offset)
             return self.let_pair(f"_dual_{name}({v}, {d})")
         (y, dy), (x, dx) = args
@@ -934,11 +837,11 @@ class _Program:
         return self.let(f"{first} + {acc}")
 
     def function(self, params: str, result: str):
-        """The generated function ``program(params) -> result``, compiled
-        once; ``program.source`` is its source."""
+        """The generated function ``program(params) -> result`` over this
+        program's globals; ``program.source`` is its source."""
         body = "".join(f"    {line}\n" for line in self.lines)
         source = f"def program({params}):\n{body}    return {result}\n"
-        exec(compile(source, "<exprlang program>", "exec"), self.scope)
+        exec(_code(source), self.scope)
         program = self.scope.pop("program")
         program.source = source
         return program
@@ -960,19 +863,27 @@ def _exo_reads(e: Expr, states, reads: dict[str, int]) -> None:
             _exo_reads(a, states, reads)
 
 
-def _build_tangent(fn):
+def _build_tangent(fn, cells: list, widths: list[int] | None):
     """``tangent(x, dx, e) -> (values, tangents)`` of the compiled map
-    ``fn``: its generated program, or one dual pass of ``fn`` for a map with
-    a node of :class:`_KindNotStatic`."""
+    ``fn`` of the ASTs ``cells`` (in rows of ``widths``, for a matrix): its
+    generated program, or one dual pass of ``fn`` for a map with a node of
+    :class:`_KindNotStatic`."""
     program = _Program(fn.names, "x[{}]".format, "dx[{}]".format)
     try:
-        entries = program.entries(fn.asts)
+        entries = program.entries(cells, fn.exo)
     except _KindNotStatic:
-        return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
-    values = ", ".join(v for v, _ in entries)
+        if widths is None:
+            return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
+
+        def dual_rows(x, dx, e):
+            parts = [numerics.dual_parts(row) for row in fn(numerics.seed(x, dx), e)]
+            return [values for values, _ in parts], [derivs for _, derivs in parts]
+
+        return dual_rows
+    values = _layout([v for v, _ in entries], widths)
     # an entry that reads no state has derivative part 0.0, as deriv_part gives
-    derivs = ", ".join(d or "0.0" for _, d in entries)
-    return program.function("x, dx, e", f"[{values}], [{derivs}]")
+    derivs = _layout([d or "0.0" for _, d in entries], widths)
+    return program.function("x, dx, e", f"{values}, {derivs}")
 
 
 def lifted_rhs(f, g):
@@ -992,8 +903,8 @@ def lifted_rhs(f, g):
     n, q = len(f.asts), len(g.asts[0])
     program = _Program(f.names, "X[{}]".format, lambda k: f"X[{n + k}]")
     try:
-        fs = program.entries(f.asts)
-        gs = program.entries([a for row in g.asts for a in row])
+        fs = program.entries(f.asts, f.exo)
+        gs = program.entries([a for row in g.asts for a in row], g.exo)
     except _KindNotStatic:
         return None
     u = [program.fresh("u") for _ in range(2 * q)]

@@ -31,8 +31,8 @@ every member, so use ``numerics.minimum``/``maximum``/``absolute``.
 :func:`simulate_ensemble` is the one integrator of the lifted system
 (:func:`simulate_prolonged` and the homotopy family are ensembles).  Its
 RHS evaluates all members in one call, and the post-integration pass all
-samples of all members in one call; plain :func:`simulate` evaluates its
-outputs at all samples in one call.  An ensemble's input signals may be
+samples of all members in one call; plain :func:`simulate` samples each
+signal and evaluates its outputs at all samples in one call each.  An ensemble's input signals may be
 per-member: ``Signal.at(t)`` returns a float shared by every member or a
 length-m array, one value per member.  Exogenous signals are shared by
 all members.  Under ``Rk45`` the members share one adaptive grid, and a
@@ -405,10 +405,9 @@ def simulate(
     sol = integrate(_field_for(sys, sigs), x0, (0.0, float(t_final)), stepper or Rk4())
     times = sol.times
     N = len(times)
-    uu = np.array([[s.value(t) for s in sigs] for t in times])
-    exo = [sys.exo_at(t) for t in times]
-    E = {name: np.array([ek[name] for ek in exo]) for name in sys.exo}
     with np.errstate(**FLOAT_ERRORS):
+        uu = np.stack([s.many(times) for s in sigs], axis=1)
+        E = {name: sig.many(times) for name, sig in sys.exo.items()}
         yy = batch_rows(sys.output_with(list(sol.states.T), E, list(uu.T)), N)
     return Trajectory(times, sol.states, uu, yy)
 

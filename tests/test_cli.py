@@ -559,3 +559,47 @@ def test_library_does_not_call_the_reference_interpreter(tmp_path, monkeypatch):
         path = write_config(tmp_path / command, cfg)
         code, out = run(tmp_path / command, command, "--config", path)
         assert code == 0, (out / "error_report.json").read_text()
+
+
+class TestDeepExpressions:
+    """An expression nested past ``exprlang.MAX_DEPTH`` is a config error at
+    its key; a loop of two constituents at the limit builds and runs."""
+
+    def test_deep_sum_is_located(self, tmp_path, capsys):
+        deep = " + ".join(["x1"] * 1200)
+        _assert_located(tmp_path, capsys, "audit", SCALAR_SYS, ("system", "f"), [deep],
+                        "/system/f/0")
+        error = json.loads((tmp_path / "out" / "error_report.json").read_text())
+        assert "nested deeper than" in error["error"]
+
+    def test_state_loop_of_constituents_at_the_limit(self, tmp_path):
+        from diffdiss.exprlang import MAX_DEPTH, ParseError, parse
+
+        def at_limit(head: str, pad: str) -> str:
+            """``head`` with ``pad`` appended until it nests MAX_DEPTH levels."""
+            text = head
+            while True:
+                try:
+                    parse(text + pad)
+                except ParseError:
+                    return text
+                text += pad
+
+        f = at_limit("-0.250000*x1", " + 0*x1")
+        k = at_limit("x1 + x1^3", " + 0*x1")
+        m = at_limit("1 + 3*x1^2", " + 0*x1")
+        for text in (f, k, m):
+            parse(text)
+            with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+                parse(f"({text})")
+        plant = {"n": 1, "q": 1, "f": [f], "g": [["1/(1 + 3*x1^2)"]], "h": ["x1"]}
+        cfg = {
+            "system": plant, "storage": {"M": [[m]]}, "supply": {"W": [[m]]},
+            "interconnect": {"coupling": "state", "system2": plant, "storage2": {"M": [[m]]},
+                             "supply2": {"W": [[m]]}, "k1": [k], "k2": [k]},
+            "run": {"x0": [0.5, -0.3], "dx0": [0.2, 0.9], "t_final": 0.2, "seed": 11},
+        }
+        code, out = run(tmp_path, "interconnect", "--config", write_config(tmp_path, cfg))
+        assert code == 0
+        report = json.loads((out / "interconnect_report.json").read_text())
+        assert report["passed"]

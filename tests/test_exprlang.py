@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from diffdiss.exprlang import (
     Call,
     Const,
     EvalError,
+    MAX_DEPTH,
     Neg,
     ParseError,
     Traced,
@@ -80,6 +82,24 @@ class TestParse:
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ParseError):
             parse("1 2")
+
+    def test_nesting_past_the_limit_is_located(self):
+        # a sum of n names nests n - 1 levels: the '+' making MAX_DEPTH + 1 fails
+        parse(" + ".join(["x1"] * (MAX_DEPTH + 1)))
+        text = " + ".join(["x1"] * 1200)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
+            parse(text)
+        assert err.value.offset == 3 + 5 * MAX_DEPTH
+        # parentheses, signs, exponents and calls each open a level, and a
+        # deep one fails at the token opening the level past the limit
+        parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+        for opener, closer, offset in (("(", ")", MAX_DEPTH), ("-", "", MAX_DEPTH),
+                                       ("x^", "", 2 * MAX_DEPTH + 1),
+                                       ("sin(", ")", 4 * MAX_DEPTH)):
+            for count in (MAX_DEPTH + 1, 10000):
+                with pytest.raises(ParseError, match="nested deeper") as err:
+                    parse(opener * count + "x" + closer * count)
+                assert err.value.offset == offset
 
 
 class TestEval:
@@ -400,6 +420,18 @@ class TestCompileMap:
         with pytest.raises(TypeError):
             vector.tangent([0.3, -1.2, 2.0], dx)
 
+    def test_sum_at_the_depth_limit(self):
+        """A 150-term sum compiles, and its values and tangent are the
+        reference interpreter's and the dual pass's."""
+        asts = [parse(" + ".join(["x*zz", "sin(x)", "w1", "2.5", "y/zz"] * 30))]
+        self._check(asts, [0.3, -1.2, 2.0, 0.5, 4.0])
+        self._check(asts, [np.array([0.3, 1.5]), np.array([-1.2, 0.0]), np.array([2.0, 2.0]),
+                           np.array([0.5, -0.5]), np.array([4.0, 1.0])])
+        self._check(asts, [DualScalar(0.3, 1.0), 2.0, DualScalar(-1.2, 0.5), 0.5, 4.0])
+        fn = compile_map(asts, _STATES, _EXO)
+        x, dx, e = [0.3, -1.2, 4.0], [1.0, 0.5, -2.0], {"y": 2.0, "q_c": 0.5}
+        assert fn.tangent(x, dx, e) == _dual_pass(fn, x, dx, e)
+
     def test_map_reading_exo_still_needs_e(self):
         for fn in (compile_map([parse("x + y")], ["x"], ["y"]),
                    compile_matrix([[parse("x + y")]], ["x"], ["y"])):
@@ -633,6 +665,51 @@ class TestGeneratedTangent:
             assert text not in source
         values, derivs = fn.tangent([2.0, 1.0], [1.0, 0.5], {"gamma": 3.0})
         assert values == [math.inf] and derivs == [math.inf]
+
+    def test_value_source_holds_no_config_text(self):
+        fn = compile_map([parse("alpha * gamma + 1e999*beta - 0.25"), parse("log(beta - 3.5)")],
+                         ["alpha", "beta"], ["gamma"])
+        for text in ("alpha", "beta", "gamma", "inf", "0.25", "1e999", "3.5"):
+            assert text not in fn.source
+        # the only digits left are in generated names and indices
+        assert not re.search(r"\d", re.sub(r"[A-Za-z_]\w*|\[\d+\]", "", fn.source))
+        assert fn([2.0, 4.0], {"gamma": 3.0}) == [math.inf, math.log(0.5)]
+        with pytest.raises(EvalError, match="log of a non-positive value at offset 0"):
+            fn([2.0, 3.5], {"gamma": 3.0})
+
+    def test_maps_of_one_structure_share_their_code(self):
+        texts = ["2*x + log(x + y)", "3.75*x + log(x + y)"]
+        fns = [compile_map([parse(t)], ["x"], ["y"]) for t in texts]
+        assert fns[0].__code__ is fns[1].__code__
+        assert fns[0].tangent.build().__code__ is fns[1].tangent.build().__code__
+        batch = np.array([0.5, 2.0, -0.25])
+        for text, fn in zip(texts, fns):
+            for x, y in ((0.5, 1.0), (batch, batch + 1.0)):
+                assert _bits(fn([x], {"y": y})[0]) == _bits(evaluate(parse(text), {"x": x, "y": y}))
+            # each map reports its own offsets
+            with pytest.raises(EvalError) as want:
+                evaluate(parse(text), {"x": -1.0, "y": 0.5})
+            with pytest.raises(EvalError) as got:
+                fn([-1.0], {"y": 0.5})
+            assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
+    @pytest.mark.parametrize("rows", [
+        [["x*x", "y", "sin(x) / (1 + x^2)"]],
+        [["x", "2"], ["x*y", "min(x, 1)"], ["-x", "x^-2"]],
+        [["1/(1 + 3*x^2)"], ["1/(1 + 3*x^2) * y"]],
+    ])
+    def test_matrix_equals_its_entries(self, rows):
+        matrix = compile_matrix([[parse(t) for t in row] for row in rows], ["x"], ["y"])
+        entries = [[compile_map([parse(t)], ["x"], ["y"]) for t in row] for row in rows]
+        bits = lambda rows: [[_bits(w) for w in row] for row in rows]
+        batch = np.array([0.5, -2.0, 3.0])
+        for x, dx, y in ((0.7, 1.5, 2.0), (batch, batch[::-1].copy(), batch + 0.5)):
+            e = {"y": y}
+            values, derivs = matrix.tangent([x], [dx], e)
+            assert bits(matrix([x], e)) == bits(values)
+            assert bits(values) == bits([[fn([x], e)[0] for fn in row] for row in entries])
+            assert bits(derivs) == bits([[fn.tangent([x], [dx], e)[1][0] for fn in row]
+                                         for row in entries])
 
     def test_infinite_literal(self):
         self._check([parse("1e999*x")], [2.0, 1.0, 0.0], [1.0, 0.0, 0.0], {})

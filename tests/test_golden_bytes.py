@@ -2,7 +2,8 @@
 
 Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
-byte of a demo, an RC audit or an output- or state-coupled loop fails here,
+byte of a demo, an RC audit, an output- or state-coupled loop, a certificate
+or a plain simulation fails here,
 so the "byte-identical to the parent" check no longer depends on a manual
 ``diff -r``.
 
@@ -55,6 +56,46 @@ OUTPUT_LOOP = {
                 u=[{"kind": "expr", "expr": "0.500000*sin(2.000000*t)"}, 0.0]),
 }
 
+CERT_UC = {
+    "system": {"n": 2, "q": 1, "f": ["-1.234567*x1 - x1^3 + x2", "-x1 - 0.876543*x2 - x2^3"],
+               "g": [["0"], ["1"]], "h": ["x2"]},
+    "storage": {"M": "identity"},
+    "supply": {"W": "identity"},
+    "pi": [[0.0], [1.0]],
+    "grid": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [20, 20]},
+}
+
+CERT_AP = {
+    "system": {
+        "n": 2, "q": 2,
+        "f": ["-1.123457*x1 - x1^3 + (0.314159)*x2", "-(0.314159)*x1 - 0.987654*x2 - x2^3"],
+        "g": [["1.200000", "-0.200000"], ["0.100000", "0.800000"]],
+        "h": ["1.200000*x1 + (0.100000)*x2", "(-0.200000)*x1 + 0.800000*x2"],
+        "i": [["0.500000", "0.400000"], ["-0.400000", "0.700000"]],
+    },
+    "storage": {"M": "identity"},
+    "supply": {"W": "identity"},
+    "grid": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [8, 8]},
+    "grid_u": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [3, 3]},
+}
+
+# an exogenous signal, a sampled input, an output the lift runs as a dual pass
+# (min of a state and a literal) and expression storage and supply
+SIMULATE = {
+    "system": {
+        "n": 2, "q": 1,
+        "exo": {"w": {"kind": "expr", "expr": "0.5*cos(3*t)"}},
+        "f": ["-x1 + (1 + w)*x2", "-x1 - 0.5*x2 - x2^3 + w/(2 + x1^2)"],
+        "g": [["0"], ["1/(1 + x1^2)"]],
+        "h": ["x2 + 0.1*w*min(x1, 0.2)"],
+    },
+    "storage": {"M": [["1", "0"], ["0", "1 + x2^2"]]},
+    "supply": {"W": [["1 + x1^2"]]},
+    "run": dict(RK4_RUN, x0=[0.4, -0.3], dx0=[0.2, 0.5],
+                u=[{"kind": "sampled", "times": [0.0, 0.25, 0.5, 0.75, 1.0],
+                    "values": [0.0, 0.3, -0.2, 0.1, 0.4]}]),
+}
+
 CASES = {
     "demo-rc": (["demo", "rc", "--seed", "42"], None, {
         "rc_audit.json": "737c66be9719e192ae02f44b86f395b4473fd6d1b7ac73c926b702be61dcabf6",
@@ -82,6 +123,17 @@ CASES = {
             "ab5a28326cf802cca6c4866f3a915ec9edf9f3a066181895883eca1bdb7f91cc",
         "interconnect_trace.csv":
             "6a3a76a474b33c31fa2a43c69df14b0baeb074c217d9ccb12efef794412f7470",
+    }),
+    "certify-uc": (["certify-uc"], CERT_UC, {
+        "certificate_report.json":
+            "8cc2f072a1b2858e551f1722df63e2f504566b4541e9f8911cafbf3442852577",
+    }),
+    "certify-ap": (["certify-ap"], CERT_AP, {
+        "certificate_report.json":
+            "1e760e355837d1fbfad809b1a7db493c3cd8467987667a44539de20b4d73a6c1",
+    }),
+    "simulate": (["simulate"], SIMULATE, {
+        "trajectory.csv": "33c92405a82042266b649504df827f40ded8ec7859acbf3735832003fc00ee56",
     }),
 }
 

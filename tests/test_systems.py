@@ -426,6 +426,31 @@ class TestSimulate:
                 for k, t in enumerate(traj.times)]
         assert np.array_equal(traj.y, np.array(want))
 
+    def test_sampling_equals_per_sample_evaluation(self):
+        """Each input and exogenous signal is sampled in one call; ``u`` and
+        ``y`` are the bytes of evaluating the signals and the output at each
+        sample in turn."""
+        from diffdiss.cli import _build_expr_system
+
+        sys = _build_expr_system({
+            "n": 1, "q": 4,
+            "f": ["-x1 + w"], "g": [["1", "0.5", "0.25", "0.1"]],
+            "h": ["x1*w", "x1", "sin(x1)", "x1^2"],
+            "i": [["0.5", "0", "0", "0"], ["0", "1 + w", "0", "0"],
+                  ["0", "0", "x1", "0"], ["0", "0", "0", "2"]],
+            "exo": {"w": {"kind": "expr", "expr": "0.3*cos(5*t)"}},
+        }, "/system")
+        u = [Signal.from_expr("0.4*sin(2*t) - 0.1"), Signal.constant(0.7),
+             Signal.sampled([0.0, 0.2, 0.45, 0.7], [0.0, 0.5, -0.3, 0.2]),
+             lambda t: math.cos(t) ** 2]
+        traj = simulate(sys, [0.6], u=u, t_final=0.7, stepper=Rk4(1e-2))
+        sigs = [s if isinstance(s, Signal) else Signal.analytic(s) for s in u]
+        want_u = np.array([[s.value(t) for s in sigs] for t in traj.times])
+        want_y = np.array([sys.output(t, traj.x[k].tolist(), want_u[k].tolist())
+                           for k, t in enumerate(traj.times)])
+        assert traj.u.tobytes() == want_u.tobytes()
+        assert traj.y.tobytes() == want_y.tobytes()
+
 
 class TestSimulateProlonged:
     def test_zero_section_invariant(self):
