@@ -10,6 +10,11 @@ Three models are provided:
   input that regulates the flux to a reference, and
 * a plain LTI builder used as the linear baseline.
 
+The motor and LTI builders run their model code once, on
+:class:`exprlang.Traced` values, and compile what it records, so each model
+is written once and its lift runs one generated program with the bits of a
+dual pass of that code.
+
 Complex quantities are represented as R^2 blocks with the imaginary unit
 acting as the rotation matrix [[0, -1], [1, 0]]; all numerics stay real.
 """
@@ -27,7 +32,7 @@ from .numerics import (
     argworst,
     float_value,
     grid_point,
-    jvp,
+    jvp,  # noqa: F401  -- unused here; perfbench/tracing.py patches examples.jvp by name
     mat_vec,
     psd_margin,
     scalar_deriv,
@@ -136,10 +141,10 @@ class RcCircuit:
         return self._mu_map((q,))[0]
 
     def _dmu(self, q) -> float:
-        return jvp(lambda z: [self.mu_value(z[0])], [q], [1.0])[0]
+        return self._mu_map.tangent((q,), (1.0,), None)[1][0]
 
     def _w(self, q):
-        """W = 1 / mu'(q) from one dual pass; ``q`` may be a batch array."""
+        """W = 1 / mu'(q) from the tangent of mu; ``q`` may be a batch array."""
         d = self._dmu(q)
         low = d <= 0.0
         if low if low.__class__ is bool else low.any():  # the float test stays cheap
@@ -228,6 +233,23 @@ class MotorParams:
             raise ModelDomainError("saturation gains must be nonnegative")
 
 
+def _traced(names) -> list:
+    """An :class:`exprlang.Traced` variable of each name."""
+    return [exprlang.Traced(exprlang.Var(name)) for name in names]
+
+
+def _compiled_rows(values, names, exo=()):
+    """The compiled map of the traced ``values`` over the state ``names``:
+    it performs the float operations that produced them, so its values and
+    tangent are bit for bit those of the traced code on floats and duals."""
+    return exprlang.compile_map([exprlang.as_expr(v) for v in values], names, exo)
+
+
+def _constant_matrix(rows, names):
+    """The compiled matrix of the constant ``rows`` over the state ``names``."""
+    return exprlang.compile_matrix([[exprlang.as_expr(v) for v in row] for row in rows], names)
+
+
 def _jmul(v):
     """Multiplication by the imaginary unit on an R^2 block."""
     return [-v[1], v[0]]
@@ -253,12 +275,28 @@ def motor_currents(p: MotorParams, x):
     return i_r, i_s
 
 
+def motor_field(p: MotorParams, x, e):
+    """The drift f of the virtual flux dynamics at the state ``x`` under the
+    rotor and frame speeds ``e["omega_r"]``, ``e["omega_s"]``."""
+    w_g = e["omega_s"] - e["omega_r"]
+    i_r, i_s = motor_currents(p, x)
+    pr_rot = _jmul(x[0:2])
+    ps_rot = _jmul(x[2:4])
+    return [
+        -w_g * pr_rot[0] - p.R_r * i_r[0],
+        -w_g * pr_rot[1] - p.R_r * i_r[1],
+        -e["omega_s"] * ps_rot[0] - p.R_s * i_s[0],
+        -e["omega_s"] * ps_rot[1] - p.R_s * i_s[1],
+    ]
+
+
 class MotorVirtual:
     """Virtual flux dynamics of the motor: rotor speed enters as a signal.
 
-    State (phi_r, phi_s) in R^4, input u_s in R^2 (stator voltage), output
-    phi_s.  Any trajectory of the full motor driven by a rotor-speed record
-    is a trajectory of this system built with that same record.  Attached
+    State (phi_r, phi_s) in R^4 (named x1..x4 in its compiled maps), input
+    u_s in R^2 (stator voltage), output phi_s.  Any trajectory of the full
+    motor driven by a rotor-speed record is a trajectory of this system
+    built with that same record.  Attached
     are the inverse-resistance-weighted storage
 
         S = |d phi_r|^2 / (2 R_r) + |d phi_s|^2 / (2 R_s)
@@ -271,26 +309,18 @@ class MotorVirtual:
     def __init__(self, params: MotorParams):
         self.params = params
         p = params
-
-        def f(x, e):
-            w_g = e["omega_s"] - e["omega_r"]
-            i_r, i_s = motor_currents(p, x)
-            pr_rot = _jmul(x[0:2])
-            ps_rot = _jmul(x[2:4])
-            return [
-                -w_g * pr_rot[0] - p.R_r * i_r[0],
-                -w_g * pr_rot[1] - p.R_r * i_r[1],
-                -e["omega_s"] * ps_rot[0] - p.R_s * i_s[0],
-                -e["omega_s"] * ps_rot[1] - p.R_s * i_s[1],
-            ]
-
+        # motor_field runs once, on traced states and speeds: its compiled map
+        # performs the float operations motor_field performs, so the lift runs
+        # one generated program instead of a dual pass
+        names, exo = ["x1", "x2", "x3", "x4"], ("omega_r", "omega_s")
+        f = motor_field(p, _traced(names), dict(zip(exo, _traced(exo))))
         g_rows = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         self.system = DynSystem(
             n=4,
             q=2,
-            f=f,
-            g=lambda x, e: g_rows,
-            h=lambda x, e: [x[2], x[3]],
+            f=_compiled_rows(f, names, exo),
+            g=_constant_matrix(g_rows, names),
+            h=exprlang.compile_map([exprlang.Var("x3"), exprlang.Var("x4")], names),
             exo={"omega_r": p.omega_r, "omega_s": p.omega_s},
             name="motor-virtual",
         )
@@ -500,17 +530,16 @@ def lti(a, b, c, d=None, name: str = "lti") -> DynSystem:
         D = np.asarray(d, dtype=float)
         if D.shape != (q, q):
             raise ValueError(f"D must be {q} x {q}")
-    a_rows = A.tolist()
-    b_rows = B.tolist()
-    c_rows = C.tolist()
-    d_rows = D.tolist() if D is not None else None
-
+    # A x and C x traced through mat_vec, so the compiled maps keep its
+    # 0.0 + a*b chains
+    names = [f"x{k + 1}" for k in range(n)]
+    x = _traced(names)
     return DynSystem(
         n=n,
         q=q,
-        f=lambda x, e: mat_vec(a_rows, x),
-        g=lambda x, e: b_rows,
-        h=lambda x, e: mat_vec(c_rows, x),
-        i=(lambda x, e: d_rows) if d_rows is not None else None,
+        f=_compiled_rows(mat_vec(A.tolist(), x), names),
+        g=_constant_matrix(B.tolist(), names),
+        h=_compiled_rows(mat_vec(C.tolist(), x), names),
+        i=_constant_matrix(D.tolist(), names) if D is not None else None,
         name=name,
     )

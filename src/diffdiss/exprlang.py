@@ -936,10 +936,11 @@ def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
 class Traced:
     """A value that records the arithmetic done on it as an AST, ``expr``.
 
-    ``a + b``, ``a * b`` and ``-a`` between traced values and floats build
-    the BinOp and Neg nodes of those operations, operands in the same order,
-    so code that runs on traced values records, as one AST per result, the
-    float operations it would run (:func:`as_expr` reads the results)."""
+    ``a + b``, ``a - b``, ``a * b`` and ``-a`` between traced values and
+    floats build the BinOp and Neg nodes of those operations, operands in the
+    same order, so code that runs on traced values records, as one AST per
+    result, the float operations it would run (:func:`as_expr` reads the
+    results)."""
 
     __slots__ = ("expr",)
 
@@ -951,6 +952,12 @@ class Traced:
 
     def __radd__(self, other):
         return Traced(BinOp("+", as_expr(other), self.expr))
+
+    def __sub__(self, other):
+        return Traced(BinOp("-", self.expr, as_expr(other)))
+
+    def __rsub__(self, other):
+        return Traced(BinOp("-", as_expr(other), self.expr))
 
     def __mul__(self, other):
         return Traced(BinOp("*", self.expr, as_expr(other)))

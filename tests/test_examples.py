@@ -19,8 +19,9 @@ from diffdiss import (
     simulate,
     simulate_prolonged,
 )
-from diffdiss.examples import RcCircuit, lti
-from diffdiss.numerics import cos as d_cos, sin as d_sin
+from diffdiss.examples import RcCircuit, lti, motor_field
+from diffdiss.numerics import cos as d_cos, dot, jvp, mat_vec, seed, sin as d_sin
+from diffdiss.systems import DynSystem, lift
 
 
 class TestRcCircuit:
@@ -90,8 +91,21 @@ class TestRcCircuit:
             rc_circuit(RcParams(mu=mu, q_range=q_range, n_check=11))
         assert str(err.value) == f"d mu/dq cannot be computed {located}"
 
+    @pytest.mark.parametrize("mu", ["q + q^3", "q", "exp(q) + tanh(q)/3", "q + min(q, 0.5)",
+                                    "q^0 + q", "q + q*q/4 - 1/(3 - q)"])
+    def test_slope_is_the_dual_pass(self, rng, mu):
+        # mu' comes from the tangent of the compiled mu, which is a dual pass
+        # of mu bit for bit, on floats and batches
+        rc = rc_circuit(RcParams(mu=mu, q_range=(-0.2, 0.2)))
+        batch = rng.uniform(-1.5, 1.5, 7)
+        for q in (*batch.tolist(), 0.0, -0.0, batch):
+            want = jvp(lambda z: [rc.mu_value(z[0])], [q], [1.0])[0]
+            assert np.asarray(rc._dmu(q)).tobytes() == np.asarray(want).tobytes()
+
     def test_runtime_domain_guard(self):
         rc = rc_circuit(RcParams(mu="q - q^3", q_range=(-0.5, 0.5)))
+        with pytest.raises(ModelDomainError, match=r"^d mu/dq = -2 <= 0 at q = -1$"):
+            rc.supply.w_matrix([-1.0])
         with pytest.raises(ModelDomainError):
             rc.supply.w_matrix([1.0])
 
@@ -238,6 +252,89 @@ class TestMotorFeedforward:
         assert gap[-1] <= 1e-3 * gap[0]
 
 
+def _bits(values) -> list:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _dual_lift(sys: DynSystem, f, g, h, i=None) -> DynSystem:
+    """The lift of ``sys`` with its maps replaced by the Python maps ``f``,
+    ``g``, ``h`` and ``i``, which the lift runs as dual passes."""
+    return lift(DynSystem(sys.n, sys.q, f, g, h, i=i, exo=sys.exo))
+
+
+def _points(rng, n: int, members: int, width: int):
+    """(X, U): a point of the lift of an n-state system and its input, for
+    one member as floats or for a stack of ``members`` as strided arrays
+    (the layout an ensemble's field hands the lift), with a per-member du."""
+    if members == 1:
+        return rng.standard_normal(2 * n).tolist(), rng.standard_normal(2 * width).tolist()
+    X = list(rng.standard_normal((members, 2 * n)).T)
+    return X, rng.standard_normal(width).tolist() + list(rng.standard_normal((width, members)))
+
+
+class TestCompiledMotor:
+    """The registry motor's maps are compiled from one run of
+    ``motor_field`` on traced values: their tangents and the fused lifted
+    right-hand side are, bit for bit, a dual pass of ``motor_field``."""
+
+    PARAMS = {
+        "default": {},
+        "linear": {"kappa_r": 0.0, "kappa_s": 0.0},
+        "expression-speed": {"omega_r": Signal.from_expr("9 + 0.5*sin(3*t)"), "kappa_s": 0.3},
+    }
+
+    @pytest.mark.parametrize("members", [1, 9])
+    @pytest.mark.parametrize("case", sorted(PARAMS))
+    def test_tangent_and_lifted_rhs_are_the_dual_pass(self, rng, case, members):
+        p = MotorParams(**self.PARAMS[case])
+        sys = induction_motor_virtual(p).system
+        g_rows = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        reference = _dual_lift(sys, lambda x, e: motor_field(p, x, e),
+                               lambda x, e: g_rows, lambda x, e: [x[2], x[3]])
+        lifted = lift(sys)
+        assert hasattr(lifted.rhs_with, "source")  # the fused generated program
+        for t in (0.0, 0.37, 2.5):
+            e = sys.exo_at(t)
+            X, U = _points(rng, 4, members, 2)
+            x, dx = X[:4], X[4:]
+            want = motor_field(p, seed(x, dx), e)
+            values, derivs = sys.f.tangent(x, dx, e)
+            assert _bits(values) == _bits([w.value for w in want])
+            assert _bits(derivs) == _bits([w.deriv for w in want])
+            assert _bits(sys.f(x, e)) == _bits(motor_field(p, x, e))
+            assert _bits(lifted.rhs_with(X, e, U)) == _bits(reference.rhs_with(X, e, U))
+            assert _bits(lifted.output_with(X, e, U)) == _bits(reference.output_with(X, e, U))
+
+    def test_homotopy_stack_runs_no_dual_pass(self, monkeypatch):
+        import diffdiss.systems
+        from diffdiss.numerics import Rk45
+        from diffdiss.systems import simulate_ensemble
+
+        def refuse(*args):
+            raise AssertionError("systems.seed was called")
+
+        monkeypatch.setattr(diffdiss.systems, "seed", refuse)
+        p = MotorParams(omega_r=Signal.from_expr("9 + 0.5*sin(3*t)"))
+        sys = induction_motor_virtual(p).system
+        x0s = [[1.0, 0.0, 1.3 + 0.1 * k, 0.2] for k in range(9)]
+        dx0s = [[0.1, -0.1, 0.05 * k, 0.0] for k in range(9)]
+        u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
+        for stepper in (Rk4(1e-2), Rk45(tol=1e-8)):
+            simulate_ensemble(sys, x0s, dx0s, u=u, t_final=0.1, stepper=stepper)
+
+    def test_batched_speeds_match_the_dual_pass(self, rng):
+        # the pass after integration reads each speed as one array of samples
+        p = MotorParams(omega_r=Signal.from_expr("9 + 0.5*sin(3*t)"))
+        sys = induction_motor_virtual(p).system
+        times = np.linspace(0.0, 2.0, 9)
+        e = {name: sig.many(times) for name, sig in sys.exo.items()}
+        X, U = _points(rng, 4, 9, 2)
+        want = motor_field(p, seed(X[:4], X[4:]), e)
+        values, derivs = sys.f.tangent(X[:4], X[4:], e)
+        assert _bits(values) == _bits([w.value for w in want])
+        assert _bits(derivs) == _bits([w.deriv for w in want])
+
+
 class TestLtiBuilder:
     def test_matrices_realized(self, rng):
         a = [[-1.0, 2.0], [0.5, -3.0]]
@@ -249,6 +346,32 @@ class TestLtiBuilder:
         u = rng.standard_normal(1).tolist()
         assert sys.rhs(0.0, x, u) == pytest.approx((np.asarray(a) @ x + np.asarray(b) @ u))
         assert sys.output(0.0, x, u) == pytest.approx(np.asarray(c) @ x + np.asarray(d) @ u)
+
+    @pytest.mark.parametrize("members", [1, 9])
+    def test_compiled_maps_are_the_dual_pass(self, rng, members):
+        # A x, C x through mat_vec's 0.0 + a*b chains; B and D constant
+        a = [[-1.0, 2.0, 0.0], [0.5, -3.0, -0.0], [0.25, 1.5, -2.0]]
+        b = [[1.0, 0.0], [0.0, -0.5], [2.0, 0.0]]
+        c = [[0.0, 1.0, 0.3], [1.0, 0.0, -1.0]]
+        d = [[0.3, -0.1], [0.0, 0.7]]
+        sys = lti(a, b, c, d)
+        reference = _dual_lift(sys, lambda x, e: mat_vec(a, x), lambda x, e: b,
+                               lambda x, e: mat_vec(c, x), lambda x, e: d)
+        lifted = lift(sys)
+        assert hasattr(lifted.rhs_with, "source")
+        for _ in range(3):
+            X, U = _points(rng, 3, members, 2)
+            x, dx = X[:3], X[3:]
+            for fn, rows in ((sys.f, a), (sys.h, c)):
+                want = mat_vec(rows, seed(x, dx))
+                values, derivs = fn.tangent(x, dx, None)
+                assert _bits(values) == _bits([w.value for w in want])
+                assert _bits(derivs) == _bits([w.deriv for w in want])
+                assert _bits(fn(x)) == _bits(mat_vec(rows, x))
+            assert _bits(lifted.rhs_with(X, {}, U)) == _bits(reference.rhs_with(X, {}, U))
+            assert _bits(lifted.output_with(X, {}, U)) == _bits(reference.output_with(X, {}, U))
+            assert _bits(sys.rhs_with(x, {}, U[:2])) == _bits(
+                [fx + dot(row, U[:2]) for fx, row in zip(mat_vec(a, x), b)])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -763,6 +763,25 @@ class TestSubstituteAndTrace:
         assert as_expr(2.0 * -a + b) == parse("2*(-a) + b")
         assert as_expr(a * 3.0 + 0.5) == parse("a*3 + 0.5")
         assert as_expr(1) == Const(1.0)
+        assert as_expr(a - b) == BinOp("-", Var("a"), Var("b"))
+        assert as_expr(1.0 - a) == BinOp("-", Const(1.0), Var("a"))
+        assert as_expr(a - 2.0) == BinOp("-", Var("a"), Const(2.0))
+
+    def test_traced_subtraction_runs_the_dual_rules(self, rng):
+        # __sub__ of two duals, __rsub__ of a float and __sub__ of a float
+        a, b = Traced(Var("a")), Traced(Var("b"))
+        fn = compile_map([as_expr(a - b), as_expr(1.0 - a), as_expr(a - 2.0)], ["a", "b"])
+        batch = rng.standard_normal((2, 5))
+        for x, dx in (([1.0, 1.0], [-0.0, 0.0]), ([-0.0, 0.0], [1.0, -1.0]),
+                      (rng.standard_normal(2).tolist(), rng.standard_normal(2).tolist()),
+                      (list(batch), list(rng.standard_normal((2, 5))))):
+            da, db = seed(x, dx)
+            want = [da - db, 1.0 - da, da - 2.0]
+            bits = lambda out: [_bits(w) for w in out]
+            assert bits(fn(seed(x, dx))) == bits(want)
+            values, derivs = fn.tangent(x, dx, None)
+            assert bits(values) == bits([value_part(w) for w in want])
+            assert bits(derivs) == bits([deriv_part(w) for w in want])
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
     @settings(max_examples=100, deadline=None)

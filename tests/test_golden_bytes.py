@@ -2,8 +2,8 @@
 
 Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
-byte of a demo, an RC audit, an output- or state-coupled loop, a certificate
-or a plain simulation fails here,
+byte of a demo, an RC audit, an output- or state-coupled loop, a certificate,
+a plain simulation or the motor's output convergence fails here,
 so the "byte-identical to the parent" check no longer depends on a manual
 ``diff -r``.
 
@@ -96,6 +96,16 @@ SIMULATE = {
                     "values": [0.0, 0.3, -0.2, 0.1, 0.4]}]),
 }
 
+# the registry motor's homotopy stack under Rk45, with the benchmark's inputs
+CONVERGE_MOTOR = {
+    "system": {"registry": "motor"},
+    "run": {
+        "x0": [1.0, 0.0, 1.3, 0.2], "x0_b": [1.4, -0.3, 1.1, 0.6], "t_final": 2.0, "n_s": 5,
+        "stepper": {"kind": "rk45", "tol": 1e-8},
+        "u": [{"kind": "expr", "expr": "0.3*sin(t)"}, {"kind": "expr", "expr": "0.2*cos(t)"}],
+    },
+}
+
 CASES = {
     "demo-rc": (["demo", "rc", "--seed", "42"], None, {
         "rc_audit.json": "737c66be9719e192ae02f44b86f395b4473fd6d1b7ac73c926b702be61dcabf6",
@@ -134,6 +144,12 @@ CASES = {
     }),
     "simulate": (["simulate"], SIMULATE, {
         "trajectory.csv": "33c92405a82042266b649504df827f40ded8ec7859acbf3735832003fc00ee56",
+    }),
+    "converge-motor": (["converge"], CONVERGE_MOTOR, {
+        "convergence_report.json":
+            "8f5b4ba9130d91d5d4480ff757cb2623083b839ff506d16a73e58698d4d7107b",
+        "convergence_trace.csv":
+            "8ee546ee669b173bc0360faa940f96bb81f3b02fef20deec91688ebcd52b6f6c",
     }),
 }
 

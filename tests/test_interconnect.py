@@ -17,7 +17,7 @@ from diffdiss import (
     state_feedback,
 )
 from diffdiss.cli import _build_system
-from diffdiss.examples import lti
+from diffdiss.examples import induction_motor_virtual, lti
 from diffdiss.exprlang import EvalError, compile_map, compile_matrix, parse
 from diffdiss.interconnect import EqualizationReport, _lattice
 from diffdiss.numerics import NumericalError, jacobian
@@ -466,6 +466,20 @@ class TestComposedLoop:
         want = output_feedback(reference, _python(_two_port()))
         _assert_bits(_maps(lift(outer), x + x, {"w": 0.5}, [0.1, 0.2, 0.3, 0.4] * 2),
                      _maps(lift(want), x + x, {"w": 0.5}, [0.1, 0.2, 0.3, 0.4] * 2))
+
+    def test_registry_models_compose(self, rng):
+        # the motor and the LTI are compiled systems, so a loop of them is too
+        motor = induction_motor_virtual().system
+        plant = lti([[-1.0, 0.5], [-0.5, -2.0]], [[1.0, 0.0], [0.3, 1.0]],
+                    [[1.0, 0.3], [0.0, 1.0]], d=[[0.2, 0.0], [0.0, 0.1]])
+        loop = output_feedback(motor, plant)
+        reference = output_feedback(_python(motor), _python(plant))
+        assert hasattr(loop.f, "asts") and not hasattr(reference.f, "asts")
+        e = {"omega_r": 9.0, "omega_s": 10.0}
+        x, dx = rng.uniform(-1.0, 1.0, (2, 6)).tolist()
+        u = rng.uniform(-1.0, 1.0, 8).tolist()
+        _assert_bits(_maps(loop, x, e, u[:4]), _maps(reference, x, e, u[:4]))
+        _assert_bits(_maps(lift(loop), x + dx, e, u), _maps(lift(reference), x + dx, e, u))
 
     @pytest.mark.parametrize("coupling", ["output", "state"])
     def test_lifting_a_config_loop_runs_no_dual_pass(self, coupling, monkeypatch):
