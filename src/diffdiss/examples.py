@@ -10,10 +10,9 @@ Three models are provided:
   input that regulates the flux to a reference, and
 * a plain LTI builder used as the linear baseline.
 
-The motor and LTI builders run their model code once, on
-:class:`exprlang.Traced` values, and compile what it records, so each model
-is written once and its lift runs one generated program with the bits of a
-dual pass of that code.
+The motor builder runs its model code once, on :class:`exprlang.Traced`
+values, and compiles what it records, so the model is written once and its
+lift runs one generated program with the bits of a dual pass of that code.
 
 Complex quantities are represented as R^2 blocks with the imaginary unit
 acting as the rotation matrix [[0, -1], [1, 0]]; all numerics stay real.
@@ -233,23 +232,6 @@ class MotorParams:
             raise ModelDomainError("saturation gains must be nonnegative")
 
 
-def _traced(names) -> list:
-    """An :class:`exprlang.Traced` variable of each name."""
-    return [exprlang.Traced(exprlang.Var(name)) for name in names]
-
-
-def _compiled_rows(values, names, exo=()):
-    """The compiled map of the traced ``values`` over the state ``names``:
-    it performs the float operations that produced them, so its values and
-    tangent are bit for bit those of the traced code on floats and duals."""
-    return exprlang.compile_map([exprlang.as_expr(v) for v in values], names, exo)
-
-
-def _constant_matrix(rows, names):
-    """The compiled matrix of the constant ``rows`` over the state ``names``."""
-    return exprlang.compile_matrix([[exprlang.as_expr(v) for v in row] for row in rows], names)
-
-
 def _jmul(v):
     """Multiplication by the imaginary unit on an R^2 block."""
     return [-v[1], v[0]]
@@ -313,13 +295,14 @@ class MotorVirtual:
         # performs the float operations motor_field performs, so the lift runs
         # one generated program instead of a dual pass
         names, exo = ["x1", "x2", "x3", "x4"], ("omega_r", "omega_s")
-        f = motor_field(p, _traced(names), dict(zip(exo, _traced(exo))))
+        x = [exprlang.Traced(exprlang.Var(s)) for s in names]
+        f = motor_field(p, x, {s: exprlang.Traced(exprlang.Var(s)) for s in exo})
         g_rows = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         self.system = DynSystem(
             n=4,
             q=2,
-            f=_compiled_rows(f, names, exo),
-            g=_constant_matrix(g_rows, names),
+            f=exprlang.compile_map([exprlang.as_expr(v) for v in f], names, exo),
+            g=exprlang.compile_matrix([[exprlang.Const(v) for v in row] for row in g_rows], names),
             h=exprlang.compile_map([exprlang.Var("x3"), exprlang.Var("x4")], names),
             exo={"omega_r": p.omega_r, "omega_s": p.omega_s},
             name="motor-virtual",
@@ -530,16 +513,17 @@ def lti(a, b, c, d=None, name: str = "lti") -> DynSystem:
         D = np.asarray(d, dtype=float)
         if D.shape != (q, q):
             raise ValueError(f"D must be {q} x {q}")
-    # A x and C x traced through mat_vec, so the compiled maps keep its
-    # 0.0 + a*b chains
-    names = [f"x{k + 1}" for k in range(n)]
-    x = _traced(names)
+    a_rows = A.tolist()
+    b_rows = B.tolist()
+    c_rows = C.tolist()
+    d_rows = D.tolist() if D is not None else None
+
     return DynSystem(
         n=n,
         q=q,
-        f=_compiled_rows(mat_vec(A.tolist(), x), names),
-        g=_constant_matrix(B.tolist(), names),
-        h=_compiled_rows(mat_vec(C.tolist(), x), names),
-        i=_constant_matrix(D.tolist(), names) if D is not None else None,
+        f=lambda x, e: mat_vec(a_rows, x),
+        g=lambda x, e: b_rows,
+        h=lambda x, e: mat_vec(c_rows, x),
+        i=(lambda x, e: d_rows) if d_rows is not None else None,
         name=name,
     )

@@ -467,11 +467,10 @@ class TestComposedLoop:
         _assert_bits(_maps(lift(outer), x + x, {"w": 0.5}, [0.1, 0.2, 0.3, 0.4] * 2),
                      _maps(lift(want), x + x, {"w": 0.5}, [0.1, 0.2, 0.3, 0.4] * 2))
 
-    def test_registry_models_compose(self, rng):
-        # the motor and the LTI are compiled systems, so a loop of them is too
+    def test_registry_motor_composes(self, rng):
+        # the motor is a compiled system, so its loop with an expression system is too
         motor = induction_motor_virtual().system
-        plant = lti([[-1.0, 0.5], [-0.5, -2.0]], [[1.0, 0.0], [0.3, 1.0]],
-                    [[1.0, 0.3], [0.0, 1.0]], d=[[0.2, 0.0], [0.0, 0.1]])
+        plant = _two_port(i=[["1", "x1"], ["0", "2"]])
         loop = output_feedback(motor, plant)
         reference = output_feedback(_python(motor), _python(plant))
         assert hasattr(loop.f, "asts") and not hasattr(reference.f, "asts")
