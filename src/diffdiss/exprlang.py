@@ -975,19 +975,20 @@ def as_expr(value) -> Expr:
 
 
 def variables(e: Expr) -> set[str]:
-    """Names of all variables referenced by ``e``."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables(e.operand)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= variables(a)
-        return out
-    return set()
+    """Names of all variables referenced by ``e``, gathered into one set."""
+    out: set[str] = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            out.add(e.name)
+        elif isinstance(e, Neg):
+            todo.append(e.operand)
+        elif isinstance(e, BinOp):
+            todo += (e.left, e.right)
+        elif isinstance(e, Call):
+            todo += e.args
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -613,7 +613,26 @@ def _rk4_step(field, t, x, h):
     k2 = field(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = field(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = field(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(x).all():
+        raise _NonFinite(t)
+    return x
+
+
+def _rk4_step_floats(field, t, x, h):
+    """:func:`_rk4_step` on a list of floats: the same float operations in
+    the same order, element by element, with no array per stage."""
+    a = 0.5 * h
+    k1 = field(t, x)
+    k2 = field(t + a, [xi + a * ki for xi, ki in zip(x, k1)])
+    k3 = field(t + a, [xi + a * ki for xi, ki in zip(x, k2)])
+    k4 = field(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+    b = h / 6.0
+    x = [xi + b * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+         for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x)):
+        raise _NonFinite(t)
+    return x
 
 
 # Dormand-Prince 5(4) tableau
@@ -650,7 +669,25 @@ def integrate(
     The returned grid starts exactly at ``x0`` and its final time equals the
     end of ``t_span``.  Fixed RK4 lands on uniform multiples of ``dt`` with a
     clipped final step; the adaptive stepper records every accepted step.
+
+    ``field`` takes and returns float arrays, and every step here is array
+    arithmetic: ``systems`` integrates its batched fields (more than one
+    member) through this function.  A one-member run of ``systems`` steps on
+    plain floats instead, through :func:`_integrate_floats`, with the same
+    bits.
     """
+    return _integrate(field, x0, t_span, stepper, floats=False)
+
+
+def _integrate_floats(field, x0, t_span, stepper: Stepper | None = None) -> OdeSolution:
+    """:func:`integrate` of a field that takes and returns lists of floats,
+    with the same checks, counts, errors and bits.  Fixed RK4 steps on the
+    lists (:func:`_rk4_step_floats`); ``Rk45`` calls the field on each
+    stage array's ``tolist()``."""
+    return _integrate(field, x0, t_span, stepper, floats=True)
+
+
+def _integrate(field, x0, t_span, stepper, floats: bool) -> OdeSolution:
     if stepper is None:
         stepper = Rk45()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -662,15 +699,22 @@ def integrate(
     if not np.all(np.isfinite(x)):
         raise IntegrationError("non-finite initial state", t0)
     times = [t0]
-    states = [x.copy()]
+    states = [x]
     nfev = [0]
     n_rejected = 0
     if t1 > t0:
-        wrapped = _finite_checking(field, nfev)
         if isinstance(stepper, Rk4):
-            _run_rk4(wrapped, x, t0, t1, stepper.dt, times, states)
+            if floats:
+                _run_rk4(_rk4_step_floats, _finite_floats(field, nfev), x.tolist(),
+                         t0, t1, stepper.dt, times, states)
+            else:
+                _run_rk4(_rk4_step, _finite_checking(field, nfev), x,
+                         t0, t1, stepper.dt, times, states)
         else:
-            n_rejected = _run_rk45(wrapped, x, t0, t1, stepper, times, states)
+            if floats:
+                field = _called_on_lists(field)
+            n_rejected = _run_rk45(_finite_checking(field, nfev), x, t0, t1, stepper,
+                                   times, states)
     return OdeSolution(
         np.array(times), np.array(states), _stepper_id(stepper), _stepper_tol(stepper),
         nfev=nfev[0], n_accepted=len(times) - 1, n_rejected=n_rejected,
@@ -696,12 +740,33 @@ def _finite_checking(field, nfev: list):
     return wrapped
 
 
+def _called_on_lists(field):
+    """A field on lists of floats as a field on arrays, for ``Rk45``."""
+    return lambda t, z: field(t, z.tolist())
+
+
+def _finite_floats(field, nfev: list):
+    """:func:`_finite_checking` for a field on lists: its entries are made
+    Python floats, as ``tolist()`` of the array would give them."""
+    def wrapped(t, x):
+        nfev[0] += 1
+        dx = list(map(float, field(t, x)))
+        if not all(map(math.isfinite, dx)):
+            raise _NonFinite(t)
+        return dx
+
+    return wrapped
+
+
 class _NonFinite(Exception):
     def __init__(self, t):
         self.t = t
 
 
-def _run_rk4(field, x, t0, t1, dt, times, states):
+def _run_rk4(step, field, x, t0, t1, dt, times, states):
+    """Fixed steps of ``step`` (:func:`_rk4_step` on arrays or
+    :func:`_rk4_step_floats` on lists) on multiples of ``dt``, with a clipped
+    last step; each returns a new state, so none is copied."""
     span = t1 - t0
     n_full = int(math.floor(span / dt + 1e-9))
     rem = span - n_full * dt
@@ -709,18 +774,14 @@ def _run_rk4(field, x, t0, t1, dt, times, states):
     try:
         for k in range(n_full):
             t = t0 + k * dt
-            x = _rk4_step(field, t, x, dt)
-            if not np.isfinite(x).all():
-                raise _NonFinite(t)
+            x = step(field, t, x, dt)
             t_last = t1 if (k == n_full - 1 and rem <= 1e-12 * max(dt, 1.0)) else t0 + (k + 1) * dt
             times.append(t_last)
-            states.append(x.copy())
+            states.append(x)
         if rem > 1e-12 * max(dt, 1.0):
-            x = _rk4_step(field, t_last, x, t1 - t_last)
-            if not np.isfinite(x).all():
-                raise _NonFinite(t_last)
+            x = step(field, t_last, x, t1 - t_last)
             times.append(t1)
-            states.append(x.copy())
+            states.append(x)
     except _NonFinite:
         raise IntegrationError("non-finite state during RK4 step", times[-1]) from None
 

@@ -32,12 +32,23 @@ def _fmt_finite(x: float) -> str:
 def _table_csv(header: list[str], columns) -> str:
     """CSV of ``header`` over the columns stacked as one float table, rows
     formatted as :func:`_fmt_float` formats each value.  A non-finite value
-    raises as ``_fmt_float`` does on the first one in row-major order."""
+    raises as ``_fmt_float`` does on the first one in row-major order.
+
+    Each row is one ``%`` format: ``%.1f`` where :func:`_fmt_finite` takes
+    its integer branch and ``%.17g`` elsewhere, one string per distinct
+    mask of integer-valued entries."""
     table = np.column_stack(columns).astype(float, copy=False)
     if not np.isfinite(table).all():
         _fmt_float(float(table.ravel()[~np.isfinite(table.ravel())][0]))
+    integral = (table == np.floor(table)) & (np.abs(table) < 1e16)
+    masks = integral.view(f"V{table.shape[1]}").ravel().tolist()  # one bytes per row
+    formats: dict[bytes, str] = {}
     lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt_finite, row)) for row in table.tolist())
+    for mask, row in zip(masks, table.tolist()):
+        fmt = formats.get(mask)
+        if fmt is None:
+            fmt = formats[mask] = ",".join("%.1f" if b else "%.17g" for b in mask)
+        lines.append(fmt % tuple(row))
     return "\n".join(lines) + "\n"
 
 

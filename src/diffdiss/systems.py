@@ -39,6 +39,13 @@ all members.  Under ``Rk45`` the members share one adaptive grid, and a
 step is accepted only when every member's error passes, so a member's
 grid differs from its solo run's; under ``Rk4`` every member is
 bit-identical to its solo run.
+
+A run of one member (every :func:`simulate_prolonged`) and plain
+:func:`simulate` step on lists of plain floats: their fixed RK4 steps build
+no array per stage, with the bits of the array steps.  Their field reads a
+constant input (``Signal.constant``, and so the default zero ``du``) once,
+when it is built, and reads exogenous values only if the system has any.
+Batched runs (two members or more) step on arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from .numerics import (
     dot,
     dual_parts,
     float_value,
+    _integrate_floats,
     integrate,
     jvp,  # noqa: F401  -- unused here; perfbench/tracing.py patches systems.jvp by name
     scalar_deriv,
@@ -71,7 +79,9 @@ class SignalError(Exception):
 
 class Signal:
     """Scalar time signal: the closures ``at(t)`` and ``many(times)``
-    picked at construction, and whether the signal is ``smooth``.
+    picked at construction, whether the signal is ``smooth``, and its
+    ``fixed`` value if it is a constant (None otherwise), which a run reads
+    once instead of calling ``at`` per stage.
 
     ``many(times)`` returns ``at`` at each of a 1-d array of times, bit for
     bit, as one array (one row per time for a per-member signal) from one
@@ -81,12 +91,13 @@ class Signal:
     linearly and have no derivative.
     """
 
-    __slots__ = ("at", "many", "smooth")
+    __slots__ = ("at", "many", "smooth", "fixed")
 
     def __init__(self, at: Callable, smooth: bool = True, many: Callable | None = None):
         self.at = at
         self.many = many or (lambda times: np.array([at(t) for t in times], dtype=float))
         self.smooth = smooth
+        self.fixed: float | None = None
 
     @classmethod
     def zero(cls) -> "Signal":
@@ -95,7 +106,9 @@ class Signal:
     @classmethod
     def constant(cls, value: float) -> "Signal":
         value = float(value)
-        return cls(lambda t: value, many=lambda times: np.full(len(times), value))
+        sig = cls(lambda t: value, many=lambda times: np.full(len(times), value))
+        sig.fixed = value
+        return sig
 
     @classmethod
     def sampled(cls, times: Sequence[float], samples: Sequence[float]) -> "Signal":
@@ -382,13 +395,34 @@ class ProlongedTrajectory:
         return self.u.shape[1]
 
 
-def _field_for(sys: DynSystem, sigs: list[Signal]):
-    def field(t, arr):
-        x = arr.tolist()
-        u = [s.value(t) for s in sigs]
-        return np.asarray(sys.rhs(t, x, u), dtype=float)
+def _input_reader(sigs: list[Signal]):
+    """``read(t)``: the values of ``sigs`` at ``t`` as one list, a length-1
+    array read as its one float.  A constant is read once, here."""
+    values = [s.fixed for s in sigs]
+    live = [(k, s.at) for k, s in enumerate(sigs) if s.fixed is None]
+    if not live:
+        return lambda t: values
 
-    return field
+    def read(t):
+        u = values.copy()
+        for k, at in live:
+            v = at(t)
+            u[k] = v.item() if type(v) is np.ndarray else v
+        return u
+
+    return read
+
+
+def _float_field(sys: DynSystem, sigs: list[Signal]):
+    """``field(t, x)`` of ``sys`` under ``sigs`` on a list of floats, for
+    :func:`numerics._integrate_floats`; exogenous values are read only if
+    the system has any."""
+    rhs_with, read = sys.rhs_with, _input_reader(sigs)
+    if not sys.exo:
+        no_exo: dict = {}
+        return lambda t, x: rhs_with(x, no_exo, read(t))
+    exo_at = sys.exo_at
+    return lambda t, x: rhs_with(x, exo_at(t), read(t))
 
 
 def simulate(
@@ -402,7 +436,7 @@ def simulate(
     if len(x0) != sys.n:
         raise ValueError(f"x0 must have {sys.n} entries")
     sigs = signal_vector(u, sys.q)
-    sol = integrate(_field_for(sys, sigs), x0, (0.0, float(t_final)), stepper or Rk4())
+    sol = _integrate_floats(_float_field(sys, sigs), x0, (0.0, float(t_final)), stepper or Rk4())
     times = sol.times
     N = len(times)
     with np.errstate(**FLOAT_ERRORS):
@@ -461,22 +495,20 @@ def simulate_ensemble(
     lifted = lift(sys)
     sigs = signal_vector(u, sys.q) + signal_vector(du, sys.q)
 
-    # one member runs on plain floats, a length-1 input array read as its one
-    # float: about half the cost of length-1 arrays through the dual layer,
-    # and a Python map divides by zero as in a solo float call
+    # one member steps on lists of plain floats: no array per stage, and a
+    # Python map divides by zero as in a solo float call
     if m == 1:
-        def field(t, z):
-            uv = [v.item() if type(v) is np.ndarray else v for v in (s.at(t) for s in sigs)]
-            return np.asarray(lifted.rhs_with(z.tolist(), lifted.exo_at(t), uv), dtype=float)
+        field, solve = _float_field(lifted, sigs), _integrate_floats
     else:
         def field(t, z):
             uv = [s.at(t) for s in sigs]
             X = list(z.reshape(m, width).T)
             return batch_rows(lifted.rhs_with(X, lifted.exo_at(t), uv), m).ravel()
+        solve = integrate
 
     z0 = np.concatenate([X0, dX0], axis=1).ravel()
     with np.errstate(**FLOAT_ERRORS):
-        sol = integrate(field, z0, (0.0, float(t_final)), stepper or Rk4())
+        sol = solve(field, z0, (0.0, float(t_final)), stepper or Rk4())
     return _prolonged_from_solution(sys, lifted, sigs, sol, m)
 
 

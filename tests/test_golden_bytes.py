@@ -2,10 +2,10 @@
 
 Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
-byte of a demo, an RC audit, an output- or state-coupled loop, a certificate,
-a plain simulation or the motor's output convergence fails here,
-so the "byte-identical to the parent" check no longer depends on a manual
-``diff -r``.
+byte of a demo, an RC audit (fixed-step or adaptive), an output- or
+state-coupled loop, a certificate, a plain simulation or the motor's output
+convergence fails here, so the "byte-identical to the parent" check no
+longer depends on a manual ``diff -r``.
 
 The digests depend on the platform's libm and numpy builds (the last digit
 of ``sin`` or ``exp`` may differ between them); they were recorded with
@@ -79,6 +79,12 @@ CERT_AP = {
     "grid_u": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [3, 3]},
 }
 
+# one member under the adaptive stepper
+RC_AUDIT_RK45 = {
+    "system": RC_AUDIT["system"],
+    "run": dict(RC_AUDIT["run"], stepper={"kind": "rk45", "tol": 1e-8}),
+}
+
 # an exogenous signal, a sampled input, an output the lift runs as a dual pass
 # (min of a state and a literal) and expression storage and supply
 SIMULATE = {
@@ -121,6 +127,10 @@ CASES = {
     "audit-rc": (["audit"], RC_AUDIT, {
         "audit_report.json": "b86304c5a05fe9c6e8496d1b13e9d8c750c7de9b0cb0be9e562b1df1f84e160c",
         "audit_trace.csv": "93de1c6b8dfdfe1bf103e869414ad1a8f3dabfe2c057e358a696f296523b91c0",
+    }),
+    "audit-rc-rk45": (["audit"], RC_AUDIT_RK45, {
+        "audit_report.json": "d56f1bbc80a6183261888376c1737101698ad4692e107f4b3e6c416ec262eace",
+        "audit_trace.csv": "c5bcae4f684520f950c398b22c94463eda69c57cc173a47745d89bf30a09600a",
     }),
     "interconnect-output": (["interconnect"], OUTPUT_LOOP, {
         "interconnect_report.json":

@@ -307,6 +307,72 @@ class TestIntegrate:
             OdeSolution([0.0, 1.0], [[1.0], [float("nan")]], "fixed-rk4", 1e-3)
 
 
+def _forced_pendulum(t, x):
+    # indexes its state, so it runs on a float array and on a list of floats
+    return [x[1], -math.sin(x[0]) - 0.1 * x[1] + 0.3 * math.cos(1.3 * t)]
+
+
+def _solution_bits(sol):
+    return (sol.times.tobytes(), sol.states.tobytes(), sol.nfev, sol.n_accepted,
+            sol.n_rejected, sol.stepper_id, sol.tolerance)
+
+
+def _integration_error(solve, field, x0, span, stepper):
+    with np.errstate(over="ignore"), pytest.raises(IntegrationError) as err:
+        solve(field, x0, span, stepper)
+    return str(err.value), err.value.last_good_time
+
+
+class TestFloatEntry:
+    """``_integrate_floats``, the entry of fields on lists of floats, against
+    the public ``integrate`` on arrays: the same bits, counts and errors."""
+
+    @given(dt=st.floats(min_value=1e-3, max_value=0.1), k=st.integers(1, 40),
+           frac=st.floats(min_value=0.05, max_value=0.95), t0=st.sampled_from([0.0, 0.25]))
+    @settings(max_examples=60, deadline=None)
+    def test_rk4_gives_the_bits_of_integrate(self, dt, k, frac, t0):
+        span = (t0, t0 + dt * (k + frac))  # ends with a clipped step
+        want = integrate(_forced_pendulum, [1.2, -0.4], span, Rk4(dt))
+        got = numerics._integrate_floats(_forced_pendulum, [1.2, -0.4], span, Rk4(dt))
+        assert want.times[-1] == got.times[-1] == span[1]
+        assert _solution_bits(got) == _solution_bits(want)
+
+    def test_rk45_gives_the_bits_of_integrate(self):
+        want = integrate(_forced_pendulum, [1.2, -0.4], (0.0, 3.0), Rk45(1e-9))
+        got = numerics._integrate_floats(_forced_pendulum, [1.2, -0.4], (0.0, 3.0), Rk45(1e-9))
+        assert _solution_bits(got) == _solution_bits(want)
+
+    def test_field_sees_lists_of_python_floats(self):
+        seen = set()
+
+        def field(t, x):
+            seen.update(type(v) for v in x)
+            assert type(x) is list
+            return [np.float64(-x[0]), 1]
+
+        numerics._integrate_floats(field, [1.0, 0.0], (0.0, 0.05), Rk4(1e-2))
+        assert seen == {float}
+
+    @pytest.mark.parametrize("field", [
+        lambda t, x: [x[0] * x[0]],  # the state overflows
+        lambda t, x: [-x[0] if t < 0.237 else math.nan],  # the field turns non-finite
+    ], ids=["blow-up", "nan-field"])
+    @pytest.mark.parametrize("stepper", [Rk4(1e-2), Rk45(1e-8)], ids=["rk4", "rk45"])
+    def test_non_finite_raises_as_integrate_does(self, field, stepper):
+        want = _integration_error(integrate, field, [1.0], (0.0, 5.0), stepper)
+        got = _integration_error(numerics._integrate_floats, field, [1.0], (0.0, 5.0), stepper)
+        assert got == want
+        assert 0.0 < got[1] < 5.0
+
+    def test_checks_are_shared(self):
+        with pytest.raises(ValueError, match="t_span must be finite"):
+            numerics._integrate_floats(_forced_pendulum, [1.0, 0.0], (0.0, math.inf), Rk4(0.1))
+        with pytest.raises(IntegrationError, match="non-finite initial state"):
+            numerics._integrate_floats(_forced_pendulum, [math.nan, 0.0], (0.0, 1.0), Rk4(0.1))
+        sol = numerics._integrate_floats(_forced_pendulum, [1.0, 0.0], (0.0, 0.0), Rk4(0.1))
+        assert (sol.nfev, sol.n_accepted, sol.states.tolist()) == (0, 0, [[1.0, 0.0]])
+
+
 def _dopri_all_stages(field, x0, t0, t1, tol):
     """Reference Dormand-Prince 5(4) that evaluates all seven stages on
     every attempt; step control as in ``numerics.integrate``."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffdiss.serialize import json_dumps, length_gap_csv, trace_csv
+from diffdiss.serialize import _fmt_finite, _table_csv, json_dumps, length_gap_csv, trace_csv
 from diffdiss.systems import ProlongedTrajectory
 
 
@@ -124,3 +124,17 @@ class TestCsvWriters:
         assert (_outcome(length_gap_csv, t, lengths, gaps)
                 == _outcome(_ref_length_gap_csv, t, lengths, gaps)
                 == ("ValueError", "refusing to serialize non-finite float inf"))
+
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-2 ** 60, 2 ** 60).map(float),
+        st.sampled_from(_SPECIAL + [-(2.0 ** 53), 2.0 ** 53 + 2.0, -7.0, -1e300, 1e-310]),
+    ), min_size=3, max_size=3), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_row_formats_match_fmt_finite(self, rows):
+        """Each row's one ``%`` format gives ``_fmt_finite`` of every value."""
+        columns = [np.array([row[k] for row in rows], dtype=float) for k in range(3)]
+        lines = _table_csv(["a", "b", "c"], columns).split("\n")
+        assert lines[0] == "a,b,c" and lines[-1] == ""
+        assert [line.split(",") for line in lines[1:-1]] == [
+            [_fmt_finite(v) for v in row] for row in rows]

@@ -591,6 +591,37 @@ class TestEnsemble:
                                   t_final=0.3, stepper=Rk4(1e-2))
         _assert_same_run(member, solo)
 
+    def test_one_member_reads_a_constant_input_once(self):
+        du = Signal.constant(0.25)
+        calls = []
+        du.at = lambda t: calls.append(t) or 0.25
+        rc = rc_circuit()
+        u = Signal.from_expr("0.5*sin(2*t)")
+        (member,) = simulate_ensemble(rc.system, [[0.3]], [[0.5]], u=u, du=du,
+                                      t_final=0.2, stepper=Rk4(1e-2))
+        assert calls == []
+        same = simulate_prolonged(rc.system, [0.3], [0.5], u=u, du=lambda t: 0.25,
+                                  t_final=0.2, stepper=Rk4(1e-2))
+        _assert_same_run(member, same)
+        simulate(rc.system, [0.3], u=du, t_final=0.2, stepper=Rk4(1e-2))
+        assert calls == []
+
+    def test_one_member_maps_see_python_floats(self):
+        seen = set()
+
+        def f(x, e):
+            # x is seeded with dx under the lift; a value part that was an
+            # np.float64 would divide by zero under FLOAT_ERRORS, not as floats do
+            seen.update(type(v.value if isinstance(v, DualScalar) else v) for v in x)
+            return [x[0] * np.float64(-1.0)]
+
+        sys = DynSystem(1, 1, f, lambda x, e: [[1.0]], lambda x, e: [x[0]])
+        u = Signal.analytic(lambda t: np.float64(0.5) * t)
+        simulate_prolonged(sys, [1.0], [0.5], u=u, t_final=0.05, stepper=Rk4(1e-2))
+        simulate(sys, [1.0], u=u, t_final=0.05, stepper=Rk4(1e-2))
+        # the pass after integration calls f on arrays of all the samples
+        assert seen == {float, np.ndarray}
+
     def test_rk45_members_share_one_grid_within_tolerance(self, rng, monkeypatch):
         import diffdiss.systems as systems
 
