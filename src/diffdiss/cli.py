@@ -10,6 +10,7 @@ verification failed or a numerical run aborted (report still written),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -713,7 +714,10 @@ _COMMANDS = {
 _DEMOS = {"rc": cmd_demo_rc, "motor": cmd_demo_motor, "lti": cmd_demo_lti}
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` does not
+    change it, and each call returns a new namespace of defaults."""
     parser = argparse.ArgumentParser(
         prog="diffdiss",
         description="Displacement-dynamics audits and incremental-stability verification.",

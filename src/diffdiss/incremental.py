@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
-from .numerics import FLOAT_ERRORS, Rk4, Stepper, argworst, integrate, jvp, sym
+from .numerics import FLOAT_ERRORS, Rk4, Stepper, argworst, batch_rows, integrate, jvp, sym
 from .systems import DynSystem, ProlongedTrajectory, signal_vector, simulate_ensemble
 
 
@@ -100,6 +100,27 @@ def _trapezoid(values: np.ndarray, grid: np.ndarray) -> float:
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
 
 
+def _library_gauge(family: HomotopyFamily, gauge) -> np.ndarray | None:
+    """K at every sample (row) of every member (column) from one call of
+    ``gauge`` over all of them, if it is a bound
+    :meth:`QuadraticDifferentialStorage.gauge`, which batches elementwise;
+    else None.  A batch that raises, or gives a value that is not finite,
+    is None too, so the points are evaluated one by one and fail or give
+    what they give alone."""
+    if getattr(gauge, "__func__", None) is not QuadraticDifferentialStorage.gauge:
+        return None
+    x = np.concatenate([m.x for m in family.members])
+    dx = np.concatenate([m.dx for m in family.members])
+    try:
+        with np.errstate(**FLOAT_ERRORS):
+            values = batch_rows([gauge(list(x.T), list(dx.T))], len(x))[:, 0]
+    except Exception:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(len(family.members), -1).T
+
+
 def finsler_length(
     family: HomotopyFamily,
     gauge: Callable[[Sequence, Sequence], float],
@@ -109,7 +130,11 @@ def finsler_length(
     """Trapezoid quadrature over s of K(x(t,s), dx(t,s)) at each time.
 
     The gauge is spot-checked for positive homogeneity of degree 1 on
-    sampled (x, dx) pairs before any length is reported.
+    sampled (x, dx) pairs before any length is reported.  A storage's own
+    ``gauge`` (a bound :meth:`QuadraticDifferentialStorage.gauge`) is then
+    evaluated in one call over every member and sample, with the bits of
+    the calls point by point; any other gauge is called point by point.
+    Each time's quadrature sums in the same order either way.
     """
     rng = np.random.default_rng(seed)
     times = family.times
@@ -131,11 +156,15 @@ def finsler_length(
         both = gauge(x, [a + b for a, b in zip(dx, other)])
         if both > base + gauge(x, other) + 1e-12:
             convexity_violations += 1
+    batch = _library_gauge(family, gauge)
     lengths = np.empty(n_t)
     for k in range(n_t):
-        vals = np.array(
-            [gauge(m.x[k].tolist(), m.dx[k].tolist()) for m in family.members]
-        )
+        if batch is not None:
+            vals = batch[k]
+        else:
+            vals = np.array(
+                [gauge(m.x[k].tolist(), m.dx[k].tolist()) for m in family.members]
+            )
         lengths[k] = _trapezoid(vals, family.s_grid)
     return LengthTrace(times=times, lengths=lengths,
                        convexity_violations=convexity_violations)

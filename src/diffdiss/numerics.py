@@ -671,10 +671,11 @@ def integrate(
     clipped final step; the adaptive stepper records every accepted step.
 
     ``field`` takes and returns float arrays, and every step here is array
-    arithmetic: ``systems`` integrates its batched fields (more than one
-    member) through this function.  A one-member run of ``systems`` steps on
-    plain floats instead, through :func:`_integrate_floats`, with the same
-    bits.
+    arithmetic: ``systems`` integrates its batched fields (stacks of Python
+    maps, and stacks of more than ``systems._MEMBER_LOOP_MAX`` members)
+    through this function.  A one-member run of ``systems``, and a small
+    stack of a compiled lift, step on plain floats instead, through
+    :func:`_integrate_floats`, with the same bits.
     """
     return _integrate(field, x0, t_span, stepper, floats=False)
 

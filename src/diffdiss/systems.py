@@ -29,23 +29,29 @@ arithmetic and the ``numerics`` helpers do; branching on a batched value
 every member, so use ``numerics.minimum``/``maximum``/``absolute``.
 
 :func:`simulate_ensemble` is the one integrator of the lifted system
-(:func:`simulate_prolonged` and the homotopy family are ensembles).  Its
-RHS evaluates all members in one call, and the post-integration pass all
-samples of all members in one call; plain :func:`simulate` samples each
-signal and evaluates its outputs at all samples in one call each.  An ensemble's input signals may be
-per-member: ``Signal.at(t)`` returns a float shared by every member or a
-length-m array, one value per member.  Exogenous signals are shared by
-all members.  Under ``Rk45`` the members share one adaptive grid, and a
-step is accepted only when every member's error passes, so a member's
-grid differs from its solo run's; under ``Rk4`` every member is
-bit-identical to its solo run.
+(:func:`simulate_prolonged` and the homotopy family are ensembles).  The
+post-integration pass evaluates all samples of all members in one call;
+plain :func:`simulate` samples each signal and evaluates its outputs at all
+samples in one call each.  An ensemble's input signals may be per-member:
+``Signal.at(t)`` returns a float shared by every member or a length-m
+array, one value per member.  Exogenous signals are shared by all members.
+Under ``Rk45`` the members share one adaptive grid, and a step is accepted
+only when every member's error passes, so a member's grid differs from its
+solo run's; under ``Rk4`` every member is bit-identical to its solo run.
 
-A run of one member (every :func:`simulate_prolonged`) and plain
-:func:`simulate` step on lists of plain floats: their fixed RK4 steps build
-no array per stage, with the bits of the array steps.  Their field reads a
-constant input (``Signal.constant``, and so the default zero ``du``) once,
-when it is built, and reads exogenous values only if the system has any.
-Batched runs (two members or more) step on arrays.
+A run of one member (every :func:`simulate_prolonged`), plain
+:func:`simulate`, and a stack of at most ``_MEMBER_LOOP_MAX`` members
+whose lift is one generated program step on one list of plain floats:
+their fixed RK4 steps build no array per stage, with the bits of the array
+steps, and ``Rk45`` keeps its array stepper and one shared grid.  Their
+field reads the inputs and exogenous values once per call, a constant
+(``Signal.constant``, and so the default zero ``du``) once, when it is
+built.  A stack's field then runs the lifted ``rhs_with`` on each member's
+row, a per-member input indexed by member, and gives each member the bits
+the array call gives it; a call that raises is made again on arrays, so a
+run fails as the array run does.  Larger stacks, and stacks of Python maps,
+evaluate all members in one call per field evaluation and step on arrays.
+The limit comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).
 """
 
 from __future__ import annotations
@@ -413,16 +419,76 @@ def _input_reader(sigs: list[Signal]):
     return read
 
 
+def _exo_reader(sys: DynSystem):
+    """``read(t)``: the exogenous values of ``sys`` at ``t``, the dict
+    ``exo_at`` gives.  A constant is read once, here."""
+    items = [(name, sig.fixed, sig.value) for name, sig in sys.exo.items()]
+    if all(fixed is not None for _, fixed, _ in items):
+        values = {name: fixed for name, fixed, _ in items}
+        return lambda t: values
+    return lambda t: {name: value(t) if fixed is None else fixed
+                      for name, fixed, value in items}
+
+
 def _float_field(sys: DynSystem, sigs: list[Signal]):
     """``field(t, x)`` of ``sys`` under ``sigs`` on a list of floats, for
-    :func:`numerics._integrate_floats`; exogenous values are read only if
-    the system has any."""
-    rhs_with, read = sys.rhs_with, _input_reader(sigs)
-    if not sys.exo:
-        no_exo: dict = {}
-        return lambda t, x: rhs_with(x, no_exo, read(t))
-    exo_at = sys.exo_at
-    return lambda t, x: rhs_with(x, exo_at(t), read(t))
+    :func:`numerics._integrate_floats`."""
+    rhs_with, read, exo = sys.rhs_with, _input_reader(sigs), _exo_reader(sys)
+    return lambda t, x: rhs_with(x, exo(t), read(t))
+
+
+# The largest stack of a compiled lift that steps member by member on floats;
+# a larger one makes one array call per field call.  Integration time per
+# field call in us, array call / member loop (Rk4, dt 1e-2 over 1 s, best of
+# 9 on a shared 2-vCPU x86-64 host, Python 3.11, numpy 2.4):
+#
+#   m                    2          4          9         16         20         32
+#   RC            28.6/6.6   20.5/9.3  27.1/16.4  29.3/20.6  16.8/20.4  16.5/30.6
+#   motor        71.4/11.2  73.1/20.4  91.3/55.7 116.1/97.9  83.0/89.8 83.1/142.7
+#   state loop    69.3/8.3  66.6/14.0  70.3/29.1  70.4/48.7  69.5/61.2  73.4/95.9
+#
+# The RC and the motor cross over between 16 and 20 members, the loop of two
+# scalar plants between 20 and 32.
+_MEMBER_LOOP_MAX = 16
+
+
+def _member_field(sys: DynSystem, sigs: list[Signal], m: int, array_field):
+    """``field(t, z)`` of ``m`` members of ``sys`` stacked member-major in
+    one list of floats: the inputs and exogenous values are read once per
+    call, in the order ``array_field`` reads them, and ``rhs_with`` runs on
+    each member's row.  An input that returns a length-m array gives member
+    k its k-th value, as a Python float.  A call that raises is made again
+    as ``array_field(t, z)``, so its error is the array call's."""
+    rhs_with, width, exo = sys.rhs_with, sys.n, _exo_reader(sys)
+    values = [s.fixed for s in sigs]
+    live = [(k, s.at) for k, s in enumerate(sigs) if s.fixed is None]
+    rows = range(0, m * width, width)
+
+    def field(t, z):
+        u = values.copy()
+        spread = []
+        for k, at in live:
+            v = at(t)
+            if type(v) is np.ndarray:
+                if v.size != 1:
+                    if v.shape != (m,):  # the array call broadcasts it or raises
+                        return array_field(t, np.asarray(z))
+                    spread.append((k, v.tolist()))
+                    continue
+                v = v.item()
+            u[k] = v
+        e = exo(t)
+        out = []
+        try:
+            for i, j in enumerate(rows):
+                for k, member_values in spread:
+                    u[k] = member_values[i]
+                out += rhs_with(z[j:j + width], e, u)
+        except Exception:
+            return array_field(t, np.asarray(z))
+        return out
+
+    return field
 
 
 def simulate(
@@ -477,12 +543,16 @@ def simulate_ensemble(
     """Co-integrate m prolonged trajectories, one per row of ``x0s`` and
     ``dx0s``, as one stacked ODE on a shared grid.
 
-    The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...], and each
-    right-hand-side evaluation is one ``lift(sys).rhs_with`` call over all
-    members.  An input signal may return a float (shared by every member)
-    or a length-m array (one value per member); exogenous signals are
-    shared.  Under ``Rk45`` the members share one adaptive grid: a step is
-    accepted only when every member's error passes.
+    The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...].  A
+    right-hand-side evaluation runs ``lift(sys).rhs_with`` once per member
+    on floats when there is one member, or when the lift is one generated
+    program and m is at most ``_MEMBER_LOOP_MAX``; otherwise it is one call
+    over all members on arrays.  The loop over a stack gives the bits,
+    counts and errors of the call over all members.  An input signal may
+    return a float (shared by every member) or a length-m array (one value
+    per member); exogenous signals are shared.  Under ``Rk45`` the members
+    share one adaptive grid: a step is accepted only when every member's
+    error passes.
     """
     X0 = np.asarray(x0s, dtype=float)
     dX0 = np.asarray(dx0s, dtype=float)
@@ -495,16 +565,23 @@ def simulate_ensemble(
     lifted = lift(sys)
     sigs = signal_vector(u, sys.q) + signal_vector(du, sys.q)
 
+    exo = _exo_reader(lifted)
+
+    def array_field(t, z):
+        uv = [s.at(t) for s in sigs]
+        X = list(z.reshape(m, width).T)
+        return batch_rows(lifted.rhs_with(X, exo(t), uv), m).ravel()
+
     # one member steps on lists of plain floats: no array per stage, and a
-    # Python map divides by zero as in a solo float call
+    # Python map divides by zero as in a solo float call.  A small stack
+    # steps there too, member by member, when ``lift`` installed one
+    # generated program, whose float calls give the array call's bits.
     if m == 1:
         field, solve = _float_field(lifted, sigs), _integrate_floats
+    elif "rhs_with" in vars(lifted) and m <= _MEMBER_LOOP_MAX:
+        field, solve = _member_field(lifted, sigs, m, array_field), _integrate_floats
     else:
-        def field(t, z):
-            uv = [s.at(t) for s in sigs]
-            X = list(z.reshape(m, width).T)
-            return batch_rows(lifted.rhs_with(X, lifted.exo_at(t), uv), m).ravel()
-        solve = integrate
+        field, solve = array_field, integrate
 
     z0 = np.concatenate([X0, dX0], axis=1).ravel()
     with np.errstate(**FLOAT_ERRORS):

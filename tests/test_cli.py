@@ -434,6 +434,42 @@ def _nan_gain_config(lo, hi):
     }
 
 
+def test_parser_built_once_gives_each_call_its_own_defaults(tmp_path, monkeypatch):
+    import diffdiss.cli as cli
+
+    seen = []
+
+    def recording(table, name):
+        command = table[name]
+
+        def recorded(cfg, args, out_dir):
+            seen.append(vars(args).copy())
+            return command(cfg, args, out_dir)
+
+        monkeypatch.setitem(table, name, recorded)
+
+    for table, name in ((cli._COMMANDS, "audit"), (cli._COMMANDS, "certify-uc"),
+                        (cli._DEMOS, "lti")):
+        recording(table, name)
+    cfg_data = json.loads(json.dumps(SCALAR_SYS))
+    cfg_data["pi"] = [[1.0]]
+    cfg_data["grid"] = {"lo": [-2.0], "hi": [2.0], "counts": [21]}
+    cfg = write_config(tmp_path, cfg_data)
+    assert run(tmp_path, "audit", "--config", cfg, "--dt", "0.01")[0] == 0
+    assert run(tmp_path, "certify-uc", "--config", cfg)[0] == 0
+    assert run(tmp_path, "demo", "lti", "--t-final", "0.5")[0] == 0
+    assert run(tmp_path, "audit", "--config", cfg)[0] == 0
+    assert cli._parser() is cli._parser()
+    common = {"out": str(tmp_path / "out"), "format": "csv", "tol": None, "seed": None,
+              "quiet": True}
+    assert seen == [
+        dict(common, command="audit", config=cfg, t_final=None, dt=0.01),
+        dict(common, command="certify-uc", config=cfg, t_final=None, dt=None),
+        dict(common, command="demo", model="lti", config=None, t_final=0.5, dt=None),
+        dict(common, command="audit", config=cfg, t_final=None, dt=None),
+    ]
+
+
 class TestNonFiniteCertificate:
     """A nan certificate value is an error (exit 1, error report), never a
     silent PASS or a crash in the writer."""

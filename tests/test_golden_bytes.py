@@ -3,9 +3,10 @@
 Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
 byte of a demo, an RC audit (fixed-step or adaptive), an output- or
-state-coupled loop, a certificate, a plain simulation or the motor's output
-convergence fails here, so the "byte-identical to the parent" check no
-longer depends on a manual ``diff -r``.
+state-coupled loop, a certificate, a plain simulation, the motor's output
+convergence or an expression system's homotopy fails here, so the
+"byte-identical to the parent" check no longer depends on a manual
+``diff -r``.
 
 The digests depend on the platform's libm and numpy builds (the last digit
 of ``sin`` or ``exp`` may differ between them); they were recorded with
@@ -112,6 +113,18 @@ CONVERGE_MOTOR = {
     },
 }
 
+# a homotopy stack under Rk4 (members stepped one by one on floats) with a
+# state-dependent storage factor, so the gauge runs a compiled M over the stack
+HOMOTOPY_EXPR = {
+    "system": {"n": 2, "q": 1,
+               "f": ["-x1 + 0.5*x2 - x1^3", "-0.5*x1 - x2 - 0.2*x2^3"],
+               "g": [["0"], ["1/(1 + x1^2)"]], "h": ["x2"]},
+    "storage": {"M": [["1", "0"], ["0", "1 + x2^2"]]},
+    "run": {"x0": [0.6, -0.4], "x0_b": [-0.3, 0.5], "t_final": 1.0, "n_s": 9,
+            "stepper": {"kind": "rk4", "dt": 1e-3},
+            "u": [{"kind": "expr", "expr": "0.4*sin(2*t)"}]},
+}
+
 CASES = {
     "demo-rc": (["demo", "rc", "--seed", "42"], None, {
         "rc_audit.json": "737c66be9719e192ae02f44b86f395b4473fd6d1b7ac73c926b702be61dcabf6",
@@ -160,6 +173,12 @@ CASES = {
             "8f5b4ba9130d91d5d4480ff757cb2623083b839ff506d16a73e58698d4d7107b",
         "convergence_trace.csv":
             "8ee546ee669b173bc0360faa940f96bb81f3b02fef20deec91688ebcd52b6f6c",
+    }),
+    "homotopy-expr": (["homotopy"], HOMOTOPY_EXPR, {
+        "homotopy_report.json":
+            "543979a656016176a9fde6c848477e5bc770687b077e11f1d990e1456be077e7",
+        "homotopy_trace.csv":
+            "58545d53f741d478bd3522770a5b7f72a7ca1b63033cb419ae8fa4289bdd8d20",
     }),
 }
 

@@ -21,6 +21,8 @@ from diffdiss import (
     verify_output_convergence,
 )
 from diffdiss.examples import lti
+from diffdiss.exprlang import EvalError, compile_matrix, parse
+from diffdiss.incremental import _library_gauge
 
 from conftest import rotation, scalar_cubic, scalar_leaky, scalar_stiffening
 
@@ -135,6 +137,44 @@ class TestFinslerLength:
         trace = finsler_length(fam, storage.gauge)
         assert np.all(np.diff(trace.lengths) <= 0.0)
         assert trace.convexity_violations == 0  # quadratic gauges are strictly convex
+
+    @pytest.mark.parametrize("rows", [
+        [["2", "0.5"], ["-0.5", "1"]],
+        [["1", "0"], ["x1", "1 + x2^2"]],
+    ], ids=["constant", "expression"])
+    def test_library_gauge_batched_equals_per_point(self, rows):
+        storage = QuadraticDifferentialStorage(
+            compile_matrix([[parse(c) for c in row] for row in rows], ["x1", "x2"]), 2)
+        fam = homotopy_integrate(rotation(), lambda s: [0.3 + s, -0.2 + 0.5 * s],
+                                 t_final=0.5, n_s=9, stepper=Rk4(1e-2))
+        assert _library_gauge(fam, storage.gauge) is not None
+        batched = finsler_length(fam, storage.gauge)
+        per_point = finsler_length(fam, lambda x, dx: storage.gauge(x, dx))
+        assert batched.lengths.tobytes() == per_point.lengths.tobytes()
+        assert batched.convexity_violations == per_point.convexity_violations
+
+    @pytest.mark.parametrize("case", ["guard", "zero-over-zero"])
+    def test_library_gauge_that_raises_raises_as_per_point(self, case):
+        if case == "guard":
+            # M is defined only where x1 >= 0, and the rotation leaves that half plane
+            storage = QuadraticDifferentialStorage(
+                compile_matrix([[parse("sqrt(x1)"), parse("0")], [parse("0"), parse("1")]],
+                               ["x1", "x2"]), 2)
+            fam = homotopy_integrate(rotation(), lambda s: [0.3 + s, 0.2], t_final=2.5,
+                                     n_s=5, stepper=Rk4(1e-2))
+            error = EvalError
+        else:
+            # the middle member rests at x = 0, where a batch gives nan for 0/0
+            storage = QuadraticDifferentialStorage(lambda x: [[x[0] / x[0]]], 1)
+            fam = homotopy_integrate(scalar_cubic(), lambda s: [s - 0.5], t_final=0.1,
+                                     n_s=5, stepper=Rk4(1e-2))
+            error = ZeroDivisionError
+        raised = []
+        for gauge in (storage.gauge, lambda x, dx: storage.gauge(x, dx)):
+            with pytest.raises(error) as info:
+                finsler_length(fam, gauge, homogeneity_checks=0)
+            raised.append((str(info.value), getattr(info.value, "offset", None)))
+        assert raised[0] == raised[1]
 
     def test_flat_gauge_convexity_violations_reported_not_fatal(self):
         rot = rotation()

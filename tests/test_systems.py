@@ -16,8 +16,10 @@ from diffdiss import (
     simulate_prolonged,
 )
 from diffdiss.examples import MotorParams, induction_motor_virtual, lti
-from diffdiss.numerics import FLOAT_ERRORS, DualScalar, sin
-from diffdiss.exprlang import EvalError
+import diffdiss.systems as systems
+from diffdiss.numerics import FLOAT_ERRORS, DualScalar, IntegrationError, sin, value_part
+from diffdiss.exprlang import EvalError, compile_map, parse
+from diffdiss.interconnect import state_feedback
 from diffdiss.systems import batch_rows
 
 from conftest import rotation, scalar_cubic, scalar_leaky
@@ -539,6 +541,58 @@ def _assert_same_run(got, want):
         assert np.array_equal(getattr(got, col), getattr(want, col)), col
 
 
+def _run(monkeypatch, limit, *args, **kwargs):
+    """``simulate_ensemble(*args, **kwargs)`` with the member-loop limit set
+    to ``limit`` (None keeps it): the members, the ODE solution and the name
+    of the solver that ran (``_integrate_floats`` on floats, ``integrate``
+    on arrays)."""
+    runs = []
+
+    def recording(name):
+        solve = getattr(systems, name)
+
+        def recorded(*solve_args):
+            sol = solve(*solve_args)
+            runs.append((sol, name))
+            return sol
+
+        return recorded
+
+    with monkeypatch.context() as patch:
+        if limit is not None:
+            patch.setattr(systems, "_MEMBER_LOOP_MAX", limit)
+        for name in ("integrate", "_integrate_floats"):
+            patch.setattr(systems, name, recording(name))
+        members = simulate_ensemble(*args, **kwargs)
+    ((sol, solver),) = runs
+    return members, sol, solver
+
+
+def _assert_paths_agree(monkeypatch, *args, **kwargs):
+    """The member loop and the array path give the same bits and counts."""
+    m = len(args[1])
+    loop, loop_sol, loop_solver = _run(monkeypatch, m, *args, **kwargs)
+    array, array_sol, array_solver = _run(monkeypatch, 0, *args, **kwargs)
+    assert (loop_solver, array_solver) == ("_integrate_floats", "integrate")
+    for got, want in zip(loop, array, strict=True):
+        for col in _COLUMNS:
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+    for count in ("nfev", "n_accepted", "n_rejected"):
+        assert getattr(loop_sol, count) == getattr(array_sol, count), count
+    return loop
+
+
+def _paths_raise(monkeypatch, error, *args, **kwargs):
+    """The exception each path raises, as (type, text, last good time)."""
+    raised = []
+    for limit in (len(args[1]), 0):
+        with pytest.raises(error) as info:
+            _run(monkeypatch, limit, *args, **kwargs)
+        raised.append((type(info.value), str(info.value),
+                       getattr(info.value, "last_good_time", None)))
+    return raised
+
+
 class TestEnsemble:
     """Members of one stacked integration against solo runs."""
 
@@ -623,22 +677,10 @@ class TestEnsemble:
         assert seen == {float, np.ndarray}
 
     def test_rk45_members_share_one_grid_within_tolerance(self, rng, monkeypatch):
-        import diffdiss.systems as systems
-
-        sols = []
-        integrate = systems.integrate
-
-        def recording(*args):
-            sol = integrate(*args)
-            sols.append(sol)
-            return sol
-
-        monkeypatch.setattr(systems, "integrate", recording)
         rc = rc_circuit()
         x0s, dx0s, drive, solo_drive = self._rc_members(rng, m=4)
-        members = simulate_ensemble(rc.system, x0s, dx0s, u=drive, t_final=1.0,
-                                    stepper=Rk45(1e-8))
-        (sol,) = sols
+        members, sol, _ = _run(monkeypatch, None, rc.system, x0s, dx0s, u=drive, t_final=1.0,
+                               stepper=Rk45(1e-8))
         assert sol.nfev == 1 + 6 * (sol.n_accepted + sol.n_rejected)
         for k, member in enumerate(members):
             assert member.times is sol.times
@@ -648,6 +690,88 @@ class TestEnsemble:
             assert member.times[-1] == ref.times[-1] == 1.0
             assert np.allclose(member.x[-1], ref.x[-1], rtol=0.0, atol=1e-7)
             assert np.allclose(member.dx[-1], ref.dx[-1], rtol=0.0, atol=1e-7)
+
+    def test_member_loop_equals_array_path_for_the_motor_under_rk45(self, rng, monkeypatch):
+        sys = induction_motor_virtual(MotorParams(omega_r=Signal.from_expr("9 + sin(3*t)"))).system
+        u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
+        x0s = rng.uniform(-1.5, 1.5, size=(9, 4))
+        dx0s = rng.uniform(-1.0, 1.0, size=(9, 4))
+        _assert_paths_agree(monkeypatch, sys, x0s, dx0s, u=u, t_final=0.5, stepper=Rk45(1e-8))
+
+    @pytest.mark.parametrize("stepper", [Rk4(1e-2), Rk45(1e-8)], ids=["rk4", "rk45"])
+    def test_member_loop_indexes_a_per_member_drive(self, rng, monkeypatch, stepper):
+        x0s, dx0s, drive, solo_drive = self._rc_members(rng)
+        members = _assert_paths_agree(monkeypatch, rc_circuit().system, x0s, dx0s, u=drive,
+                                      du=Signal.constant(0.3), t_final=0.5, stepper=stepper)
+        assert members[2].u[:, 0].tobytes() == solo_drive(2).many(members[2].times).tobytes()
+
+    def test_member_loop_equals_array_path_for_a_compiled_state_loop(self, rng, monkeypatch):
+        plant = lambda: _expr_system(["-0.25*x1"], [["1/(1 + 3*x1^2)"]])
+        k = compile_map([parse("x1 + x1^3")], ["x1"])
+        loop = state_feedback(plant(), plant(), k, k)
+        x0s = rng.uniform(-1.0, 1.0, size=(4, 2))
+        dx0s = rng.uniform(-1.0, 1.0, size=(4, 2))
+        u = [Signal.from_expr("0.5*sin(2*t)"), 0.0]
+        _assert_paths_agree(monkeypatch, loop, x0s, dx0s, u=u, t_final=0.5, stepper=Rk4(1e-2))
+
+    @pytest.mark.parametrize("extra, solver", [(0, "_integrate_floats"), (1, "integrate")])
+    def test_member_count_at_and_past_the_loop_limit(self, rng, monkeypatch, extra, solver):
+        m = systems._MEMBER_LOOP_MAX + extra
+        x0s = rng.uniform(-1.0, 1.0, size=(m, 1))
+        dx0s = rng.uniform(-1.0, 1.0, size=(m, 1))
+        args = (rc_circuit().system, x0s, dx0s)
+        kwargs = dict(u=Signal.from_expr("0.6*sin(1.7*t)"), t_final=0.3, stepper=Rk4(1e-2))
+        assert _run(monkeypatch, None, *args, **kwargs)[2] == solver
+        _assert_paths_agree(monkeypatch, *args, **kwargs)
+
+    @pytest.mark.parametrize("m, limit", [(1, None), (3, None), (3, 0)])
+    def test_constant_exogenous_signal_is_read_once(self, monkeypatch, m, limit):
+        w = Signal.constant(0.5)
+        calls = []
+        w.at = lambda t: calls.append(t) or 0.5
+        sys = DynSystem(
+            1, 1, compile_map([parse("-w*x1 - x1^3")], ["x1"], {"w"}),
+            lambda x, e: [[1.0]], lambda x, e: [x[0]], exo={"w": w},
+        )
+        x0s = np.linspace(0.2, 0.8, m)[:, None]
+        _run(monkeypatch, limit, sys, x0s, np.ones((m, 1)), u=Signal.from_expr("sin(t)"),
+             t_final=0.2, stepper=Rk4(1e-2))
+        assert calls == []
+
+    def test_python_maps_of_a_stack_run_on_arrays(self, monkeypatch):
+        seen = set()
+
+        def f(x, e):
+            seen.add(type(value_part(x[0])))
+            return [-x[0] * x[0] * x[0]]
+
+        sys = DynSystem(1, 1, f, lambda x, e: [[1.0]], lambda x, e: [x[0]])
+        _, _, solver = _run(monkeypatch, None, sys, [[0.5], [0.7], [0.9]], np.ones((3, 1)),
+                            t_final=0.05, stepper=Rk4(1e-2))
+        assert solver == "integrate"
+        assert seen == {np.ndarray}
+
+    def test_eval_error_is_the_array_paths(self, monkeypatch):
+        # member 0 fails the sqrt guard in the call where member 1 fails the
+        # log guard, which the array program checks first
+        sys = _expr_system(["-1 + 0*log(x1)", "-1 + 0*sqrt(x2)"], [["0"], ["0"]])
+        raised = _paths_raise(monkeypatch, EvalError, sys, [[1.0, 0.1], [0.1, 1.0]],
+                              np.ones((2, 2)), t_final=1.0, stepper=Rk4(1e-2))
+        assert raised[0] == raised[1]
+        assert "log of a non-positive value" in raised[0][1]
+
+    @pytest.mark.parametrize("stepper, text", [
+        (Rk4(1e-2), "non-finite state during RK4 step"),
+        (Rk45(1e-6), "step-size underflow"),
+    ], ids=["rk4", "rk45"])
+    def test_blow_up_is_the_array_paths(self, monkeypatch, stepper, text):
+        # x1 = x0 / (1 - x0 t) leaves the floats before t = 1/3
+        sys = _expr_system(["x1^2"], [["1"]])
+        raised = _paths_raise(monkeypatch, IntegrationError, sys, [[2.0], [3.0]],
+                              np.ones((2, 1)), t_final=1.0, stepper=stepper)
+        assert raised[0] == raised[1]
+        assert text in raised[0][1]
+        assert 0.3 < raised[0][2] < 0.4
 
     @pytest.mark.parametrize("dx0s", [np.zeros((3, 1)), np.zeros((2, 2)), np.zeros(2)])
     def test_mismatched_shapes_rejected(self, dx0s):
