@@ -39,10 +39,15 @@ the float operations the DualScalar rules perform on ``x`` seeded with
 ``dx``, so the result is bit for bit the value and derivative parts of
 ``fn(numerics.seed(x, dx), e)``, with no dual arithmetic.
 :func:`lifted_rhs` generates one such program for the lifted right-hand
-side f + g·u of a system (see "generated programs" below).  No config text
-enters a program's source, so maps of one structure share one compiled code
-object (:func:`_code` keeps the last 256 sources it compiled); a new
-structure costs one ``compile()``, about 0.3-0.5 ms.
+side f + g·u of a system (see "generated programs" below).  A program of the
+float kind, for parts known to be Python floats, writes out the float
+operations the ``numerics`` helpers perform on a float (``/``, a comparison
+for a guard, the ``math`` function, the dual rules), with the same bits and
+errors; ``systems`` generates one fixed RK4 step of a one-member run from
+it.  No config text enters a program's source, so maps of one structure
+share one compiled code object (:func:`_code` keeps the last 256 sources it
+compiled); a new structure costs one ``compile()``, about 0.3-0.5 ms for a
+map and 1.4-3.6 ms for the RK4 step of a small system (2-vCPU x86-64 host).
 
 Expressions nest at most :data:`MAX_DEPTH` levels deep (each operator,
 function call, sign and pair of parentheses is a level), so that every tree
@@ -53,6 +58,7 @@ Python's recursion limit; :func:`parse` rejects a deeper one.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 import struct
@@ -514,7 +520,9 @@ def _layout(items: list[str], widths: list[int] | None) -> str:
 # offsets, exogenous names and helpers are bound in the program's globals, so
 # no config text enters it.  Maps of one structure then have one source, and
 # :func:`_code` compiles it once for all of them; each binds its own
-# constants in its own globals.
+# constants in its own globals.  A program of the float kind runs on floats
+# only: its lines perform what the value and dual lines perform on floats,
+# with no helper call where ``numerics`` would make only float operations.
 
 
 def _pow_chain(k: int, acc, mul):
@@ -576,6 +584,13 @@ _SCOPE = {
     **{f"_dual_{name}": rule for name, rule in numerics.DUAL_RULES.items()},
 }
 _TEST_NAMES = {operator.eq: "_eq", operator.le: "_le", operator.lt: "_lt"}
+# a float program's globals: the ``math`` call that each ``numerics`` function
+# makes on a float (``absolute`` is ``abs``); its guards compare with _TEST_OPS
+_FLOAT_SCOPE = dict(
+    _SCOPE, _sin=math.sin, _cos=math.cos, _tan=math.tan, _exp=math.exp, _log=math.log,
+    _sqrt=math.sqrt, _tanh=math.tanh, _abs=abs, _atan2=math.atan2,
+)
+_TEST_OPS = {operator.eq: "==", operator.le: "<=", operator.lt: "<"}
 _PRODUCT = BinOp("*", Const(0.0), Const(0.0))  # stands for a product the generator makes
 
 
@@ -583,22 +598,38 @@ class _Program:
     """One generated function under construction: the lines of the
     hash-consed DAG of the ASTs passed to :meth:`entries`, in SSA order.
     ``state(k)`` and ``deriv(k)`` are the sources that read x_k and dx_k;
-    without ``deriv`` it is a value program, in which every node is plain."""
+    without ``deriv`` it is a value program, in which every node is plain.
+
+    A program of ``floats`` is for parts known to be Python floats: it
+    divides with ``/`` where the other kind calls ``numerics._div``, guards
+    with a comparison and ``raise`` where it calls ``_hit``, calls the
+    ``math`` function where ``numerics`` would call it, and writes out the
+    float operations of the dual rules and of min/max in place of calls.
+    On floats both kinds perform the same operations in the same order, so
+    they give the same bits and raise the same errors."""
 
     def __init__(self, names: Sequence[str], state: Callable[[int], str],
-                 deriv: Callable[[int], str] | None = None):
+                 deriv: Callable[[int], str] | None = None, floats: bool = False):
+        self.floats = floats
+        self.lines: list[str] = []
+        self.count = 0
+        self.consts: dict[tuple, str] = {}  # (type, float bits) -> global name
+        self.literals: dict[str, float] = {}  # global name -> constant
+        self.offsets: list[int] = []  # the offset each guard reports, by guard
+        self.scope = dict(_FLOAT_SCOPE if floats else _SCOPE, _at=self.offsets)
+        self.restart(names, state, deriv)
+
+    def restart(self, names: Sequence[str], state: Callable[[int], str],
+                deriv: Callable[[int], str] | None = None) -> None:
+        """Start a new DAG over the states ``names`` read by ``state`` and
+        ``deriv``, whose nodes share nothing with the nodes so far: the
+        lines, generated names, constants and guard offsets carry on."""
         self.states = {name: k for k, name in enumerate(names)}
         self.state = state
         self.deriv = deriv
-        self.lines: list[str] = []
-        self.count = 0
         self.nodes: dict[tuple, tuple] = {}  # node key -> (value, derivative or None)
-        self.consts: dict[tuple, str] = {}  # (type, float bits) -> global name
-        self.literals: dict[str, float] = {}  # global name -> constant
         self.exo: dict[str, str] = {}  # exogenous name -> the local holding it
         self.guarded: set[tuple] = set()  # (test, value) of every guard so far
-        self.offsets: list[int] = []  # the offset each guard reports, by guard
-        self.scope = dict(_SCOPE, _at=self.offsets)
 
     def fresh(self, prefix: str = "t") -> str:
         self.count += 1
@@ -620,9 +651,21 @@ class _Program:
         if (test, value) in self.guarded:
             return
         self.guarded.add((test, value))
-        self.lines.append(f"if _hit({_TEST_NAMES[test]}, {value}): "
-                          f"raise EvalError({message!r}, _at[{len(self.offsets)}])")
+        hit = (f"{value} {_TEST_OPS[test]} 0.0" if self.floats
+               else f"_hit({_TEST_NAMES[test]}, {value})")
+        self.lines.append(f"if {hit}: raise EvalError({message!r}, _at[{len(self.offsets)}])")
         self.offsets.append(int(offset))
+
+    def div(self, a: str, b: str) -> str:
+        """The source of ``numerics._div(a, b)``: ``a / b`` on floats."""
+        if self.floats:
+            return f"{_operand(a)} / {_operand(b)}"
+        return f"_div({a}, {b})"
+
+    def read(self, source: str) -> str:
+        """A local holding the value ``source`` reads: a local it names as
+        it is, else a new one."""
+        return source if source.isidentifier() else self.let(source)
 
     def const(self, value) -> str:
         key = (value.__class__, struct.pack("<d", value))
@@ -716,13 +759,16 @@ class _Program:
     def plain(self, e: Expr, key: tuple, args: list[str]) -> str:
         """The value of a node, as :func:`evaluate` computes it."""
         if isinstance(e, Var):
-            return self.let(self.state(key[1]))
+            return self.read(self.state(key[1]))
         if isinstance(e, Neg):
             return self.let(f"-{args[0]}")
         if isinstance(e, Call):
             if e.name in _GUARDED_FN:
                 test, message = _GUARDED_FN[e.name]
                 self.guard(test, args[0], message, e.offset)
+            if self.floats and e.name in ("min", "max"):  # numerics.minimum/maximum
+                a, b = args
+                return self.let(f"{a} if {a} {'<=' if e.name == 'min' else '>='} {b} else {b}")
             return self.let(f"_{e.name}({', '.join(args)})")
         a = args[0]
         if len(args) == 1:  # a literal integer power
@@ -747,7 +793,7 @@ class _Program:
         rule computes them on its operands' parts."""
         if isinstance(e, Var):
             k = key[1]
-            return self.let(self.state(k)), self.let(self.deriv(k))
+            return self.read(self.state(k)), self.read(self.deriv(k))
         if isinstance(e, Neg):
             (a, da), = args
             return self.let(f"-{a}"), self.let(f"-{da}")
@@ -765,8 +811,8 @@ class _Program:
             if op != "/":
                 return self.let(f"{a} {op} {b}"), self.let(f"{da} {op} {db}")
             self.guard(operator.eq, b, "division by zero", e.offset)
-            return (self.let(f"_div({a}, {b})"),
-                    self.let(f"_div({da} * {b} - {a} * {db}, {b} * {b})"))
+            return (self.let(self.div(a, b)),
+                    self.let(self.div(f"{da} * {b} - {a} * {db}", f"{b} * {b}")))
         if da is not None:  # a plain right operand
             if op in "+-":
                 return self.let(f"{a} {op} {b}"), da
@@ -776,7 +822,7 @@ class _Program:
                 # the guard cannot hit a nonzero literal, and _div(a, c) is a / c
                 return self.let(f"{a} / {b}"), self.let(f"{da} / {b}")
             self.guard(operator.eq, b, "division by zero", e.offset)
-            return self.let(f"_div({a}, {b})"), self.let(f"_div({da}, {b})")
+            return self.let(self.div(a, b)), self.let(self.div(da, b))
         # a plain left operand: DualScalar's reflected rules
         if op == "+":
             return self.let(f"{b} + {a}"), db
@@ -785,7 +831,7 @@ class _Program:
         if op == "*":
             return self.let(f"{b} * {a}"), self.let(f"{db} * {a}")
         self.guard(operator.eq, b, "division by zero", e.offset)
-        return self.let(f"_div({a}, {b})"), self.let(f"_div(-{a} * {db}, {b} * {b})")
+        return self.let(self.div(a, b)), self.let(self.div(f"-{a} * {db}", f"{b} * {b}"))
 
     def dual_power(self, e: Expr, base: tuple, k: int) -> tuple[str, str]:
         if k == 0:
@@ -796,14 +842,15 @@ class _Program:
         if k > 0:
             return cv, cd
         # DualScalar.__rtruediv__ of 1.0
-        return self.let(f"_div(1.0, {cv})"), self.let(f"_div(-1.0 * {cd}, {cv} * {cv})")
+        return (self.let(self.div("1.0", cv)),
+                self.let(self.div(f"-1.0 * {cd}", f"{cv} * {cv}")))
 
     def dual_real_power(self, e: Expr, a, da, b, db) -> tuple[str, str]:
         """exp(exponent * log(base)), each rule picked by which operands are dual."""
         self.guard(operator.le, a, "power of a non-positive base with non-integer exponent",
                    e.offset)
         if da is not None:
-            lv, ld = self.let(f"_log({a})"), self.let(f"_div({da}, {a})")
+            lv, ld = self.let(f"_log({a})"), self.let(self.div(da, a))
             if db is not None:
                 pv, pd = self.mul((b, db), (lv, ld))
             else:  # DualScalar.__rmul__
@@ -821,20 +868,81 @@ class _Program:
             if name in _GUARDED_FN:
                 test, message = _GUARDED_FN[name]
                 self.guard(test, v, message, e.offset)
+            if self.floats:
+                return self.float_rule(name, v, d)
             return self.let_pair(f"_dual_{name}({v}, {d})")
         (y, dy), (x, dx) = args
         if name == "atan2":  # a plain operand has derivative part 0.0
-            return self.let_pair(f"_dual_atan2({y}, {dy or '0.0'}, {x}, {dx or '0.0'})")
+            dy, dx = dy or "0.0", dx or "0.0"
+            if not self.floats:
+                return self.let_pair(f"_dual_atan2({y}, {dy}, {x}, {dx})")
+            # numerics._dual_atan2
+            denom = self.let(f"{x} * {x} + {y} * {y}")
+            return self.let(f"_atan2({y}, {x})"), self.let(self.div(f"{x} * {dy} - {y} * {dx}",
+                                                                    denom))
         if dy is None or dx is None:
             raise _KindNotStatic  # the dual rule returns whichever operand wins
+        if self.floats:  # _pick_pair
+            test = "<=" if name == "min" else ">="
+            return self.let_pair(f"({y}, {dy}) if {y} {test} {x} else ({x}, {dx})")
         return self.let_pair(f"_pick_pair(_{name}_test, {y}, {dy}, {x}, {dx})")
 
+    def float_rule(self, name: str, v: str, d: str) -> tuple[str, str]:
+        """The float operations of ``numerics.DUAL_RULES[name](v, d)``, in
+        its order."""
+        if name == "abs":
+            return self.let_pair(f"({v}, {d}) if {v} >= 0.0 else (-{v}, -{d})")
+        if name == "tan":
+            c = self.let(f"_cos({v})")
+            return self.let(f"_tan({v})"), self.let(self.div(d, f"{c} * {c}"))
+        value = self.let(f"_{name}({v})")
+        if name == "sin":
+            return value, self.let(f"_cos({v}) * {d}")
+        if name == "cos":
+            return value, self.let(f"-_sin({v}) * {d}")
+        if name == "exp":
+            return value, self.let(f"{value} * {d}")
+        if name == "log":
+            return value, self.let(self.div(d, v))
+        if name == "sqrt":
+            return value, self.let(self.div(d, f"2.0 * {value}"))
+        return value, self.let(f"(1.0 - {value} * {value}) * {d}")  # tanh
+
     def dot(self, first: str, row: Sequence[str], u: Sequence[str]) -> str:
-        """``first + numerics.dot(row, u)``: ``acc = acc + a * b`` from 0.0."""
+        """``first + numerics.dot(row, u)``: ``acc = acc + a * b`` from 0.0.
+        A product of two constants, and a sum of two, is computed here, by
+        the same float operation the line would perform."""
         acc = "0.0"
         for a, b in zip(row, u):
-            acc = self.let(f"{acc} + {a} * {b}")
+            term, ca, cb = f"{a} * {b}", self.constant(a), self.constant(b)
+            if ca is not None and cb is not None:
+                term = self.const(ca * cb)
+                c = self.constant(acc)
+                if c is not None:
+                    acc = self.const(c + self.literals[term])
+                    continue
+            acc = self.let(f"{acc} + {term}")
         return self.let(f"{first} + {acc}")
+
+    def constant(self, source: str) -> float | None:
+        """The value of ``source`` if it is the literal 0.0 or a constant's
+        global, else None."""
+        return 0.0 if source == "0.0" else self.literals.get(source)
+
+    def lifted_rows(self, f, g, u: Sequence[str] | None = None) -> list[str]:
+        """The names holding the 2n rows of :func:`lifted_rhs` of ``f`` and
+        ``g`` on this program's states, the 2q inputs read from the names
+        ``u``, else unpacked from ``U`` after the entries of f and g."""
+        n, q = len(f.asts), len(g.asts[0])
+        fs = self.entries(f.asts, f.exo)
+        gs = self.entries([a for row in g.asts for a in row], g.exo)
+        if u is None:
+            u = [self.fresh("u") for _ in range(2 * q)]
+            self.lines.append(f"{', '.join(u)}, = U")
+        values = [[v for v, _ in gs[k * q:(k + 1) * q]] for k in range(n)]
+        derivs = [[d or "0.0" for _, d in gs[k * q:(k + 1) * q]] for k in range(n)]
+        rows = [self.dot(fs[k][0], values[k] + ["0.0"] * q, u) for k in range(n)]
+        return rows + [self.dot(fs[k][1] or "0.0", derivs[k] + values[k], u) for k in range(n)]
 
     def function(self, params: str, result: str):
         """The generated function ``program(params) -> result`` over this
@@ -845,6 +953,12 @@ class _Program:
         program = self.scope.pop("program")
         program.source = source
         return program
+
+
+def _operand(source: str) -> str:
+    """``source`` as an operand of a binary operator: a name or a literal
+    as it is, anything else in parentheses."""
+    return source if re.fullmatch(r"[\w.]+", source) else f"({source})"
 
 
 def _exo_reads(e: Expr, states, reads: dict[str, int]) -> None:
@@ -900,19 +1014,12 @@ def lifted_rhs(f, g):
     come from the shared DAG of both maps.  So each row is, bit for bit,
     what the lift of f and g through their own tangents gives, and the first
     error raised is the one their tangents raise, f's rows before g's."""
-    n, q = len(f.asts), len(g.asts[0])
+    n = len(f.asts)
     program = _Program(f.names, "X[{}]".format, lambda k: f"X[{n + k}]")
     try:
-        fs = program.entries(f.asts, f.exo)
-        gs = program.entries([a for row in g.asts for a in row], g.exo)
+        rows = program.lifted_rows(f, g)
     except _KindNotStatic:
         return None
-    u = [program.fresh("u") for _ in range(2 * q)]
-    program.lines.append(f"{', '.join(u)}, = U")
-    values = [[v for v, _ in gs[k * q:(k + 1) * q]] for k in range(n)]
-    derivs = [[d or "0.0" for _, d in gs[k * q:(k + 1) * q]] for k in range(n)]
-    rows = [program.dot(fs[k][0], values[k] + ["0.0"] * q, u) for k in range(n)]
-    rows += [program.dot(fs[k][1] or "0.0", derivs[k] + values[k], u) for k in range(n)]
     return program.function("X, e, U", f"[{', '.join(rows)}]")
 
 

@@ -12,6 +12,7 @@ scalar path would.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -680,15 +681,18 @@ def integrate(
     return _integrate(field, x0, t_span, stepper, floats=False)
 
 
-def _integrate_floats(field, x0, t_span, stepper: Stepper | None = None) -> OdeSolution:
+def _integrate_floats(field, x0, t_span, stepper: Stepper | None = None,
+                      step=None) -> OdeSolution:
     """:func:`integrate` of a field that takes and returns lists of floats,
     with the same checks, counts, errors and bits.  Fixed RK4 steps on the
-    lists (:func:`_rk4_step_floats`); ``Rk45`` calls the field on each
-    stage array's ``tolist()``."""
-    return _integrate(field, x0, t_span, stepper, floats=True)
+    lists (:func:`_rk4_step_floats`), or with ``step(t, x, h)``, a program
+    that performs ``_rk4_step_floats(field, t, x, h)``'s operations and
+    checks in one call (4 field evaluations each); ``Rk45`` calls the field
+    on each stage array's ``tolist()``."""
+    return _integrate(field, x0, t_span, stepper, floats=True, step=step)
 
 
-def _integrate(field, x0, t_span, stepper, floats: bool) -> OdeSolution:
+def _integrate(field, x0, t_span, stepper, floats: bool, step=None) -> OdeSolution:
     if stepper is None:
         stepper = Rk45()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -705,11 +709,14 @@ def _integrate(field, x0, t_span, stepper, floats: bool) -> OdeSolution:
     n_rejected = 0
     if t1 > t0:
         if isinstance(stepper, Rk4):
-            if floats:
-                _run_rk4(_rk4_step_floats, _finite_floats(field, nfev), x.tolist(),
-                         t0, t1, stepper.dt, times, states)
+            if step is not None:
+                _run_rk4(step, x.tolist(), t0, t1, stepper.dt, times, states)
+                nfev[0] = 4 * (len(times) - 1)
+            elif floats:
+                _run_rk4(functools.partial(_rk4_step_floats, _finite_floats(field, nfev)),
+                         x.tolist(), t0, t1, stepper.dt, times, states)
             else:
-                _run_rk4(_rk4_step, _finite_checking(field, nfev), x,
+                _run_rk4(functools.partial(_rk4_step, _finite_checking(field, nfev)), x,
                          t0, t1, stepper.dt, times, states)
         else:
             if floats:
@@ -764,10 +771,11 @@ class _NonFinite(Exception):
         self.t = t
 
 
-def _run_rk4(step, field, x, t0, t1, dt, times, states):
-    """Fixed steps of ``step`` (:func:`_rk4_step` on arrays or
-    :func:`_rk4_step_floats` on lists) on multiples of ``dt``, with a clipped
-    last step; each returns a new state, so none is copied."""
+def _run_rk4(step, x, t0, t1, dt, times, states):
+    """Fixed steps ``step(t, x, h)`` (:func:`_rk4_step` on arrays,
+    :func:`_rk4_step_floats` on lists, or a generated step) on multiples of
+    ``dt``, with a clipped last step; each returns a new state, so none is
+    copied."""
     span = t1 - t0
     n_full = int(math.floor(span / dt + 1e-9))
     rem = span - n_full * dt
@@ -775,12 +783,12 @@ def _run_rk4(step, field, x, t0, t1, dt, times, states):
     try:
         for k in range(n_full):
             t = t0 + k * dt
-            x = step(field, t, x, dt)
+            x = step(t, x, dt)
             t_last = t1 if (k == n_full - 1 and rem <= 1e-12 * max(dt, 1.0)) else t0 + (k + 1) * dt
             times.append(t_last)
             states.append(x)
         if rem > 1e-12 * max(dt, 1.0):
-            x = step(field, t_last, x, t1 - t_last)
+            x = step(t_last, x, t1 - t_last)
             times.append(t1)
             states.append(x)
     except _NonFinite:

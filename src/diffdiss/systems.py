@@ -46,7 +46,11 @@ their fixed RK4 steps build no array per stage, with the bits of the array
 steps, and ``Rk45`` keeps its array stepper and one shared grid.  Their
 field reads the inputs and exogenous values once per call, a constant
 (``Signal.constant``, and so the default zero ``du``) once, when it is
-built.  A stack's field then runs the lifted ``rhs_with`` on each member's
+built.  Under ``Rk4`` a run of one member whose lift is one generated
+program takes each step in one generated program (:func:`_rk4_step`): the
+four stages and the update on scalar locals, an expression input written
+out as float code, with the bits, ``nfev`` and errors of the field's
+steps.  A stack's field then runs the lifted ``rhs_with`` on each member's
 row, a per-member input indexed by member, and gives each member the bits
 the array call gives it; a call that raises is made again on arrays, so a
 run fails as the array run does.  Larger stacks, and stacks of Python maps,
@@ -56,6 +60,7 @@ The limit comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -72,6 +77,7 @@ from .numerics import (
     dual_parts,
     float_value,
     _integrate_floats,
+    _NonFinite,
     integrate,
     jvp,  # noqa: F401  -- unused here; perfbench/tracing.py patches systems.jvp by name
     scalar_deriv,
@@ -85,9 +91,11 @@ class SignalError(Exception):
 
 class Signal:
     """Scalar time signal: the closures ``at(t)`` and ``many(times)``
-    picked at construction, whether the signal is ``smooth``, and its
-    ``fixed`` value if it is a constant (None otherwise), which a run reads
-    once instead of calling ``at`` per stage.
+    picked at construction, whether the signal is ``smooth``, its ``fixed``
+    value if it is a constant (None otherwise), which a run reads once
+    instead of calling ``at`` per stage, and the ``compiled`` map of ``t``
+    an expression signal evaluates (None otherwise), which a generated RK4
+    step writes out in place of calling ``at``.
 
     ``many(times)`` returns ``at`` at each of a 1-d array of times, bit for
     bit, as one array (one row per time for a per-member signal) from one
@@ -97,13 +105,14 @@ class Signal:
     linearly and have no derivative.
     """
 
-    __slots__ = ("at", "many", "smooth", "fixed")
+    __slots__ = ("at", "many", "smooth", "fixed", "compiled")
 
     def __init__(self, at: Callable, smooth: bool = True, many: Callable | None = None):
         self.at = at
         self.many = many or (lambda times: np.array([at(t) for t in times], dtype=float))
         self.smooth = smooth
         self.fixed: float | None = None
+        self.compiled = None
 
     @classmethod
     def zero(cls) -> "Signal":
@@ -166,7 +175,9 @@ class Signal:
             out = fn((np.asarray(times, dtype=float),))[0]
             return out if isinstance(out, np.ndarray) else np.full(len(times), float(out))
 
-        return cls(lambda t: fn((t,))[0], many=many)
+        sig = cls(lambda t: fn((t,))[0], many=many)
+        sig.compiled = fn
+        return sig
 
     def value(self, t: float) -> float:
         return float_value(self.at(t))
@@ -437,6 +448,82 @@ def _float_field(sys: DynSystem, sigs: list[Signal]):
     return lambda t, x: rhs_with(x, exo(t), read(t))
 
 
+def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
+    """``step(t, x, h)``: :func:`numerics._rk4_step_floats` of
+    ``_float_field(lifted, sigs)`` as one generated program on floats, for a
+    lift whose ``rhs_with`` :func:`lift` generated.
+
+    Each stage reads the exogenous values (through :func:`_exo_reader`),
+    then the inputs in order, then runs the float kind of the lifted program
+    on scalar locals and raises ``_NonFinite`` if a row is not finite, as
+    ``_finite_floats`` does; the stages and the update perform
+    ``_rk4_step_floats``' operations in its order.  So the step gives its
+    bits and raises its errors, with no field call and no list per stage.  A
+    constant input is a global of the program; an expression signal is
+    written out as float code, computed once at ``t + 0.5*h`` for the second
+    and third stages (which both compute that time by the same operation);
+    any other input is read through its ``at``, a length-1 array read as its
+    one float.  Constants are globals and states are read by position, so
+    no config text enters the source and steps of one structure share one
+    compiled code object."""
+    f, g, n = lifted.base.f, lifted.base.g, lifted.base.n
+    program = exprlang._Program((), None, floats=True)
+    lines, scope = program.lines, program.scope
+    scope.update(_isfinite=math.isfinite, _NonFinite=_NonFinite, _ndarray=np.ndarray)
+    exo = None
+    if all(sig.fixed is not None for sig in lifted.exo.values()):
+        scope["e"] = {name: sig.fixed for name, sig in lifted.exo.items()}  # read once
+    else:
+        exo = scope["_exo"] = _exo_reader(lifted)
+    readers = {}  # the global holding the ``at`` of each input read through it
+    for k, sig in enumerate(sigs):
+        if sig.fixed is None and sig.compiled is None:
+            readers[k] = program.fresh("A")
+            scope[readers[k]] = sig.at
+
+    def stage(time: str, states: list[str], expressions: dict) -> list[str]:
+        """The rows at ``time``; ``expressions`` holds the expression inputs
+        already computed there, by input index."""
+        if exo is not None:
+            lines.append(f"e = _exo({time})")
+        program.restart(["t"], lambda _: time)  # the expression inputs' DAG
+        u = []
+        for k, sig in enumerate(sigs):
+            if sig.fixed is not None:
+                u.append(program.const(sig.fixed))
+            elif sig.compiled is not None:
+                if k not in expressions:
+                    (expressions[k], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
+                u.append(expressions[k])
+            else:
+                v = program.let(f"{readers[k]}({time})")
+                lines.append(f"if {v}.__class__ is _ndarray: {v} = {v}.item()")
+                u.append(v)
+        program.restart(f.names, states.__getitem__, lambda k: states[n + k])
+        rows = program.lifted_rows(f, g, u)
+        finite = " and ".join(f"_isfinite({r})" for r in rows)
+        lines.append(f"if not ({finite}): raise _NonFinite({time})")
+        return rows
+
+    def moved(x: list[str], c: str, k: list[str]) -> list[str]:
+        return [program.let(f"{xi} + {c} * {ki}") for xi, ki in zip(x, k)]
+
+    x = [program.fresh("s") for _ in range(2 * n)]
+    lines.append(f"{', '.join(x)}, = x")
+    k1 = stage("t", x, {})
+    a = program.let("0.5 * h")
+    mid = program.let(f"t + {a}")
+    middle: dict = {}  # shared by k2 and k3
+    k2 = stage(mid, moved(x, a, k1), middle)
+    k3 = stage(mid, moved(x, a, k2), middle)
+    k4 = stage(program.let("t + h"), moved(x, "h", k3), {})
+    b = program.let("h / 6.0")
+    out = [program.let(f"{xi} + {b} * ((({a1} + 2.0 * {a2}) + 2.0 * {a3}) + {a4})")
+           for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)]
+    lines.append(f"if not ({' and '.join(f'_isfinite({z})' for z in out)}): raise _NonFinite(t)")
+    return program.function("t, x, h", f"[{', '.join(out)}]")
+
+
 # The largest stack of a compiled lift that steps member by member on floats;
 # a larger one makes one array call per field call.  Integration time per
 # field call in us, array call / member loop (Rk4, dt 1e-2 over 1 s, best of
@@ -573,19 +660,26 @@ def simulate_ensemble(
         return batch_rows(lifted.rhs_with(X, exo(t), uv), m).ravel()
 
     # one member steps on lists of plain floats: no array per stage, and a
-    # Python map divides by zero as in a solo float call.  A small stack
-    # steps there too, member by member, when ``lift`` installed one
-    # generated program, whose float calls give the array call's bits.
+    # Python map divides by zero as in a solo float call.  Under ``Rk4`` one
+    # member of a generated lift takes each step in one generated program.
+    # A small stack steps there too, member by member, when ``lift``
+    # installed one generated program, whose float calls give the array
+    # call's bits.
+    stepper = stepper or Rk4()
+    compiled = "rhs_with" in vars(lifted)
+    step = ()
     if m == 1:
         field, solve = _float_field(lifted, sigs), _integrate_floats
-    elif "rhs_with" in vars(lifted) and m <= _MEMBER_LOOP_MAX:
+        if compiled and isinstance(stepper, Rk4):
+            step = (_rk4_step(lifted, sigs),)
+    elif compiled and m <= _MEMBER_LOOP_MAX:
         field, solve = _member_field(lifted, sigs, m, array_field), _integrate_floats
     else:
         field, solve = array_field, integrate
 
     z0 = np.concatenate([X0, dX0], axis=1).ravel()
     with np.errstate(**FLOAT_ERRORS):
-        sol = solve(field, z0, (0.0, float(t_final)), stepper or Rk4())
+        sol = solve(field, z0, (0.0, float(t_final)), stepper, *step)
     return _prolonged_from_solution(sys, lifted, sigs, sol, m)
 
 

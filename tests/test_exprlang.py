@@ -26,7 +26,7 @@ from diffdiss.exprlang import (
     to_source,
     variables,
 )
-from diffdiss import numerics
+from diffdiss import exprlang, numerics
 from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, int_pow, seed, value_part
 
 
@@ -743,6 +743,135 @@ class TestGeneratedTangent:
             self._check(asts, x, [1.0, 1.0, 0.0], {})
             with pytest.raises(EvalError, match="division by zero at offset 5"):
                 compile_map(asts, _STATES, _EXO).tangent(x, [1.0, 1.0, 0.0], {})
+
+
+def _float_program(asts, names, exo, tangent=False):
+    """The float kind of the value program of ``asts`` (``fn(x, e)``), or of
+    its tangent program (``fn(x, dx, e)``)."""
+    program = exprlang._Program(names, "x[{}]".format, "dx[{}]".format if tangent else None,
+                                floats=True)
+    entries = program.entries(asts, frozenset(exo))
+    values = f"[{', '.join(v for v, _ in entries)}]"
+    if not tangent:
+        return program.function("x, e", values)
+    derivs = f"[{', '.join(d or '0.0' for _, d in entries)}]"
+    return program.function("x, dx, e", f"{values}, {derivs}")
+
+
+# floats a program may meet on a run: signed zeros, infinities and nan too
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+def _float_outcome(call):
+    """The bits of each float ``call()`` returns (of each list, for a pair
+    of lists), or its error.  A nan is compared as nan: the sign of a nan
+    made from two nans depends on the operand order the compiled addition
+    or product picked, which Python does not fix."""
+    def bits(v):
+        return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+    try:
+        out = call()
+    except Exception as err:  # the same exception type and text is the contract
+        return None, (type(err), str(err), getattr(err, "offset", None))
+    if isinstance(out, tuple):
+        return [[bits(v) for v in part] for part in out], None
+    return [bits(v) for v in out], None
+
+
+class TestFloatKind:
+    """A program of the float kind (``/`` for ``_div``, a comparison for
+    ``_hit``, ``math`` for the ``numerics`` wrappers, the dual rules written
+    out) returns on floats what ``evaluate`` and the tangent program return,
+    bit for bit, or raises the same error with the same text and offset."""
+
+    @staticmethod
+    def _check(asts, values):
+        env = dict(zip(_NAMES, values))
+        x = [env[name] for name in _STATES]
+        e = {name: env[name] for name in _EXO}
+        fn = _float_program(asts, _STATES, _EXO)
+        got = _float_outcome(lambda: fn(x, e))
+        assert got == _float_outcome(lambda: [evaluate(a, env) for a in asts])
+        return got
+
+    @given(st.lists(st.one_of(_all_exprs(3), _exprs(3)), min_size=1, max_size=3),
+           st.lists(_ANY_FLOAT, min_size=5, max_size=5))
+    @settings(max_examples=500, deadline=None)
+    def test_values_equal_evaluate(self, asts, values):
+        self._check(asts, values)
+
+    @given(_shared_rows(), st.lists(_ANY_FLOAT, min_size=5, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_shared_nodes_fail_at_the_first_offset(self, asts, values):
+        self._check(asts, values)
+
+    @given(st.one_of(_shared_rows(), st.lists(_all_exprs(3), min_size=1, max_size=3)),
+           st.lists(_ANY_FLOAT, min_size=5, max_size=5),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_tangents_equal_the_tangent_program(self, asts, values, derivs):
+        env = dict(zip(_NAMES, values))
+        x = [env[name] for name in _STATES]
+        e = {name: env[name] for name in _EXO}
+        try:
+            fn = _float_program(asts, _STATES, _EXO, tangent=True)
+        except exprlang._KindNotStatic:
+            return  # the lift leaves such a map to its dual pass
+        want = compile_map(asts, _STATES, _EXO).tangent.build()
+        assert _float_outcome(lambda: fn(x, derivs, e)) == \
+            _float_outcome(lambda: want(x, derivs, e))
+
+    @pytest.mark.parametrize("name", sorted(exprlang.FUNCTIONS))
+    @pytest.mark.parametrize("v", [0.5, -0.0, 0.0, -2.5, 1e-320, 800.0, math.inf, math.nan])
+    def test_every_function(self, name, v):
+        args = ", ".join(["x", "zz"][:exprlang.FUNCTIONS[name]])
+        for text in (f"{name}({args})", f"{name}(-x*zz)" if "," not in args else f"{name}(zz, x)"):
+            self._check([parse(text)], [v, 1.0, -0.0 if v == 0.0 else 0.25 * v, 2.0, 0.0])
+
+    @pytest.mark.parametrize("text, x, message", [
+        ("1 + 2/(x - 1)", 1.0, "division by zero at offset 5"),
+        ("1 + log(x - 1)", 1.0, "log of a non-positive value at offset 4"),
+        ("1 + log(x)", -0.0, "log of a non-positive value at offset 4"),
+        ("2*sqrt(x - 2)", 1.0, "sqrt of a negative value at offset 2"),
+        ("x + (x - 1)^-2", 1.0, "zero raised to a negative power at offset 11"),
+        ("x + (x - 2)^1.5", 1.0,
+         "power of a non-positive base with non-integer exponent at offset 11"),
+    ])
+    def test_guards_raise_as_evaluate(self, text, x, message):
+        got = self._check([parse(text)], [x, 1.0, 1.0, 1.0, 1.0])
+        assert got[1][:2] == (EvalError, message)
+        # the same guards, with ``x`` seeded with a derivative
+        fn = _float_program([parse(text)], _STATES, _EXO, tangent=True)
+        want = compile_map([parse(text)], _STATES, _EXO).tangent.build()
+        args = ([x, 1.0, 1.0], [1.0, 0.0, 0.0], {"y": 1.0, "q_c": 1.0})
+        assert _float_outcome(lambda: fn(*args)) == _float_outcome(lambda: want(*args))
+
+    @pytest.mark.parametrize("text, x, zz", [
+        ("min(x, zz)", -0.0, 0.0), ("min(x, zz)", 0.0, -0.0),
+        ("max(x, zz)", -0.0, 0.0), ("max(x, zz)", 0.0, -0.0),
+        ("min(x, zz)", math.nan, 1.0), ("min(x, zz)", 1.0, math.nan),
+        ("max(x, zz)", math.nan, 1.0), ("max(x, zz)", 1.0, math.nan),
+        ("abs(x)", -0.0, 0.0), ("abs(x)", math.nan, 0.0), ("-x + 0.0*zz", 0.0, -0.0),
+        ("exp(x)", 710.0, 0.0), ("exp(x*zz) + 1", 30.0, 30.0), ("x^3.5", 1e300, 0.0),
+        ("1/x^2", 1e-200, 0.0),
+    ])
+    def test_signed_zeros_nan_and_overflow(self, text, x, zz):
+        got = self._check([parse(text)], [x, 1.0, zz, 1.0, 1.0])
+        if text.startswith("exp"):
+            assert got[1][:2] == (OverflowError, "math range error")
+        fn = _float_program([parse(text)], _STATES, _EXO, tangent=True)
+        want = compile_map([parse(text)], _STATES, _EXO).tangent.build()
+        for dx in ([1.0, 0.0, -1.0], [-0.0, 0.0, 0.0]):
+            args = ([x, zz, 1.0], dx, {"y": 1.0, "q_c": 1.0})
+            assert _float_outcome(lambda: fn(*args)) == _float_outcome(lambda: want(*args))
+
+    def test_source_calls_no_wrapper(self):
+        asts = [parse("sin(x)/zz + log(zz) + sqrt(x) - cos(x)^-2 + min(x, zz) + x^y + abs(w1)")]
+        for tangent in (False, True):
+            source = _float_program(asts, _STATES, _EXO, tangent=tangent).source
+            assert "_div(" not in source and "_hit(" not in source
+            assert "_dual_" not in source and "_pick_pair" not in source and "_min(" not in source
 
 
 class TestSubstituteAndTrace:

@@ -4,8 +4,8 @@ Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
 byte of a demo, an RC audit (fixed-step or adaptive), an output- or
 state-coupled loop, a certificate, a plain simulation, the motor's output
-convergence or an expression system's homotopy fails here, so the
-"byte-identical to the parent" check no longer depends on a manual
+convergence, an expression system's audit or its homotopy fails here,
+so the "byte-identical to the parent" check no longer depends on a manual
 ``diff -r``.
 
 The digests depend on the platform's libm and numpy builds (the last digit
@@ -125,6 +125,18 @@ HOMOTOPY_EXPR = {
             "u": [{"kind": "expr", "expr": "0.4*sin(2*t)"}]},
 }
 
+# one member under Rk4 with an exogenous expression, a state-dependent
+# division and nonzero constant inputs: the generated RK4 step's inputs
+AUDIT_EXPR = {
+    "system": {"n": 2, "q": 1,
+               "exo": {"w": {"kind": "expr", "expr": "0.3*sin(2*t)"}},
+               "f": ["-x1 + x2", "-x1 - (1 + w)*x2 - x2/(1 + x2^2)"],
+               "g": [["0"], ["1"]], "h": ["x2"]},
+    "storage": {"M": "identity"},
+    "supply": {"W": "identity"},
+    "run": dict(RK4_RUN, x0=[0.5, -0.2], dx0=[0.3, 0.4], u=[0.25], du=[0.1]),
+}
+
 CASES = {
     "demo-rc": (["demo", "rc", "--seed", "42"], None, {
         "rc_audit.json": "737c66be9719e192ae02f44b86f395b4473fd6d1b7ac73c926b702be61dcabf6",
@@ -140,6 +152,10 @@ CASES = {
     "audit-rc": (["audit"], RC_AUDIT, {
         "audit_report.json": "b86304c5a05fe9c6e8496d1b13e9d8c750c7de9b0cb0be9e562b1df1f84e160c",
         "audit_trace.csv": "93de1c6b8dfdfe1bf103e869414ad1a8f3dabfe2c057e358a696f296523b91c0",
+    }),
+    "audit-expr": (["audit"], AUDIT_EXPR, {
+        "audit_report.json": "49cb4455a4c67a8f2ea7aa8cd21191d7654b8d1c4f389dfa923579f30001bfd5",
+        "audit_trace.csv": "56d5627a9d7097289727ae86c5d21e1097b8c01ffd758442f28089209d5d98d9",
     }),
     "audit-rc-rk45": (["audit"], RC_AUDIT_RK45, {
         "audit_report.json": "d56f1bbc80a6183261888376c1737101698ad4692e107f4b3e6c416ec262eace",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffdiss import (
     DynSystem,
@@ -793,3 +795,156 @@ class TestEnsemble:
             simulate_prolonged(sys, [0.0], [1.0], t_final=0.1, stepper=Rk4(1e-2))
         with pytest.raises(ZeroDivisionError):
             simulate_ensemble(sys, [[0.0]], [[1.0]], t_final=0.1, stepper=Rk4(1e-2))
+
+
+def _config_expr_system(spec):
+    from diffdiss.cli import _build_expr_system
+
+    return _build_expr_system(spec, "/system")
+
+
+def _plant():
+    return _expr_system(["-0.25*x1"], [["1/(1 + 3*x1^2)"]])
+
+
+# one-member runs whose lift is one generated program: (system, x0, dx0, u, du)
+_STEP_CASES = {
+    "rc-expression-drive": lambda: (rc_circuit().system, [0.4], [-0.7],
+                                    Signal.from_expr("0.6*sin(1.7*t) + (-0.1)"), None),
+    "state-loop": lambda: (state_feedback(_plant(), _plant(), *[compile_map([parse("x1 + x1^3")],
+                                                                            ["x1"])] * 2),
+                           [0.5, -0.3], [0.2, 0.9], [Signal.from_expr("0.5*sin(2*t)"), 0.0], None),
+    "constant-inputs": lambda: (_config_expr_system({
+        "n": 2, "q": 1, "f": ["-x1 + x2", "-x1 - x2 - x2/(1 + x2^2)"], "g": [["0"], ["1"]],
+        "h": ["x2"]}), [0.5, -0.2], [0.3, 0.4], 0.25, Signal.constant(-0.3)),
+    # x1 = -0.0 with f = x1: the row is -0.0 + (0.0 + 1.0*0.0), which is +0.0
+    "zero-du-signed-zero": lambda: (_expr_system(["x1"], [["1"]]), [-0.0], [-0.0], None, None),
+    "exo-expression": lambda: (_config_expr_system({
+        "n": 2, "q": 1, "exo": {"w": {"kind": "expr", "expr": "0.3*sin(2*t)"}},
+        "f": ["-x1 + x2", "-x1 - (1 + w)*x2 - x2/(1 + x2^2)"], "g": [["0"], ["1 + w^2"]],
+        "h": ["x2"]}), [0.5, -0.2], [0.3, 0.4], Signal.from_expr("cos(t)"), None),
+    "exo-sampled-and-constant": lambda: (_config_expr_system({
+        "n": 1, "q": 1, "exo": {"w": {"kind": "sampled", "times": [0.0, 5.0],
+                                      "values": [0.5, 1.5]}, "c": 0.75},
+        "f": ["-w*x1 - c*x1^3"], "g": [["1"]], "h": ["x1"]}), [0.8], [0.5], None, None),
+    "constant-exo": lambda: (_config_expr_system({
+        "n": 1, "q": 1, "exo": {"c": 0.75}, "f": ["-c*x1 - x1^3"], "g": [["c"]],
+        "h": ["x1"]}), [0.8], [0.5], Signal.from_expr("sin(t)"), None),
+    "sampled-input": lambda: (rc_circuit().system, [0.4], [-0.7],
+                              Signal.sampled([0.0, 0.5, 1.0, 5.0], [0.0, 0.3, -0.2, 0.4]),
+                              Signal.from_expr("0.1*t")),
+    "length-one-array-input": lambda: (rc_circuit().system, [0.4], [-0.7],
+                                       Signal.analytic(lambda t: np.array([0.5 * sin(t)])), None),
+}
+
+
+def _step_run(sys, x0, dx0, u, du, span, dt, generated):
+    """``_integrate_floats`` of the one-member field of ``sys``, stepped by
+    ``_rk4_step_floats`` or by the generated step: the solution's bits and
+    counts, or the error's type, text and last good time (or offset), with
+    the number of field calls made by then."""
+    lifted = lift(sys)
+    sigs = systems.signal_vector(u, sys.q) + systems.signal_vector(du, sys.q)
+    calls = []
+    field = systems._float_field(lifted, sigs)
+    counted = lambda t, x: calls.append(t) or field(t, x)
+    step = (systems._rk4_step(lifted, sigs),) if generated else ()
+    try:
+        with np.errstate(**FLOAT_ERRORS):
+            sol = systems._integrate_floats(counted, list(x0) + list(dx0), span, Rk4(dt), *step)
+    except Exception as err:  # the same exception type and text is the contract
+        where = getattr(err, "last_good_time", getattr(err, "offset", None))
+        return (type(err), str(err), where), len(calls)
+    return (sol.times.tobytes(), sol.states.tobytes(), sol.nfev, sol.n_accepted), len(calls)
+
+
+class TestGeneratedStep:
+    """Under ``Rk4`` a one-member run of a generated lift takes each step in
+    one generated program: the times, states, ``nfev`` and errors of
+    ``_rk4_step_floats`` on the field, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_STEP_CASES))
+    @given(dt=st.floats(min_value=1e-3, max_value=0.1), k=st.integers(1, 30),
+           frac=st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_field_steps(self, case, dt, k, frac):
+        span = (0.0, dt * (k + frac))  # ends with a clipped step
+        args = _STEP_CASES[case]()
+        want, calls = _step_run(*args, span, dt, generated=False)
+        got, none = _step_run(*args, span, dt, generated=True)
+        assert got == want
+        assert none == 0 and want[2] == calls == 4 * (k + 1)
+
+    def test_guard_hit_first_in_stage_three(self):
+        # xdot = x from x = 1 at dt 0.1: the third stage's state is c
+        a = 0.5 * 0.1
+        c = 1.0 + a * (1.0 + a * 1.0)
+        sys = _expr_system([f"x1 + 0/(x1 - {c!r})"], [["1"]])
+        want, calls = _step_run(sys, [1.0], [0.5], None, None, (0.0, 1.0), 0.1, False)
+        got, _ = _step_run(sys, [1.0], [0.5], None, None, (0.0, 1.0), 0.1, True)
+        assert got == want
+        assert calls == 3 and want[:2] == (EvalError, "division by zero at offset 6")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_in_stage_two(self, bad):
+        # the input turns non-finite after t = 0.2525: in the second stage of
+        # the step from 0.25.  An unchecked inf would reach sin in stage three
+        u = Signal.analytic(lambda t: bad if t > 0.2525 else 0.3)
+        sys = _expr_system(["sin(x1)"], [["1"]])
+        want, calls = _step_run(sys, [0.5], [0.5], u, None, (0.0, 1.0), 0.01, False)
+        got, _ = _step_run(sys, [0.5], [0.5], u, None, (0.0, 1.0), 0.01, True)
+        assert got == want
+        assert calls == 4 * 25 + 2
+        assert want == (IntegrationError, "non-finite state during RK4 step (last good t = 0.25)",
+                        0.25)
+
+    def test_sampled_input_queried_past_its_end(self):
+        u = Signal.sampled([0.0, 0.5], [0.1, 0.3])
+        args = (rc_circuit().system, [0.4], [-0.7], u, None, (0.0, 1.0), 0.1)
+        want, calls = _step_run(*args, False)
+        assert _step_run(*args, True)[0] == want
+        assert calls == 4 * 5 + 2
+        assert want[:2] == (SignalError, "sampled signal queried at t=0.55 outside [0, 0.5]")
+
+    def test_built_only_for_one_member_of_a_generated_lift_under_rk4(self, monkeypatch):
+        built = []
+        make = systems._rk4_step
+        monkeypatch.setattr(systems, "_rk4_step", lambda *args: built.append(args) or make(*args))
+        u = Signal.from_expr("sin(t)")
+        runs = [
+            (scalar_cubic(), Rk4(1e-2), 1),  # Python maps
+            (rc_circuit().system, Rk45(1e-8), 1),
+            (rc_circuit().system, Rk4(1e-2), 3),  # a stack
+        ]
+        for sys, stepper, m in runs:
+            simulate_ensemble(sys, np.full((m, 1), 0.4), np.full((m, 1), 0.5), u=u,
+                              t_final=0.1, stepper=stepper)
+        assert built == []
+        simulate_prolonged(rc_circuit().system, [0.4], [0.5], u=u, t_final=0.1,
+                           stepper=Rk4(1e-2))
+        assert len(built) == 1
+
+    def test_runs_of_one_structure_share_one_code(self):
+        import re
+
+        from diffdiss.examples import RcParams
+
+        def step(sys, u):
+            lifted = lift(sys)
+            return systems._rk4_step(lifted, systems.signal_vector(u, sys.q) * 2)
+
+        rcs = [step(rc_circuit(RcParams(R=r, mu=mu)).system, Signal.from_expr(drive))
+               for r, mu, drive in [(1.7, "q + 0.37*q^3", "0.45*sin(1.9*t)"),
+                                    (2.3, "q + 1.3*q^3", "0.83*sin(4.1*t)")]]
+        plant = lambda rate: _expr_system([f"-{rate}*x1"], [["1/(1 + 3*x1^2)"]])
+        k = compile_map([parse("x1 + x1^3")], ["x1"])
+        loops = [step(state_feedback(plant(rate), plant(rate), k, k), [0.0, 0.0])
+                 for rate in ("0.45", "0.83")]
+        for a, b in (rcs, loops):
+            assert a.__code__ is b.__code__
+            for fn in (a, b):
+                # the only numbers left are the step's own 0.0, 0.5, 2.0 and 6.0
+                left = re.sub(r"[A-Za-z_]\w*|\[\d+\]|'[^']*'", "", fn.source)
+                assert set(re.findall(r"[\d.]+", left)) <= {"0.0", "0.5", "2.0", "6.0"}
+                names = set(re.findall(r"[A-Za-z_]\w*", fn.source))
+                assert names.isdisjoint({"q", "x1", "x2", "t_final"})
