@@ -57,6 +57,19 @@ OUTPUT_LOOP = {
                 u=[{"kind": "expr", "expr": "0.500000*sin(2.000000*t)"}, 0.0]),
 }
 
+
+def _throughput_loop(side):
+    """``OUTPUT_LOOP`` with a state-dependent g1, inputs on both ports and
+    throughput i on system ``side``: pins the loop's cross block of g and
+    the evaluation order that throughput on system 2 flips."""
+    config = json.loads(json.dumps(OUTPUT_LOOP))
+    config["system"]["g"] = [["1/(1 + x1^2)"]]
+    config["run"]["u"][1] = {"kind": "expr", "expr": "0.3*cos(t)"}
+    throughput = config["system"] if side == 1 else config["interconnect"]["system2"]
+    throughput["i"] = [["0.5 + 0.25*x1^2"]]
+    return config
+
+
 CERT_UC = {
     "system": {"n": 2, "q": 1, "f": ["-1.234567*x1 - x1^3 + x2", "-x1 - 0.876543*x2 - x2^3"],
                "g": [["0"], ["1"]], "h": ["x2"]},
@@ -166,6 +179,18 @@ CASES = {
             "64a800fc1e789c4cb825d91c49200604ce5a069563eb3574df367f3d0e29cc45",
         "interconnect_trace.csv":
             "4283fe141f1b3560c6af18760885a1fc332de25872ffc8ce08c698a489198a94",
+    }),
+    "interconnect-output-i1": (["interconnect"], _throughput_loop(1), {
+        "interconnect_report.json":
+            "f242d1a8e17ca96fdeae555af4e0db1ed67d5ff67901dcfb347b43c8773253db",
+        "interconnect_trace.csv":
+            "7846919a00bfcc1937bafb96c2a37e26b2c2b7e4dac9245b5498b11db2cd3eee",
+    }),
+    "interconnect-output-i2": (["interconnect"], _throughput_loop(2), {
+        "interconnect_report.json":
+            "48e939aae0728d48a69fc7820b02276b24c5dda390ad335196ec66ff9f52c142",
+        "interconnect_trace.csv":
+            "ee599ecf8a41ebc6e212e66a01645829040a78bce14a2a90680db235d595c0e6",
     }),
     "interconnect-state": (["interconnect"], STATE_LOOP, {
         "interconnect_report.json":
