@@ -1,19 +1,17 @@
 """Feedback interconnection of differentially passive systems.
 
-Two couplings are provided: plain output feedback
+Both couplings are one law, the skew-symmetric passive interconnection
 
-    u1 = -y2 + v1,   u2 = y1 + v2
+    u1 = -p2 + v1,   u2 = p1 + v2,
 
-whose supply cross terms cancel algebraically, and state feedback
-
-    u1 = -k2(x2) + v1,   u2 = k1(x1) + v2
-
-whose cross terms cancel only when the two supply tensors are equalized by
-the feedback pair; ``check_equalization`` verifies that bilinear identity
-on sampled points and basis displacements, and
-``build_equalizing_feedback`` constructs k = Pi^T grad(m) from a scalar
-potential whose Hessian is the storage factor, which satisfies the
-identity exactly.
+where the port value p_j is the output y_j (``output_feedback``) or a
+feedback map k_j(x_j) of the state (``state_feedback``).  With outputs as
+ports the supply cross terms cancel algebraically.  With feedback maps they
+cancel only when the two supply tensors are equalized by the feedback pair;
+``check_equalization`` verifies that bilinear identity on sampled points
+and basis displacements, and ``build_equalizing_feedback`` constructs
+k = Pi^T grad(m) from a scalar potential whose Hessian is the storage
+factor, which satisfies the identity exactly.
 
 The closed loop is an ordinary DynSystem over the stacked state with input
 v = (v1, v2) and output (y1, y2); composite storage S1 + S2 and the
@@ -78,6 +76,17 @@ def _zeros(r, c):
     return [[0.0] * c for _ in range(r)]
 
 
+def _block_diagonal(a, b, n1: int):
+    """The map x -> diag(a(x[:n1]), b(x[n1:])) of two square blocks, padded
+    with 0.0; further arguments (the exogenous values) go to both."""
+
+    def fun(x, *args):
+        m1, m2 = a(x[:n1], *args), b(x[n1:], *args)
+        return _block_rows(m1, _zeros(len(m1), len(m2)), _zeros(len(m2), len(m1)), m2)
+
+    return fun
+
+
 def _merge_exo(s1: DynSystem, s2: DynSystem) -> dict:
     exo = dict(s1.exo)
     for name, sig in s2.exo.items():
@@ -91,21 +100,15 @@ def _composite_storage(s1: DynSystem, s2: DynSystem):
     st1, st2 = s1.storage, s2.storage
     if st1 is None or st2 is None:
         return None
-    n1 = st1.n
 
-    def m_fun(x):
-        m1 = st1.m_fun(x[:n1])
-        m2 = st2.m_fun(x[n1:])
-        return _block_rows(m1, _zeros(len(m1), len(m2)), _zeros(len(m2), len(m1)), m2)
+    def factor(st):
+        return st.p_fun if st.p_fun is not None else lambda x: eye(st.n)
 
     p_fun = None
     if st1.p_fun is not None or st2.p_fun is not None:
-        def p_fun(x):
-            p1 = st1.p_fun(x[:n1]) if st1.p_fun is not None else eye(st1.n)
-            p2 = st2.p_fun(x[n1:]) if st2.p_fun is not None else eye(st2.n)
-            return _block_rows(p1, _zeros(st1.n, st2.n), _zeros(st2.n, st1.n), p2)
-
-    return QuadraticDifferentialStorage(m_fun, st1.n + st2.n, p_fun=p_fun)
+        p_fun = _block_diagonal(factor(st1), factor(st2), st1.n)
+    return QuadraticDifferentialStorage(_block_diagonal(st1.m_fun, st2.m_fun, st1.n),
+                                        st1.n + st2.n, p_fun=p_fun)
 
 
 def _composite_supply(s1: DynSystem, s2: DynSystem):
@@ -114,26 +117,14 @@ def _composite_supply(s1: DynSystem, s2: DynSystem):
     sp1, sp2 = s1.supply, s2.supply
     if sp1 is None or sp2 is None:
         return None
-    q1, q2 = sp1.q, sp2.q
-    n1 = s1.n
-
-    def w_fun(x):
-        w1 = sp1.w_fun(x[:n1])
-        w2 = sp2.w_fun(x[n1:])
-        return _block_rows(w1, _zeros(q1, q2), _zeros(q2, q1), w2)
-
     strictness = "none"
     rate = None
     if sp1.strictness == "state" and sp2.strictness == "state":
         a1, a2 = sp1.state_rate, sp2.state_rate
         strictness = "state"
         rate = lambda s: min(a1(s / 2.0), a2(s / 2.0))
-    return SupplyRate(w_fun, q1 + q2, strictness, rate)
-
-
-def _check_ports(s1: DynSystem, s2: DynSystem):
-    if s1.q != s2.q:
-        raise ValueError(f"port dimensions differ: {s1.q} vs {s2.q}")
+    return SupplyRate(_block_diagonal(sp1.w_fun, sp2.w_fun, s1.n), sp1.q + sp2.q,
+                      strictness, rate)
 
 
 def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
@@ -144,85 +135,7 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
     displacement with its own external-input displacement; the internal
     cross terms cancel by skew symmetry and never appear.
     """
-    _check_ports(s1, s2)
-    if s1.has_throughput and s2.has_throughput:
-        raise AlgebraicLoopError("both subsystems have throughput")
-    f, g, h, i = _loop_maps(_output_maps, s1, s2)
-    return InterconnectedSystem(
-        s1.n + s2.n, 2 * s1.q, f, g, h, i=i, exo=_merge_exo(s1, s2),
-        storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
-        name=f"feedback({s1.name},{s2.name})",
-        sub1=s1, sub2=s2, coupling="output-feedback",
-    )
-
-
-def _output_maps(s1: DynSystem, s2: DynSystem):
-    """The maps (f, g, h, i) of the output-coupled loop of ``s1`` and ``s2``."""
-    n1, n2, q = s1.n, s2.n, s1.q
-
-    if not s2.has_throughput:
-        # y2 = h2(x2) is explicit; u1 = -h2 + v1 feeds system 1
-        def f(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            u1_auto = [-v for v in s2.h(x2, e)]
-            y1_auto = s1.output_with(x1, e, u1_auto)
-            return s1.rhs_with(x1, e, u1_auto) + s2.rhs_with(x2, e, y1_auto)
-
-        def g(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            g1 = s1.g(x1, e)
-            g2 = s2.g(x2, e)
-            top = [list(g1[r]) + [0.0] * q for r in range(n1)]
-            if s1.has_throughput:
-                i1 = s1.i(x1, e)
-                g2i1 = [[dot(g2[r], [i1[k][c] for k in range(q)]) for c in range(q)]
-                        for r in range(n2)]
-            else:
-                g2i1 = _zeros(n2, q)
-            bottom = [list(g2i1[r]) + list(g2[r]) for r in range(n2)]
-            return top + bottom
-
-        def h(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            h2 = s2.h(x2, e)
-            y1_auto = s1.output_with(x1, e, [-v for v in h2])
-            return list(y1_auto) + list(h2)
-
-        i = None
-        if s1.has_throughput:
-            def i(x, e):
-                i1 = s1.i(x[:n1], e)
-                return _block_rows(i1, _zeros(q, q), _zeros(q, q), _zeros(q, q))
-    else:
-        # y1 = h1(x1) is explicit; u2 = h1 + v2 feeds system 2
-        def f(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            h1 = s1.h(x1, e)
-            y2_auto = s2.output_with(x2, e, h1)
-            return s1.rhs_with(x1, e, [-v for v in y2_auto]) + s2.rhs_with(x2, e, h1)
-
-        def g(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            g1 = s1.g(x1, e)
-            g2 = s2.g(x2, e)
-            i2 = s2.i(x2, e)
-            g1i2 = [[-dot(g1[r], [i2[k][c] for k in range(q)]) for c in range(q)]
-                    for r in range(n1)]
-            top = [list(g1[r]) + list(g1i2[r]) for r in range(n1)]
-            bottom = [[0.0] * q + list(g2[r]) for r in range(n2)]
-            return top + bottom
-
-        def h(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            h1 = s1.h(x1, e)
-            return list(h1) + list(s2.output_with(x2, e, h1))
-
-        def i(x, e):
-            # y1 = h1(x1) carries no v-dependence; only y2 sees v2 through i2
-            i2 = s2.i(x[n1:], e)
-            return _block_rows(_zeros(q, q), _zeros(q, q), _zeros(q, q), i2)
-
-    return f, g, h, i
+    return _feedback(s1, s2, None, None, "feedback", "output-feedback")
 
 
 def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem:
@@ -231,48 +144,92 @@ def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem
     k1: x1 -> R^q and k2: x2 -> R^q must be dual-evaluable.  Cross-term
     cancellation is NOT assumed; verify it with :func:`check_equalization`.
     """
-    _check_ports(s1, s2)
-    f, g, h, i = _loop_maps(_state_maps, s1, s2, k1, k2)
+    return _feedback(s1, s2, k1, k2, "state-feedback", "state-feedback")
+
+
+def _feedback(s1: DynSystem, s2: DynSystem, k1, k2, name: str, coupling: str):
+    """The loop of ``s1`` and ``s2`` (see :func:`_coupled_maps`) with
+    block-diagonal storage and supply."""
+    if s1.q != s2.q:
+        raise ValueError(f"port dimensions differ: {s1.q} vs {s2.q}")
+    f, g, h, i = _loop_maps(s1, s2, k1, k2)
     return InterconnectedSystem(
         s1.n + s2.n, 2 * s1.q, f, g, h, i=i, exo=_merge_exo(s1, s2),
         storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
-        name=f"state-feedback({s1.name},{s2.name})",
-        sub1=s1, sub2=s2, coupling="state-feedback", k1=k1, k2=k2,
+        name=f"{name}({s1.name},{s2.name})",
+        sub1=s1, sub2=s2, coupling=coupling, k1=k1, k2=k2,
     )
 
 
-def _state_maps(s1: DynSystem, s2: DynSystem, k1, k2):
-    """The maps (f, g, h, i) of the state-coupled loop of ``s1`` and ``s2``."""
+def _coupled_maps(s1: DynSystem, s2: DynSystem, k1, k2):
+    """The maps (f, g, h, i) of the loop u1 = -p2 + v1, u2 = p1 + v2, whose
+    port value p_j is the output y_j when k_j is None, else k_j(x_j).
+
+    The port that does not depend on its own input is evaluated first (y2,
+    or y1 when system 2's output has throughput).  Only an output port with
+    throughput carries v across the loop, so only it gives g a cross block;
+    two of them make the loop algebraic.  Each port value must have q
+    entries, or the loop raises ValueError when called.
+    """
     n1, n2, q = s1.n, s2.n, s1.q
+    crosses = [k is None and s.has_throughput for s, k in ((s1, k1), (s2, k2))]
+    if all(crosses):
+        raise AlgebraicLoopError("both subsystems have throughput")
+
+    def port(s, k, name, x, e, u):
+        if k is None:
+            return s.output_with(x, e, u)
+        p = list(k(x))
+        if len(p) != q:
+            raise ValueError(f"feedback map {name} must return {q} entries, not {len(p)}")
+        return p
+
+    def ports(x, e):
+        """The loop's inputs u1 = -p2 and u2 = p1 (v aside), and p1, p2."""
+        x1, x2 = x[:n1], x[n1:]
+        if crosses[1]:
+            u2 = p1 = port(s1, k1, "k1", x1, e, None)
+            p2 = port(s2, k2, "k2", x2, e, u2)
+            u1 = [-v for v in p2]
+        else:
+            p2 = port(s2, k2, "k2", x2, e, None)
+            u1 = [-v for v in p2]
+            u2 = p1 = port(s1, k1, "k1", x1, e, u1)
+        return u1, u2, p1, p2
 
     def f(x, e):
-        x1, x2 = x[:n1], x[n1:]
-        u1_auto = [-v for v in k2(x2)]
-        u2_auto = list(k1(x1))
-        return s1.rhs_with(x1, e, u1_auto) + s2.rhs_with(x2, e, u2_auto)
+        u1, u2, _, _ = ports(x, e)
+        return s1.rhs_with(x[:n1], e, u1) + s2.rhs_with(x[n1:], e, u2)
 
     def g(x, e):
+        # u1 = -(h2 + i2 (p1 + v2)) + v1 and u2 = h1 + i1 (-p2 + v1) + v2:
+        # the cross blocks are -g1 i2 and g2 i1, negated after the dot so
+        # that a zero keeps the sign the closures gave it
         x1, x2 = x[:n1], x[n1:]
         g1 = s1.g(x1, e)
         g2 = s2.g(x2, e)
-        top = [list(g1[r]) + [0.0] * q for r in range(n1)]
-        bottom = [[0.0] * q + list(g2[r]) for r in range(n2)]
-        return top + bottom
+        g1i2, g2i1 = _zeros(n1, q), _zeros(n2, q)
+        if crosses[1]:
+            i2 = s2.i(x2, e)
+            g1i2 = [[-dot(g1[r], [i2[k][c] for k in range(q)]) for c in range(q)]
+                    for r in range(n1)]
+        if crosses[0]:
+            i1 = s1.i(x1, e)
+            g2i1 = [[dot(g2[r], [i1[k][c] for k in range(q)]) for c in range(q)]
+                    for r in range(n2)]
+        return _block_rows(g1, g1i2, g2i1, g2)
 
     def h(x, e):
-        x1, x2 = x[:n1], x[n1:]
-        y1 = s1.output_with(x1, e, [-v for v in k2(x2)])
-        y2 = s2.output_with(x2, e, list(k1(x1)))
-        return list(y1) + list(y2)
+        u1, u2, p1, p2 = ports(x, e)
+        y1 = p1 if k1 is None else s1.output_with(x[:n1], e, u1)
+        y2 = p2 if k2 is None else s2.output_with(x[n1:], e, u2)
+        return y1 + y2
 
     i = None
     if s1.has_throughput or s2.has_throughput:
-        def i(x, e):
-            x1, x2 = x[:n1], x[n1:]
-            i1 = s1.i(x1, e) if s1.has_throughput else _zeros(q, q)
-            i2 = s2.i(x2, e) if s2.has_throughput else _zeros(q, q)
-            return _block_rows(i1, _zeros(q, q), _zeros(q, q), i2)
-
+        zero = lambda x, e: _zeros(q, q)
+        i = _block_diagonal(s1.i if s1.has_throughput else zero,
+                            s2.i if s2.has_throughput else zero, n1)
     return f, g, h, i
 
 
@@ -284,20 +241,20 @@ class _NotCompiled(Exception):
     """A constituent map has no expressions to compose."""
 
 
-def _loop_maps(build, s1: DynSystem, s2: DynSystem, *feedback):
-    """The loop maps ``build(s1, s2, *feedback)`` returns: compiled maps when
-    every constituent map is a compiled map (:func:`_compiled_loop`), else
-    those closures."""
+def _loop_maps(s1: DynSystem, s2: DynSystem, k1, k2):
+    """The loop maps :func:`_coupled_maps` returns: compiled maps when every
+    constituent map is a compiled map (:func:`_compiled_loop`), else those
+    closures."""
     try:
-        return _compiled_loop(build, s1, s2, feedback)
+        return _compiled_loop(s1, s2, k1, k2)
     except _NotCompiled:
-        return build(s1, s2, *feedback)
+        return _coupled_maps(s1, s2, k1, k2)
 
 
-def _compiled_loop(build, s1, s2, feedback):
-    """The closures ``build`` returns, run once on traced states, with every
-    constituent map standing in as its ASTs with its state names renamed to
-    the loop's (:func:`exprlang.substitute`).  Each traced result is the AST
+def _compiled_loop(s1, s2, k1, k2):
+    """The closures :func:`_coupled_maps` returns, run once on traced states,
+    with every constituent map standing in as its ASTs with its state names
+    renamed to the loop's (:func:`exprlang.substitute`).  Each traced result is the AST
     of the float operations the closure performs (``f1 + dot(g1, u)`` with
     ``dot`` as ``(0.0 + a*b) + a*b ...``, ``u1 = -k2`` as a Neg, ``0.0``
     padding as a literal), so the maps compiled from those ASTs return what
@@ -327,7 +284,7 @@ def _compiled_loop(build, s1, s2, feedback):
 
     views = [DynSystem(s.n, s.q, traced(s.f), traced(s.g), traced(s.h), i=traced(s.i),
                        name=s.name) for s in (s1, s2)]
-    f, g, h, i = build(*views, *map(traced, feedback))
+    f, g, h, i = _coupled_maps(*views, traced(k1), traced(k2))
     names = [f"x[{k}]" for k in range(s1.n + s2.n)]  # never an expression name
     if exo & set(names):
         raise _NotCompiled

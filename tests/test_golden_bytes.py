@@ -2,7 +2,8 @@
 
 Every file below is compared by sha256 against a digest recorded before the
 speed-ups that claim to leave outputs unchanged.  A change that moves any
-byte of a demo, an RC audit (fixed-step or adaptive), an output- or
+byte of a demo, an RC audit (fixed-step or adaptive), an output-coupled
+loop (with throughput on neither side, system 1 or system 2), a
 state-coupled loop, a certificate, a plain simulation, the motor's output
 convergence, an expression system's audit or its homotopy fails here,
 so the "byte-identical to the parent" check no longer depends on a manual

@@ -379,6 +379,7 @@ _LOOPS = {
     "output": lambda: _loops(_plant1(), _plant2()),
     "output-i1": lambda: _loops(_plant1(i=[["0.3 + x2^2"]]), _plant2()),
     "output-i2": lambda: _loops(_plant1(), _plant2(i=[["1 + x1^2"]])),
+    "output-two-port-i1": lambda: _loops(_two_port(i=[["1", "x1"], ["0", "2"]]), _two_port()),
     "output-two-port-i2": lambda: _loops(_two_port(), _two_port(i=[["1", "x1"], ["0", "2"]])),
     "state": lambda: _loops(_plant1(), _plant2(), _K1, _K2),
     "state-i1": lambda: _loops(_plant1(i=[["0.3 + x2^2"]]), _plant2(), _K1, _K2),
@@ -498,3 +499,38 @@ class TestComposedLoop:
         lifted.output_with([0.5, -0.3, 0.2, 0.9], {}, [0.1, 0.0, 0.0, 0.0])
         simulate_prolonged(loop, [0.5, -0.3], [0.2, 0.9], u=[Signal.from_expr("sin(t)"), 0.0],
                            t_final=0.05, stepper=Rk4(1e-2))
+
+
+class TestPortValueLengths:
+    """Every port value must have q entries; a dot product of mismatched
+    lengths would otherwise drop the extra entries, or the missing ones."""
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "closures"])
+    @pytest.mark.parametrize("entries", [["x1", "100.0"], []], ids=["long", "empty"])
+    def test_a_feedback_value_of_the_wrong_length_raises(self, compiled, entries):
+        k2 = compile_map([parse(s) for s in entries], ["x1"])
+        if not compiled:
+            k2 = lambda x, k=k2: k(x)
+        loop = state_feedback(_plant1(), _plant2(), _K1, k2)
+        assert not hasattr(loop.f, "asts")  # a compiled loop falls back to the closures
+        x, e = [0.1, 0.2, 0.3], {"w": 0.25}
+        for call in (lambda: loop.rhs_with(x, e, [0.0, 0.0]),
+                     lambda: loop.output_with(x, e, [0.0, 0.0]),
+                     lambda: lift(loop).rhs_with(x + x, e, [0.0] * 4)):
+            with pytest.raises(ValueError, match="feedback map k2 must return 1 entries"):
+                call()
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "closures"])
+    def test_an_output_of_the_wrong_length_raises(self, compiled):
+        # system 2's throughput puts y1 first: it feeds u2 before any other map reads it
+        plant = _plant1()
+        s1 = DynSystem(2, 1, plant.f, plant.g, compile_map([parse("x1"), parse("x2")],
+                                                           ["x1", "x2"]),
+                       exo=plant.exo, name="two-outputs")
+        s2 = _plant2(i=[["1 + x1^2"]])
+        if not compiled:
+            s1, s2 = _python(s1), _python(s2)
+        loop = output_feedback(s1, s2)
+        for call in (loop.rhs_with, loop.output_with):
+            with pytest.raises(ValueError, match="system 'two-outputs': h must return 1"):
+                call([0.1, 0.2, 0.3], {"w": 0.25}, [0.0, 0.0])
