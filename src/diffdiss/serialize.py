@@ -3,6 +3,11 @@
 Floats are rendered with 17 significant digits everywhere, dict order is
 insertion order, and files are written atomically (temp file + rename), so
 identical inputs produce byte-identical outputs.
+
+The CSV tables are written column by column in blocks of rows: a column
+that repeats another bit for bit (a collocated port's y = x, dy = dx, or
+two all-zero columns) is formatted once per block, since ``%.17g`` is
+most of a writer's cost.
 """
 
 from __future__ import annotations
@@ -29,27 +34,57 @@ def _fmt_finite(x: float) -> str:
     return format(x, ".17g")
 
 
+# Rows per block of :func:`_table_csv`: a block holds the strings of its
+# distinct columns at once, so the block size bounds the writer's memory.
+_BLOCK_ROWS = 256
+
+
 def _table_csv(header: list[str], columns) -> str:
-    """CSV of ``header`` over the columns stacked as one float table, rows
-    formatted as :func:`_fmt_float` formats each value.  A non-finite value
+    """CSV of ``header`` over the columns stacked as one float table, each
+    value formatted as :func:`_fmt_float` formats it.  A non-finite value
     raises as ``_fmt_float`` does on the first one in row-major order.
 
-    Each row is one ``%`` format: ``%.1f`` where :func:`_fmt_finite` takes
-    its integer branch and ``%.17g`` elsewhere, one string per distinct
-    mask of integer-valued entries."""
-    table = np.column_stack(columns).astype(float, copy=False)
+    The table is written in blocks of ``_BLOCK_ROWS`` rows (see
+    :func:`_block_rows`), so each distinct column of a block is formatted
+    once: a collocated port's y = x and dy = dx cost nothing more."""
+    table = np.ascontiguousarray(np.column_stack(columns).astype(float, copy=False).T)
     if not np.isfinite(table).all():
-        _fmt_float(float(table.ravel()[~np.isfinite(table.ravel())][0]))
+        values = table.ravel(order="F")  # row-major order of the table
+        _fmt_float(float(values[~np.isfinite(values)][0]))
     integral = (table == np.floor(table)) & (np.abs(table) < 1e16)
-    masks = integral.view(f"V{table.shape[1]}").ravel().tolist()  # one bytes per row
-    formats: dict[bytes, str] = {}
     lines = [",".join(header)]
-    for mask, row in zip(masks, table.tolist()):
-        fmt = formats.get(mask)
-        if fmt is None:
-            fmt = formats[mask] = ",".join("%.1f" if b else "%.17g" for b in mask)
-        lines.append(fmt % tuple(row))
-    return "\n".join(lines) + "\n"
+    for start in range(0, table.shape[1], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        lines += _block_rows(table[:, start:stop], integral[:, start:stop])
+    lines.append("")  # the final newline
+    return "\n".join(lines)
+
+
+def _block_rows(block: np.ndarray, integral: np.ndarray) -> list[str]:
+    """The CSV rows of ``block``, one table column per row of it, and
+    ``integral`` where :func:`_fmt_finite` takes its integer branch.
+
+    A column is formatted once per distinct bit pattern (``tobytes``, so
+    ``0.0`` and ``-0.0`` stay apart), by one ``%`` over the column:
+    ``%.1f`` on integral entries and ``%.17g`` elsewhere.  Every column with
+    the same bits reuses its strings."""
+    size = block.shape[1]
+    floats, integers = "\n".join(["%.17g"] * size), "\n".join(["%.1f"] * size)
+    texts: dict[bytes, list[str]] = {}
+    cells = []
+    for column, mask, count in zip(block, integral, integral.sum(axis=1).tolist()):
+        key = column.tobytes()
+        text = texts.get(key)
+        if text is None:
+            if count == size:
+                fmt = integers
+            elif count:
+                fmt = "\n".join(["%.1f" if b else "%.17g" for b in mask.tolist()])
+            else:
+                fmt = floats
+            text = texts[key] = (fmt % tuple(column.tolist())).split("\n")
+        cells.append(text)
+    return list(map(",".join, zip(*cells)))
 
 
 def _json_fragment(obj, out: list[str]) -> None:

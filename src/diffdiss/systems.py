@@ -48,12 +48,12 @@ field reads the inputs and exogenous values once per call, a constant
 (``Signal.constant``, and so the default zero ``du``) once, when it is
 built.  Under ``Rk4`` a run of one member whose lift is one generated
 program takes each step in one generated program (:func:`_rk4_step`): the
-four stages and the update on scalar locals, an expression input written
-out as float code, with the bits, ``nfev`` and errors of the field's
-steps.  A stack's field then runs the lifted ``rhs_with`` on each member's
-row, a per-member input indexed by member, and gives each member the bits
-the array call gives it; a call that raises is made again on arrays, so a
-run fails as the array run does.  Larger stacks, and stacks of Python maps,
+four stages and the update on scalar locals, an expression signal (input
+or exogenous) written out as float code, with the bits, ``nfev`` and
+errors of the field's steps.  A stack's field then runs the lifted
+``rhs_with`` on each member's row, a per-member input indexed by member,
+and gives each member the bits the array call gives it; a call that
+raises is made again on arrays, so a run fails as the array run does.  Larger stacks, and stacks of Python maps,
 evaluate all members in one call per field evaluation and step on arrays.
 The limit comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).
 """
@@ -263,6 +263,7 @@ class DynSystem:
         gx = self.g(x, e)
         if len(fx) != self.n or len(gx) != self.n:
             raise ValueError(f"system '{self.name}': f/g must return {self.n} rows")
+        self._check_widths("g", gx)
         return [fx[k] + dot(gx[k], u) for k in range(self.n)]
 
     def output(self, t: float, x: Sequence, u: Sequence) -> list:
@@ -275,7 +276,18 @@ class DynSystem:
         if self.i is None:
             return list(hx)
         ix = self.i(x, e)
+        if len(ix) != self.q:
+            raise ValueError(f"system '{self.name}': i must return {self.q} rows")
+        self._check_widths("i", ix)
         return [hx[k] + dot(ix[k], u) for k in range(self.q)]
+
+    def _check_widths(self, label: str, rows) -> None:
+        """Raise unless every row of the matrix map ``label`` has q entries,
+        one per input (``dot`` would drop the inputs past a short row)."""
+        for row in rows:
+            if len(row) != self.q:
+                raise ValueError(f"system '{self.name}': each {label} row must have "
+                                 f"{self.q} entries, got {len(row)}")
 
 
 def lift(sys: DynSystem) -> DynSystem:
@@ -453,28 +465,35 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
     ``_float_field(lifted, sigs)`` as one generated program on floats, for a
     lift whose ``rhs_with`` :func:`lift` generated.
 
-    Each stage reads the exogenous values (through :func:`_exo_reader`),
-    then the inputs in order, then runs the float kind of the lifted program
-    on scalar locals and raises ``_NonFinite`` if a row is not finite, as
-    ``_finite_floats`` does; the stages and the update perform
-    ``_rk4_step_floats``' operations in its order.  So the step gives its
-    bits and raises its errors, with no field call and no list per stage.  A
-    constant input is a global of the program; an expression signal is
-    written out as float code, computed once at ``t + 0.5*h`` for the second
-    and third stages (which both compute that time by the same operation);
-    any other input is read through its ``at``, a length-1 array read as its
-    one float.  Constants are globals and states are read by position, so
-    no config text enters the source and steps of one structure share one
-    compiled code object."""
+    Each stage takes the exogenous values in the order :func:`_exo_reader`
+    reads them, then the inputs in order, then runs the float kind of the
+    lifted program on scalar locals and raises ``_NonFinite`` if a row is
+    not finite, as ``_finite_floats`` does; the stages and the update
+    perform ``_rk4_step_floats``' operations in its order.  So the step
+    gives its bits and raises its errors, with no field call and no list
+    per stage.  A constant input or exogenous value is a global of the
+    program; an expression signal, input or exogenous, is written out as
+    float code, computed once at ``t + 0.5*h`` for the second and third
+    stages (which both compute that time by the same operation); any other
+    exogenous signal is read through its ``value`` and any other input
+    through its ``at``, a length-1 array read as its one float.  Constants
+    are globals and states are read by position, so no config text enters
+    the source and steps of one structure share one compiled code
+    object."""
     f, g, n = lifted.base.f, lifted.base.g, lifted.base.n
     program = exprlang._Program((), None, floats=True)
     lines, scope = program.lines, program.scope
     scope.update(_isfinite=math.isfinite, _NonFinite=_NonFinite, _ndarray=np.ndarray)
-    exo = None
-    if all(sig.fixed is not None for sig in lifted.exo.values()):
-        scope["e"] = {name: sig.fixed for name, sig in lifted.exo.items()}  # read once
-    else:
-        exo = scope["_exo"] = _exo_reader(lifted)
+    # Constants only: the program reads them from ``e``.  With a live signal
+    # every exogenous value is a local, and a name outside ``lifted.exo``
+    # raises on the empty ``e`` as it does on the reader's dict.
+    live = any(sig.fixed is None for sig in lifted.exo.values())
+    scope["e"] = {} if live else {name: sig.fixed for name, sig in lifted.exo.items()}
+    exo_globals = {}  # the global holding each constant, or the ``value`` read through it
+    for name, sig in lifted.exo.items():
+        if live and sig.compiled is None:
+            exo_globals[name] = program.fresh("E")
+            scope[exo_globals[name]] = sig.value if sig.fixed is None else sig.fixed
     readers = {}  # the global holding the ``at`` of each input read through it
     for k, sig in enumerate(sigs):
         if sig.fixed is None and sig.compiled is None:
@@ -483,10 +502,19 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
 
     def stage(time: str, states: list[str], expressions: dict) -> list[str]:
         """The rows at ``time``; ``expressions`` holds the expression inputs
-        already computed there, by input index."""
-        if exo is not None:
-            lines.append(f"e = _exo({time})")
-        program.restart(["t"], lambda _: time)  # the expression inputs' DAG
+        (by input index) and exogenous signals (by name) already computed
+        there."""
+        program.restart(["t"], lambda _: time)  # the expression signals' DAG
+        exo = {}
+        for name, sig in lifted.exo.items() if live else ():
+            if sig.compiled is not None:
+                if name not in expressions:
+                    (expressions[name], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
+                exo[name] = expressions[name]
+            elif sig.fixed is None:
+                exo[name] = program.let(f"{exo_globals[name]}({time})")
+            else:
+                exo[name] = exo_globals[name]
         u = []
         for k, sig in enumerate(sigs):
             if sig.fixed is not None:
@@ -500,6 +528,7 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
                 lines.append(f"if {v}.__class__ is _ndarray: {v} = {v}.item()")
                 u.append(v)
         program.restart(f.names, states.__getitem__, lambda k: states[n + k])
+        program.exo.update(exo)
         rows = program.lifted_rows(f, g, u)
         finite = " and ".join(f"_isfinite({r})" for r in rows)
         lines.append(f"if not ({finite}): raise _NonFinite({time})")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffdiss.serialize import _fmt_finite, _table_csv, json_dumps, length_gap_csv, trace_csv
+from diffdiss.serialize import (_BLOCK_ROWS, _fmt_finite, _table_csv, json_dumps, length_gap_csv,
+                                trace_csv)
 from diffdiss.systems import ProlongedTrajectory
 
 
@@ -98,6 +100,19 @@ def _trajectory(rng, N, n, q, audited, special):
     return traj
 
 
+def _collocate(traj):
+    """The columns a collocated port gives (y = x, dy = dx), over an x_1 of
+    integers (mixed with %.17g ones past 1e16), an all-zero u beside its
+    negation (-0.0: equal by value, not by bits) and, if audited, Q = u."""
+    q = traj.q
+    traj.x[:, 0] = np.round(traj.x[:, 0])
+    traj.y, traj.dy = traj.x[:, :q].copy(), traj.dx[:, :q].copy()
+    traj.u[:] = 0.0
+    traj.du = -traj.u
+    if traj.Q is not None:
+        traj.Q = traj.u[:, 0].copy()
+
+
 class TestCsvWriters:
     """The table writers give the reference writers' bytes, and the same
     error text for the first non-finite value in row-major order."""
@@ -105,11 +120,17 @@ class TestCsvWriters:
     @pytest.mark.parametrize("audited", [False, True])
     @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), -float("inf")])
     def test_trace_csv_matches_reference(self, rng, audited, bad):
-        for N, n, q in ((0, 1, 1), (1, 1, 1), (7, 2, 1), (40, 4, 2)):
+        sizes = ((0, 1, 1), (1, 1, 1), (7, 2, 1), (40, 4, 2),
+                 (_BLOCK_ROWS - 1, 2, 2), (_BLOCK_ROWS, 1, 1), (_BLOCK_ROWS + 1, 3, 2))
+        for collocated, (N, n, q) in itertools.product((False, True), sizes):
             traj = _trajectory(rng, N, n, q, audited, _SPECIAL)
+            if collocated:
+                _collocate(traj)
             if bad is not None and N:
                 traj.dx[N // 2, -1] = bad
                 traj.y[N - 1, 0] = -bad
+                if collocated:  # inside a column and its copy, y_1 = x_1 above it
+                    traj.x[N // 2, 0] = traj.y[N // 2, 0] = bad
             assert _outcome(trace_csv, traj) == _outcome(_ref_trace_csv, traj)
 
     def test_length_gap_csv_matches_reference(self, rng):
@@ -132,9 +153,10 @@ class TestCsvWriters:
     ), min_size=3, max_size=3), max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_row_formats_match_fmt_finite(self, rows):
-        """Each row's one ``%`` format gives ``_fmt_finite`` of every value."""
+        """Each column's one ``%`` format, and its copy's, gives
+        ``_fmt_finite`` of every value."""
         columns = [np.array([row[k] for row in rows], dtype=float) for k in range(3)]
-        lines = _table_csv(["a", "b", "c"], columns).split("\n")
-        assert lines[0] == "a,b,c" and lines[-1] == ""
+        lines = _table_csv(["a", "b", "c", "a2"], columns + [columns[0].copy()]).split("\n")
+        assert lines[0] == "a,b,c,a2" and lines[-1] == ""
         assert [line.split(",") for line in lines[1:-1]] == [
-            [_fmt_finite(v) for v in row] for row in rows]
+            [_fmt_finite(v) for v in row + row[:1]] for row in rows]

@@ -174,6 +174,27 @@ class TestLift:
         )
         assert sys.rhs(0.5, [0.3], [0.7]) == sys.rhs_with([0.3], {"w": 1.5}, [0.7])
 
+    def test_short_matrix_rows_raise(self):
+        """A g or i row with fewer than q entries raises, naming the system,
+        instead of dropping the inputs past it."""
+        sys = DynSystem(1, 2, lambda x, e: [x[0]], lambda x, e: [[1.0]],
+                        lambda x, e: [x[0], 0.0], i=lambda x, e: [[1.0], [0.0]], name="short")
+        with pytest.raises(ValueError, match="system 'short': each g row must have 2 entries"):
+            sys.rhs_with([0.5], {}, [1.0, 100.0])
+        with pytest.raises(ValueError, match="system 'short': each i row must have 2 entries"):
+            sys.output_with([0.5], {}, [1.0, 100.0])
+        with pytest.raises(ValueError, match="each g row must have 4 entries"):
+            lift(sys).rhs_with([0.5, 1.0], {}, [1.0, 100.0, 0.0, 0.0])
+
+    def test_full_matrix_rows_on_a_batch(self):
+        sys = DynSystem(1, 2, lambda x, e: [x[0]], lambda x, e: [[1.0, x[0]]],
+                        lambda x, e: [x[0], 0.0], i=lambda x, e: [[1.0, 0.0], [0.0, x[0]]])
+        x = [np.array([0.5, 2.0])]
+        u = [np.array([1.0, 3.0]), np.array([100.0, 0.5])]
+        assert np.array_equal(sys.rhs_with(x, {}, u)[0], [0.5 + 1.0 + 50.0, 2.0 + 3.0 + 1.0])
+        y = sys.output_with(x, {}, u)
+        assert np.array_equal(y[0], [1.5, 5.0]) and np.array_equal(y[1], [50.0, 1.0])
+
 
 def _config_system():
     """An expression system whose maps use every builtin, ``/`` and both
@@ -827,6 +848,14 @@ _STEP_CASES = {
         "n": 1, "q": 1, "exo": {"w": {"kind": "sampled", "times": [0.0, 5.0],
                                       "values": [0.5, 1.5]}, "c": 0.75},
         "f": ["-w*x1 - c*x1^3"], "g": [["1"]], "h": ["x1"]}), [0.8], [0.5], None, None),
+    # read in this order: an expression between a sampled signal and a constant
+    "exo-sampled-expression-constant": lambda: (_config_expr_system({
+        "n": 1, "q": 1, "exo": {"s": {"kind": "sampled", "times": [0.0, 5.0],
+                                      "values": [0.5, 1.5]},
+                                "w": {"kind": "expr", "expr": "0.3*sin(2*t) + 0.1"},
+                                "c": 0.75},
+        "f": ["-(s + w)*x1 - c*x1^3"], "g": [["1 + w^2"]], "h": ["x1"]}),
+        [0.8], [0.5], Signal.from_expr("sin(2*t)"), None),
     "constant-exo": lambda: (_config_expr_system({
         "n": 1, "q": 1, "exo": {"c": 0.75}, "f": ["-c*x1 - x1^3"], "g": [["c"]],
         "h": ["x1"]}), [0.8], [0.5], Signal.from_expr("sin(t)"), None),
@@ -897,6 +926,29 @@ class TestGeneratedStep:
         assert calls == 4 * 25 + 2
         assert want == (IntegrationError, "non-finite state during RK4 step (last good t = 0.25)",
                         0.25)
+
+    def test_expression_exo_is_written_out(self, monkeypatch):
+        """An expression exogenous signal is float code in the step: a run
+        neither calls its ``at`` nor its ``value``, and gives the field's bits."""
+        sys, x0, dx0, u, du = _STEP_CASES["exo-expression"]()
+        w = sys.exo["w"]
+        reads = []
+        at, value = w.at, Signal.value
+        w.at = lambda t: reads.append(t) or at(t)
+
+        def counted(self, t):
+            if self is w:
+                reads.append(t)
+            return value(self, t)
+
+        monkeypatch.setattr(Signal, "value", counted)
+        args = (sys, x0, dx0, u, du, (0.0, 0.5), 0.01)
+        got, _ = _step_run(*args, generated=True)
+        assert reads == []
+        traj = simulate_prolonged(sys, x0, dx0, u=u, t_final=0.5, stepper=Rk4(0.01))
+        assert reads == [] and len(traj.times) == 51
+        want, calls = _step_run(*args, generated=False)
+        assert got == want and len(reads) == 2 * calls > 0  # value, then at, per field call
 
     def test_sampled_input_queried_past_its_end(self):
         u = Signal.sampled([0.0, 0.5], [0.1, 0.3])
