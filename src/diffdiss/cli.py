@@ -45,7 +45,7 @@ from .incremental import (
 from .interconnect import check_equalization, output_feedback, state_feedback
 from .numerics import Rk4, Rk45, sin as d_sin
 from .serialize import write_json, write_length_gap_csv, write_trace_csv
-from .systems import DynSystem, Signal, simulate_ensemble, simulate_prolonged
+from .systems import DynSystem, Signal, SignalError, simulate_ensemble, simulate_prolonged
 
 
 class ConfigError(Exception):
@@ -170,7 +170,10 @@ def _signal(spec, path: str) -> Signal:
     if kind == "sampled":
         times = _as_list(_get(spec, path, "times", required=True), f"{path}/times")
         values = _as_list(_get(spec, path, "values", required=True), f"{path}/values")
-        return Signal.sampled(times, values)
+        try:
+            return Signal.sampled(times, values)
+        except SignalError as err:
+            raise ConfigError(path, str(err)) from None
     raise ConfigError(f"{path}/kind", f"unknown signal kind {kind!r}")
 
 

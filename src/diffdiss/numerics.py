@@ -672,11 +672,11 @@ def integrate(
     clipped final step; the adaptive stepper records every accepted step.
 
     ``field`` takes and returns float arrays, and every step here is array
-    arithmetic: ``systems`` integrates its batched fields (stacks of Python
+    arithmetic: ``systems`` integrates its array field (stacks of Python
     maps, and stacks of more than ``systems._MEMBER_LOOP_MAX`` members)
-    through this function.  A one-member run of ``systems``, and a small
-    stack of a compiled lift, step on plain floats instead, through
-    :func:`_integrate_floats`, with the same bits.
+    through this function.  Its float field (one member, plain
+    ``simulate``, and a small stack of a compiled lift) steps on plain
+    floats instead, through :func:`_integrate_floats`, with the same bits.
     """
     return _integrate(field, x0, t_span, stepper, floats=False)
 
@@ -687,12 +687,15 @@ def _integrate_floats(field, x0, t_span, stepper: Stepper | None = None,
     with the same checks, counts, errors and bits.  Fixed RK4 steps on the
     lists (:func:`_rk4_step_floats`), or with ``step(t, x, h)``, a program
     that performs ``_rk4_step_floats(field, t, x, h)``'s operations and
-    checks in one call (4 field evaluations each); ``Rk45`` calls the field
-    on each stage array's ``tolist()``."""
+    checks in one call; ``Rk45`` calls the field on each stage array's
+    ``tolist()``."""
     return _integrate(field, x0, t_span, stepper, floats=True, step=step)
 
 
 def _integrate(field, x0, t_span, stepper, floats: bool, step=None) -> OdeSolution:
+    """The one stepping loop.  ``nfev`` is computed from the step counts,
+    not counted: 4 per RK4 step, and for Dormand-Prince the first stage
+    plus 6 per accepted or rejected step (first-same-as-last)."""
     if stepper is None:
         stepper = Rk45()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -705,27 +708,22 @@ def _integrate(field, x0, t_span, stepper, floats: bool, step=None) -> OdeSoluti
         raise IntegrationError("non-finite initial state", t0)
     times = [t0]
     states = [x]
-    nfev = [0]
-    n_rejected = 0
+    nfev = n_rejected = 0
     if t1 > t0:
         if isinstance(stepper, Rk4):
-            if step is not None:
-                _run_rk4(step, x.tolist(), t0, t1, stepper.dt, times, states)
-                nfev[0] = 4 * (len(times) - 1)
-            elif floats:
-                _run_rk4(functools.partial(_rk4_step_floats, _finite_floats(field, nfev)),
-                         x.tolist(), t0, t1, stepper.dt, times, states)
-            else:
-                _run_rk4(functools.partial(_rk4_step, _finite_checking(field, nfev)), x,
-                         t0, t1, stepper.dt, times, states)
+            if step is None:
+                step = (functools.partial(_rk4_step_floats, _finite_floats(field)) if floats
+                        else functools.partial(_rk4_step, _finite_checking(field)))
+            _run_rk4(step, x.tolist() if floats else x, t0, t1, stepper.dt, times, states)
+            nfev = 4 * (len(times) - 1)
         else:
             if floats:
                 field = _called_on_lists(field)
-            n_rejected = _run_rk45(_finite_checking(field, nfev), x, t0, t1, stepper,
-                                   times, states)
+            n_rejected = _run_rk45(_finite_checking(field), x, t0, t1, stepper, times, states)
+            nfev = 1 + 6 * (len(times) - 1 + n_rejected)
     return OdeSolution(
         np.array(times), np.array(states), _stepper_id(stepper), _stepper_tol(stepper),
-        nfev=nfev[0], n_accepted=len(times) - 1, n_rejected=n_rejected,
+        nfev=nfev, n_accepted=len(times) - 1, n_rejected=n_rejected,
     )
 
 
@@ -737,9 +735,8 @@ def _stepper_tol(stepper: Stepper) -> float:
     return stepper.dt if isinstance(stepper, Rk4) else stepper.tol
 
 
-def _finite_checking(field, nfev: list):
+def _finite_checking(field):
     def wrapped(t, x):
-        nfev[0] += 1
         dx = np.asarray(field(t, x), dtype=float)
         if not np.isfinite(dx).all():
             raise _NonFinite(t)
@@ -753,11 +750,10 @@ def _called_on_lists(field):
     return lambda t, z: field(t, z.tolist())
 
 
-def _finite_floats(field, nfev: list):
+def _finite_floats(field):
     """:func:`_finite_checking` for a field on lists: its entries are made
     Python floats, as ``tolist()`` of the array would give them."""
     def wrapped(t, x):
-        nfev[0] += 1
         dx = list(map(float, field(t, x)))
         if not all(map(math.isfinite, dx)):
             raise _NonFinite(t)

@@ -39,23 +39,25 @@ Under ``Rk45`` the members share one adaptive grid, and a step is accepted
 only when every member's error passes, so a member's grid differs from its
 solo run's; under ``Rk4`` every member is bit-identical to its solo run.
 
-A run of one member (every :func:`simulate_prolonged`), plain
-:func:`simulate`, and a stack of at most ``_MEMBER_LOOP_MAX`` members
-whose lift is one generated program step on one list of plain floats:
-their fixed RK4 steps build no array per stage, with the bits of the array
-steps, and ``Rk45`` keeps its array stepper and one shared grid.  Their
-field reads the inputs and exogenous values once per call, a constant
-(``Signal.constant``, and so the default zero ``du``) once, when it is
-built.  Under ``Rk4`` a run of one member whose lift is one generated
-program takes each step in one generated program (:func:`_rk4_step`): the
-four stages and the update on scalar locals, an expression signal (input
-or exogenous) written out as float code, with the bits, ``nfev`` and
-errors of the field's steps.  A stack's field then runs the lifted
-``rhs_with`` on each member's row, a per-member input indexed by member,
-and gives each member the bits the array call gives it; a call that
-raises is made again on arrays, so a run fails as the array run does.  Larger stacks, and stacks of Python maps,
-evaluate all members in one call per field evaluation and step on arrays.
-The limit comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).
+Every run on floats has one field (:func:`_float_field`): a run of one
+member (every :func:`simulate_prolonged`), plain :func:`simulate`, and a
+stack of at most ``_MEMBER_LOOP_MAX`` members whose lift is one generated
+program.  It steps on one list of plain floats with the bits of the array
+steps, reads a constant (``Signal.constant``, and so the default zero
+``du``) once, when it is built, and runs ``rhs_with`` on each member's row,
+a per-member input indexed by member.  A stack's call that raises is made
+again on arrays, so a stack fails as the array run does; one member's own
+error stands.  Under ``Rk4`` a run of one member whose lift is one
+generated program takes each step in one generated program
+(:func:`_rk4_step`): the four stages and the update on scalar locals, an
+expression signal (input or exogenous) written out as float code, with the
+bits, ``nfev`` and errors of the field's steps.  ``Rk45`` keeps its array
+stepper and one shared grid.  Larger stacks, and stacks of Python maps,
+evaluate all members in one call per field evaluation and step on arrays;
+the limit comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).
+Every path (the float field, the generated step, the array field and the
+pass after integration) reads the inputs, then the exogenous signals, so
+when both fail at one time the run raises the input's error.
 """
 
 from __future__ import annotations
@@ -424,24 +426,6 @@ class ProlongedTrajectory:
         return self.u.shape[1]
 
 
-def _input_reader(sigs: list[Signal]):
-    """``read(t)``: the values of ``sigs`` at ``t`` as one list, a length-1
-    array read as its one float.  A constant is read once, here."""
-    values = [s.fixed for s in sigs]
-    live = [(k, s.at) for k, s in enumerate(sigs) if s.fixed is None]
-    if not live:
-        return lambda t: values
-
-    def read(t):
-        u = values.copy()
-        for k, at in live:
-            v = at(t)
-            u[k] = v.item() if type(v) is np.ndarray else v
-        return u
-
-    return read
-
-
 def _exo_reader(sys: DynSystem):
     """``read(t)``: the exogenous values of ``sys`` at ``t``, the dict
     ``exo_at`` gives.  A constant is read once, here."""
@@ -453,32 +437,25 @@ def _exo_reader(sys: DynSystem):
                       for name, fixed, value in items}
 
 
-def _float_field(sys: DynSystem, sigs: list[Signal]):
-    """``field(t, x)`` of ``sys`` under ``sigs`` on a list of floats, for
-    :func:`numerics._integrate_floats`."""
-    rhs_with, read, exo = sys.rhs_with, _input_reader(sigs), _exo_reader(sys)
-    return lambda t, x: rhs_with(x, exo(t), read(t))
-
-
 def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
     """``step(t, x, h)``: :func:`numerics._rk4_step_floats` of
     ``_float_field(lifted, sigs)`` as one generated program on floats, for a
     lift whose ``rhs_with`` :func:`lift` generated.
 
-    Each stage takes the exogenous values in the order :func:`_exo_reader`
-    reads them, then the inputs in order, then runs the float kind of the
-    lifted program on scalar locals and raises ``_NonFinite`` if a row is
-    not finite, as ``_finite_floats`` does; the stages and the update
-    perform ``_rk4_step_floats``' operations in its order.  So the step
-    gives its bits and raises its errors, with no field call and no list
-    per stage.  A constant input or exogenous value is a global of the
-    program; an expression signal, input or exogenous, is written out as
-    float code, computed once at ``t + 0.5*h`` for the second and third
-    stages (which both compute that time by the same operation); any other
-    exogenous signal is read through its ``value`` and any other input
-    through its ``at``, a length-1 array read as its one float.  Constants
-    are globals and states are read by position, so no config text enters
-    the source and steps of one structure share one compiled code
+    Each stage takes the inputs in order, then the exogenous values in the
+    order :func:`_exo_reader` reads them, as the field does, then runs the
+    float kind of the lifted program on scalar locals and raises
+    ``_NonFinite`` if a row is not finite, as ``_finite_floats`` does; the
+    stages and the update perform ``_rk4_step_floats``' operations in its
+    order.  So the step gives its bits and raises its errors, with no field
+    call and no list per stage.  A constant input or exogenous value is a
+    global of the program; an expression signal, input or exogenous, is
+    written out as float code, computed once at ``t + 0.5*h`` for the second
+    and third stages (which both compute that time by the same operation);
+    any other input is read through its ``at``, a length-1 array read as its
+    one float, and any other exogenous signal through its ``value``.
+    Constants are globals and states are read by position, so no config text
+    enters the source and steps of one structure share one compiled code
     object."""
     f, g, n = lifted.base.f, lifted.base.g, lifted.base.n
     program = exprlang._Program((), None, floats=True)
@@ -505,16 +482,6 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
         (by input index) and exogenous signals (by name) already computed
         there."""
         program.restart(["t"], lambda _: time)  # the expression signals' DAG
-        exo = {}
-        for name, sig in lifted.exo.items() if live else ():
-            if sig.compiled is not None:
-                if name not in expressions:
-                    (expressions[name], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
-                exo[name] = expressions[name]
-            elif sig.fixed is None:
-                exo[name] = program.let(f"{exo_globals[name]}({time})")
-            else:
-                exo[name] = exo_globals[name]
         u = []
         for k, sig in enumerate(sigs):
             if sig.fixed is not None:
@@ -527,6 +494,16 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
                 v = program.let(f"{readers[k]}({time})")
                 lines.append(f"if {v}.__class__ is _ndarray: {v} = {v}.item()")
                 u.append(v)
+        exo = {}
+        for name, sig in lifted.exo.items() if live else ():
+            if sig.compiled is not None:
+                if name not in expressions:
+                    (expressions[name], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
+                exo[name] = expressions[name]
+            elif sig.fixed is None:
+                exo[name] = program.let(f"{exo_globals[name]}({time})")
+            else:
+                exo[name] = exo_globals[name]
         program.restart(f.names, states.__getitem__, lambda k: states[n + k])
         program.exo.update(exo)
         rows = program.lifted_rows(f, g, u)
@@ -568,25 +545,27 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
 _MEMBER_LOOP_MAX = 16
 
 
-def _member_field(sys: DynSystem, sigs: list[Signal], m: int, array_field):
+def _float_field(sys: DynSystem, sigs: list[Signal], m: int = 1, array_field=None):
     """``field(t, z)`` of ``m`` members of ``sys`` stacked member-major in
-    one list of floats: the inputs and exogenous values are read once per
-    call, in the order ``array_field`` reads them, and ``rhs_with`` runs on
-    each member's row.  An input that returns a length-m array gives member
-    k its k-th value, as a Python float.  A call that raises is made again
-    as ``array_field(t, z)``, so its error is the array call's."""
+    one list of floats, for :func:`numerics._integrate_floats`.  Each call
+    reads the inputs, then the exogenous values, as ``array_field`` does (a
+    constant once, here), and runs ``rhs_with`` on each member's row.  A
+    length-1 input array is read as its one float; on a stack, a length-m
+    one gives member k its k-th value.  A stack's call that raises is made
+    again as ``array_field(t, z)``, so its error is the array call's; one
+    member has no array call, so its own error stands."""
     rhs_with, width, exo = sys.rhs_with, sys.n, _exo_reader(sys)
     values = [s.fixed for s in sigs]
     live = [(k, s.at) for k, s in enumerate(sigs) if s.fixed is None]
     rows = range(0, m * width, width)
 
     def field(t, z):
-        u = values.copy()
+        u = values.copy() if live else values
         spread = []
         for k, at in live:
             v = at(t)
             if type(v) is np.ndarray:
-                if v.size != 1:
+                if v.size != 1 and array_field is not None:
                     if v.shape != (m,):  # the array call broadcasts it or raises
                         return array_field(t, np.asarray(z))
                     spread.append((k, v.tolist()))
@@ -594,6 +573,8 @@ def _member_field(sys: DynSystem, sigs: list[Signal], m: int, array_field):
                 v = v.item()
             u[k] = v
         e = exo(t)
+        if array_field is None:
+            return rhs_with(z, e, u)
         out = []
         try:
             for i, j in enumerate(rows):
@@ -663,12 +644,12 @@ def simulate_ensemble(
     right-hand-side evaluation runs ``lift(sys).rhs_with`` once per member
     on floats when there is one member, or when the lift is one generated
     program and m is at most ``_MEMBER_LOOP_MAX``; otherwise it is one call
-    over all members on arrays.  The loop over a stack gives the bits,
-    counts and errors of the call over all members.  An input signal may
-    return a float (shared by every member) or a length-m array (one value
-    per member); exogenous signals are shared.  Under ``Rk45`` the members
-    share one adaptive grid: a step is accepted only when every member's
-    error passes.
+    over all members on arrays.  Both read the inputs, then the exogenous
+    signals.  The loop over a stack gives the bits, counts and errors of the
+    call over all members.  An input signal may return a float (shared by
+    every member) or a length-m array (one value per member); exogenous
+    signals are shared.  Under ``Rk45`` the members share one adaptive grid:
+    a step is accepted only when every member's error passes.
     """
     X0 = np.asarray(x0s, dtype=float)
     dX0 = np.asarray(dx0s, dtype=float)
@@ -680,7 +661,6 @@ def simulate_ensemble(
     m, width = len(X0), 2 * sys.n
     lifted = lift(sys)
     sigs = signal_vector(u, sys.q) + signal_vector(du, sys.q)
-
     exo = _exo_reader(lifted)
 
     def array_field(t, z):
@@ -688,21 +668,19 @@ def simulate_ensemble(
         X = list(z.reshape(m, width).T)
         return batch_rows(lifted.rhs_with(X, exo(t), uv), m).ravel()
 
-    # one member steps on lists of plain floats: no array per stage, and a
-    # Python map divides by zero as in a solo float call.  Under ``Rk4`` one
-    # member of a generated lift takes each step in one generated program.
-    # A small stack steps there too, member by member, when ``lift``
-    # installed one generated program, whose float calls give the array
-    # call's bits.
+    # The float field steps on lists of plain floats: one member, whose
+    # Python map divides by zero as in a solo float call, or a stack of at
+    # most ``_MEMBER_LOOP_MAX`` members when ``lift`` installed one generated
+    # program, whose float calls give the array call's bits.  Under ``Rk4``
+    # one member of a generated lift takes each step in one generated program.
     stepper = stepper or Rk4()
     compiled = "rhs_with" in vars(lifted)
     step = ()
-    if m == 1:
-        field, solve = _float_field(lifted, sigs), _integrate_floats
-        if compiled and isinstance(stepper, Rk4):
+    if m == 1 or compiled and m <= _MEMBER_LOOP_MAX:
+        field = _float_field(lifted, sigs, m, array_field if m > 1 else None)
+        solve = _integrate_floats
+        if m == 1 and compiled and isinstance(stepper, Rk4):
             step = (_rk4_step(lifted, sigs),)
-    elif compiled and m <= _MEMBER_LOOP_MAX:
-        field, solve = _member_field(lifted, sigs, m, array_field), _integrate_floats
     else:
         field, solve = array_field, integrate
 

@@ -224,6 +224,13 @@ class TestLocatedConfigErrors:
         ("interconnect", LOOP, ("interconnect", "k2"), ["x1", "x1"], "/interconnect/k2"),
         ("interconnect", LOOP, ("interconnect", "storage2", "M"), [["1", "0"]],
          "/interconnect/storage2/M/0"),
+        # a sampled signal the signal itself rejects, at the signal's pointer
+        ("audit", SCALAR_SYS, ("run", "u"), {"kind": "sampled", "times": [0, 1], "values": [0]},
+         "/run/u/0"),
+        ("audit", SCALAR_SYS, ("run", "du"),
+         [{"kind": "sampled", "times": [0, 1, 1], "values": [0, 1, 2]}], "/run/du/0"),
+        ("audit", SCALAR_SYS, ("system", "exo"),
+         {"w": {"kind": "sampled", "times": [0], "values": [0]}}, "/system/exo/w"),
     ]
 
     # numbers out of their range, and RC laws the model rejects

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -564,19 +565,20 @@ def _assert_same_run(got, want):
         assert np.array_equal(getattr(got, col), getattr(want, col)), col
 
 
-def _run(monkeypatch, limit, *args, **kwargs):
+def _solve(monkeypatch, limit, *args, **kwargs):
     """``simulate_ensemble(*args, **kwargs)`` with the member-loop limit set
-    to ``limit`` (None keeps it): the members, the ODE solution and the name
+    to ``limit`` (None keeps it): the members, the ODE solution, the name
     of the solver that ran (``_integrate_floats`` on floats, ``integrate``
-    on arrays)."""
+    on arrays) and the number of calls of the field it received."""
     runs = []
 
     def recording(name):
         solve = getattr(systems, name)
 
-        def recorded(*solve_args):
-            sol = solve(*solve_args)
-            runs.append((sol, name))
+        def recorded(field, *solve_args):
+            calls = []
+            sol = solve(lambda t, z: calls.append(t) or field(t, z), *solve_args)
+            runs.append((sol, name, len(calls)))
             return sol
 
         return recorded
@@ -587,8 +589,13 @@ def _run(monkeypatch, limit, *args, **kwargs):
         for name in ("integrate", "_integrate_floats"):
             patch.setattr(systems, name, recording(name))
         members = simulate_ensemble(*args, **kwargs)
-    ((sol, solver),) = runs
-    return members, sol, solver
+    ((sol, solver, calls),) = runs
+    return members, sol, solver, calls
+
+
+def _run(monkeypatch, limit, *args, **kwargs):
+    """:func:`_solve` without the count of field calls."""
+    return _solve(monkeypatch, limit, *args, **kwargs)[:3]
 
 
 def _assert_paths_agree(monkeypatch, *args, **kwargs):
@@ -805,6 +812,25 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             simulate_ensemble(scalar_cubic(), np.zeros((0, 1)), np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("stepper", [Rk4(1e-2), Rk45(1e-10)], ids=["rk4", "rk45"])
+    @pytest.mark.parametrize("path, m, limit, solver", [
+        ("array", 3, 0, "integrate"),
+        ("one-member", 1, None, "_integrate_floats"),
+        ("stack", 3, None, "_integrate_floats"),
+    ])
+    def test_nfev_is_the_number_of_field_calls(self, monkeypatch, stepper, path, m, limit, solver):
+        # one member of Python maps: the float field, with no generated step
+        sys = rc_circuit().system if m > 1 else DynSystem(
+            1, 1, lambda x, e: [-x[0] - x[0] ** 3], lambda x, e: [[1.0]], lambda x, e: [x[0]])
+        x0s = np.linspace(-0.9, 0.9, m)[:, None]
+        step_up = Signal.sampled([0.0, 0.2, 0.21, 1.0], [0.0, 0.0, 4.0, 4.0])  # Rk45 rejects there
+        _, sol, ran, calls = _solve(monkeypatch, limit, sys, x0s, np.ones((m, 1)), u=step_up,
+                                    t_final=0.45, stepper=stepper)
+        assert ran == solver
+        assert sol.nfev == calls > 0
+        if isinstance(stepper, Rk45):
+            assert sol.n_rejected > 0
+
     def test_python_float_division_by_zero_raises_as_before(self):
         sys = DynSystem(
             1, 1,
@@ -1000,3 +1026,37 @@ class TestGeneratedStep:
                 assert set(re.findall(r"[\d.]+", left)) <= {"0.0", "0.5", "2.0", "6.0"}
                 names = set(re.findall(r"[A-Za-z_]\w*", fn.source))
                 assert names.isdisjoint({"q", "x1", "x2", "t_final"})
+
+
+class TestSignalOrder:
+    """Every path reads the inputs, then the exogenous signals: when a
+    sampled input and a sampled exogenous signal leave their ranges in the
+    same stage, each run raises the input's error."""
+
+    INPUT = "outside [-1, 0.5]"  # the exogenous signal's would say [0, 0.5]
+
+    def _args(self, m):
+        sys = _config_expr_system({
+            "n": 1, "q": 1, "exo": {"w": {"kind": "sampled", "times": [0.0, 0.5],
+                                          "values": [0.5, 1.5]}},
+            "f": ["-w*x1"], "g": [["1"]], "h": ["x1"]})
+        u = Signal.sampled([-1.0, 0.5], [0.1, 0.3])
+        return (sys, np.linspace(0.2, 0.8, m)[:, None], np.ones((m, 1))), dict(u=u, t_final=1.0)
+
+    @pytest.mark.parametrize("stepper", [Rk4(0.1), Rk45(1e-8)], ids=["rk4", "rk45"])
+    def test_one_member(self, monkeypatch, stepper):
+        args, kwargs = self._args(1)
+        assert "rhs_with" in vars(lift(args[0]))  # so Rk4 runs the generated step
+        with pytest.raises(SignalError, match=re.escape(self.INPUT)):
+            _run(monkeypatch, None, *args, stepper=stepper, **kwargs)
+
+    def test_two_members_on_both_paths(self, monkeypatch):
+        args, kwargs = self._args(2)
+        raised = _paths_raise(monkeypatch, SignalError, *args, stepper=Rk4(0.1), **kwargs)
+        assert raised[0] == raised[1]
+        assert self.INPUT in raised[0][1]
+
+    def test_plain_simulate(self):
+        (sys, _, _), kwargs = self._args(1)
+        with pytest.raises(SignalError, match=re.escape(self.INPUT)):
+            simulate(sys, [0.5], stepper=Rk4(0.1), **kwargs)
