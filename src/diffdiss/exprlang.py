@@ -13,9 +13,10 @@ Grammar (precedence low to high):
 Identifiers are ``[a-zA-Z_][a-zA-Z0-9_]*``.  Built-in functions: sin, cos,
 tan, exp, log, sqrt, abs, tanh, atan2, min, max.  Whitespace is
 insignificant.  There is no implicit multiplication: ``2x`` is a syntax
-error.  ``^`` maps to repeated multiplication for small integer literal
-exponents and to exp(e*log(b)) otherwise, so evaluation stays
-differentiable through dual scalars.
+error.  ``^`` maps to :func:`numerics.int_pow` (repeated squaring) for
+integer literal exponents up to :data:`numerics.INT_POW_MAX` in magnitude
+and to exp(e*log(b)) otherwise, so evaluation stays differentiable through
+dual scalars.
 
 Variables may be bound to floats, dual scalars, or either over 1-d float
 arrays (a batch).  A batch evaluates every element with the float
@@ -37,7 +38,10 @@ its forward-mode tangent, which the lift of a system runs in place of a dual
 pass.  It is generated on its first call, from the same DAG, and performs
 the float operations the DualScalar rules perform on ``x`` seeded with
 ``dx``, so the result is bit for bit the value and derivative parts of
-``fn(numerics.seed(x, dx), e)``, with no dual arithmetic.
+``fn(numerics.seed(x, dx), e)``, with no dual arithmetic.  Every map has
+one: the kind of each node, dual or plain, is known when its line is
+generated (``min``/``max`` with a dual operand is dual, ``b^0`` is the
+plain 1.0).
 :func:`lifted_rhs` generates one such program for the lifted right-hand
 side f + g·u of a system (see "generated programs" below).  A program of the
 float kind, for parts known to be Python floats, writes out the float
@@ -65,8 +69,6 @@ import struct
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import numerics
 from .numerics import DualScalar
@@ -388,7 +390,7 @@ def _integer_literal(e: Expr) -> int | None:
 
 def _power(a, b, node: BinOp):
     k = _integer_literal(node.right)
-    if k is not None and abs(k) <= 16:
+    if k is not None and abs(k) <= numerics.INT_POW_MAX:
         if k < 0 and _hit(operator.eq, a):
             raise EvalError("zero raised to a negative power", node.offset)
         return numerics.int_pow(a, k)
@@ -512,30 +514,21 @@ def _layout(items: list[str], widths: list[int] | None) -> str:
 # the same operand order, the reflected ``__radd__``/``__rmul__``/
 # ``__rtruediv__`` orders, the same ``_div`` and ``_hit`` guards), the rule
 # picked when the line is generated by which operands are dual; the other
-# nodes are plain.  A tangent program therefore returns, bit for bit, the
-# value and derivative parts of a dual pass.  Either program's first failing
-# guard is the tree walk's first: a repeated node fails where its first
-# occurrence failed already, at that occurrence's offset.  The source holds
-# generated names only: states are read by index, and constants, guard
-# offsets, exogenous names and helpers are bound in the program's globals, so
-# no config text enters it.  Maps of one structure then have one source, and
-# :func:`_code` compiles it once for all of them; each binds its own
-# constants in its own globals.  A program of the float kind runs on floats
-# only: its lines perform what the value and dual lines perform on floats,
-# with no helper call where ``numerics`` would make only float operations.
-
-
-def _pow_chain(k: int, acc, mul):
-    """``numerics.int_pow(acc, k)`` for k >= 1 by repeated squaring, with
-    ``mul(a, b)`` for ``a * b``: the same multiplications in the same order,
-    less int_pow's leading ``1.0 *`` (exact) and its unused last squaring."""
-    out = None
-    while k > 1:
-        if k & 1:
-            out = acc if out is None else mul(out, acc)
-        acc = mul(acc, acc)
-        k >>= 1
-    return acc if out is None else mul(out, acc)
+# nodes are plain.  No kind depends on the values a node runs on: a call of
+# two operands with one dual is dual, the plain one's derivative part 0.0
+# (``numerics._pick`` returns a dual for min/max), and ``b^0`` is the plain
+# 1.0 (``numerics.int_pow``).  A tangent program therefore returns, bit for
+# bit, the value and derivative parts of a dual pass.  Either program's
+# first failing guard is the tree walk's first: a repeated node fails where
+# its first occurrence failed already, at that occurrence's offset.  The
+# source holds generated names only: states are read by index, and
+# constants, guard offsets, exogenous names and helpers are bound in the
+# program's globals, so no config text enters it.  Maps of one structure
+# then have one source, and :func:`_code` compiles it once for all of them;
+# each binds its own constants in its own globals.  A program of the float
+# kind runs on floats only: its lines perform what the value and dual lines
+# perform on floats, with no helper call where ``numerics`` would make only
+# float operations.
 
 
 _GUARDED_FN = {
@@ -550,19 +543,12 @@ def _code(source: str):
     return compile(source, "<exprlang program>", "exec")
 
 
-class _KindNotStatic(Exception):
-    """A node whose dual rule can return a plain value from a dual operand
-    (``min``/``max`` of a dual and a plain operand, ``b^0`` of a dual base):
-    whether it is dual is known only when it runs."""
-
-
 def _pick_pair(test, av, ad, bv, bd):
-    """The min/max dual rule on the parts of two duals: the operand that
-    ``test`` picks, elementwise through every dual level on a batch."""
+    """The min/max dual rule on the parts of two duals (a plain operand's
+    derivative part 0.0): the operand that ``test`` picks, elementwise
+    through every dual level on a batch."""
     mask = test(numerics._base(av), numerics._base(bv))
-    if isinstance(mask, np.ndarray):
-        return numerics._pick(mask, av, bv), numerics._pick(mask, ad, bd)
-    return (av, ad) if mask else (bv, bd)
+    return numerics._pick(mask, av, bv), numerics._pick(mask, ad, bd)
 
 
 def _unbound(err: KeyError, offsets: Mapping[str, int]) -> EvalError:
@@ -599,6 +585,10 @@ class _Program:
     hash-consed DAG of the ASTs passed to :meth:`entries`, in SSA order.
     ``state(k)`` and ``deriv(k)`` are the sources that read x_k and dx_k;
     without ``deriv`` it is a value program, in which every node is plain.
+    With ``deriv``, a state and every node with a dual operand is dual,
+    except ``b^0``, whose dual rule returns the plain 1.0; so each node's
+    kind is fixed when its line is generated, and every map has a tangent
+    program.
 
     A program of ``floats`` is for parts known to be Python floats: it
     divides with ``/`` where the other kind calls ``numerics._div``, guards
@@ -689,9 +679,8 @@ class _Program:
         order; a missing one raises at its first offset in ``asts``.  A name
         that is neither a state nor in ``exo`` raises :class:`EvalError`
         here, at its first offset."""
-        reads: dict[str, int] = {}
-        for a in asts:
-            _exo_reads(a, self.states, reads)
+        reads = {name: offset for name, offset in _first_uses(asts).items()
+                 if name not in self.states}
         for name, offset in reads.items():
             if name not in exo:
                 raise EvalError(f"unbound variable {name!r}", offset)
@@ -729,7 +718,7 @@ class _Program:
             key = (e.name, *args)
         else:
             k = _integer_literal(e.right) if e.op == "^" else None
-            if k is not None and abs(k) <= 16:  # only the base has anything to run
+            if k is not None and abs(k) <= numerics.INT_POW_MAX:  # only the base runs
                 args = (self.node(e.left),)
                 key = ("^", *args, k)
             else:
@@ -777,7 +766,7 @@ class _Program:
                 return self.const(1.0)
             if k < 0:
                 self.guard(operator.eq, a, "zero raised to a negative power", e.offset)
-            power = _pow_chain(abs(k), (a, None), self.mul)[0]
+            power = numerics.int_pow((a, None), abs(k), self.mul)[0]
             return power if k > 0 else self.let(f"1.0 / {power}")
         b = args[1]
         if e.op == "^":
@@ -788,9 +777,10 @@ class _Program:
             self.guard(operator.eq, b, "division by zero", e.offset)
         return self.let(f"{a} {e.op} {b}")
 
-    def dual(self, e: Expr, key: tuple, args: tuple) -> tuple[str, str]:
+    def dual(self, e: Expr, key: tuple, args: tuple) -> tuple:
         """The value and derivative of a node that reads a state, as the dual
-        rule computes them on its operands' parts."""
+        rule computes them on its operands' parts (the derivative None for
+        ``b^0``, which is plain)."""
         if isinstance(e, Var):
             k = key[1]
             return self.read(self.state(k)), self.read(self.deriv(k))
@@ -833,12 +823,12 @@ class _Program:
         self.guard(operator.eq, b, "division by zero", e.offset)
         return self.let(self.div(a, b)), self.let(self.div(f"-{a} * {db}", f"{b} * {b}"))
 
-    def dual_power(self, e: Expr, base: tuple, k: int) -> tuple[str, str]:
-        if k == 0:
-            raise _KindNotStatic  # the dual rule drops the base's derivative
+    def dual_power(self, e: Expr, base: tuple, k: int) -> tuple:
+        if k == 0:  # int_pow's plain 1.0: the base's derivative is dropped
+            return self.const(1.0), None
         if k < 0:
             self.guard(operator.eq, base[0], "zero raised to a negative power", e.offset)
-        cv, cd = _pow_chain(abs(k), base, self.mul)
+        cv, cd = numerics.int_pow(base, abs(k), self.mul)
         if k > 0:
             return cv, cd
         # DualScalar.__rtruediv__ of 1.0
@@ -862,6 +852,8 @@ class _Program:
         return ex, self.let(f"{ex} * {pd}")
 
     def dual_call(self, e: Call, args: tuple) -> tuple[str, str]:
+        """A call with a dual operand; a plain operand of a call of two has
+        derivative part 0.0, as ``numerics.deriv_part`` gives it."""
         name = e.name
         if name in numerics.DUAL_RULES:
             (v, d), = args
@@ -872,16 +864,14 @@ class _Program:
                 return self.float_rule(name, v, d)
             return self.let_pair(f"_dual_{name}({v}, {d})")
         (y, dy), (x, dx) = args
-        if name == "atan2":  # a plain operand has derivative part 0.0
-            dy, dx = dy or "0.0", dx or "0.0"
+        dy, dx = dy or "0.0", dx or "0.0"
+        if name == "atan2":
             if not self.floats:
                 return self.let_pair(f"_dual_atan2({y}, {dy}, {x}, {dx})")
             # numerics._dual_atan2
             denom = self.let(f"{x} * {x} + {y} * {y}")
             return self.let(f"_atan2({y}, {x})"), self.let(self.div(f"{x} * {dy} - {y} * {dx}",
                                                                     denom))
-        if dy is None or dx is None:
-            raise _KindNotStatic  # the dual rule returns whichever operand wins
         if self.floats:  # _pick_pair
             test = "<=" if name == "min" else ">="
             return self.let_pair(f"({y}, {dy}) if {y} {test} {x} else ({x}, {dx})")
@@ -961,39 +951,31 @@ def _operand(source: str) -> str:
     return source if re.fullmatch(r"[\w.]+", source) else f"({source})"
 
 
-def _exo_reads(e: Expr, states, reads: dict[str, int]) -> None:
-    """Adds each exogenous (non-state) name ``e`` uses to ``reads`` with the
-    offset of its first use, in the order a compiled map reads them."""
-    if isinstance(e, Var):
-        if e.name not in states:
-            reads.setdefault(e.name, e.offset)
-    elif isinstance(e, Neg):
-        _exo_reads(e.operand, states, reads)
-    elif isinstance(e, BinOp):
-        _exo_reads(e.left, states, reads)
-        _exo_reads(e.right, states, reads)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _exo_reads(a, states, reads)
+def _first_uses(asts: Iterable[Expr]) -> dict[str, int]:
+    """Each variable name the ASTs use, with the offset of its first use, in
+    the order of first use (left to right): the order a compiled map reads
+    its exogenous names in."""
+    uses: dict[str, int] = {}
+    todo = list(asts)[::-1]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            uses.setdefault(e.name, e.offset)
+        elif isinstance(e, Neg):
+            todo.append(e.operand)
+        elif isinstance(e, BinOp):
+            todo += (e.right, e.left)
+        elif isinstance(e, Call):
+            todo += e.args[::-1]
+    return uses
 
 
 def _build_tangent(fn, cells: list, widths: list[int] | None):
     """``tangent(x, dx, e) -> (values, tangents)`` of the compiled map
     ``fn`` of the ASTs ``cells`` (in rows of ``widths``, for a matrix): its
-    generated program, or one dual pass of ``fn`` for a map with a node of
-    :class:`_KindNotStatic`."""
+    generated tangent program."""
     program = _Program(fn.names, "x[{}]".format, "dx[{}]".format)
-    try:
-        entries = program.entries(cells, fn.exo)
-    except _KindNotStatic:
-        if widths is None:
-            return lambda x, dx, e: numerics.dual_parts(fn(numerics.seed(x, dx), e))
-
-        def dual_rows(x, dx, e):
-            parts = [numerics.dual_parts(row) for row in fn(numerics.seed(x, dx), e)]
-            return [values for values, _ in parts], [derivs for _, derivs in parts]
-
-        return dual_rows
+    entries = program.entries(cells, fn.exo)
     values = _layout([v for v, _ in entries], widths)
     # an entry that reads no state has derivative part 0.0, as deriv_part gives
     derivs = _layout([d or "0.0" for _, d in entries], widths)
@@ -1002,8 +984,7 @@ def _build_tangent(fn, cells: list, widths: list[int] | None):
 
 def lifted_rhs(f, g):
     """``rhs(X, e, U)``: the right-hand side of the lift of
-    ``xdot = f(x, e) + g(x, e) u`` as one generated program, or None if f or
-    g has a node of :class:`_KindNotStatic`.
+    ``xdot = f(x, e) + g(x, e) u`` as one generated program.
 
     ``f`` is a compiled map of n entries and ``g`` a compiled n x q matrix,
     both over the same n state names.  ``X`` is (x, dx) and ``U`` is
@@ -1016,10 +997,7 @@ def lifted_rhs(f, g):
     error raised is the one their tangents raise, f's rows before g's."""
     n = len(f.asts)
     program = _Program(f.names, "X[{}]".format, lambda k: f"X[{n + k}]")
-    try:
-        rows = program.lifted_rows(f, g)
-    except _KindNotStatic:
-        return None
+    rows = program.lifted_rows(f, g)
     return program.function("X, e, U", f"[{', '.join(rows)}]")
 
 
@@ -1082,20 +1060,8 @@ def as_expr(value) -> Expr:
 
 
 def variables(e: Expr) -> set[str]:
-    """Names of all variables referenced by ``e``, gathered into one set."""
-    out: set[str] = set()
-    todo = [e]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, Neg):
-            todo.append(e.operand)
-        elif isinstance(e, BinOp):
-            todo += (e.left, e.right)
-        elif isinstance(e, Call):
-            todo += e.args
-    return out
+    """Names of all variables referenced by ``e``."""
+    return set(_first_uses([e]))
 
 
 # ---------------------------------------------------------------------------

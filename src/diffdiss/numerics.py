@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -117,7 +118,7 @@ class DualScalar:
             isinstance(exponent, float) and exponent.is_integer()
         ):
             k = int(exponent)
-            if abs(k) <= 16:
+            if abs(k) <= INT_POW_MAX:
                 return int_pow(self, k)
         return exp(exponent * log(self))
 
@@ -159,16 +160,19 @@ def _base(x):
 
 
 def _pick(mask, a, b):
-    """``a`` where ``mask`` holds, else ``b``; elementwise through every dual
-    level when ``mask`` is a batch array."""
-    if not isinstance(mask, np.ndarray):
-        return a if mask else b
+    """``a`` where ``mask`` holds, else ``b``: elementwise through every dual
+    level when ``mask`` is a batch array.  If either operand is a dual, so
+    is the result, a plain operand's derivative part being 0.0, on one point
+    as on a batch; so an element of a batch is picked exactly as a call on
+    that point alone picks it."""
     if isinstance(a, DualScalar) or isinstance(b, DualScalar):
         return DualScalar(
             _pick(mask, value_part(a), value_part(b)),
             _pick(mask, deriv_part(a), deriv_part(b)),
         )
-    return np.where(mask, a, b)
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
 
 
 def float_value(x) -> float:
@@ -198,19 +202,29 @@ def dual_parts(out):
     return [value_part(w) for w in out], [deriv_part(w) for w in out]
 
 
-def int_pow(base, k: int):
-    """``base ** k`` by repeated squaring; the same float operations on
-    plain scalars and on the value part of duals."""
+INT_POW_MAX = 16
+"""The largest ``|k|`` of an integer power ``b ** k`` (``b ^ k`` in an
+expression) that :func:`int_pow` computes; a larger one is exp(k log b)."""
+
+
+def int_pow(base, k: int, mul=operator.mul):
+    """``base ** k`` by repeated squaring, with ``mul(a, b)`` for ``a * b``:
+    the same float operations on plain scalars and on the value part of
+    duals.  ``base ** 0`` is the plain 1.0 for any base, so a dual base's
+    derivative is dropped there; a negative ``k`` is ``1.0 /`` the power of
+    ``-k``.  The expression compiler passes its own ``mul``, which writes
+    each product as a line of a program."""
     if k < 0:
-        return 1.0 / int_pow(base, -k)
-    out = 1.0
-    acc = base
-    while k:
+        return 1.0 / int_pow(base, -k, mul)
+    if k == 0:
+        return 1.0
+    out = None
+    while k > 1:
         if k & 1:
-            out = out * acc
-        acc = acc * acc
+            out = base if out is None else mul(out, base)
+        base = mul(base, base)
         k >>= 1
-    return out
+    return base if out is None else mul(out, base)
 
 
 # ---------------------------------------------------------------------------
@@ -269,72 +283,38 @@ def _dual_atan2(yv, yd, xv, xd):
 
 
 def _dual_abs(v, d):
-    # both branches are built, then picked elementwise on a batch
+    # both branches are built, then picked (elementwise on a batch)
     mask = _base(v) >= 0.0
-    nv, nd = -v, -d
-    if isinstance(mask, np.ndarray):
-        return _pick(mask, v, nv), _pick(mask, d, nd)
-    return (v, d) if mask else (nv, nd)
+    return _pick(mask, v, -v), _pick(mask, d, -d)
 
 
 DUAL_RULES = {"sin": _dual_sin, "cos": _dual_cos, "tan": _dual_tan, "exp": _dual_exp,
               "log": _dual_log, "sqrt": _dual_sqrt, "tanh": _dual_tanh, "abs": _dual_abs}
 
 
-def sin(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_sin(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.sin, x)
-    return math.sin(x)
+def _dual_aware(fn, rule):
+    """The ``math`` function ``fn`` made to take a dual (through its
+    derivative rule ``rule``), a batch array (element by element) or a
+    float."""
+
+    def wrapped(x):
+        if isinstance(x, DualScalar):
+            return DualScalar(*rule(x.value, x.deriv))
+        if isinstance(x, np.ndarray):
+            return _each(fn, x)
+        return fn(x)
+
+    wrapped.__name__ = wrapped.__qualname__ = fn.__name__
+    return wrapped
 
 
-def cos(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_cos(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.cos, x)
-    return math.cos(x)
-
-
-def tan(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_tan(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.tan, x)
-    return math.tan(x)
-
-
-def exp(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_exp(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.exp, x)
-    return math.exp(x)
-
-
-def log(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_log(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.log, x)
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_sqrt(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.sqrt, x)
-    return math.sqrt(x)
-
-
-def tanh(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(*_dual_tanh(x.value, x.deriv))
-    if isinstance(x, np.ndarray):
-        return _each(math.tanh, x)
-    return math.tanh(x)
+sin = _dual_aware(math.sin, _dual_sin)
+cos = _dual_aware(math.cos, _dual_cos)
+tan = _dual_aware(math.tan, _dual_tan)
+exp = _dual_aware(math.exp, _dual_exp)
+log = _dual_aware(math.log, _dual_log)
+sqrt = _dual_aware(math.sqrt, _dual_sqrt)
+tanh = _dual_aware(math.tanh, _dual_tanh)
 
 
 def atan2(y, x):

@@ -348,8 +348,8 @@ def lift(sys: DynSystem) -> DynSystem:
 
 def _compiled_rhs(sys: DynSystem):
     """The generated ``rhs_with(X, e, U)`` of the lift of ``sys`` if its f
-    and g are compiled maps of the right shape over the same n state names
-    and have no node the generator leaves to a dual pass, else None."""
+    and g are compiled maps of the right shape over the same n state names,
+    else None."""
     f, g = sys.f, sys.g
     names = getattr(f, "names", None)
     if names is None or getattr(g, "names", None) != names or len(names) != sys.n:

@@ -732,9 +732,29 @@ class TestGeneratedTangent:
         assert math.copysign(1.0, fn.tangent([1.0, 2.0, 0.0], [1.0, 0.0, 0.0], {})[0][0]) == 1.0
 
     @pytest.mark.parametrize("text", ["min(x, 1)", "x^0", "max(2, x) + x"])
-    def test_kind_not_static_takes_the_dual_pass(self, text):
+    def test_mixed_kinds_have_a_generated_tangent(self, text):
+        # min/max of a dual and a plain operand is a dual; x^0 is the plain 1.0
         fn = self._check([parse(text), parse("x*zz")], [0.5, 2.0, 0.0], [1.0, 1.0, 0.0], {})
-        assert not hasattr(fn.tangent.build(), "source")
+        assert hasattr(fn.tangent.build(), "source")
+
+    @pytest.mark.parametrize("text, pick, x1", [
+        ("min(x1, 1)*x2", lambda x: numerics.minimum(x[0], 1.0) * x[1], 2.0),
+        ("max(1, x1)*x2", lambda x: numerics.maximum(1.0, x[0]) * x[1], 0.5),
+    ])
+    def test_min_max_pick_a_point_as_a_batch(self, text, pick, x1):
+        # the plain operand wins: its derivative part 0.0 times x2, plus
+        # 1.0 * dx2 = -0.0, is +0.0 on one point as in a batch of one
+        point = [x1, 3.0], [1.0, -0.0]
+        batch = tuple([np.array([w]) for w in v] for v in point)
+        fn = compile_map([parse(text)], ["x1", "x2"])
+        python_map = lambda x, e=None: [pick(x)]
+        outcomes = [fn.tangent(*point, None), fn.tangent(*batch, None)]
+        outcomes += [_dual_pass(f, *args, None) for f in (fn, python_map) for args in (point, batch)]
+        # each entry's one element (of a batch of one) as raw bytes
+        bits = [[np.asarray(w, dtype=float).reshape(1).tobytes() for w in part]
+                for out in outcomes for part in out]
+        assert bits == [bits[0], bits[1]] * len(outcomes)
+        assert bits[1] == [struct.pack("=d", 0.0)]
 
     def test_first_error_keeps_the_first_offset(self):
         # (zz - 1) divides at offsets 5 and 21: the first occurrence reports
@@ -814,10 +834,7 @@ class TestFloatKind:
         env = dict(zip(_NAMES, values))
         x = [env[name] for name in _STATES]
         e = {name: env[name] for name in _EXO}
-        try:
-            fn = _float_program(asts, _STATES, _EXO, tangent=True)
-        except exprlang._KindNotStatic:
-            return  # the lift leaves such a map to its dual pass
+        fn = _float_program(asts, _STATES, _EXO, tangent=True)
         want = compile_map(asts, _STATES, _EXO).tangent.build()
         assert _float_outcome(lambda: fn(x, derivs, e)) == \
             _float_outcome(lambda: want(x, derivs, e))

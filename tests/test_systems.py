@@ -401,10 +401,10 @@ class TestFusedLift:
         (["min(x1, 1)"], [["1"]]),
         (["-x1"], [["x1^0"]]),
     ])
-    def test_kind_not_static_keeps_the_map_tangents(self, f, g):
+    def test_mixed_kinds_are_fused(self, f, g):
         sys = _expr_system(f, g)
         lifted = lift(sys)
-        assert not _fused(lifted)
+        assert _fused(lifted)
         X, U = [0.5, 1.0], [0.3, 0.2]
         want = lift(_python_maps(sys)).rhs_with(X, {}, U)
         assert _entry_bits(lifted.rhs_with(X, {}, U)) == _entry_bits(want)
@@ -888,6 +888,10 @@ _STEP_CASES = {
     "sampled-input": lambda: (rc_circuit().system, [0.4], [-0.7],
                               Signal.sampled([0.0, 0.5, 1.0, 5.0], [0.0, 0.3, -0.2, 0.4]),
                               Signal.from_expr("0.1*t")),
+    # min/max of a dual and a plain operand, and x1^0, have static kinds
+    "mixed-kinds": lambda: (_expr_system(["-x1 + min(x1, 0.3)*x2", "-x2 - max(0.1, x2)*x1"],
+                                         [["0.2*x1^0"], ["1"]]),
+                            [0.5, 0.2], [0.3, -0.0], Signal.from_expr("0.5*sin(3*t)"), None),
     "length-one-array-input": lambda: (rc_circuit().system, [0.4], [-0.7],
                                        Signal.analytic(lambda t: np.array([0.5 * sin(t)])), None),
 }
