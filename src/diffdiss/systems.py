@@ -43,18 +43,21 @@ Every run on floats has one field (:func:`_float_field`): a run of one
 member (every :func:`simulate_prolonged`), plain :func:`simulate`, and a
 stack of at most ``_MEMBER_LOOP_MAX`` members whose lift is one generated
 program.  It steps on one list of plain floats with the bits of the array
-steps, reads a constant (``Signal.constant``, and so the default zero
-``du``) once, when it is built, and runs ``rhs_with`` on each member's row,
-a per-member input indexed by member.  A stack's call that raises is made
-again on arrays, so a stack fails as the array run does; one member's own
-error stands.  Under ``Rk4`` a run of one member whose lift is one
-generated program takes each step in one generated program
-(:func:`_rk4_step`): the four stages and the update on scalar locals, an
-expression signal (input or exogenous) written out as float code, with the
-bits, ``nfev`` and errors of the field's steps.  ``Rk45`` keeps its array
-stepper and one shared grid.  Larger stacks, and stacks of Python maps,
-evaluate all members in one call per field evaluation and step on arrays;
-the limit comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).
+steps and reads a constant (``Signal.constant``, and so the default zero
+``du``) once, when it is built.  One member runs ``rhs_with`` on its row; a
+stack runs one generated program over all its rows
+(:func:`exprlang.lifted_stack`), which computes the lines that read no
+state once per call and the others once per member.  A stack's call that
+raises, or that meets a per-member input, is made again on arrays, so a
+stack fails as the array run does; one member's own error stands.  Under
+``Rk4`` a run of one member whose lift is one generated program takes each
+step in one generated program (:func:`_rk4_step`): the four stages and the
+update on scalar locals, an expression signal (input or exogenous) written
+out as float code, with the bits, ``nfev`` and errors of the field's steps.
+``Rk45`` keeps its array stepper and one shared grid.  Larger stacks, and
+stacks of Python maps, evaluate all members in one call per field
+evaluation and step on arrays; the limit comes from a measured crossover
+(see ``_MEMBER_LOOP_MAX``).
 Every path (the float field, the generated step, the array field and the
 pass after integration) reads the inputs, then the exogenous signals, so
 when both fail at one time the run raises the input's error.
@@ -530,60 +533,54 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
     return program.function("t, x, h", f"[{', '.join(out)}]")
 
 
-# The largest stack of a compiled lift that steps member by member on floats;
-# a larger one makes one array call per field call.  Integration time per
-# field call in us, array call / member loop (Rk4, dt 1e-2 over 1 s, best of
-# 9 on a shared 2-vCPU x86-64 host, Python 3.11, numpy 2.4):
+# The largest stack of a compiled lift that steps on floats, through its
+# stack program; a larger one makes one array call per field call.
+# Integration time per field call in us, array call / stack program (Rk4, dt
+# 1e-2 over 1 s, best of 45-96 on a shared 2-vCPU x86-64 host, Python 3.11,
+# numpy 2.4):
 #
-#   m                    2          4          9         16         20         32
-#   RC            28.6/6.6   20.5/9.3  27.1/16.4  29.3/20.6  16.8/20.4  16.5/30.6
-#   motor        71.4/11.2  73.1/20.4  91.3/55.7 116.1/97.9  83.0/89.8 83.1/142.7
-#   state loop    69.3/8.3  66.6/14.0  70.3/29.1  70.4/48.7  69.5/61.2  73.4/95.9
+#   m                 2         4         9        16        20        24        32
+#   RC         16.1/3.5  16.1/5.0  16.5/8.1 16.0/11.8 16.4/15.1 17.6/18.4 16.5/21.9
+#   motor      70.5/9.0 73.1/15.0 73.9/28.8 80.1/49.2 84.2/60.3 85.7/73.8 83.5/92.9
+#   state loop 69.9/6.6 66.8/10.4 69.4/20.1 68.8/33.4 67.2/40.2 69.2/47.6 69.1/63.6
 #
-# The RC and the motor cross over between 16 and 20 members, the loop of two
-# scalar plants between 20 and 32.
+# The RC crosses over between 20 and 24 members, the motor between 24 and 32,
+# and the loop of two scalar plants past 32; the limit stays below all three.
 _MEMBER_LOOP_MAX = 16
 
 
-def _float_field(sys: DynSystem, sigs: list[Signal], m: int = 1, array_field=None):
-    """``field(t, z)`` of ``m`` members of ``sys`` stacked member-major in
-    one list of floats, for :func:`numerics._integrate_floats`.  Each call
-    reads the inputs, then the exogenous values, as ``array_field`` does (a
-    constant once, here), and runs ``rhs_with`` on each member's row.  A
-    length-1 input array is read as its one float; on a stack, a length-m
-    one gives member k its k-th value.  A stack's call that raises is made
-    again as ``array_field(t, z)``, so its error is the array call's; one
-    member has no array call, so its own error stands."""
-    rhs_with, width, exo = sys.rhs_with, sys.n, _exo_reader(sys)
+def _float_field(sys: DynSystem, sigs: list[Signal], stack=None, array_field=None):
+    """``field(t, z)`` of ``sys`` on one list of floats, for
+    :func:`numerics._integrate_floats`.  Each call reads the inputs, then the
+    exogenous values, as ``array_field`` does (a constant once, here), and
+    runs ``sys.rhs_with`` on one member's row, or the program ``stack(z, e,
+    u)`` of :func:`exprlang.lifted_stack` on the rows of a stack, stacked
+    member-major.  A length-1 input array is read as its one float.  A
+    stack's call that raises is made again as ``array_field(t, z)``, so its
+    error is the array call's, and so is a call with an input array of any
+    other length (one value per member, say), which the array call
+    broadcasts or rejects; one member has no array call, so its own error
+    stands."""
+    rhs, exo = stack or sys.rhs_with, _exo_reader(sys)
     values = [s.fixed for s in sigs]
     live = [(k, s.at) for k, s in enumerate(sigs) if s.fixed is None]
-    rows = range(0, m * width, width)
 
     def field(t, z):
         u = values.copy() if live else values
-        spread = []
         for k, at in live:
             v = at(t)
             if type(v) is np.ndarray:
                 if v.size != 1 and array_field is not None:
-                    if v.shape != (m,):  # the array call broadcasts it or raises
-                        return array_field(t, np.asarray(z))
-                    spread.append((k, v.tolist()))
-                    continue
+                    return array_field(t, np.asarray(z))
                 v = v.item()
             u[k] = v
         e = exo(t)
         if array_field is None:
-            return rhs_with(z, e, u)
-        out = []
+            return rhs(z, e, u)
         try:
-            for i, j in enumerate(rows):
-                for k, member_values in spread:
-                    u[k] = member_values[i]
-                out += rhs_with(z[j:j + width], e, u)
+            return rhs(z, e, u)
         except Exception:
             return array_field(t, np.asarray(z))
-        return out
 
     return field
 
@@ -641,15 +638,17 @@ def simulate_ensemble(
     ``dx0s``, as one stacked ODE on a shared grid.
 
     The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...].  A
-    right-hand-side evaluation runs ``lift(sys).rhs_with`` once per member
-    on floats when there is one member, or when the lift is one generated
-    program and m is at most ``_MEMBER_LOOP_MAX``; otherwise it is one call
-    over all members on arrays.  Both read the inputs, then the exogenous
-    signals.  The loop over a stack gives the bits, counts and errors of the
-    call over all members.  An input signal may return a float (shared by
-    every member) or a length-m array (one value per member); exogenous
-    signals are shared.  Under ``Rk45`` the members share one adaptive grid:
-    a step is accepted only when every member's error passes.
+    right-hand-side evaluation runs on floats when there is one member
+    (``lift(sys).rhs_with`` on its row), or when the lift is one generated
+    program and m is at most ``_MEMBER_LOOP_MAX`` (the stack program of
+    :func:`exprlang.lifted_stack`, generated here, over every row);
+    otherwise it is one ``rhs_with`` call over all members on arrays.  Each
+    reads the inputs, then the exogenous signals.  The stack program gives
+    the bits, counts and errors of the call over all members.  An input
+    signal may return a float (shared by every member) or a length-m array
+    (one value per member, which a stack takes to the array call);
+    exogenous signals are shared.  Under ``Rk45`` the members share one
+    adaptive grid: a step is accepted only when every member's error passes.
     """
     X0 = np.asarray(x0s, dtype=float)
     dX0 = np.asarray(dx0s, dtype=float)
@@ -671,16 +670,19 @@ def simulate_ensemble(
     # The float field steps on lists of plain floats: one member, whose
     # Python map divides by zero as in a solo float call, or a stack of at
     # most ``_MEMBER_LOOP_MAX`` members when ``lift`` installed one generated
-    # program, whose float calls give the array call's bits.  Under ``Rk4``
-    # one member of a generated lift takes each step in one generated program.
+    # program, whose stack program gives the array call's bits.  Under
+    # ``Rk4`` one member of a generated lift takes each step in one generated
+    # program.  Each program is generated only for the runs that use it.
     stepper = stepper or Rk4()
     compiled = "rhs_with" in vars(lifted)
     step = ()
-    if m == 1 or compiled and m <= _MEMBER_LOOP_MAX:
-        field = _float_field(lifted, sigs, m, array_field if m > 1 else None)
-        solve = _integrate_floats
-        if m == 1 and compiled and isinstance(stepper, Rk4):
+    if m == 1:
+        field, solve = _float_field(lifted, sigs), _integrate_floats
+        if compiled and isinstance(stepper, Rk4):
             step = (_rk4_step(lifted, sigs),)
+    elif compiled and m <= _MEMBER_LOOP_MAX:
+        stack = exprlang.lifted_stack(sys.f, sys.g)
+        field, solve = _float_field(lifted, sigs, stack, array_field), _integrate_floats
     else:
         field, solve = array_field, integrate
 

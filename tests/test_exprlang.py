@@ -891,6 +891,61 @@ class TestFloatKind:
             assert "_dual_" not in source and "_pick_pair" not in source and "_min(" not in source
 
 
+class TestLiftedStack:
+    """``lifted_stack(f, g)`` runs the lines that read no state once and the
+    others once per member: each member's rows are ``lifted_rhs(f, g)`` on
+    that member's row, bit for bit, and the stack raises when any member's
+    call raises."""
+
+    @given(q=st.integers(1, 2), m=st.sampled_from([2, 9, 16]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_members_equal_lifted_rhs(self, q, m, data):
+        entries = lambda size: st.lists(_all_exprs(2), min_size=size, max_size=size)
+        f = compile_map(data.draw(entries(3)), _STATES, _EXO)
+        g = compile_matrix(data.draw(st.lists(entries(q), min_size=3, max_size=3)), _STATES, _EXO)
+        values = st.one_of(st.floats(-10.0, 10.0), _ANY_FLOAT)
+        Z = data.draw(st.lists(values, min_size=6 * m, max_size=6 * m))
+        e = dict(zip(_EXO, data.draw(st.lists(values, min_size=2, max_size=2))))
+        U = data.draw(st.lists(values, min_size=2 * q, max_size=2 * q))
+        rhs, stack = exprlang.lifted_rhs(f, g), exprlang.lifted_stack(f, g)
+        want = []
+        try:
+            for j in range(0, 6 * m, 6):
+                want += rhs(Z[j:j + 6], e, U)
+        except Exception:  # any member's error: the stack raises too
+            with pytest.raises(Exception):
+                stack(Z, e, U)
+        else:
+            assert [v.hex() for v in stack(Z, e, U)] == [v.hex() for v in want]
+
+    def test_lines_that_read_no_state_run_once(self):
+        f = compile_map([parse("-x + 0*log(y)"), parse("zz*(y - q_c)"), parse("2*w1")],
+                        _STATES, _EXO)
+        g = compile_matrix([[parse("y^2")], [parse("x")], [parse("1")]], _STATES, _EXO)
+        prologue, loop = exprlang.lifted_stack(f, g).source.split("for j in")
+        assert "raise EvalError" in prologue and "_log(" in prologue and "= U" in prologue
+        assert "e[" not in loop and "_log(" not in loop
+        # y - q_c and the product y^2 * u, each once before the loop
+        assert prologue.count(" - ") == 1 and re.search(r"= 0\.0 \+ t\d+ \* u", prologue)
+
+
+class TestLiteralFolding:
+    """``+``, ``-`` and ``*`` of two literals is computed when the program is
+    generated: one float operation, which cannot raise, gives the bits the
+    line would give."""
+
+    @pytest.mark.parametrize("text", ["0.2*x^0", "x^0 + 2.5", "3 - 4*zz^0", "-(2*3) + x*y"])
+    def test_folded_source_value_and_tangent(self, text):
+        asts = [parse(text)]
+        fn = compile_map(asts, _STATES, _EXO)
+        for source in (fn.source, fn.tangent.build().source,
+                       _float_program(asts, _STATES, _EXO, tangent=True).source):
+            assert not re.search(r"= C\d+ [-+*] C\d+$", source, re.M), source
+        for x, dx in (([0.5, -0.0, 2.0], [1.0, 0.5, -1.0]), ([0.0, 3.0, -0.0], [-0.0, 0.0, 1.0])):
+            TestCompileMap._check(asts, [x[0], 1.5, x[1], -2.0, x[2]])
+            TestGeneratedTangent._check(asts, x, dx, {"y": 1.5, "q_c": -2.0})
+
+
 class TestSubstituteAndTrace:
     def test_substitution_is_simultaneous(self):
         swapped = substitute(parse("x + y*x"), {"x": Var("y"), "y": Var("x")})

@@ -21,6 +21,7 @@ from diffdiss import (
 from diffdiss.examples import MotorParams, induction_motor_virtual, lti
 import diffdiss.systems as systems
 from diffdiss.numerics import FLOAT_ERRORS, DualScalar, IntegrationError, sin, value_part
+from diffdiss import exprlang
 from diffdiss.exprlang import EvalError, compile_map, parse
 from diffdiss.interconnect import state_feedback
 from diffdiss.systems import batch_rows
@@ -789,6 +790,55 @@ class TestEnsemble:
                               np.ones((2, 2)), t_final=1.0, stepper=Rk4(1e-2))
         assert raised[0] == raised[1]
         assert "log of a non-positive value" in raised[0][1]
+
+    @pytest.mark.parametrize("f, x0s, w, text", [
+        # w reaches 0 at t = 0.5
+        ("-x1 + 0*log(w)", [[1.0], [0.5]], "0.5 - t", "log of a non-positive value"),
+        # member 1 fails the sqrt guard in the first call, where the hoisted
+        # log guard fails too; the array program checks sqrt first
+        ("-1 + 0*sqrt(x1) + 0*log(w)", [[1.0], [-1.0]], "-t", "sqrt of a negative value"),
+    ])
+    def test_hoisted_guard_error_is_the_array_paths(self, monkeypatch, f, x0s, w, text):
+        # log(w) reads no state, so the stack program checks its guard once,
+        # before the members
+        from diffdiss.cli import _build_expr_system
+
+        sys = _build_expr_system({"n": 1, "q": 1, "f": [f], "g": [["1"]], "h": ["x1"],
+                                  "exo": {"w": {"kind": "expr", "expr": w}}}, "/system")
+        source = exprlang.lifted_stack(sys.f, sys.g).source
+        assert source.index("log of a non-positive") < source.index("for j in")
+        raised = _paths_raise(monkeypatch, EvalError, sys, x0s, np.ones((2, 1)),
+                              t_final=1.0, stepper=Rk4(0.1))
+        assert raised[0] == raised[1]
+        assert text in raised[0][1]
+
+    @pytest.mark.parametrize("stepper", [Rk4(1e-2), Rk45(1e-8)], ids=["rk4", "rk45"])
+    def test_stack_makes_one_program_call_per_field_call(self, rng, monkeypatch, stepper):
+        calls = {"stack": 0, "member": 0}
+        lifted_rhs, lifted_stack = exprlang.lifted_rhs, exprlang.lifted_stack
+
+        def counting_rhs(f, g):
+            rhs = lifted_rhs(f, g)
+
+            def counted(X, e, U):
+                calls["member"] += type(X[0]) is float  # not the pass after integration
+                return rhs(X, e, U)
+
+            return counted
+
+        def counting_stack(f, g):
+            stack = lifted_stack(f, g)
+            return lambda Z, e, U: calls.__setitem__("stack", calls["stack"] + 1) or stack(Z, e, U)
+
+        monkeypatch.setattr(exprlang, "lifted_rhs", counting_rhs)
+        monkeypatch.setattr(exprlang, "lifted_stack", counting_stack)
+        sys = induction_motor_virtual(MotorParams(omega_r=Signal.from_expr("9 + sin(3*t)"))).system
+        u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
+        x0s = rng.uniform(-1.5, 1.5, size=(9, 4))
+        _, _, solver, field_calls = _solve(monkeypatch, None, sys, x0s, x0s / 2, u=u,
+                                           t_final=0.2, stepper=stepper)
+        assert solver == "_integrate_floats" and field_calls > 0
+        assert calls == {"stack": field_calls, "member": 0}
 
     @pytest.mark.parametrize("stepper, text", [
         (Rk4(1e-2), "non-finite state during RK4 step"),
