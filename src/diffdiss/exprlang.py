@@ -606,7 +606,9 @@ class _Program:
                  deriv: Callable[[int], str] | None = None, floats: bool = False):
         self.floats = floats
         self.lines: list[str] = []
-        self.varying: set[str] | None = None  # see :meth:`split`
+        # in a stack program, the state locals and every local a member line
+        # assigned: a line that reads one is a member line (see :meth:`emit`)
+        self.varying: set[str] | None = None
         self.member_lines: list[str] = []
         self.count = 0
         self.consts: dict[tuple, str] = {}  # (type, float bits) -> global name
@@ -631,16 +633,12 @@ class _Program:
         self.count += 1
         return f"{prefix}{self.count}"
 
-    def split(self, members: Iterable[str]) -> None:
-        """From here on, send each line that reads one of the locals
-        ``members``, or a local a member line assigned, to the member lines;
-        every other line stays in :attr:`lines`.  A line holds generated
-        names only (and a guard's message), so a local it names is a local
-        it reads or assigns."""
-        self.varying = set(members)
-
     def emit(self, line: str, *targets: str) -> None:
-        """Append ``line``, which assigns the locals ``targets``."""
+        """Append ``line``, which assigns the locals ``targets``: to the
+        member lines if it names a local in ``varying`` (its targets then
+        join ``varying``), else to :attr:`lines`.  A line holds generated
+        names only (and a guard's message), so a local it names is one it
+        reads or assigns."""
         if self.varying is not None and not self.varying.isdisjoint(_NAME.findall(line)):
             self.varying.update(targets)
             self.member_lines.append(line)
@@ -1047,7 +1045,7 @@ def lifted_stack(f, g):
     program = _Program((), None, floats=True)
     states = [program.fresh("s") for _ in range(2 * n)]
     program.restart(f.names, states.__getitem__, lambda k: states[n + k])
-    program.split(states)
+    program.varying = set(states)
     rows = program.lifted_rows(f, g)
     program.lines += ["out = []", f"for j in range(0, len(Z), {2 * n}):",
                       f"    {', '.join(states)}, = Z[j:j + {2 * n}]",
