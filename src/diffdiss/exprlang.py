@@ -540,9 +540,42 @@ _GUARDED_FN = {
 
 
 @functools.lru_cache(maxsize=256)
-def _code(source: str):
-    """The code of a program's ``source``, compiled once per distinct source."""
-    return compile(source, "<exprlang program>", "exec")
+def _code(source: str, free: bool):
+    """``(source, code)``: a program's ``source``, with :func:`_free`'s
+    ``del`` lines if ``free``, and its compiled code, both made once per
+    distinct source."""
+    if free:
+        source = _free(source)
+    return source, compile(source, "<exprlang program>", "exec")
+
+
+def _free(source: str) -> str:
+    """The program ``source`` with ``del`` of each generated local (``t…``
+    or ``w…``) after the statement that names it last, a ``try`` block with
+    its ``except`` being one statement; a local the ``return`` names is
+    kept.  Each temporary of a batch is then freed after its last use, not
+    when the program returns, and no line changes."""
+    head, *body, result = source.splitlines(keepends=True)
+    statements: list[list[str]] = []
+    for line in body:
+        if line.startswith(("     ", "    except")):
+            statements[-1].append(line)
+        else:
+            statements.append([line])
+    last = {name: k for k, statement in enumerate(statements)
+            for name in _LOCAL.findall("".join(statement))}
+    kept = set(_LOCAL.findall(result))
+    dying: list[list[str]] = [[] for _ in statements]
+    for name, k in last.items():  # in the order of first use
+        if name not in kept:
+            dying[k].append(name)
+    out = [head]
+    for statement, names in zip(statements, dying):
+        out += statement
+        if names:
+            out.append(f"    del {', '.join(names)}\n")
+    out.append(result)
+    return "".join(out)
 
 
 def _pick_pair(test, av, ad, bv, bd):
@@ -582,6 +615,7 @@ _TEST_OPS = {operator.eq: "==", operator.le: "<=", operator.lt: "<"}
 _PRODUCT = BinOp("*", Const(0.0), Const(0.0))  # stands for a product the generator makes
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _NAME = re.compile(r"[A-Za-z_]\w*")
+_LOCAL = re.compile(r"\b[tw]\d+\b")  # a generated local that :func:`_free` frees
 
 
 class _Program:
@@ -960,10 +994,15 @@ class _Program:
 
     def function(self, params: str, result: str):
         """The generated function ``program(params) -> result`` over this
-        program's globals; ``program.source`` is its source."""
+        program's globals; ``program.source`` is its source.  A program not
+        of the float kind may run on batch arrays, so its source is the
+        lines with :func:`_free`'s ``del`` lines added, and each temporary
+        is freed after its last use; a float program holds floats and is
+        the lines as they are."""
         body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def program({params}):\n{body}    return {result}\n"
-        exec(_code(source), self.scope)
+        source, code = _code(f"def program({params}):\n{body}    return {result}\n",
+                             not self.floats)
+        exec(code, self.scope)
         program = self.scope.pop("program")
         program.source = source
         return program

@@ -929,6 +929,82 @@ class TestLiftedStack:
         assert prologue.count(" - ") == 1 and re.search(r"= 0\.0 \+ t\d+ \* u", prologue)
 
 
+_DEL = re.compile(r"^    del (.*)\n", re.M)
+
+
+class TestFreedTemporaries:
+    """A value, tangent or lifted program, which may run on batch arrays,
+    deletes each generated local after the statement that names it last:
+    its source is the generated lines with ``del`` lines added, no name is
+    read after its ``del``, and a returned name is never deleted.  Float
+    programs hold floats and have no ``del``."""
+
+    @staticmethod
+    def _built(asts):
+        """The value and tangent programs of ``asts`` built with no cached
+        code, and each source ``_free`` was given, in build order."""
+        real, inputs = exprlang._free, []
+
+        def free(source):
+            inputs.append(source)
+            return real(source)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprlang, "_code", exprlang._code.__wrapped__)
+            patch.setattr(exprlang, "_free", free)
+            fn = compile_map(asts, _STATES, _EXO)
+            programs = [fn, fn.tangent.build()]
+        return programs, inputs
+
+    @staticmethod
+    def _check_freed(source):
+        body, result = source.rsplit("\n    return ", 1)
+        lines = body.split("\n")
+        deleted = []
+        for k, line in enumerate(lines):
+            match = _DEL.match(line + "\n")
+            if match:
+                names = match.group(1).split(", ")
+                later = set(re.findall(r"\b[tw]\d+\b", "\n".join(lines[k + 1:]) + result))
+                assert later.isdisjoint(names), (names, source)
+                deleted += names
+        assert len(deleted) == len(set(deleted))
+        # every generated local the return does not name is deleted
+        named = set(re.findall(r"\b[tw]\d+\b", _DEL.sub("", body)))
+        assert set(deleted) == named - set(re.findall(r"\b[tw]\d+\b", result))
+
+    @given(st.one_of(_shared_rows(), st.lists(_all_exprs(3), min_size=1, max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_sources_are_the_lines_with_del_added(self, asts):
+        programs, inputs = self._built(asts)
+        assert [_DEL.sub("", fn.source) for fn in programs] == inputs
+        for fn in programs:
+            self._check_freed(fn.source)
+        float_sources = [_float_program(asts, _STATES, _EXO, tangent=t).source
+                         for t in (False, True)]
+        assert not any("del " in source for source in float_sources)
+
+    def test_lifted_programs(self):
+        f = compile_map([parse("-x + 0*log(y)"), parse("zz*(y - q_c)"), parse("2*w1")],
+                        _STATES, _EXO)
+        g = compile_matrix([[parse("y^2")], [parse("x")], [parse("1")]], _STATES, _EXO)
+        source = exprlang.lifted_rhs(f, g).source
+        assert "del " in source
+        self._check_freed(source)
+        assert "del " not in exprlang.lifted_stack(f, g).source
+
+    def test_warm_rebuild_runs_no_pass(self, monkeypatch):
+        texts = ["2*x*y + log(x + q_c)", "3.75*x*y + log(x + q_c)"]
+        compile_map([parse(texts[0])], _STATES, _EXO).tangent.build()
+        calls = []
+        monkeypatch.setattr(exprlang, "_free", lambda source: calls.append(source))
+        fn = compile_map([parse(texts[1])], _STATES, _EXO)
+        fn.tangent.build()
+        assert calls == []
+        assert fn([0.5, 1.0, 2.0], {"y": 2.0, "q_c": 1.5}) == [
+            evaluate(parse(texts[1]), {"x": 0.5, "y": 2.0, "q_c": 1.5})]
+
+
 class TestLiteralFolding:
     """``+``, ``-`` and ``*`` of two literals is computed when the program is
     generated: one float operation, which cannot raise, gives the bits the

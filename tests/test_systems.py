@@ -410,6 +410,25 @@ class TestFusedLift:
         want = lift(_python_maps(sys)).rhs_with(X, {}, U)
         assert _entry_bits(lifted.rhs_with(X, {}, U)) == _entry_bits(want)
 
+    def test_batch_temporaries_are_freed(self, rng):
+        import tracemalloc
+
+        lifted = lift(induction_motor_virtual().system)
+        assert _fused(lifted)
+        N = 3600
+        X = list(rng.standard_normal((2 * lifted.base.n, N)))
+        U = list(rng.standard_normal((2 * lifted.base.q, N)))
+        e = {name: rng.standard_normal(N) for name in lifted.exo}
+        lifted.rhs_with(X, e, U)
+        tracemalloc.start()
+        try:
+            lifted.rhs_with(X, e, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.5 MB when every temporary lives until the program returns
+        assert peak < 1024 * 1024
+
     @pytest.mark.parametrize("f, g, offset", [
         (["x1 + 2/(x1 - 1)"], [["1/(x1 - 1)"]], 6),  # f and g share the divisor: f's offset
         (["x1^2"], [["3/(x1 - 1)"]], 1),  # only g divides by zero: g's offset
@@ -1055,6 +1074,15 @@ class TestGeneratedStep:
         simulate_prolonged(rc_circuit().system, [0.4], [0.5], u=u, t_final=0.1,
                            stepper=Rk4(1e-2))
         assert len(built) == 1
+
+    def test_float_programs_free_nothing(self):
+        # a float program holds floats: it is the generated lines as they are
+        lifted = lift(induction_motor_virtual().system)
+        sigs = systems.signal_vector([0.5, -0.5], 2) * 2
+        for program in (systems._rk4_step(lifted, sigs),
+                        exprlang.lifted_stack(lifted.base.f, lifted.base.g)):
+            assert "del " not in program.source
+        assert "del " in lifted.rhs_with.source
 
     def test_runs_of_one_structure_share_one_code(self):
         import re
