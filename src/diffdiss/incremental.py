@@ -133,8 +133,10 @@ def finsler_length(
     sampled (x, dx) pairs before any length is reported.  A storage's own
     ``gauge`` (a bound :meth:`QuadraticDifferentialStorage.gauge`) is then
     evaluated in one call over every member and sample, with the bits of
-    the calls point by point; any other gauge is called point by point.
-    Each time's quadrature sums in the same order either way.
+    the calls point by point; any other gauge is called point by point,
+    time by time.  The trapezoid terms of every time are one array
+    expression, and each time's terms are summed by ``np.sum`` alone, so
+    each length is, bit for bit, ``_trapezoid`` of that time's values.
     """
     rng = np.random.default_rng(seed)
     times = family.times
@@ -156,16 +158,13 @@ def finsler_length(
         both = gauge(x, [a + b for a, b in zip(dx, other)])
         if both > base + gauge(x, other) + 1e-12:
             convexity_violations += 1
-    batch = _library_gauge(family, gauge)
-    lengths = np.empty(n_t)
-    for k in range(n_t):
-        if batch is not None:
-            vals = batch[k]
-        else:
-            vals = np.array(
-                [gauge(m.x[k].tolist(), m.dx[k].tolist()) for m in family.members]
-            )
-        lengths[k] = _trapezoid(vals, family.s_grid)
+    values = _library_gauge(family, gauge)
+    if values is None:
+        values = np.array([[gauge(m.x[k].tolist(), m.dx[k].tolist()) for m in family.members]
+                           for k in range(n_t)])
+    # each time's _trapezoid terms; np.sum of a row is the bits of _trapezoid
+    terms = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(family.s_grid)
+    lengths = np.array([np.sum(row) for row in terms], dtype=float)
     return LengthTrace(times=times, lengths=lengths,
                        convexity_violations=convexity_violations)
 

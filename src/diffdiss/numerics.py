@@ -775,7 +775,9 @@ def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
     """Dormand-Prince steps with first-same-as-last reuse: the last stage is
     evaluated at exactly (t + h, x5), so after an accepted step it is the
     next step's first stage, and after a rejected step the first stage is
-    unchanged.  Returns the number of rejected steps."""
+    unchanged.  The tableau's last row of ``_DP_A`` is the fifth-order
+    weights, so that stage's point is x5, summed term for term in the
+    order the weights give.  Returns the number of rejected steps."""
     tol = stepper.tol
     t = t0
     h = min((t1 - t0) / 100.0, 0.1)
@@ -797,11 +799,9 @@ def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
                     if aij != 0.0:
                         xi = xi + (h * aij) * ks[j]
                 ks.append(field(t + _DP_C[i] * h, xi))
-            x5 = x.copy()
+            x5 = xi  # the last stage's point: _DP_A[6] is _DP_B5[:6] and _DP_B5[6] is 0.0
             err = np.zeros_like(x)
             for i in range(7):
-                if _DP_B5[i] != 0.0:
-                    x5 = x5 + (h * _DP_B5[i]) * ks[i]
                 db = _DP_B5[i] - _DP_B4[i]
                 if db != 0.0:
                     err = err + (h * db) * ks[i]

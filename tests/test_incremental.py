@@ -22,7 +22,7 @@ from diffdiss import (
 )
 from diffdiss.examples import lti
 from diffdiss.exprlang import EvalError, compile_matrix, parse
-from diffdiss.incremental import _library_gauge
+from diffdiss.incremental import _library_gauge, _trapezoid
 
 from conftest import rotation, scalar_cubic, scalar_leaky, scalar_stiffening
 
@@ -152,6 +152,33 @@ class TestFinslerLength:
         per_point = finsler_length(fam, lambda x, dx: storage.gauge(x, dx))
         assert batched.lengths.tobytes() == per_point.lengths.tobytes()
         assert batched.convexity_violations == per_point.convexity_violations
+
+    @pytest.mark.parametrize("case", ["rotation", "motor"])
+    def test_lengths_are_each_times_trapezoid(self, case):
+        if case == "rotation":
+            storage = QuadraticDifferentialStorage.identity(2)
+            fam = homotopy_integrate(rotation(), lambda s: [0.3 + s, -0.2 + 0.5 * s],
+                                     t_final=0.5, n_s=17, stepper=Rk4(1e-2))
+        else:  # a converge run's family: 9 members under Rk45, the motor's storage
+            from diffdiss.examples import induction_motor_virtual
+
+            motor = induction_motor_virtual()
+            storage = motor.storage
+            a, b = [1.0, 0.0, 1.3, 0.2], [1.5, -0.3, 1.0, 0.6]
+            fam = homotopy_integrate(motor.system, lambda s: [p + s * (q - p) for p, q in zip(a, b)],
+                                     u=[Signal.from_expr("0.3*sin(t)"),
+                                        Signal.from_expr("0.2*cos(t)")],
+                                     gamma0_deriv=lambda s: [q - p for p, q in zip(a, b)],
+                                     t_final=4.0, n_s=9, stepper=Rk45(1e-8))
+        python_gauge = lambda x, dx: storage.gauge(x, dx)
+        batch = _library_gauge(fam, storage.gauge)
+        assert batch is not None and batch.shape == (len(fam.times), len(fam.members)) > (50,)
+        for gauge in (storage.gauge, python_gauge):
+            trace = finsler_length(fam, gauge)
+            want = [_trapezoid(np.array([python_gauge(m.x[k].tolist(), m.dx[k].tolist())
+                                         for m in fam.members]), fam.s_grid)
+                    for k in range(len(fam.times))]
+            assert trace.lengths.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("case", ["guard", "zero-over-zero"])
     def test_library_gauge_that_raises_raises_as_per_point(self, case):

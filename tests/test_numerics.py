@@ -294,6 +294,11 @@ class TestIntegrate:
         assert np.array_equal(sol.times, times)
         assert np.array_equal(sol.states, states)
 
+    def test_last_stage_point_is_the_fifth_order_solution(self):
+        # so the stepper takes x5 as the point of the stage it evaluates last
+        assert numerics._DP_A[6] == numerics._DP_B5[:6]
+        assert numerics._DP_B5[6] == 0.0 and numerics._DP_C[6] == 1.0
+
     def test_counts_on_empty_span(self):
         sol = integrate(lambda t, x: -x, [1.0], (0.0, 0.0), Rk45())
         assert (sol.nfev, sol.n_accepted, sol.n_rejected) == (0, 0, 0)
