@@ -662,6 +662,7 @@ class _Program:
         self.nodes: dict[tuple, tuple] = {}  # node key -> (value, derivative or None)
         self.exo: dict[str, str] = {}  # exogenous name -> the local holding it
         self.guarded: set[tuple] = set()  # (test, value) of every guard so far
+        self.sums: dict[str, str] = {}  # a line of a dot chain -> the local holding it
 
     def fresh(self, prefix: str = "t") -> str:
         self.count += 1
@@ -959,7 +960,9 @@ class _Program:
     def dot(self, first: str, row: Sequence[str], u: Sequence[str]) -> str:
         """``first + numerics.dot(row, u)``: ``acc = acc + a * b`` from 0.0.
         A product of two constants, and a sum of two, is computed here, by
-        the same float operation the line would perform."""
+        the same float operation the line would perform.  Each line is
+        generated once per DAG: a chain over the same operands as an earlier
+        one (two equal rows of g) is that chain's local."""
         acc = "0.0"
         for a, b in zip(row, u):
             term, ca, cb = f"{a} * {b}", self.constant(a), self.constant(b)
@@ -969,8 +972,16 @@ class _Program:
                 if c is not None:
                     acc = self.const(c + self.literals[term])
                     continue
-            acc = self.let(f"{acc} + {term}")
-        return self.let(f"{first} + {acc}")
+            acc = self.sum(f"{acc} + {term}")
+        return self.sum(f"{first} + {acc}")
+
+    def sum(self, source: str) -> str:
+        """The local holding ``source``, a line of a dot chain, which names
+        locals of this DAG and constants only."""
+        name = self.sums.get(source)
+        if name is None:
+            name = self.sums[source] = self.let(source)
+        return name
 
     def constant(self, source: str) -> float | None:
         """The value of ``source`` if it is the literal 0.0 or a constant's

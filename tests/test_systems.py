@@ -410,6 +410,24 @@ class TestFusedLift:
         want = lift(_python_maps(sys)).rhs_with(X, {}, U)
         assert _entry_bits(lifted.rhs_with(X, {}, U)) == _entry_bits(want)
 
+    def test_equal_rows_of_g_share_their_dot_chains(self, rng):
+        # the motor's g has two equal rows: their g·u chains are one chain
+        sys = induction_motor_virtual().system
+        lifted, reference = lift(sys), lift(_python_maps(sys))
+        for source in (lifted.rhs_with.source, exprlang.lifted_stack(sys.f, sys.g).source):
+            right = re.findall(r"(?m)^ +t\d+ = (.*)$", source)
+            assert len(right) == len(set(right))
+        names = sorted(sys.exo)
+        for m in (None, 5):
+            shape = lambda k: (k,) if m is None else (k, m)
+            X, U = list(rng.uniform(-1.0, 1.0, shape(8))), list(rng.uniform(-1.0, 1.0, shape(4)))
+            e = {w: rng.uniform(0.0, 1.0, shape(1))[0] for w in names}
+            if m is None:
+                X, U, e = ([float(v) for v in X], [float(v) for v in U],
+                           {w: float(v) for w, v in e.items()})
+            assert _entry_bits(lifted.rhs_with(X, e, U)) == _entry_bits(
+                reference.rhs_with(X, e, U))
+
     def test_batch_temporaries_are_freed(self, rng):
         import tracemalloc
 
