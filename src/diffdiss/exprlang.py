@@ -54,6 +54,8 @@ config text enters a program's source, so maps of one structure share one
 compiled code object (:func:`_code` keeps the last 256 sources it
 compiled); a new structure costs one ``compile()``, about 0.3-0.5 ms for a
 map and 1.4-3.6 ms for the RK4 step of a small system (2-vCPU x86-64 host).
+A program that may run on batch arrays frees each temporary after its last
+use (:func:`_free`), so a batched call holds its live temporaries only.
 
 Expressions nest at most :data:`MAX_DEPTH` levels deep (each operator,
 function call, sign and pair of parentheses is a level), so that every tree
@@ -527,10 +529,17 @@ def _layout(items: list[str], widths: list[int] | None) -> str:
 # constants, guard offsets, exogenous names and helpers are bound in the
 # program's globals, so no config text enters it.  Maps of one structure
 # then have one source, and :func:`_code` compiles it once for all of them;
-# each binds its own constants in its own globals.  A program of the float
-# kind runs on floats only: its lines perform what the value and dual lines
-# perform on floats, with no helper call where ``numerics`` would make only
-# float operations.
+# each binds its own constants in its own globals.  The lines of a g·u dot
+# chain are outside the DAG's nodes but are generated once per DAG too, keyed
+# on their source, so two equal rows of g share one chain.  A value, tangent
+# or lifted program may run on batch arrays, where each temporary is an
+# array: when its source is first compiled, :func:`_free` adds a ``del`` of
+# each generated local after the statement that names it last (a name the
+# ``return`` reads is kept), so a batched call holds only the temporaries
+# still to be read, and no line changes.  A program of the float kind runs
+# on floats only and has no ``del``: its lines perform what the value and
+# dual lines perform on floats, with no helper call where ``numerics`` would
+# make only float operations.
 
 
 _GUARDED_FN = {

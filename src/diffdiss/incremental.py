@@ -162,7 +162,7 @@ def finsler_length(
     if values is None:
         values = np.array([[gauge(m.x[k].tolist(), m.dx[k].tolist()) for m in family.members]
                            for k in range(n_t)])
-    # each time's _trapezoid terms; np.sum of a row is the bits of _trapezoid
+    # a row's np.sum adds as _trapezoid does; terms.sum(axis=1) may add in another order
     terms = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(family.s_grid)
     lengths = np.array([np.sum(row) for row in terms], dtype=float)
     return LengthTrace(times=times, lengths=lengths,
