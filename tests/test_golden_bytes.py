@@ -94,6 +94,19 @@ CERT_AP = {
     "grid_u": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [3, 3]},
 }
 
+# state-dependent M, W and g and an exogenous signal in f, which the
+# certificate freezes at t = 0
+CERT_UC_EXPR = {
+    "system": {"n": 2, "q": 1, "exo": {"w": {"kind": "expr", "expr": "0.5*cos(3*t)"}},
+               "f": ["-(1 + w^2)*x1", "-x2/(1 + x2^2)"], "g": [["0"], ["1/(1 + x2^2)"]],
+               "h": ["x2"]},
+    "storage": {"M": [["1", "0"], ["0", "1 + x2^2"]]},
+    "supply": {"W": [["1 + x2^2"]]},
+    "pi": [[0.0], [1.0]],
+    "grid": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [9, 9], "extra_random": 7,
+             "seed": 3},
+}
+
 # one member under the adaptive stepper
 RC_AUDIT_RK45 = {
     "system": RC_AUDIT["system"],
@@ -202,6 +215,10 @@ CASES = {
     "certify-uc": (["certify-uc"], CERT_UC, {
         "certificate_report.json":
             "8cc2f072a1b2858e551f1722df63e2f504566b4541e9f8911cafbf3442852577",
+    }),
+    "certify-uc-expr": (["certify-uc"], CERT_UC_EXPR, {
+        "certificate_report.json":
+            "4b627d259dec7d9a606eefd23431c84e81910272ffc29708ff08fb050cd19ff2",
     }),
     "certify-ap": (["certify-ap"], CERT_AP, {
         "certificate_report.json":
