@@ -26,6 +26,7 @@ of :mod:`diffdiss.systems`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -405,23 +406,55 @@ class CertificateReport:
         raise KeyError(name)
 
 
-def _condition(name: str, kind: str, values: np.ndarray, tol: float, points: np.ndarray,
-               inputs: np.ndarray | None = None) -> ConditionResult:
-    """The grid's worst point for one condition.  ``values`` holds one entry
-    per row of ``points`` (and ``inputs``), larger meaning worse; for a
-    "psd-margin" condition they are negated margins."""
+def _certificate(sys: DynSystem, m_fun, w_fun, grid_x: GridSpec, grid_u: GridSpec | None,
+                 t: float, conditions) -> CertificateReport:
+    """Evaluate each map once over ``grid_x`` at time ``t``, in one order: M,
+    W, g, i (with throughput only), D[M f], Dh as (N, r, c) stacks ``m, w, g,
+    i, dmf, dh``; given ``grid_u``, D[i u] and D[M g u] as (N, nu, r, c)
+    stacks ``diu, dmgu`` over the (state x input) product.  Report each
+    condition ``(name, kind, threshold, values)`` at the largest (worst) of
+    ``values(maps)``, one per state or per product row; "psd-margin" negates."""
+    e = sys.exo_at(t)
+    pts = grid_x.points()
+    nx, nu = len(pts), 1
+    x = list(pts.T)
 
-    def where(k):
-        return f"x = {grid_point(points[k])}" + (
-            "" if inputs is None else f", u = {grid_point(inputs[k])}")
+    def square(name, fun, size):
+        a = batch_matrix(fun(x), nx)
+        if a.shape[1:] != (size, size):
+            raise InvalidCertificate(f"{name} must be {size}x{size}, got {a.shape[1:]}")
+        return a
 
-    k = argworst(values, f"certificate condition {name}", where)
-    point = grid_point(points[k])
-    input_ = None if inputs is None else grid_point(inputs[k])
-    worst = float(values[k])
-    if kind == "psd-margin":
-        return ConditionResult(name, kind, -worst, -tol, worst <= tol, point, input_)
-    return ConditionResult(name, kind, worst, tol, worst <= tol, point, input_)
+    with np.errstate(**FLOAT_ERRORS):
+        maps = SimpleNamespace(m=square("M", m_fun, sys.n), w=square("W", w_fun, sys.q),
+                               g=batch_matrix(sys.g(x, e), nx))
+        maps.i = batch_matrix(sys.i(x, e), nx) if sys.has_throughput else None
+        maps.dmf = jacobian(lambda z: mat_vec(m_fun(z), sys.f(z, e)), pts)
+        maps.dh = jacobian(lambda z: sys.h(z, e), pts)
+        if grid_u is not None:
+            pts_u = grid_u.points()
+            nu = len(pts_u)
+            # row k of the (state x input) product is state k // nu with input k % nu
+            xs, us = np.repeat(pts, nu, axis=0), np.tile(pts_u, (nx, 1))
+            u = list(us.T)
+            maps.diu = jacobian(lambda z: mat_vec(sys.i(z, e), u), xs).reshape(nx, nu, sys.q, sys.n)
+            maps.dmgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)),
+                                 xs).reshape(nx, nu, sys.n, sys.n)
+        results = []
+        for name, kind, tol, values in conditions:
+            v = values(maps)
+            points, inputs = (pts, None) if v.ndim == 1 else (xs, us)
+
+            def where(k):
+                return f"x = {grid_point(points[k])}" + (
+                    "" if inputs is None else f", u = {grid_point(inputs[k])}")
+
+            k = argworst(v.reshape(-1), f"certificate condition {name}", where)
+            worst, sign = float(v.flat[k]), -1.0 if kind == "psd-margin" else 1.0
+            results.append(ConditionResult(name, kind, sign * worst, sign * tol, worst <= tol,
+                                           grid_point(points[k]),
+                                           None if inputs is None else grid_point(inputs[k])))
+    return CertificateReport(results, nx * nu, all(c.passed for c in results))
 
 
 def check_uc(
@@ -442,9 +475,10 @@ def check_uc(
         (c) Dh(x)^T W(x) equals M(x)^T Pi,
 
     at every grid point.  Exogenous signals are frozen at time ``t``.  Each
-    map is evaluated over the whole grid at once (see the batch contract in
-    :mod:`diffdiss.systems`); a non-finite margin or residual raises
-    :class:`NumericalError`.
+    map is evaluated once over the whole grid, in the order M, W, g, D[M f],
+    Dh (see the batch contract in :mod:`diffdiss.systems`).  An M that is not
+    n x n or a W that is not q x q raises :class:`InvalidCertificate`, and a
+    non-finite margin or residual :class:`NumericalError`.
     """
     if sys.has_throughput:
         raise InvalidCertificate("this certificate applies to throughput-free systems")
@@ -454,25 +488,12 @@ def check_uc(
     sv = np.linalg.svd(pi, compute_uv=False)
     if sv[0] <= 0.0 or sv[0] / max(sv[-1], 1e-300) > 1e12:
         raise InvalidCertificate("Pi is singular or ill-conditioned beyond 1e12")
-
-    e = sys.exo_at(t)
-    pts = grid.points()
-    x = list(pts.T)
-    with np.errstate(**FLOAT_ERRORS):
-        m = batch_matrix(m_fun(x), len(pts))
-        g = batch_matrix(sys.g(x, e), len(pts))
-        w = batch_matrix(w_fun(x), len(pts))
-        jac_mf = jacobian(lambda z: mat_vec(m_fun(z), sys.f(z, e)), pts)
-        jh = jacobian(lambda z: sys.h(z, e), pts)
-        conditions = [
-            _condition("storage-decay", "nsd-margin", nsd_margin(transpose(m) @ jac_mf),
-                       tol_margin, pts),
-            _condition("input-gain-constancy", "residual", frobenius(m @ g - pi),
-                       tol_residual, pts),
-            _condition("output-supply-match", "residual", frobenius(transpose(jh) @ w - transpose(m) @ pi),
-                       tol_residual, pts),
-        ]
-    return CertificateReport(conditions, len(pts), all(c.passed for c in conditions))
+    return _certificate(sys, m_fun, w_fun, grid, None, t, (
+        ("storage-decay", "nsd-margin", tol_margin, lambda q: nsd_margin(transpose(q.m) @ q.dmf)),
+        ("input-gain-constancy", "residual", tol_residual, lambda q: frobenius(q.m @ q.g - pi)),
+        ("output-supply-match", "residual", tol_residual,
+         lambda q: frobenius(transpose(q.dh) @ q.w - transpose(q.m) @ pi)),
+    ))
 
 
 def check_ap(
@@ -495,8 +516,8 @@ def check_ap(
     over the product of a state grid and an input grid.  Condition (3)
     compares like-shaped matrices only when the input dimension equals the
     state dimension; other shapes are rejected.  As in :func:`check_uc`,
-    each map is evaluated over the whole grid at once; condition (3) over
-    the (state x input) product, state-major.
+    each map is evaluated once over the state grid (M, W, g, i, D[M f], Dh),
+    then D[i u] and D[M g u] over the (state x input) product, state-major.
     """
     if not sys.has_throughput:
         raise InvalidCertificate("this certificate needs a throughput term i(x)")
@@ -504,34 +525,13 @@ def check_ap(
         raise InvalidCertificate(
             "the mixed Jacobian condition only conforms when input and state dimensions agree"
         )
-    e = sys.exo_at(t)
-    pts_x = grid_x.points()
-    pts_u = grid_u.points()
-    nx, nu = len(pts_x), len(pts_u)
-    x = list(pts_x.T)
-    # row k of the (state x input) product is state k // nu with input k % nu
-    xs = np.repeat(pts_x, nu, axis=0)
-    us = np.tile(pts_u, (nx, 1))
-    u = list(us.T)
-    with np.errstate(**FLOAT_ERRORS):
-        m = batch_matrix(m_fun(x), nx)
-        w = batch_matrix(w_fun(x), nx)
-        g = batch_matrix(sys.g(x, e), nx)
-        ix = batch_matrix(sys.i(x, e), nx)
-        jac_mf = jacobian(lambda z: mat_vec(m_fun(z), sys.f(z, e)), pts_x)
-        jh = jacobian(lambda z: sys.h(z, e), pts_x)
-        j_iu = jacobian(lambda z: mat_vec(sys.i(z, e), u), xs)
-        j_mgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)), xs)
-        gain_match = (transpose(j_iu) @ np.repeat(w, nu, axis=0)
-                      - np.repeat(transpose(m), nu, axis=0) @ j_mgu)
-        conditions = [
-            _condition("storage-decay", "nsd-margin", nsd_margin(transpose(m) @ jac_mf),
-                       tol_margin, pts_x),
-            _condition("output-supply-match", "residual",
-                       frobenius(transpose(jh) @ w - transpose(m) @ m @ g), tol_residual, pts_x),
-            _condition("throughput-gain-match", "residual", frobenius(gain_match),
-                       tol_residual, xs, us),
-            _condition("throughput-positivity", "psd-margin", -psd_margin(transpose(ix) @ w),
-                       tol_margin, pts_x),
-        ]
-    return CertificateReport(conditions, nx * nu, all(c.passed for c in conditions))
+    return _certificate(sys, m_fun, w_fun, grid_x, grid_u, t, (
+        ("storage-decay", "nsd-margin", tol_margin, lambda q: nsd_margin(transpose(q.m) @ q.dmf)),
+        ("output-supply-match", "residual", tol_residual,
+         lambda q: frobenius(transpose(q.dh) @ q.w - transpose(q.m) @ q.m @ q.g)),
+        ("throughput-gain-match", "residual", tol_residual,
+         lambda q: frobenius(transpose(q.diu) @ q.w[:, None]
+                             - transpose(q.m)[:, None] @ q.dmgu)),
+        ("throughput-positivity", "psd-margin", tol_margin,
+         lambda q: -psd_margin(transpose(q.i) @ q.w)),
+    ))
