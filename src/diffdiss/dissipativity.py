@@ -36,6 +36,7 @@ from .numerics import (
     NumericalError,
     argworst,
     batch_matrix,
+    dot,
     eye,
     frobenius,
     gradient,
@@ -136,10 +137,7 @@ class QuadraticDifferentialStorage:
         if len(dx) != self.n:
             raise ValueError(f"displacement must have {self.n} entries")
         w = mat_vec(self.m_fun(x), self.horizontal(x, dx))
-        acc = 0.0
-        for a in w:
-            acc = acc + a * a
-        return 0.5 * acc
+        return 0.5 * dot(w, w)
 
     def gauge(self, x: Sequence, dx: Sequence):
         """K(x, dx) = sqrt(2 S): positively homogeneous of degree 1."""
