@@ -296,12 +296,6 @@ def _build_storage(cfg: dict, sys_, bundle, required: bool = False,
     return QuadraticDifferentialStorage(m_fun, sys_.n, p_fun=p_fun)
 
 
-def _reject_projector(cfg: dict, command: str) -> None:
-    spec = cfg.get("storage")
-    if isinstance(spec, dict) and spec.get("projector") is not None:
-        raise ConfigError("/storage/projector", f"{command} does not support a projector")
-
-
 def _build_supply(cfg: dict, sys_, bundle, required: bool = False,
                   key: str = "supply", parent: str = ""):
     """The supply at ``{parent}/{key}``, or the one attached to the system."""
@@ -462,13 +456,21 @@ def cmd_audit(cfg, args, out_dir):
                    f"at t={report.worst_time:.3g})")
 
 
+def _certificate_maps(cfg: dict, command: str):
+    """``(system, storage, supply)`` of a certificate command, read in that
+    order; a storage projector is rejected before the supply is read."""
+    sys_, bundle = _build_system(cfg)
+    storage = _build_storage(cfg, sys_, bundle, required=True)
+    spec = cfg.get("storage")
+    if isinstance(spec, dict) and spec.get("projector") is not None:
+        raise ConfigError("/storage/projector", f"{command} does not support a projector")
+    return sys_, storage, _build_supply(cfg, sys_, bundle, required=True)
+
+
 def _certificate_uc(cfg: dict, args, command: str):
     """``(system, storage, supply, report)``: the uniform-tensor passivity
     certificate of the system of ``cfg`` checked on its grid."""
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle, required=True)
-    _reject_projector(cfg, command)
-    supply = _build_supply(cfg, sys_, bundle, required=True)
+    sys_, storage, supply = _certificate_maps(cfg, command)
     pi = _as_matrix(_get(cfg, "", "pi", required=True), "/pi")
     if np.shape(pi) != (sys_.n, sys_.q):
         raise ConfigError("/pi", f"expected {sys_.n} rows of {sys_.q} numbers")
@@ -483,10 +485,7 @@ def cmd_certify_uc(cfg, args, out_dir):
 
 
 def cmd_certify_ap(cfg, args, out_dir):
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle, required=True)
-    _reject_projector(cfg, "certify-ap")
-    supply = _build_supply(cfg, sys_, bundle, required=True)
+    sys_, storage, supply = _certificate_maps(cfg, "certify-ap")
     seed = _seed(cfg, args)
     grid_x = _build_grid(cfg, "grid", sys_.n, seed)
     grid_u = _build_grid(cfg, "grid_u", sys_.q, seed + 1, default_span=1.0)
