@@ -20,7 +20,7 @@ from diffdiss import (
 )
 from diffdiss.dissipativity import CertificateReport, ConditionResult
 from diffdiss.dissipativity import SupplyIntegrabilityError
-from diffdiss.exprlang import evaluate, parse
+from diffdiss.exprlang import compile_map, compile_matrix, evaluate, parse
 from diffdiss.examples import lti
 from diffdiss.numerics import NumericalError
 from diffdiss.numerics import frobenius, jacobian, mat_vec, nsd_margin, psd_margin
@@ -476,6 +476,21 @@ def _expr_system(n, q, f, g, h, i=None):
                      i=None if i is None else _expr_matrix(i, n), name="expr")
 
 
+def _compiled_system(n, q, f, g, h, i=None):
+    """A compiled system whose maps read the exogenous signal w = 0.5 cos(3 t)."""
+    names, exo = [f"x{k + 1}" for k in range(n)], ["w"]
+    matrix = lambda rows: compile_matrix([[parse(t) for t in row] for row in rows], names, exo)
+    return DynSystem(n, q, compile_map([parse(t) for t in f], names, exo), matrix(g),
+                     compile_map([parse(t) for t in h], names, exo),
+                     i=None if i is None else matrix(i),
+                     exo={"w": Signal.from_expr("0.5*cos(3*t)")}, name="compiled")
+
+
+def _compiled_matrix(rows, n):
+    return compile_matrix([[parse(t) for t in row] for row in rows],
+                          [f"x{k + 1}" for k in range(n)])
+
+
 def _same_report(a, b) -> bool:
     # json text compares floats by their repr, so -0.0 and 0.0 differ
     return json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
@@ -539,6 +554,80 @@ class TestBatchedCheckersMatchReference:
         assert _same_report(report, _ref_check_ap(*args))
         cond = report.condition("throughput-gain-match")
         assert cond.input is not None
+
+
+    def test_uc_compiled_maps_with_an_exogenous_signal(self):
+        sys = _compiled_system(
+            2, 1, ["-(1 + w^2)*x1 + 0.3*w*x2", "-0.3*w*x1 - x2/(1 + x2^2)"],
+            [["0"], ["(1 + 0.2*w)/(1 + x2^2)"]], ["x2 + w*x1"])
+        args = (sys, _compiled_matrix([["1", "0"], ["0", "1 + x2^2"]], 2), [[0.0], [1.0]],
+                _compiled_matrix([["1 + x2^2"]], 2),
+                GridSpec.box([-1.5, -1.5], [1.5, 1.5], [9, 7], extra_random=5, seed=6))
+        report = check_uc(*args, t=0.7)
+        assert _same_report(report, _ref_check_uc(*args, t=0.7))
+        assert not _same_report(report, check_uc(*args))
+
+    def test_ap_compiled_maps_with_an_exogenous_signal(self):
+        sys = _compiled_system(
+            2, 2, ["-(1 + w^2)*x1 - x1^3 + 0.3*x2", "-0.3*x1 - x2 + w*x2^2"],
+            [["1 + 0.1*w*x1", "-0.2"], ["0.3", "1/(1 + x2^2)"]],
+            ["x1 + w*x2", "-0.2*x1 + x2"],
+            i=[["0.5 + w*x1^2", "0.1"], ["-0.1", "0.6 + x2^2"]])
+        args = (sys, _compiled_matrix([["1 + x2^2", "0"], ["0", "1"]], 2),
+                _compiled_matrix([["1", "0"], ["0", "2 + x1^2"]], 2),
+                GridSpec.box([-1.5, -1.5], [1.5, 1.5], [5, 4], extra_random=3, seed=8),
+                GridSpec.box([-1.0, -1.0], [1.0, 1.0], [3, 2]))
+        report = check_ap(*args, t=0.7)
+        assert _same_report(report, _ref_check_ap(*args, t=0.7))
+        assert not _same_report(report, check_ap(*args))
+
+
+class TestCertificateMaps:
+    """What both checkers share: one evaluation order, and a square M and W
+    of the system's sizes."""
+
+    @staticmethod
+    def _check(checker, m_fun=None, w_fun=None, g=None):
+        """``checker`` on a passive 2-state LTI system (q = 1 for check_uc;
+        q = 2 with throughput for check_ap), the maps given replacing
+        identity M and W and the system's g."""
+        eye = lambda k: np.eye(k).tolist()
+        grid = GridSpec.box([-1.0, -1.0], [1.0, 1.0], [3, 3])
+        if checker == "check_uc":
+            base = lti(-np.eye(2), [[0.0], [1.0]], [[0.0, 1.0]])
+        else:
+            base = lti(-np.eye(2), eye(2), eye(2), d=eye(2))
+        sys = DynSystem(2, base.q, base.f, g or base.g, base.h, i=base.i)
+        m_fun, w_fun = m_fun or (lambda x: eye(2)), w_fun or (lambda x: eye(base.q))
+        if checker == "check_uc":
+            return check_uc(sys, m_fun, [[0.0], [1.0]], w_fun, grid)
+        return check_ap(sys, m_fun, w_fun, grid, grid)
+
+    @pytest.mark.parametrize("checker", ["check_uc", "check_ap"])
+    def test_the_valid_maps_pass(self, checker):
+        assert self._check(checker).passed
+
+    @pytest.mark.parametrize("checker", ["check_uc", "check_ap"])
+    def test_w_is_read_before_g(self, checker):
+        def g(x, e):
+            raise ValueError("g failed")
+
+        def w_fun(x):
+            raise ValueError("W failed")
+
+        with pytest.raises(ValueError, match="W failed"):
+            self._check(checker, w_fun=w_fun, g=g)
+
+    @pytest.mark.parametrize("checker", ["check_uc", "check_ap"])
+    def test_m_must_be_n_by_n(self, checker):
+        with pytest.raises(InvalidCertificate, match=r"^M must be 2x2, got \(1, 1\)$"):
+            self._check(checker, m_fun=lambda x: [[1.0]])
+
+    @pytest.mark.parametrize("checker, q, wrong", [("check_uc", 1, 2), ("check_ap", 2, 1)])
+    def test_w_must_be_q_by_q(self, checker, q, wrong):
+        with pytest.raises(InvalidCertificate,
+                           match=rf"^W must be {q}x{q}, got \({wrong}, {wrong}\)$"):
+            self._check(checker, w_fun=lambda x: np.eye(wrong).tolist())
 
 
 class TestNonFiniteCertificate:
