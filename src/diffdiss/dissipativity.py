@@ -17,10 +17,14 @@ pointwise and the integral form of the dissipation inequality.  An audit
 evaluates S, dS/dt and the supply over all samples at once, so storage and
 supply maps follow the batch contract of :mod:`diffdiss.systems` too.
 
-The grid checkers evaluate every map once over the whole grid: M, W, g and
-i in one batched call each, and each Jacobian in one dual pass per column
-over all points.  Certificate maps must therefore follow the batch contract
-of :mod:`diffdiss.systems`.
+The grid checkers are lists of named conditions run by one evaluator.  It
+evaluates every map once over the whole grid, in one order: M, W, g and i
+in one batched call each, then D[M f] and Dh, and for :func:`check_ap`
+D[i u] and D[M g u] over the (state x input) product, each Jacobian in one
+dual pass per column over all points.  Each condition has a name, a kind
+("nsd-margin", "psd-margin" or "residual"), a threshold and a function of
+those maps, and is reported at its worst grid point.  Certificate maps must
+therefore follow the batch contract of :mod:`diffdiss.systems`.
 """
 
 from __future__ import annotations
@@ -408,10 +412,12 @@ def _certificate(sys: DynSystem, m_fun, w_fun, grid_x: GridSpec, grid_u: GridSpe
                  t: float, conditions) -> CertificateReport:
     """Evaluate each map once over ``grid_x`` at time ``t``, in one order: M,
     W, g, i (with throughput only), D[M f], Dh as (N, r, c) stacks ``m, w, g,
-    i, dmf, dh``; given ``grid_u``, D[i u] and D[M g u] as (N, nu, r, c)
-    stacks ``diu, dmgu`` over the (state x input) product.  Report each
-    condition ``(name, kind, threshold, values)`` at the largest (worst) of
-    ``values(maps)``, one per state or per product row; "psd-margin" negates."""
+    i, dmf, dh``; given ``grid_u`` of ``nu`` points, D[i u] and D[M g u] as
+    (N nu, r, c) stacks ``diu, dmgu`` over the (state x input) product,
+    state-major.  Report each condition ``(name, kind, threshold, values)`` at
+    the largest (worst) of ``values(maps)``: one per state, or an (N, nu)
+    array over the product.  A "psd-margin" condition's values are negated
+    margins; its report is not."""
     e = sys.exo_at(t)
     pts = grid_x.points()
     nx, nu = len(pts), 1
@@ -435,9 +441,9 @@ def _certificate(sys: DynSystem, m_fun, w_fun, grid_x: GridSpec, grid_u: GridSpe
             # row k of the (state x input) product is state k // nu with input k % nu
             xs, us = np.repeat(pts, nu, axis=0), np.tile(pts_u, (nx, 1))
             u = list(us.T)
-            maps.diu = jacobian(lambda z: mat_vec(sys.i(z, e), u), xs).reshape(nx, nu, sys.q, sys.n)
-            maps.dmgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)),
-                                 xs).reshape(nx, nu, sys.n, sys.n)
+            maps.nu = nu
+            maps.diu = jacobian(lambda z: mat_vec(sys.i(z, e), u), xs)
+            maps.dmgu = jacobian(lambda z: mat_vec(m_fun(z), mat_vec(sys.g(z, e), u)), xs)
         results = []
         for name, kind, tol, values in conditions:
             v = values(maps)
@@ -528,8 +534,8 @@ def check_ap(
         ("output-supply-match", "residual", tol_residual,
          lambda q: frobenius(transpose(q.dh) @ q.w - transpose(q.m) @ q.m @ q.g)),
         ("throughput-gain-match", "residual", tol_residual,
-         lambda q: frobenius(transpose(q.diu) @ q.w[:, None]
-                             - transpose(q.m)[:, None] @ q.dmgu)),
+         lambda q: frobenius(transpose(q.diu) @ np.repeat(q.w, q.nu, axis=0)
+                             - np.repeat(transpose(q.m), q.nu, axis=0) @ q.dmgu).reshape(-1, q.nu)),
         ("throughput-positivity", "psd-margin", tol_margin,
          lambda q: -psd_margin(transpose(q.i) @ q.w)),
     ))
