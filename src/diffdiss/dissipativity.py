@@ -521,7 +521,8 @@ def check_ap(
     compares like-shaped matrices only when the input dimension equals the
     state dimension; other shapes are rejected.  As in :func:`check_uc`,
     each map is evaluated once over the state grid (M, W, g, i, D[M f], Dh),
-    then D[i u] and D[M g u] over the (state x input) product, state-major.
+    then D[i u] and D[M g u] over the (state x input) product, state-major,
+    and M and W must be square of the state and input sizes.
     """
     if not sys.has_throughput:
         raise InvalidCertificate("this certificate needs a throughput term i(x)")
