@@ -476,19 +476,18 @@ def _expr_system(n, q, f, g, h, i=None):
                      i=None if i is None else _expr_matrix(i, n), name="expr")
 
 
+def _compiled_matrix(rows, n, exo=()):
+    return compile_matrix([[parse(t) for t in row] for row in rows],
+                          [f"x{k + 1}" for k in range(n)], exo)
+
+
 def _compiled_system(n, q, f, g, h, i=None):
     """A compiled system whose maps read the exogenous signal w = 0.5 cos(3 t)."""
-    names, exo = [f"x{k + 1}" for k in range(n)], ["w"]
-    matrix = lambda rows: compile_matrix([[parse(t) for t in row] for row in rows], names, exo)
-    return DynSystem(n, q, compile_map([parse(t) for t in f], names, exo), matrix(g),
-                     compile_map([parse(t) for t in h], names, exo),
-                     i=None if i is None else matrix(i),
+    vector = lambda texts: compile_map([parse(t) for t in texts],
+                                       [f"x{k + 1}" for k in range(n)], ["w"])
+    return DynSystem(n, q, vector(f), _compiled_matrix(g, n, ["w"]), vector(h),
+                     i=None if i is None else _compiled_matrix(i, n, ["w"]),
                      exo={"w": Signal.from_expr("0.5*cos(3*t)")}, name="compiled")
-
-
-def _compiled_matrix(rows, n):
-    return compile_matrix([[parse(t) for t in row] for row in rows],
-                          [f"x{k + 1}" for k in range(n)])
 
 
 def _same_report(a, b) -> bool:
