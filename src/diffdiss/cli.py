@@ -43,7 +43,7 @@ from .incremental import (
     verify_output_convergence,
 )
 from .interconnect import check_equalization, output_feedback, state_feedback
-from .numerics import Rk4, Rk45, sin as d_sin
+from .numerics import Rk4, Rk45, sin as d_sin, uniform_draws
 from .serialize import write_json, write_length_gap_csv, write_trace_csv
 from .systems import DynSystem, Signal, SignalError, simulate_ensemble, simulate_prolonged
 
@@ -593,17 +593,14 @@ def cmd_demo_rc(cfg, args, out_dir):
     spec = _object(_get(cfg, "", "system", default={}), "/system")
     bundle = _rc_bundle(_registry_params(spec, "/system"), "/system/params")
     seed = _seed(cfg, args)
-    rng = np.random.default_rng(seed)
     n_traj = _as_int(_run(cfg).get("n_trajectories", 20), "/run/n_trajectories", minimum=1)
     t_final = _t_final(cfg, args, 1.0)
     stepper = _build_stepper(cfg, args)
     tol = _tol(cfg, args, 1e-9)
-    draws = []
-    for _ in range(n_traj):
-        q0, dq0 = rng.uniform(-1.0, 1.0, size=2)
-        draws.append((q0, dq0, rng.uniform(0.2, 1.0), rng.uniform(0.5, 3.0),
-                      rng.uniform(-0.3, 0.3)))
-    q0, dq0, amp, freq, bias = (np.array(col) for col in zip(*draws))
+    # five draws per member, each lo + (hi - lo) d as numpy's uniform(lo, hi) spells it
+    bounds = ((-1.0, 1.0), (-1.0, 1.0), (0.2, 1.0), (0.5, 3.0), (-0.3, 0.3))
+    draws = np.array(uniform_draws(seed, 5 * n_traj)).reshape(n_traj, 5)
+    q0, dq0, amp, freq, bias = (lo + (hi - lo) * draws[:, j] for j, (lo, hi) in enumerate(bounds))
     # one drive for every member: each element is that member's amp sin(freq t) + bias
     drive = Signal.analytic(lambda t: amp * d_sin(freq * t) + bias)
     natives = simulate_ensemble(bundle.system, q0[:, None], dq0[:, None], u=drive,

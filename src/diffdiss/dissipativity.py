@@ -52,6 +52,7 @@ from .numerics import (
     psd_margin,
     sqrt as d_sqrt,
     transpose,
+    uniform_draws,
 )
 from .systems import DynSystem, ProlongedTrajectory
 
@@ -113,9 +114,9 @@ class QuadraticDifferentialStorage:
                 for j in range(length)
             ]
 
-        rng = np.random.default_rng(seed)
-        for _ in range(check_points):
-            x = (rng.random(n) * 2.0 - 1.0).tolist()
+        draws = uniform_draws(seed, check_points * n)
+        for c in range(check_points):
+            x = [d * 2.0 - 1.0 for d in draws[c * n:(c + 1) * n]]
             h = np.asarray(hess_rows(x), dtype=float)
             if float(np.max(np.abs(h - h.T))) > tol:
                 raise ValueError(
@@ -325,7 +326,12 @@ def audit(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Box lattice with optional seeded uniform extra samples."""
+    """Box lattice with optional seeded uniform extra samples.
+
+    The ``extra_random`` points follow the lattice: point k, axis j is
+    lo_j + d (hi_j - lo_j), with d the draw k * dims + j of
+    ``numerics.uniform_draws(seed, extra_random * dims)``, which are the
+    doubles of numpy's ``default_rng(seed).random``."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -351,10 +357,10 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         if self.extra_random > 0:
-            rng = np.random.default_rng(self.seed)
             lo = np.asarray(self.lo)
             hi = np.asarray(self.hi)
-            extra = lo + rng.random((self.extra_random, len(lo))) * (hi - lo)
+            draws = np.array(uniform_draws(self.seed, self.extra_random * len(lo)))
+            extra = lo + draws.reshape(self.extra_random, len(lo)) * (hi - lo)
             pts = np.vstack([pts, extra])
         return pts
 
@@ -417,22 +423,28 @@ def _certificate(sys: DynSystem, m_fun, w_fun, grid_x: GridSpec, grid_u: GridSpe
     state-major.  Report each condition ``(name, kind, threshold, values)`` at
     the largest (worst) of ``values(maps)``: one per state, or an (N, nu)
     array over the product.  A "psd-margin" condition's values are negated
-    margins; its report is not."""
+    margins; its report is not.  M, W, g and i are read as returned, so a
+    map whose rows have unequal lengths, or whose matrix has the wrong
+    shape, raises :class:`InvalidCertificate` naming it."""
     e = sys.exo_at(t)
     pts = grid_x.points()
     nx, nu = len(pts), 1
     x = list(pts.T)
 
-    def square(name, fun, size):
-        a = batch_matrix(fun(x), nx)
-        if a.shape[1:] != (size, size):
-            raise InvalidCertificate(f"{name} must be {size}x{size}, got {a.shape[1:]}")
+    def read(name, rows, shape):
+        lengths = [len(row) for row in rows]
+        if len(set(lengths)) > 1:
+            raise InvalidCertificate(f"{name} has rows of unequal lengths {lengths}")
+        a = batch_matrix(rows, nx)
+        if a.shape[1:] != shape:
+            raise InvalidCertificate(f"{name} must be {shape[0]}x{shape[1]}, got {a.shape[1:]}")
         return a
 
     with np.errstate(**FLOAT_ERRORS):
-        maps = SimpleNamespace(m=square("M", m_fun, sys.n), w=square("W", w_fun, sys.q),
-                               g=batch_matrix(sys.g(x, e), nx))
-        maps.i = batch_matrix(sys.i(x, e), nx) if sys.has_throughput else None
+        maps = SimpleNamespace(m=read("M", m_fun(x), (sys.n, sys.n)),
+                               w=read("W", w_fun(x), (sys.q, sys.q)),
+                               g=read("g", sys.g(x, e), (sys.n, sys.q)))
+        maps.i = read("i", sys.i(x, e), (sys.q, sys.q)) if sys.has_throughput else None
         maps.dmf = jacobian(lambda z: mat_vec(m_fun(z), sys.f(z, e)), pts)
         maps.dh = jacobian(lambda z: sys.h(z, e), pts)
         if grid_u is not None:
@@ -481,8 +493,9 @@ def check_uc(
     at every grid point.  Exogenous signals are frozen at time ``t``.  Each
     map is evaluated once over the whole grid, in the order M, W, g, D[M f],
     Dh (see the batch contract in :mod:`diffdiss.systems`).  An M that is not
-    n x n or a W that is not q x q raises :class:`InvalidCertificate`, and a
-    non-finite margin or residual :class:`NumericalError`.
+    n x n, a W that is not q x q, a g that is not n x q, or a map whose rows
+    have unequal lengths raises :class:`InvalidCertificate` naming the map,
+    and a non-finite margin or residual :class:`NumericalError`.
     """
     if sys.has_throughput:
         raise InvalidCertificate("this certificate applies to throughput-free systems")
@@ -522,7 +535,8 @@ def check_ap(
     state dimension; other shapes are rejected.  As in :func:`check_uc`,
     each map is evaluated once over the state grid (M, W, g, i, D[M f], Dh),
     then D[i u] and D[M g u] over the (state x input) product, state-major,
-    and M and W must be square of the state and input sizes.
+    and M, W, g and i must be n x n, q x q, n x q and q x q, each with rows
+    of equal lengths.
     """
     if not sys.has_throughput:
         raise InvalidCertificate("this certificate needs a throughput term i(x)")

@@ -21,7 +21,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dissipativity import QuadraticDifferentialStorage, SupplyRate
-from .numerics import FLOAT_ERRORS, Rk4, Stepper, argworst, batch_rows, integrate, jvp, sym
+from .numerics import (
+    FLOAT_ERRORS,
+    Rk4,
+    Stepper,
+    argworst,
+    batch_rows,
+    integrate,
+    jvp,
+    sym,
+    uniform_draws,
+)
 from .systems import DynSystem, ProlongedTrajectory, signal_vector, simulate_ensemble
 
 
@@ -130,31 +140,37 @@ def finsler_length(
     """Trapezoid quadrature over s of K(x(t,s), dx(t,s)) at each time.
 
     The gauge is spot-checked for positive homogeneity of degree 1 on
-    sampled (x, dx) pairs before any length is reported.  A storage's own
-    ``gauge`` (a bound :meth:`QuadraticDifferentialStorage.gauge`) is then
-    evaluated in one call over every member and sample, with the bits of
-    the calls point by point; any other gauge is called point by point,
-    time by time.  The trapezoid terms of every time are one array
+    sampled (x, dx) pairs before any length is reported.  Each check takes
+    the next 3 + 2n doubles d of ``numerics.uniform_draws(seed, ...)``, in
+    order: the member ``int(d * members)``, the time ``int(d * times)``, the
+    scale 0.25 + 3.75 d, then dx and a second displacement, each entry
+    2 d - 1; the second displacement counts ``convexity_violations`` of
+    subadditivity.  A storage's own ``gauge`` (a bound
+    :meth:`QuadraticDifferentialStorage.gauge`) is then evaluated in one call
+    over every member and sample, with the bits of the calls point by point;
+    any other gauge is called point by point, time by time.  The trapezoid terms of every time are one array
     expression, and each time's terms are summed by ``np.sum`` alone, so
     each length is, bit for bit, ``_trapezoid`` of that time's values.
     """
-    rng = np.random.default_rng(seed)
     times = family.times
     n_t = len(times)
+    n = family.members[0].n
     convexity_violations = 0
-    for _ in range(homogeneity_checks):
-        m = family.members[rng.integers(len(family.members))]
-        k = int(rng.integers(n_t))
-        x = m.x[k].tolist()
-        dx = (rng.random(m.n) * 2.0 - 1.0).tolist()
-        lam = float(rng.uniform(0.25, 4.0))
+    width = 3 + 2 * n
+    draws = uniform_draws(seed, homogeneity_checks * width)
+    for c in range(homogeneity_checks):
+        d = draws[c * width:(c + 1) * width]
+        m = family.members[int(d[0] * len(family.members))]
+        x = m.x[int(d[1] * n_t)].tolist()
+        lam = 0.25 + 3.75 * d[2]
+        dx = [v * 2.0 - 1.0 for v in d[3:3 + n]]
         base = gauge(x, dx)
         scaled = gauge(x, [lam * v for v in dx])
         if abs(scaled - lam * base) > 1e-9 * max(1.0, abs(lam * base)):
             raise InvalidFinslerStructure(
                 "gauge is not positively homogeneous of degree 1"
             )
-        other = (rng.random(m.n) * 2.0 - 1.0).tolist()
+        other = [v * 2.0 - 1.0 for v in d[3 + n:]]
         both = gauge(x, [a + b for a, b in zip(dx, other)])
         if both > base + gauge(x, other) + 1e-12:
             convexity_violations += 1

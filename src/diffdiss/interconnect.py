@@ -46,6 +46,7 @@ from .numerics import (
     jvp,  # noqa: F401  -- unused here; perfbench/tracing.py patches interconnect.jvp by name
     mat_vec,
     transpose,
+    uniform_draws,
 )
 from .systems import DynSystem
 
@@ -373,7 +374,9 @@ def check_equalization(
     lattice1 = _lattice(s1.n, lo, hi, 10)
     lattice2 = _lattice(s2.n, lo, hi, 10)
     # every lattice pair (x1-major), then n_random seeded pairs drawn x1 first
-    draws = lo + np.random.default_rng(seed).random((n_random, s1.n + s2.n)) * (hi - lo)
+    width = s1.n + s2.n
+    unit = np.array(uniform_draws(seed, n_random * width)).reshape(n_random, width)
+    draws = lo + unit * (hi - lo)
     x1 = np.vstack([np.repeat(lattice1, len(lattice2), axis=0), draws[:, :s1.n]])
     x2 = np.vstack([np.tile(lattice2, (len(lattice1), 1)), draws[:, s1.n:]])
     size = len(x1)
@@ -414,10 +417,10 @@ def build_equalizing_feedback(m_scalar, pi, n: int, seed: int = 0, tol: float = 
     def k(x):
         return mat_vec(pi_rows, gradient(m_scalar, x))
 
-    rng = np.random.default_rng(seed)
     hess = lambda x: jacobian(lambda z: gradient(m_scalar, z), x)
-    for _ in range(100):
-        x = (rng.random(n) * 2.0 - 1.0).tolist()
+    draws = uniform_draws(seed, 100 * n)
+    for c in range(100):
+        x = [d * 2.0 - 1.0 for d in draws[c * n:(c + 1) * n]]
         jk = jacobian(k, x)
         target = pi.T @ hess(x)
         err = float(np.max(np.abs(jk - target)))

@@ -1,6 +1,7 @@
 """Dense small-matrix numerics: dual-number forward differentiation,
-fixed/adaptive Runge-Kutta integration, and symmetric-matrix
-semidefiniteness margins.
+fixed/adaptive Runge-Kutta integration, symmetric-matrix
+semidefiniteness margins, and the seeded uniform draws every sampled check
+takes (numpy's default generator, without importing numpy's random module).
 
 State dimensions in this package are tiny (n <= ~10), so the inner loops
 work on plain Python scalars and lists; numpy enters only at the matrix
@@ -535,6 +536,109 @@ def frobenius(a: np.ndarray):
         return float(np.linalg.norm(a, "fro"))
     flat = a.reshape(-1, a.shape[-2] * a.shape[-1])
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).reshape(a.shape[:-2])
+
+
+# ---------------------------------------------------------------------------
+# seeded uniform draws
+#
+# numpy's default generator (``default_rng``) without numpy's random
+# module, whose import is the largest step in a command's peak memory:
+# SeedSequence seeding, then PCG64, a 128-bit LCG s -> a s + c with the
+# XSL-RR output function (O'Neill, HMC-CS-2014-0905).  The stream advances by jump-ahead: the k-th state
+# after s is a^k s + (1 + a + ... + a^(k-1)) c, so one product of s and
+# one of c with integers that pack those coefficients in fixed-width slots
+# give a whole block of states, which numpy then turns into doubles.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_SIZE = 4
+_JUMP_SLOTS = 256
+# a slot holds a^k s + (1 + ... + a^(k-1)) c < 2^257, so no carry crosses it
+_SLOT_BYTES = 33
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)``: the seed's 32-bit
+    little-endian words hash-mixed into a pool of four, then drawn out as
+    eight 32-bit words, paired little-endian."""
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 2 * _POOL_SIZE, 2)]
+
+
+@functools.cache
+def _pcg64_jumps(slots: int) -> tuple[int, int]:
+    """The integers whose slot k < ``slots`` holds a^(k+1) and
+    1 + a + ... + a^k (mod 2^128), the slots ``_SLOT_BYTES`` wide."""
+    power, total, powers, totals = 1, 0, [], []
+    for _ in range(slots):
+        total = (total + power) & _MASK128
+        power = power * _PCG64_MULT & _MASK128
+        powers.append(power.to_bytes(_SLOT_BYTES, "little"))
+        totals.append(total.to_bytes(_SLOT_BYTES, "little"))
+    return int.from_bytes(b"".join(powers), "little"), int.from_bytes(b"".join(totals), "little")
+
+
+def uniform_draws(seed: int, count: int) -> list[float]:
+    """The ``count`` doubles of numpy's ``default_rng(seed).random(count)``,
+    bit for bit, without importing numpy's random module.  ``seed`` is a
+    non-negative integer; anything else raises ValueError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    # pcg64 srandom: step from state 0, add the initial state, step again
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    # the tables are built once per power-of-two block size
+    slots = min(1 << max(count - 1, 0).bit_length(), _JUMP_SLOTS)
+    powers, totals = _pcg64_jumps(slots)
+    blocks = []
+    for _ in range(0, count, slots):
+        blocks.append((powers * state + totals * inc).to_bytes(_SLOT_BYTES * slots, "little"))
+        state = int.from_bytes(blocks[-1][-_SLOT_BYTES:][:16], "little")
+    raw = np.frombuffer(b"".join(blocks), np.uint8).reshape(-1, _SLOT_BYTES)[:count, :16]
+    lo, hi = raw.copy().view("<u8").T
+    # XSL-RR: the state's halves xor-ed, rotated right by its top 6 bits;
+    # then numpy's double from the top 53 bits
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    bits = (x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))) >> np.uint64(11)
+    return (bits * 2.0 ** -53).tolist()
 
 
 # ---------------------------------------------------------------------------

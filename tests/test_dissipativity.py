@@ -628,6 +628,30 @@ class TestCertificateMaps:
                            match=rf"^W must be {q}x{q}, got \({wrong}, {wrong}\)$"):
             self._check(checker, w_fun=lambda x: np.eye(wrong).tolist())
 
+    @pytest.mark.parametrize("checker, q, wrong", [("check_uc", 1, 2), ("check_ap", 2, 1)])
+    def test_g_must_be_n_by_q(self, checker, q, wrong):
+        with pytest.raises(InvalidCertificate,
+                           match=rf"^g must be 2x{q}, got \(2, {wrong}\)$"):
+            self._check(checker, g=lambda x, e: np.ones((2, wrong)).tolist())
+
+    @pytest.mark.parametrize("checker", ["check_uc", "check_ap"])
+    @pytest.mark.parametrize("name", ["M", "W", "g"])
+    def test_ragged_rows_name_the_map(self, checker, name):
+        ragged = [[1.0, 0.0], [0.0]]
+        maps = {"M": dict(m_fun=lambda x: ragged), "W": dict(w_fun=lambda x: ragged),
+                "g": dict(g=lambda x, e: ragged)}[name]
+        with pytest.raises(InvalidCertificate,
+                           match=rf"^{name} has rows of unequal lengths \[2, 1\]$"):
+            self._check(checker, **maps)
+
+    @pytest.mark.parametrize("checker", ["check_uc", "check_ap"])
+    def test_ragged_m_is_rejected_before_w_is_read(self, checker):
+        def w_fun(x):
+            raise ValueError("W failed")
+
+        with pytest.raises(InvalidCertificate, match="^M has rows"):
+            self._check(checker, m_fun=lambda x: [[1.0, 0.0], [0.0]], w_fun=w_fun)
+
 
 class TestNonFiniteCertificate:
     def test_uc_nan_residual_names_condition_and_first_point(self):

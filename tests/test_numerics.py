@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffdiss import numerics
@@ -611,3 +611,41 @@ class TestGradient:
         for k, p in enumerate(pts):
             one = numerics.gradient(self.potential, p.tolist())
             assert [float(b[k]) for b in batch] == one
+
+
+class TestUniformDraws:
+    """``uniform_draws`` is numpy's default generator without numpy.random:
+    numpy itself is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 160 - 1), st.integers(min_value=0, max_value=300))
+    @example(0, 300)
+    @example(2 ** 32 - 1, 3)
+    @example(2 ** 32, 3)
+    @example(2 ** 128 - 1, 3)
+    @example(2 ** 128, 3)
+    @example(5, 256)
+    @example(5, 257)
+    def test_equals_numpy_default_rng(self, seed, count):
+        want = np.random.default_rng(seed).random(count)
+        assert [d.hex() for d in numerics.uniform_draws(seed, count)] == [
+            float(d).hex() for d in want]
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 100 + 9])
+    def test_a_long_stream_spans_several_jump_blocks(self, seed):
+        want = np.random.default_rng(seed).random(1000)
+        assert [d.hex() for d in numerics.uniform_draws(seed, 1000)] == [
+            float(d).hex() for d in want]
+
+    def test_numpy_integers_and_bools_are_seeds(self):
+        assert numerics.uniform_draws(np.int64(5), 4) == numerics.uniform_draws(5, 4)
+        assert numerics.uniform_draws(True, 4) == numerics.uniform_draws(1, 4)
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70), 1.5, 2.0, "3", None, [1, 2]])
+    def test_a_negative_or_non_integer_seed_raises(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            numerics.uniform_draws(seed, 3)
+
+    def test_a_negative_count_raises(self):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            numerics.uniform_draws(0, -1)
