@@ -494,8 +494,9 @@ def _square(a, name: str) -> np.ndarray:
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each symmetric matrix; nan for a matrix with
-    a non-finite entry, for which LAPACK may return finite values."""
+    """Ascending eigenvalues of each symmetric matrix, by LAPACK (numpy's
+    ``eigvalsh``: ``dsyevd``, jobz = N, uplo = L); nan for a matrix with a
+    non-finite entry, for which LAPACK may return finite values."""
     bad = ~np.isfinite(a).all(axis=(-2, -1))
     if bad.any():
         a = np.where(bad[..., None, None], 0.0, a)
@@ -508,20 +509,99 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return lam
 
 
+# LAPACK's machine constants (dlamch): 'E' is epsneg, 2^-53; 'P' is eps,
+# 2^-52; 'S' is the smallest normal double.
+_FLOAT = np.finfo(float)
+_DSTERF_EPS = _FLOAT.epsneg
+_DSTERF_EPS2 = _DSTERF_EPS * _DSTERF_EPS
+# dsterf rescales a block whose largest entry is below ssfmin =
+# sqrt(safmin) / eps^2 (2^-405), and dsyevd a matrix whose largest entry is
+# above rmax = sqrt(1 / smlnum), smlnum = safmin / dlamch('P') (2^485).
+# dsyevd's lower bound (2^-485) and dsterf's upper one (2^511 / 3) lie
+# outside these, and an all-zero matrix is never rescaled.
+_UNSCALED_MIN = math.sqrt(_FLOAT.smallest_normal) / _DSTERF_EPS2
+_UNSCALED_MAX = math.sqrt(_FLOAT.eps / _FLOAT.smallest_normal)
+
+
+def _dsyevd_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float operations LAPACK's ``dsyevd`` (jobz = N, uplo = L) runs on
+    sym(A) for each matrix of a (..., 2, 2) stack, vectorised over the
+    stack; returns the (..., 2) ascending eigenvalues and the mask of the
+    matrices for which they are LAPACK's bits.
+
+    For n = 2, ``dsytrd`` leaves d = (a11, a22) and e = a21 of sym(A), read
+    here straight from A; ``dsterf`` splits the matrix on either of its two
+    small-off-diagonal tests, or else hands d and sqrt(e^2) to ``dlae2``
+    (QR when |d2| < |d1|, which stores the two roots the other way round
+    from QL); ``dlasrt`` sorts by insertion, swapping only when strictly
+    smaller, which orders ties such as -0.0 and 0.0 as LAPACK does.  The
+    mask is False where either routine would rescale and for a non-finite
+    entry (Anderson et al., *LAPACK Users' Guide*, 3rd ed., SIAM 1999).
+    These are reference LAPACK's operations, as numpy's OpenBLAS builds
+    them; a LAPACK that fused dlae2's multiply-adds could round
+    differently, so the tests compare with numpy's ``eigvalsh`` on the
+    running machine."""
+    d1, d2 = a[..., 0, 0], a[..., 1, 1]
+    with np.errstate(all="ignore"):
+        e = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
+        ad1, ad2 = np.abs(d1), np.abs(d2)
+        top = np.maximum(np.maximum(ad1, ad2), np.abs(e))
+        unscaled = ((top >= _UNSCALED_MIN) & (top <= _UNSCALED_MAX)) | (top == 0.0)
+        # dsterf: the split test before the block is formed, then (on e^2)
+        # the QL/QR iteration's test
+        e2 = e * e
+        split = ((np.abs(e) <= (np.sqrt(ad1) * np.sqrt(ad2)) * _DSTERF_EPS)
+                 | (e2 <= _DSTERF_EPS2 * np.abs(d1 * d2)))
+        # dlae2(a, b, c) with b = sqrt(e^2) >= 0, so |b + b| is b + b;
+        # whichever of d1, d2 is a, acmx is the larger in magnitude, d2 on a tie
+        b = np.sqrt(e2)
+        sm = d1 + d2
+        adf = np.abs(d1 - d2)
+        ab = b + b
+        qr = ad2 < ad1
+        acmx, acmn = np.where(qr, d1, d2), np.where(qr, d2, d1)
+        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+        ratio = small / big
+        rt = big * np.sqrt(1.0 + ratio * ratio)
+        rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+        rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+        first = np.where(split, d1, np.where(qr, rt2, rt1))
+        second = np.where(split, d2, np.where(qr, rt1, rt2))
+        swap = second < first
+    return np.stack((np.where(swap, second, first), np.where(swap, first, second)), -1), unscaled
+
+
+def _sym_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``_eigvalsh(sym(a))``, bit for bit.  A (..., 2, 2) stack runs
+    :func:`_dsyevd_2x2`, and LAPACK only for the matrices that it would
+    rescale; a single matrix and any other size run LAPACK."""
+    if a.ndim < 3 or a.shape[-1] != 2:
+        return _eigvalsh(sym(a))
+    lam, unscaled = _dsyevd_2x2(a)
+    if not unscaled.all():
+        rest = ~unscaled
+        lam[rest] = _eigvalsh(sym(a[rest]))
+    return lam
+
+
 def _per_matrix(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
 def nsd_margin(a: np.ndarray):
     """Largest eigenvalue of sym(A); <= 0 certifies negative semidefiniteness.
-    On a (..., r, r) stack, the array of per-matrix margins."""
-    return _per_matrix(_eigvalsh(sym(_square(a, "nsd_margin")))[..., -1])
+    On a (..., r, r) stack, the array of per-matrix margins, each the bits
+    LAPACK gives for that matrix alone; nan for a matrix with a non-finite
+    entry."""
+    return _per_matrix(_sym_eigvalsh(_square(a, "nsd_margin"))[..., -1])
 
 
 def psd_margin(a: np.ndarray):
     """Smallest eigenvalue of sym(A); >= 0 certifies positive semidefiniteness.
-    On a (..., r, r) stack, the array of per-matrix margins."""
-    return _per_matrix(_eigvalsh(sym(_square(a, "psd_margin")))[..., 0])
+    On a (..., r, r) stack, the array of per-matrix margins, each the bits
+    LAPACK gives for that matrix alone; nan for a matrix with a non-finite
+    entry."""
+    return _per_matrix(_sym_eigvalsh(_square(a, "psd_margin"))[..., 0])
 
 
 def frobenius(a: np.ndarray):

@@ -1,10 +1,12 @@
 """The library runs on numpy alone: scipy, hypothesis and pytest are
 test-only dependencies, so importing the package and its command line must
 not import them.  Seeded draws come from ``numerics.uniform_draws``, so no
-command imports numpy.random either."""
+command imports numpy.random either, and only ``numerics`` takes
+eigenvalues from numpy.linalg."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,14 @@ def test_seeded_commands_do_not_import_numpy_random(tmp_path):
             f"         for argv in {runs!r}]\n"
             "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
     assert json.loads(_fresh(code)) == [[0, 0, 0, 0], False]
+
+
+def test_eigenvalues_are_taken_only_in_numerics():
+    # every margin goes through numerics' eigenvalue path, with its nan rule
+    # for non-finite matrices and its LAPACK steps for 2 x 2 stacks
+    calls = re.compile(r"linalg\s*\.\s*eigvalsh|import.*\beigvalsh\b")
+    found = [f"{path.name}:{k}"
+             for path in sorted(Path(diffdiss.__file__).resolve().parent.rglob("*.py"))
+             if path.name != "numerics.py"
+             for k, line in enumerate(path.read_text().splitlines(), 1) if calls.search(line)]
+    assert found == []

@@ -672,6 +672,15 @@ class TestNonFiniteCertificate:
         assert str(caught.value) == (
             "certificate condition storage-decay is not finite at x = (-1.0,)")
 
+    def test_uc_overflowing_2x2_decay_names_the_first_point(self):
+        # M^T D[M f] = diag(-3e400 x1^2, -1) is finite at x1 = 0 only
+        sys = _expr_system(2, 1, ["-x1^3", "-x2"], [["0"], ["1"]], ["x2"])
+        with pytest.raises(NumericalError) as caught:
+            check_uc(sys, lambda x: [[1e200, 0.0], [0.0, 1.0]], [[0.0], [1.0]],
+                     lambda x: [[1.0]], GridSpec.box([0.0, -1.0], [1.0, 1.0], [3, 3]))
+        assert str(caught.value) == (
+            "certificate condition storage-decay is not finite at x = (0.5, -1.0)")
+
     def test_ap_gain_match_overflow_names_the_input(self):
         sys = _expr_system(1, 1, ["-x1"], [["1"]], ["x1"], i=[["1 + 1e300*x1"]])
         grids = (GridSpec.box([-1.0], [1.0], [3]), GridSpec.box([0.0], [1.0], [3]))

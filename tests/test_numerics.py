@@ -549,17 +549,23 @@ class TestBatchJacobian:
             jacobian(fun, np.array([[1.0], [0.0]]))
 
 
+def _hex(values) -> list[str]:
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
 class TestStackedMargins:
     """``sym``, the margins and ``frobenius`` accept (..., r, c) stacks and
     give each matrix's scalar result bit for bit."""
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_margins_equal_per_matrix(self, rng, r):
+        # compared by bits: -0.0 and 0.0 are equal as floats, but reports
+        # print them differently
         a = rng.standard_normal((50, r, r)) * 10.0 ** rng.integers(-3, 4, (50, 1, 1))
         for fn in (nsd_margin, psd_margin):
             stacked = fn(a)
             assert stacked.shape == (50,)
-            assert np.array_equal(stacked, [fn(m) for m in a])
+            assert _hex(stacked) == _hex([fn(m) for m in a])
         assert np.array_equal(sym(a), np.stack([sym(m) for m in a]))
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 4), (4, 4)])
@@ -571,7 +577,11 @@ class TestStackedMargins:
 
     def test_higher_stacks_keep_their_shape(self, rng):
         a = rng.standard_normal((3, 5, 2, 2))
-        assert nsd_margin(a).shape == (3, 5)
+        a[1, 2] *= 1e150  # one matrix that LAPACK rescales
+        for fn in (nsd_margin, psd_margin):
+            got = fn(a)
+            assert got.shape == (3, 5)
+            assert _hex(got) == _hex([fn(m) for m in a.reshape(-1, 2, 2)])
         assert numerics.frobenius(a).shape == (3, 5)
 
     def test_nonfinite_matrix_gives_nan_margin(self):
@@ -582,10 +592,145 @@ class TestStackedMargins:
             got = fn(a)
             assert got[0] == 0.0 and np.isnan(got[1]) and np.isnan(got[2])
             assert math.isnan(fn(a[1]))
+            with pytest.raises(numerics.NumericalError, match=r"^margin is not finite at k = 1$"):
+                numerics.argworst(got, "margin", lambda k: f"k = {k}")
 
     def test_stack_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             psd_margin(np.ones((4, 2, 3)))
+
+
+# the largest |entry| of sym(A) for which neither dsterf (below 2^-405) nor
+# dsyevd (above 2^485) rescales a 2 x 2 matrix
+_UNSCALED = (2.0 ** -405, 2.0 ** 485)
+
+
+def _lapack_2x2_family(name: str, gen, n: int) -> np.ndarray:
+    """``n`` 2 x 2 matrices of the named family, drawn from ``gen``."""
+    if name == "random":
+        return gen.standard_normal((n, 2, 2)) * 10.0 ** gen.integers(-3, 4, (n, 1, 1))
+    if name == "integer":
+        return gen.integers(-4, 5, (n, 2, 2)).astype(float)
+    if name == "skew-off-diagonal":
+        # off-diagonals that cancel in sym(A), exactly or to a few ulps
+        a = gen.standard_normal((n, 2, 2))
+        ulps = gen.integers(-3, 4, n) * (gen.random(n) < 0.5)
+        a[:, 0, 1] = -a[:, 1, 0] * (1.0 + 2.0 ** -52 * ulps)
+        return a
+    if name == "near-split":
+        a = gen.standard_normal((n, 2, 2))
+        scale = 10.0 ** -gen.uniform(9.0, 30.0, n)
+        a[:, 0, 1] *= scale
+        a[:, 1, 0] *= scale
+        return a
+    if name == "equal-opposite-diagonal":
+        a = gen.standard_normal((n, 2, 2)) * 10.0 ** gen.integers(-3, 4, (n, 1, 1))
+        kind = gen.integers(0, 3, n)
+        a[:, 1, 1] = np.where(kind == 0, a[:, 0, 0], np.where(kind == 1, -a[:, 0, 0], a[:, 1, 1]))
+        tiny = gen.random(n) < 0.3
+        a[tiny, 0, 1] *= 1e-12
+        a[tiny, 1, 0] *= 1e-12
+        return a
+    if name == "scales":
+        return gen.standard_normal((n, 2, 2)) * 10.0 ** gen.uniform(-120.0, 144.0, (n, 1, 1))
+    if name == "signed-zeros":
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.0 ** -60, -3.0, 0.5])
+        return values[gen.integers(0, len(values), (n, 2, 2))]
+    if name == "split-boundary":
+        # |e| within a few ulps of dsterf's split threshold sqrt(|d1 d2|) eps,
+        # where its two split tests disagree
+        d1 = gen.standard_normal(n) * 10.0 ** gen.integers(-5, 6, n)
+        d2 = np.where(gen.random(n) < 0.5, d1 * (1.0 + 2.0 ** -52 * gen.integers(-4, 5, n)),
+                      gen.standard_normal(n) * 10.0 ** gen.integers(-5, 6, n))
+        e = np.sqrt(np.abs(d1 * d2)) * 2.0 ** -53 * (1.0 + 2.0 ** -52 * gen.integers(-8, 9, n))
+        e = np.where(gen.random(n) < 0.5, e, -e)
+        return np.stack([np.stack([d1, e], -1), np.stack([e, d2], -1)], -2)
+    raise KeyError(name)
+
+
+_LAPACK_2X2_FAMILIES = ["random", "integer", "skew-off-diagonal", "near-split",
+                        "equal-opposite-diagonal", "scales", "signed-zeros", "split-boundary"]
+
+
+class TestLapack2x2:
+    """The margins of a (..., 2, 2) stack come from LAPACK's own steps for
+    n = 2 run in numpy (``numerics._dsyevd_2x2``).  The oracle is numpy's
+    ``eigvalsh`` of sym(A) on this machine, compared bit for bit."""
+
+    @staticmethod
+    def assert_lapack_bits(a):
+        a = np.asarray(a, dtype=float)
+        ref = np.linalg.eigvalsh(sym(a))
+        assert _hex(psd_margin(a)) == _hex(ref[..., 0])
+        assert _hex(nsd_margin(a)) == _hex(ref[..., -1])
+
+    @pytest.mark.parametrize("family", _LAPACK_2X2_FAMILIES)
+    def test_family_equals_lapack(self, family):
+        a = _lapack_2x2_family(family, np.random.default_rng(26), 40_000)
+        assert numerics._dsyevd_2x2(a)[1].all()
+        self.assert_lapack_bits(a)
+
+    @given(st.sampled_from(_LAPACK_2X2_FAMILIES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_family_equals_lapack(self, family, seed):
+        self.assert_lapack_bits(_lapack_2x2_family(family, np.random.default_rng(seed), 500))
+
+    @given(st.lists(st.lists(st.floats(-1e140, 1e140), min_size=4, max_size=4),
+                    min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_entries_equal_lapack(self, rows):
+        self.assert_lapack_bits(np.array(rows).reshape(-1, 2, 2))
+
+    @pytest.mark.parametrize("entries", [
+        # the first split test holds and the second does not
+        ["0x1.056d262302f08p+5", "0x1.056d262302f0ap-48", "0x1.056d262302f0ap-48",
+         "0x1.056d262302f0bp+5"],
+        # the second split test holds and the first does not
+        ["-0x1.d8e44bd357d60p-13", "0x1.d8e44bd357d60p-66", "0x1.d8e44bd357d60p-66",
+         "-0x1.d8e44bd357d60p-13"],
+        # d = (0.0, -0.0): dlasrt keeps a tie in its order, so the margins
+        # are psd 0.0 and nsd -0.0
+        ["0x0.0p+0", "-0x1.0p+0", "0x1.0p+0", "-0x0.0p+0"],
+    ])
+    def test_split_tests_and_tie_order(self, entries):
+        a = np.array([float.fromhex(v) for v in entries]).reshape(1, 2, 2)
+        self.assert_lapack_bits(a)
+
+    @pytest.mark.parametrize("bound", _UNSCALED)
+    @pytest.mark.parametrize("slot", [(0, 0), (1, 1), (1, 0)])
+    def test_window_edges(self, bound, slot):
+        # the largest entry of sym(A) one ulp inside, on and one ulp outside
+        # each bound, on a diagonal or on the off-diagonal pair
+        inside = [np.nextafter(bound, 1.0), bound]
+        outside = np.nextafter(bound, 0.0 if bound < 1.0 else np.inf)
+        cases = []
+        for top in [*inside, outside]:
+            for sign in (1.0, -1.0):
+                a = np.array([[0.25, -0.5], [-0.5, 0.75]]) * top
+                a[slot] = a[slot[::-1]] = sign * top
+                cases.append(a)
+        a = np.stack(cases)
+        assert numerics._dsyevd_2x2(a)[1].tolist() == [True] * 4 + [False] * 2
+        self.assert_lapack_bits(a)
+
+    def test_mixed_stack(self, rng):
+        # matrices inside the window, outside it and non-finite, interleaved:
+        # each margin is the one LAPACK gives that matrix alone, and nan for
+        # a non-finite entry
+        a = rng.standard_normal((12, 2, 2)) * np.array(
+            [1.0, 1e-130, 1e150, 1e-310, 1.0, 1e-120, 1e144, 0.0, 1e300, 1.0, 1.0, 1.0]
+        )[:, None, None]
+        a[9, 0, 1] = np.nan
+        a[10, 1, 1] = -np.inf
+        a[11, 1, 0] = 1e308
+        a[11, 0, 1] = 1e308
+        assert numerics._dsyevd_2x2(a)[1].tolist() == [
+            True, False, False, False, True, True, True, True, False, False, False, False]
+        for fn in (nsd_margin, psd_margin):
+            with np.errstate(over="ignore"):  # sym(A) of the last matrix overflows
+                singles = [fn(m) for m in a]
+                assert all(math.isnan(v) for v in singles[9:])
+                assert _hex(fn(a)) == _hex(singles)
 
 
 class TestGradient:
