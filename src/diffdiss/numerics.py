@@ -373,8 +373,20 @@ def batch_rows(entries: Sequence, size: int) -> np.ndarray:
 
 def batch_matrix(rows: Sequence[Sequence], size: int) -> np.ndarray:
     """Stack a map's matrix output over a batch of ``size`` points as a
-    ``(size, r, c)`` array, repeating entries that are plain scalars."""
-    return np.stack([batch_rows(row, size) for row in rows], axis=1)
+    ``(size, r, c)`` array, repeating entries that are plain scalars.
+
+    The array is allocated once and filled entry by entry, each entry as
+    :func:`batch_rows` fills it, so a wrong-length entry raises numpy's
+    broadcast error.  No rows, or rows of unequal lengths, raise what
+    ``np.stack`` of the rows' :func:`batch_rows` raises."""
+    widths = {len(row) for row in rows}
+    if len(widths) != 1:
+        return np.stack([batch_rows(row, size) for row in rows], axis=1)
+    out = np.empty((size, len(rows), widths.pop()))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[:, i, j] = v
+    return out
 
 
 def grid_point(p) -> tuple[float, ...]:
@@ -386,8 +398,8 @@ def argworst(values: np.ndarray, what: str, where: Callable[[int], str]) -> int:
     """Index of the largest of ``values``, the lowest index winning ties.  A
     non-finite value raises :class:`NumericalError` for ``what``, located by
     ``where`` at the first such index."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))
         raise NumericalError(f"{what} is not finite at {where(int(bad[0]))}")
     return int(np.argmax(values))
 
@@ -433,6 +445,9 @@ def jacobian(fun: Callable[[Sequence], Sequence], x) -> np.ndarray:
 
 
 def _batch_jacobian(fun, x: np.ndarray) -> np.ndarray:
+    """:func:`jacobian` over the rows of ``x``, one dual pass per column.
+    Each column's (N, m) block is tested for finiteness as a whole; only a
+    block that fails is scanned row by row, to name its first bad point."""
     size, n = x.shape
     coords = list(x.T)
     out = None
@@ -443,8 +458,8 @@ def _batch_jacobian(fun, x: np.ndarray) -> np.ndarray:
                 vals = batch_rows([_base(c) for c in col], size)
         except (ArithmeticError, ValueError) as err:
             raise NumericalError(f"Jacobian evaluation failed in column {j}: {err}") from err
-        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-        if bad.size:
+        if not np.isfinite(vals).all():
+            bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
             raise NumericalError(
                 f"non-finite Jacobian entries in column {j} at x = {grid_point(x[bad[0]])}"
             )
@@ -481,9 +496,12 @@ def transpose(a: np.ndarray) -> np.ndarray:
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (A + A^T) / 2, of each matrix on a (..., r, r) stack."""
+    """Symmetric part (A + A^T) / 2, of each matrix on a (..., r, r) stack.
+    An entry that overflows, or adds inf to -inf, is inf or nan without a
+    warning: the margins read any such matrix as nan."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + transpose(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (a + transpose(a))
 
 
 def _square(a, name: str) -> np.ndarray:
@@ -496,15 +514,17 @@ def _square(a, name: str) -> np.ndarray:
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each symmetric matrix, by LAPACK (numpy's
     ``eigvalsh``: ``dsyevd``, jobz = N, uplo = L); nan for a matrix with a
-    non-finite entry, for which LAPACK may return finite values."""
-    bad = ~np.isfinite(a).all(axis=(-2, -1))
-    if bad.any():
+    non-finite entry, for which LAPACK may return finite values.  The
+    stack is tested for finiteness as a whole before it is scanned per
+    matrix."""
+    bad = None if np.isfinite(a).all() else ~np.isfinite(a).all(axis=(-2, -1))
+    if bad is not None:
         a = np.where(bad[..., None, None], 0.0, a)
     try:
         lam = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as err:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"symmetric eigenvalue iteration failed: {err}") from err
-    if bad.any():
+    if bad is not None:
         lam[bad] = np.nan
     return lam
 

@@ -12,10 +12,10 @@ most of a writer's cost.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -88,6 +88,10 @@ def _block_rows(block: np.ndarray, integral: np.ndarray) -> list[str]:
 
 
 def _json_fragment(obj, out: list[str]) -> None:
+    """Append the JSON of ``obj`` to ``out``.  Strings and keys are quoted by
+    ``encode_basestring``, the call that ``json.dumps(s, ensure_ascii=False)``
+    ends in, so non-ASCII text and lone surrogates pass through as they do
+    there."""
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -99,13 +103,13 @@ def _json_fragment(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for k, v in obj.items():
             if out[-1] != "{":
                 out.append(", ")
-            _json_fragment(str(k), out)
+            out.append(encode_basestring(str(k)))
             out.append(": ")
             _json_fragment(v, out)
         out.append("}")

@@ -107,6 +107,23 @@ CERT_UC_EXPR = {
              "seed": 3},
 }
 
+# state-dependent M, g and i that pass every condition, so D[i u] and
+# D[M g u] vary over the (state x input) product and the two residuals sit at
+# rounding level, where each bit of the Jacobians shows
+CERT_AP_EXPR = {
+    "system": {
+        "n": 2, "q": 2,
+        "f": ["-x1 - x1^3 + 0.3*x2", "-x2 - x2^3"],
+        "g": [["1 + 0.1*x1^2", "-0.2"], ["0", "(1 + 0.2*x2)/(1 + 0.1*x2^2)"]],
+        "h": ["x1 + x1^3/30", "-0.2*x1 + x2 + 0.1*x2^2 + x2^3/30 + 0.005*x2^4"],
+        "i": [["0.5 + 0.1*x1^2", "0.4"], ["-0.4", "0.7 + 0.2*x2 + 0.02*x2^3/3"]],
+    },
+    "storage": {"M": [["1", "0"], ["0", "1 + 0.1*x2^2"]]},
+    "supply": {"W": "identity"},
+    "grid": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5], "counts": [8, 8]},
+    "grid_u": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "counts": [3, 3]},
+}
+
 # one member under the adaptive stepper
 RC_AUDIT_RK45 = {
     "system": RC_AUDIT["system"],
@@ -223,6 +240,10 @@ CASES = {
     "certify-ap": (["certify-ap"], CERT_AP, {
         "certificate_report.json":
             "1e760e355837d1fbfad809b1a7db493c3cd8467987667a44539de20b4d73a6c1",
+    }),
+    "certify-ap-expr": (["certify-ap"], CERT_AP_EXPR, {
+        "certificate_report.json":
+            "03d4b30e6856b961b1eabdf2e3f2cadcbdaa0af470d66b4529d15dc587748859",
     }),
     "simulate": (["simulate"], SIMULATE, {
         "trajectory.csv": "33c92405a82042266b649504df827f40ded8ec7859acbf3735832003fc00ee56",

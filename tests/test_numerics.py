@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -549,6 +550,144 @@ class TestBatchJacobian:
             jacobian(fun, np.array([[1.0], [0.0]]))
 
 
+class TestJacobianBlockCheck:
+    """Each column's block is tested for finiteness as a whole and scanned
+    per point only when that test fails: the error still names the first
+    failing column and, in it, the first bad point."""
+
+    def test_nonfinite_only_in_column_0(self):
+        fun = lambda z: [z[0] * z[0] * 1e200, z[1]]
+        pts = np.array([[0.0, 1.0], [1.0, 2.0], [1e109, 3.0], [2e109, 4.0]])
+        with pytest.raises(numerics.NumericalError) as caught:
+            jacobian(fun, pts)
+        assert str(caught.value) == "non-finite Jacobian entries in column 0 at x = (1e+109, 3.0)"
+
+    def test_nonfinite_in_both_columns_reports_column_0(self):
+        # column 1 is bad from the first point, column 0 only from the second
+        fun = lambda z: [z[0] * z[1] * 1e200]
+        pts = np.array([[1e109, 1.0], [1.0, 1e109], [1e109, 1e109]])
+        with pytest.raises(numerics.NumericalError) as caught:
+            jacobian(fun, pts)
+        assert str(caught.value) == "non-finite Jacobian entries in column 0 at x = (1.0, 1e+109)"
+
+    @pytest.mark.parametrize("first, later", [(np.nan, np.inf), (np.inf, np.nan),
+                                              (-np.inf, np.nan), (np.nan, -np.inf)])
+    def test_nan_and_inf_are_both_found_first_one_named(self, first, later):
+        coef = np.array([1.0, 2.0, first, 3.0, later])
+        fun = lambda z: [z[0] + z[1], z[0] * coef]
+        pts = np.column_stack([np.arange(5.0), -np.arange(5.0)])
+        with pytest.raises(numerics.NumericalError) as caught:
+            jacobian(fun, pts)
+        assert str(caught.value) == "non-finite Jacobian entries in column 0 at x = (2.0, -2.0)"
+
+    def test_exception_in_column_1_only(self):
+        # raises only on the pass that differentiates along x2
+        fun = lambda z: [z[0] + 1.0 / (1.0 - numerics.deriv_part(z[1]))]
+        pts = np.array([[0.5, 1.0], [1.5, 2.0]])
+        with pytest.raises(numerics.NumericalError) as caught:
+            jacobian(fun, pts)
+        assert str(caught.value).startswith("Jacobian evaluation failed in column 1: ")
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25, -3.0]),
+                           st.tuples(*[st.integers(0, 3)] * 3)),
+                 min_size=1, max_size=4).map(tuple),
+        st.lists(st.tuples(st.sampled_from([0.0, -0.0, 2.0, -0.5]),
+                           st.tuples(*[st.integers(0, 3)] * 3)),
+                 min_size=0, max_size=3).map(tuple),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, -0.75, 3.0]),
+                 min_size=3 * 6, max_size=3 * 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_bits_equal_stacked_points_for_polynomials(self, p1, p2, values):
+        # polynomials with -0.0 coefficients and points: the batch keeps the
+        # signs of zeros that the per-point call gives
+        def poly(terms, z):
+            acc = 0.0
+            for coef, powers in terms:
+                term = coef
+                for zk, k in zip(z, powers):
+                    term = term * zk ** k
+                acc = acc + term
+            return acc
+
+        fun = lambda z: [poly(p1, z), poly(p2, z)]
+        pts = np.array(values).reshape(6, 3)
+        batch = jacobian(fun, pts)
+        singles = np.stack([jacobian(fun, p.tolist()) for p in pts])
+        assert batch.shape == (6, 2, 3)
+        assert batch.tobytes() == singles.tobytes()
+
+
+def _stacked_rows(rows, size):
+    """``batch_matrix`` as it was written before it filled one array: an
+    ``np.stack`` of each row's ``batch_rows``."""
+    return np.stack([numerics.batch_rows(row, size) for row in rows], axis=1)
+
+
+class TestBatchMatrix:
+    """``batch_matrix`` fills one (N, r, c) array entry by entry, with the
+    bits, and the errors, of stacking its rows' ``batch_rows``."""
+
+    @pytest.mark.parametrize("r, c", [(1, 1), (2, 2), (3, 3), (3, 2), (4, 1)])
+    def test_bits_equal_stacked_rows(self, rng, r, c):
+        size = 7
+        pool = [0.0, -0.0, 2.5, np.float64(-1.25), 3, rng.standard_normal(size),
+                np.full(size, -0.0), rng.integers(-3, 4, size)]
+        for trial in range(10):
+            rows = [[pool[k] for k in rng.integers(0, len(pool), c)] for _ in range(r)]
+            got = numerics.batch_matrix(rows, size)
+            assert got.shape == (size, r, c)
+            assert got.tobytes() == _stacked_rows(rows, size).tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0], [3.0]],
+        [],
+        [[1.0, np.ones(3)], [2.0, 3.0]],
+        [[1.0, 2.0], [np.ones(2), 3.0, 4.0]],
+        [[1.0, 2.0], [3.0], [np.ones(4)]],
+        [[1.0], [np.ones((5, 1))]],
+    ], ids=["ragged", "no-rows", "wrong-length", "ragged-after-wrong-length",
+            "wrong-length-in-a-ragged-stack", "two-dimensional-entry"])
+    def test_errors_equal_stacked_rows(self, rows):
+        with pytest.raises(Exception) as want:
+            _stacked_rows(rows, 5)
+        with pytest.raises(want.type) as got:
+            numerics.batch_matrix(rows, 5)
+        assert str(got.value) == str(want.value)
+
+
+class TestFirstNonFinite:
+    """``argworst`` and ``_eigvalsh`` test a whole array before they scan
+    it, and still locate a single bad entry anywhere in it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 6, 12])
+    def test_argworst_names_the_bad_index(self, rng, bad, k):
+        values = rng.standard_normal(13)
+        values[k] = bad
+        with pytest.raises(numerics.NumericalError, match=rf"^v is not finite at k = {k}$"):
+            numerics.argworst(values, "v", lambda i: f"k = {i}")
+
+    def test_argworst_first_of_several(self):
+        values = np.array([0.5, 1.0, np.inf, 2.0, np.nan])
+        with pytest.raises(numerics.NumericalError, match=r"^v is not finite at k = 2$"):
+            numerics.argworst(values, "v", lambda i: f"k = {i}")
+        assert numerics.argworst(values[:2], "v", str) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("k, i, j", [(0, 0, 0), (4, 1, 0), (8, 0, 1)])
+    def test_eigvalsh_nan_at_the_bad_matrix(self, rng, bad, r, k, i, j):
+        a = sym(rng.standard_normal((9, r, r)))
+        a[k, i, j] = bad
+        lam = numerics._eigvalsh(a)
+        assert np.isnan(lam[k]).all()
+        good = [m for m in range(9) if m != k]
+        assert _hex(lam[good]) == _hex([np.linalg.eigvalsh(a[m]) for m in good])
+
+
 def _hex(values) -> list[str]:
     return [float.hex(float(v)) for v in np.ravel(values)]
 
@@ -598,6 +737,31 @@ class TestStackedMargins:
     def test_stack_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             psd_margin(np.ones((4, 2, 3)))
+
+
+class TestOverflowingSym:
+    """A + A^T that overflows (or adds inf to -inf) makes that matrix's
+    margin nan without a warning, on the 2 x 2 kernel's LAPACK fallback and
+    on LAPACK itself; every other margin keeps its bits."""
+
+    @pytest.mark.parametrize("stack, bad", [
+        ([[[1.0, 2.0], [0.5, -3.0]], [[1.0, 1e308], [1e308, 1.0]]], 1),
+        ([[[1.0, np.inf], [-np.inf, 1.0]], [[1.0, 2.0], [0.5, -3.0]]], 0),
+        ([[[1.0, 1e308, 0.0], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]]], 0),
+        ([[[1.0, 0.0, 0.5], [0.0, -2.0, 0.0], [0.25, 0.0, 1.0]],
+          [[1.0, 0.0, -1e308], [0.0, 1.0, 0.0], [-1e308, 0.0, 1.0]],
+          [[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, 0.5, 3.0]]], 1),
+    ], ids=["2x2-overflow", "2x2-inf-minus-inf", "3x3-single", "3x3-middle"])
+    def test_margins_nan_without_warning(self, stack, bad):
+        stack = np.array(stack)
+        good = [k for k in range(len(stack)) if k != bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (nsd_margin, psd_margin):
+                got = fn(stack)
+                assert np.isnan(got[bad])
+                assert _hex(got[good]) == _hex([fn(stack[k]) for k in good])
+                assert math.isnan(fn(stack[bad]))
 
 
 # the largest |entry| of sym(A) for which neither dsterf (below 2^-405) nor

@@ -28,6 +28,28 @@ class TestJson:
         assert math.copysign(1.0, back[2]) == math.copysign(1.0, x)
 
 
+# every character, lone surrogates included, and more often the ones that
+# JSON escapes or that are not ASCII
+_ANY_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80é\u2028\u2029\ud800\udbff\udc00\udfff\ufeff'
+                    "\U0001f600"),
+))
+
+
+class TestJsonStrings:
+    @given(_ANY_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_dict_keyed_and_valued_by_a_string(self, text):
+        # the writer quoted each key and each string by one json.dumps call
+        quoted = json.dumps(text, ensure_ascii=False)
+        assert json_dumps({text: text}) == "{" + quoted + ": " + quoted + "}\n"
+        assert json_dumps([text, {"k": text}]) == f'[{quoted}, {{"k": {quoted}}}]\n'
+
+    def test_non_string_keys_are_quoted_as_str(self):
+        assert json_dumps({1: "a", None: "b", 2.5: "c"}) == '{"1": "a", "None": "b", "2.5": "c"}\n'
+
+
 # reference copies of the row-by-row CSV writers the table writers replaced
 
 
