@@ -725,6 +725,8 @@ def _parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         _common_flags(p)
+        if name == "simulate":  # the one command whose output format is a choice
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
     demo = sub.add_parser("demo")
     demo.add_argument("model", choices=sorted(_DEMOS))
     _common_flags(demo)
@@ -734,12 +736,13 @@ def _parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--t-final", type=float, default=None, dest="t_final")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quiet", action="store_true")
+    # ``simulate`` alone takes ``--format``; every namespace holds its default
+    p.set_defaults(format="csv")
 
 
 def _load_config(args) -> dict:

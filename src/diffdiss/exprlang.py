@@ -70,6 +70,7 @@ import math
 import operator
 import re
 import struct
+from collections import Counter
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -550,12 +551,33 @@ _GUARDED_FN = {
 
 @functools.lru_cache(maxsize=256)
 def _code(source: str, free: bool):
-    """``(source, code)``: a program's ``source``, with :func:`_free`'s
-    ``del`` lines if ``free``, and its compiled code, both made once per
-    distinct source."""
+    """``(source, code)``: a program's ``source`` without its dead state
+    reads (:func:`_live_reads`), with :func:`_free`'s ``del`` lines if
+    ``free``, and its compiled code, both made once per distinct source."""
+    source = _live_reads(source)
     if free:
         source = _free(source)
     return source, compile(source, "<exprlang program>", "exec")
+
+
+# a line that reads a state (x_k, dx_k, or a row of a lifted program's X)
+# into a new local
+_STATE_READ = re.compile(r"^    (t\d+) = d?[xX]\[\d+\]\n", re.M)
+
+
+def _live_reads(source: str) -> str:
+    """``source`` without each line that reads a state into a local no
+    other line and no ``return`` names: a state whose only use is the base
+    of ``b^0``, whose value the power never reads.  A guard on the base
+    (``log(x1)^0``) names it, so that read stays; no other line moves."""
+    reads = _STATE_READ.findall(source)
+    if not reads:
+        return source
+    named = Counter(_LOCAL.findall(source))
+    dead = {name for name in reads if named[name] == 1}
+    if not dead:
+        return source
+    return _STATE_READ.sub(lambda m: "" if m.group(1) in dead else m.group(0), source)
 
 
 def _free(source: str) -> str:

@@ -843,6 +843,33 @@ _DP_B4 = (
 )
 
 
+def _dp_columns():
+    """The running sums of a Dormand-Prince step, column by column.
+
+    A step keeps an (8, d) table: row 0 is the state x, row i (1 to 6) the
+    point of stage i, and row 7 the error estimate.  Once k_j is known,
+    each later row r with a nonzero coefficient gets ``(h * c) * k_j``,
+    where c is ``_DP_A[r][j]`` (r <= 6) or ``_DP_B5[j] - _DP_B4[j]`` (r =
+    7): the terms each row would add, in the order of j, skipping the zero
+    coefficients.  Returns the coefficients, column after column, as one
+    (m, 1) array, and for each column j the slice of the table rows it
+    updates and the slice of the coefficients it takes; each column's
+    nonzero rows must be contiguous (k2's stops at row 5)."""
+    rows = [a + (0.0,) * (7 - len(a)) for a in _DP_A[1:]]
+    rows.append(tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)))
+    coefs, columns = [], []
+    for j in range(7):
+        nonzero = [r + 1 for r, row in enumerate(rows) if row[j] != 0.0]
+        assert nonzero == list(range(nonzero[0], nonzero[-1] + 1)), f"column {j}"
+        columns.append((slice(nonzero[0], nonzero[-1] + 1),
+                        slice(len(coefs), len(coefs) + len(nonzero))))
+        coefs += [rows[r - 1][j] for r in nonzero]
+    return np.array(coefs)[:, None], tuple(columns)
+
+
+_DP_COEFS, _DP_COLUMNS = _dp_columns()
+
+
 def integrate(
     field: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -871,7 +898,7 @@ def _integrate_floats(field, x0, t_span, stepper: Stepper | None = None,
     with the same checks, counts, errors and bits.  Fixed RK4 steps on the
     lists (:func:`_rk4_step_floats`), or with ``step(t, x, h)``, a program
     that performs ``_rk4_step_floats(field, t, x, h)``'s operations and
-    checks in one call; ``Rk45`` calls the field on each stage array's
+    checks in one call; ``Rk45`` calls the field on each stage point's
     ``tolist()``."""
     return _integrate(field, x0, t_span, stepper, floats=True, step=step)
 
@@ -902,8 +929,10 @@ def _integrate(field, x0, t_span, stepper, floats: bool, step=None) -> OdeSoluti
             nfev = 4 * (len(times) - 1)
         else:
             if floats:
-                field = _called_on_lists(field)
-            n_rejected = _run_rk45(_finite_checking(field), x, t0, t1, stepper, times, states)
+                field = _finite_from_lists(field)
+            else:
+                field = _finite_checking(functools.partial(_on_copy, field))
+            n_rejected = _run_rk45(field, x, t0, t1, stepper, times, states)
             nfev = 1 + 6 * (len(times) - 1 + n_rejected)
     return OdeSolution(
         np.array(times), np.array(states), _stepper_id(stepper), _stepper_tol(stepper),
@@ -929,9 +958,31 @@ def _finite_checking(field):
     return wrapped
 
 
-def _called_on_lists(field):
-    """A field on lists of floats as a field on arrays, for ``Rk45``."""
-    return lambda t, z: field(t, z.tolist())
+def _on_copy(field, t, z):
+    """``field`` on a copy of ``z``, a row of the ``Rk45`` step's table,
+    which later steps rewrite."""
+    return field(t, z.copy())
+
+
+def _finite_from_lists(field):
+    """:func:`_finite_checking` of a field on lists of floats, for ``Rk45``:
+    the field is called on the stage point's ``tolist()``.  A finite sum of
+    the entries shows that each is finite, so only a sum that is not finite
+    (an entry is not, or the sum overflows) runs the elementwise test, as
+    does a result that ``sum`` cannot add as floats: a scalar, or numpy
+    scalars whose sum warns where warnings are errors."""
+    def wrapped(t, z):
+        v = field(t, z.tolist())
+        dx = np.asarray(v, dtype=float)
+        try:
+            finite = math.isfinite(sum(v))
+        except (TypeError, ArithmeticError, RuntimeWarning):
+            finite = False
+        if not finite and not np.isfinite(dx).all():
+            raise _NonFinite(t)
+        return dx
+
+    return wrapped
 
 
 def _finite_floats(field):
@@ -981,12 +1032,27 @@ def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
     next step's first stage, and after a rejected step the first stage is
     unchanged.  The tableau's last row of ``_DP_A`` is the fifth-order
     weights, so that stage's point is x5, summed term for term in the
-    order the weights give.  Returns the number of rejected steps."""
+    order the weights give.
+
+    The stage points and the error estimate are running sums in one table
+    (see :func:`_dp_columns`), allocated here: after each stage derivative,
+    one broadcast product and one in-place add update every later row.
+    ``field(t, row)`` is called on a row of that table and raises
+    ``_NonFinite`` on a non-finite result, before the next stage's point
+    is formed; its wrapper hands the field its own copy of the row (the
+    list, or an array copy), so a field may return or keep its argument.
+    Returns the number of rejected steps."""
     tol = stepper.tol
     t = t0
     h = min((t1 - t0) / 100.0, 0.1)
     n_steps = 0
     n_rejected = 0
+    table = np.empty((8, len(x)))
+    hc = np.empty_like(_DP_COEFS)
+    # each column's table rows and its (h * coefficient) column, as views
+    columns = [(table[rows], hc[coefs]) for rows, coefs in _DP_COLUMNS]
+    x5, err = table[6], table[7]  # _DP_A[6] is _DP_B5[:6] and _DP_B5[6] is 0.0
+    ax = np.abs(x)
     try:
         k1 = field(t, x)
         while t < t1 - 1e-14 * max(1.0, abs(t1)):
@@ -996,29 +1062,30 @@ def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
             h = min(h, t1 - t)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError("step-size underflow", t)
-            ks = [k1]
+            table[:7] = x
+            err.fill(0.0)
+            np.multiply(_DP_COEFS, h, out=hc)
+            k = k1
             for i in range(1, 7):
-                xi = x.copy()
-                for j, aij in enumerate(_DP_A[i]):
-                    if aij != 0.0:
-                        xi = xi + (h * aij) * ks[j]
-                ks.append(field(t + _DP_C[i] * h, xi))
-            x5 = xi  # the last stage's point: _DP_A[6] is _DP_B5[:6] and _DP_B5[6] is 0.0
-            err = np.zeros_like(x)
-            for i in range(7):
-                db = _DP_B5[i] - _DP_B4[i]
-                if db != 0.0:
-                    err = err + (h * db) * ks[i]
-            scale = tol * (1.0 + np.maximum(np.abs(x), np.abs(x5)))
-            ratio = float(np.max(np.abs(err) / scale))
+                rows, c = columns[i - 1]
+                rows += c * k
+                k = field(t + _DP_C[i] * h, table[i])
+            rows, c = columns[6]
+            rows += c * k
+            ax5 = np.abs(x5)
+            scale = np.maximum(ax, ax5)  # tol * (1.0 + max(|x|, |x5|)), in place
+            scale += 1.0
+            scale *= tol
+            np.abs(err, out=err)
+            err /= scale
+            ratio = float(err.max())
             if ratio <= 1.0:
                 t = t1 if t1 - (t + h) < 1e-14 * max(1.0, abs(t1)) else t + h
-                x = x5
-                k1 = ks[6]
-                if not np.isfinite(x).all():
+                if not math.isfinite(ax5.max()):
                     raise _NonFinite(t)
+                x, ax, k1 = x5.copy(), ax5, k
                 times.append(t)
-                states.append(x.copy())
+                states.append(x)
                 grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
                 h *= max(0.2, grow)
             else:

@@ -319,6 +319,20 @@ class TestCommands:
         assert payload["kind"] == "trajectory"
         assert len(payload["t"]) == len(payload["x"])
 
+    @pytest.mark.parametrize("argv", [
+        ["audit"], ["certify-uc"], ["certify-ap"], ["interconnect"], ["homotopy"],
+        ["converge"], ["demo", "rc"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_format_is_rejected_where_it_means_nothing(self, tmp_path, capsys, argv):
+        # only simulate writes its trace in a chosen format; elsewhere the
+        # flag is a usage error, not silently ignored
+        cfg = write_config(tmp_path, SCALAR_SYS)
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv, "--config", cfg, "--format", "json")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_audit_pass_and_files(self, tmp_path):
         cfg = write_config(tmp_path, SCALAR_SYS)
         code, out = run(tmp_path, "audit", "--config", cfg)

@@ -1005,6 +1005,43 @@ class TestFreedTemporaries:
             evaluate(parse(texts[1]), {"x": 0.5, "y": 2.0, "q_c": 1.5})]
 
 
+class TestDeadStateReads:
+    """A state whose only use is the base of ``b^0`` is not read: no line
+    reads it into a local that nothing names.  A guard on the base still
+    runs, and every other line stays as it was."""
+
+    def test_power_zero_reads_no_state(self):
+        fn = compile_map([parse("0.2*x1^0")], ["x1", "x2"])
+        tangent = fn.tangent.build()
+        assert "x[" not in fn.source
+        assert "x[" not in tangent.source and "dx[" not in tangent.source
+        assert fn([2.0, 3.0]) == [0.2]
+        assert fn.tangent([2.0, 3.0], [1.0, 1.0], {}) == ([0.2], [0.0])
+
+    def test_lifted_program_reads_no_dead_row(self):
+        f = compile_map([parse("-x1 + x2^0"), parse("-x1")], ["x1", "x2"])
+        g = compile_matrix([[parse("1")], [parse("0")]], ["x1", "x2"])
+        source = exprlang.lifted_rhs(f, g).source
+        assert "X[1]" not in source and "X[3]" not in source
+        assert "X[0]" in source and "X[2]" in source
+
+    def test_guard_on_the_base_still_runs(self):
+        fn = compile_map([parse("log(x1)^0 + x2")], ["x1", "x2"])
+        assert " = x[0]" in fn.source and " = dx[0]" in fn.tangent.build().source
+        assert fn([2.0, 3.0]) == [4.0]
+        with pytest.raises(EvalError, match="log of a non-positive value at offset 0"):
+            fn([-1.0, 3.0])
+        with pytest.raises(EvalError, match="log of a non-positive value at offset 0"):
+            fn.tangent([-1.0, 3.0], [1.0, 0.0], {})
+
+    def test_a_live_read_leaves_the_source_as_it_is(self):
+        source = "def program(x, e=None):\n    t1 = x[0]\n    t12 = t1 * t1\n    return [t12]\n"
+        assert exprlang._live_reads(source) is source
+        dead = "def program(x, e=None):\n    t1 = x[0]\n    t12 = x[1]\n    return [t12]\n"
+        assert exprlang._live_reads(dead) == (
+            "def program(x, e=None):\n    t12 = x[1]\n    return [t12]\n")
+
+
 class TestLiteralFolding:
     """``+``, ``-`` and ``*`` of two literals is computed when the program is
     generated: one float operation, which cannot raise, gives the bits the

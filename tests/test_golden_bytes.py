@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from diffdiss import exprlang
 from diffdiss.cli import main
 
 RK4_RUN = {"t_final": 1.0, "stepper": {"kind": "rk4", "dt": 1e-3}}
@@ -277,3 +278,48 @@ def _digests(tmp_path, argv, config, names):
 def test_outputs_match_recorded_digests(tmp_path, case):
     argv, config, expected = CASES[case]
     assert _digests(tmp_path, argv, config, expected) == expected
+
+
+# Each case's generated programs: the number of distinct sources that
+# ``exprlang._code`` compiles while the case runs, and the sha256 of their
+# sorted sha256 hex digests, one per line.  Recorded before the change that
+# drops dead state reads, which none of these sources holds, so a change
+# that claims to leave generated programs unchanged is checked here.
+SOURCES = {
+    "audit-expr": (7, "148983c5433bf49ecd384355ebeb4839fa2320fbc86e98b7f058494ae892a380"),
+    "audit-rc": (7, "1985d1614678a3c70f974dd76ab3bde57dc075f1685f7aa650a2a1bab3a574bf"),
+    "audit-rc-rk45": (6, "eba909698def8fec4cbd2f7fdaeeeb6298cf24a8803f957cb33c4203035aeb97"),
+    "certify-ap": (4, "ec3a8121c7dc7a46af5a73121fde51e71a8aac0747b7104efaed342f5136887f"),
+    "certify-ap-expr": (5, "51fe7162eb546951ccd0058a5b74c4856d4968b60529164963656b989f3ac063"),
+    "certify-uc": (3, "e9dce10c6f2cc0ac61bd715f18f23c3070464d5d5ecca66a6a4540af5399eb23"),
+    "certify-uc-expr": (6, "e68c2d0248881c0bd6bf489e6a7175c09aaf4f609df98d01dc1e272cb03bdf53"),
+    "converge-motor": (8, "7a2fce956f1e4014cfaaf63979716c91365858840cdb9b9221d7a4c99db05a0a"),
+    "demo-lti": (1, "4323da5b34c6ed42ff56556770491e43c1375989599bf871d4631b13fd8f9e84"),
+    "demo-motor": (6, "a694806aefc8b96cdfc6cbf2cd7fa88cc8819a2b7560e129b1dbe1707ed2c332"),
+    "demo-rc": (5, "ac36ebd27f705b3777ef6c743eddb4cbb734e8db258a250deae5984145569e1b"),
+    "homotopy-expr": (8, "7a5d09007fce51594c961fa420684ec42dbcf66bc2b2ffded88a9f9c24edcc3d"),
+    "interconnect-output": (11, "6b14156da34e1129037392926d263f0c89622b2770a2cfa670226af9fb9d10b7"),
+    "interconnect-output-i1":
+        (16, "b0956913a5733faa7a738699a470126718547217ff4b5a07aafe242099c29434"),
+    "interconnect-output-i2":
+        (16, "ebe2838b75bca7f619aac378a947e2f256c8973f2c1b0fd616836b606b8cb954"),
+    "interconnect-state": (11, "a83fe8170190bdbc923bd2628460a2ddf36e8a15f543136eeb5a81795dd28276"),
+    "simulate": (9, "07d619203a75558c6d4a25287462d7899a22944def0f26f315f095de64a74302"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_generated_sources_match_recorded_digests(tmp_path, monkeypatch, case):
+    compiled = set()
+    code = exprlang._code
+
+    def recording(source, free):
+        out = code(source, free)
+        compiled.add(hashlib.sha256(out[0].encode()).hexdigest())
+        return out
+
+    monkeypatch.setattr(exprlang, "_code", recording)
+    argv, config, expected = CASES[case]
+    _digests(tmp_path, argv, config, expected)
+    digests = "\n".join(sorted(compiled))
+    assert (len(compiled), hashlib.sha256(digests.encode()).hexdigest()) == SOURCES[case]

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -8,6 +9,10 @@ from hypothesis import strategies as st
 
 from diffdiss import numerics
 from diffdiss.numerics import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    _DP_C,
     DualScalar,
     IntegrationError,
     Rk4,
@@ -18,6 +23,7 @@ from diffdiss.numerics import (
     nsd_margin,
     psd_margin,
     sym,
+    _NonFinite,
 )
 from diffdiss.examples import MotorParams, motor_currents
 from diffdiss.exprlang import EvalError, evaluate, parse
@@ -412,6 +418,281 @@ def _dopri_all_stages(field, x0, t0, t1, tol):
         else:
             h *= max(0.1, min(1.0, 0.9 * ratio ** -0.2))
     return np.array(times), np.array(states)
+
+
+# ---------------------------------------------------------------------------
+# Reference Dormand-Prince stepper: ``numerics._run_rk45`` and its wrappers
+# as they were before the stage points became running sums in one table,
+# copied unchanged.  The stepper must give their bits, counts and errors.
+
+def _finite_checking(field):
+    def wrapped(t, x):
+        dx = np.asarray(field(t, x), dtype=float)
+        if not np.isfinite(dx).all():
+            raise _NonFinite(t)
+        return dx
+
+    return wrapped
+
+
+def _called_on_lists(field):
+    """A field on lists of floats as a field on arrays, for ``Rk45``."""
+    return lambda t, z: field(t, z.tolist())
+
+
+def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:
+    """Dormand-Prince steps with first-same-as-last reuse: the last stage is
+    evaluated at exactly (t + h, x5), so after an accepted step it is the
+    next step's first stage, and after a rejected step the first stage is
+    unchanged.  The tableau's last row of ``_DP_A`` is the fifth-order
+    weights, so that stage's point is x5, summed term for term in the
+    order the weights give.  Returns the number of rejected steps."""
+    tol = stepper.tol
+    t = t0
+    h = min((t1 - t0) / 100.0, 0.1)
+    n_steps = 0
+    n_rejected = 0
+    try:
+        k1 = field(t, x)
+        while t < t1 - 1e-14 * max(1.0, abs(t1)):
+            n_steps += 1
+            if n_steps > stepper.max_steps:
+                raise IntegrationError("adaptive stepper exceeded max step count", t)
+            h = min(h, t1 - t)
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise IntegrationError("step-size underflow", t)
+            ks = [k1]
+            for i in range(1, 7):
+                xi = x.copy()
+                for j, aij in enumerate(_DP_A[i]):
+                    if aij != 0.0:
+                        xi = xi + (h * aij) * ks[j]
+                ks.append(field(t + _DP_C[i] * h, xi))
+            x5 = xi  # the last stage's point: _DP_A[6] is _DP_B5[:6] and _DP_B5[6] is 0.0
+            err = np.zeros_like(x)
+            for i in range(7):
+                db = _DP_B5[i] - _DP_B4[i]
+                if db != 0.0:
+                    err = err + (h * db) * ks[i]
+            scale = tol * (1.0 + np.maximum(np.abs(x), np.abs(x5)))
+            ratio = float(np.max(np.abs(err) / scale))
+            if ratio <= 1.0:
+                t = t1 if t1 - (t + h) < 1e-14 * max(1.0, abs(t1)) else t + h
+                x = x5
+                k1 = ks[6]
+                if not np.isfinite(x).all():
+                    raise _NonFinite(t)
+                times.append(t)
+                states.append(x.copy())
+                grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
+                h *= max(0.2, grow)
+            else:
+                n_rejected += 1
+                h *= max(0.1, min(1.0, 0.9 * ratio ** -0.2))
+    except _NonFinite:
+        raise IntegrationError("non-finite state during RK45 step", times[-1]) from None
+    return n_rejected
+
+
+def _reference_rk45(field, x0, t_span, stepper, floats=False):
+    """The ``Rk45`` branch of ``numerics._integrate`` around the reference
+    stepper."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    x = np.asarray(x0, dtype=float).copy()
+    times, states, n_rejected = [t0], [x], 0
+    if t1 > t0:
+        if floats:
+            field = _called_on_lists(field)
+        n_rejected = _run_rk45(_finite_checking(field), x, t0, t1, stepper, times, states)
+    nfev = 1 + 6 * (len(times) - 1 + n_rejected) if t1 > t0 else 0
+    return numerics.OdeSolution(
+        np.array(times), np.array(states), "adaptive-rk45", stepper.tol,
+        nfev=nfev, n_accepted=len(times) - 1, n_rejected=n_rejected,
+    )
+
+
+def _solvers(floats):
+    """The stepper under test and the reference, on arrays or on lists."""
+    if floats:
+        return numerics._integrate_floats, functools.partial(_reference_rk45, floats=True)
+    return integrate, _reference_rk45
+
+
+def _outcome(solve, field, x0, span, stepper):
+    """The solution's bits, or the error's type, text and last good time."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _solution_bits(solve(field(), x0, span, stepper))
+    except IntegrationError as err:
+        return "IntegrationError", str(err), err.last_good_time
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+def _linear(a, b):
+    """x' = A x + b, on a float array or a list of floats."""
+    return lambda: lambda t, x: [sum(aij * xj for aij, xj in zip(row, x)) + bi
+                                 for row, bi in zip(a, b)]
+
+
+def _cubic(a, b):
+    """x' = A x - x^3 + b sin(t), which stays bounded for any A."""
+    return lambda: lambda t, x: [sum(aij * xj for aij, xj in zip(row, x)) - xi * xi * xi
+                                 + bi * math.sin(t) for row, bi, xi in zip(a, b, x)]
+
+
+def _nth_call(n, value):
+    """A field ``-x`` whose n-th call returns the list ``value`` (or raises
+    it, if it is an exception), counting the first stage as call 1."""
+    def make():
+        calls = [0]
+
+        def field(t, x):
+            calls[0] += 1
+            if calls[0] == n:
+                if isinstance(value, Exception):
+                    raise value
+                return value
+            return [-xi for xi in x]
+        return field
+    return make
+
+
+_entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310]))
+
+
+@st.composite
+def _systems(draw):
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 10.0, 60.0]))  # 60: stiff enough to reject steps
+    a = [[draw(st.floats(-1.0, 1.0)) * scale for _ in range(d)] for _ in range(d)]
+    b = [draw(st.floats(-1.0, 1.0)) for _ in range(d)]
+    x0 = [draw(_entry) for _ in range(d)]
+    return draw(st.sampled_from([_linear, _cubic]))(a, b), x0
+
+
+class TestStepperOracle:
+    """``integrate`` and ``_integrate_floats`` under ``Rk45`` against the
+    reference stepper above: the same times, states and counts, bit for
+    bit, and the same errors at the same times."""
+
+    @given(system=_systems(), tol=st.floats(1e-12, 1e-3),
+           t1=st.floats(0.01, 2.0), floats=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example(system=(_linear([[-60.0]], [0.0]), [1.0]), tol=1e-6, t1=2.0, floats=False)
+    @example(system=(_cubic([[0.5, -60.0], [60.0, 0.5]], [1.0, 0.0]), [-0.0, 5e-324]),
+             tol=1e-12, t1=0.3, floats=True)
+    def test_gives_the_reference_bits(self, system, tol, t1, floats):
+        field, x0 = system
+        solve, reference = _solvers(floats)
+        span, stepper = (0.0, t1), Rk45(tol)
+        assert _outcome(solve, field, x0, span, stepper) == \
+            _outcome(reference, field, x0, span, stepper)
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "lists"])
+    def test_rejected_steps_give_the_reference_bits(self, floats):
+        solve, reference = _solvers(floats)
+        field, stepper = _linear([[-60.0, 1.0], [0.0, -0.5]], [0.2, 0.0]), Rk45(1e-9)
+        got = _outcome(solve, field, [1.0, -0.0], (0.0, 3.0), stepper)
+        assert got == _outcome(reference, field, [1.0, -0.0], (0.0, 3.0), stepper)
+        assert got[4] > 0  # n_rejected
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("n", range(1, 16))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, ValueError("boom")],
+                             ids=["nan", "inf", "raises"])
+    def test_a_bad_stage_fails_as_the_reference_does(self, floats, n, value):
+        # calls 2-7 are the first step's stages, 8-13 the second's
+        solve, reference = _solvers(floats)
+        field = _nth_call(n, value if isinstance(value, Exception) else [value, value])
+        stepper = Rk45(1e-6)
+        want = _outcome(reference, field, [1.0, 0.5], (0.0, 1.0), stepper)
+        assert _outcome(solve, field, [1.0, 0.5], (0.0, 1.0), stepper) == want
+        assert want[0] == ("ValueError" if isinstance(value, Exception) else "IntegrationError")
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("case", ["max-steps", "underflow", "blow-up"])
+    def test_stepper_failures_match_the_reference(self, floats, case):
+        def alternating():
+            calls = [0]
+
+            def field(t, x):  # no step size makes the error small enough
+                calls[0] += 1
+                return [1e12 * (-1.0) ** calls[0]]
+            return field
+
+        field, x0, stepper = {
+            "max-steps": (_linear([[-1.0]], [0.0]), [1.0], Rk45(1e-8, max_steps=3)),
+            "underflow": (alternating, [0.0], Rk45(1e-8)),
+            # a finite field whose accepted state overflows
+            "blow-up": (lambda: lambda t, x: [1e308, -x[1]], [0.0, 1.0], Rk45(1e-3)),
+        }[case]
+        solve, reference = _solvers(floats)
+        want = _outcome(reference, field, x0, (0.0, 5.0), stepper)
+        assert _outcome(solve, field, x0, (0.0, 5.0), stepper) == want
+        message = {"max-steps": "max step count", "underflow": "step-size underflow",
+                   "blow-up": "non-finite state"}[case]
+        assert want[0] == "IntegrationError" and message in want[1]
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("field", [
+        lambda t, x: x,  # its argument
+        lambda t, x: x[::-1],  # a view of it (a list slice on the float path)
+        lambda t, x: x[:1] * len(x),  # the same entry, repeated
+    ], ids=["argument", "reversed", "first"])
+    def test_fields_returning_their_argument(self, floats, field):
+        solve, reference = _solvers(floats)
+        x0, stepper = [0.3, -0.7, 1e-300], Rk45(1e-10)
+        got = _outcome(solve, lambda: field, x0, (0.0, 1.5), stepper)
+        assert got == _outcome(reference, lambda: field, x0, (0.0, 1.5), stepper)
+        assert got[3] > 1  # n_accepted
+
+    @pytest.mark.parametrize("field, x0", [
+        (lambda: lambda t, x: -x[0], [1.0]),  # a scalar, not a list
+        (lambda: lambda t, x: [10 ** 308, 10 ** 308], [0.0, 0.0]),  # ints: the sum overflows
+        (lambda: lambda t, x: [np.float64(1e308)] * 2, [0.0, 0.0]),
+        (_nth_call(5, [np.float64(math.inf)] * 2), [1.0, 0.5]),
+    ], ids=["scalar", "big-ints", "numpy-overflow", "numpy-inf"])
+    def test_results_that_sum_cannot_add_as_floats(self, field, x0):
+        # the float path's finiteness test falls back to the elementwise test
+        assert _outcome(numerics._integrate_floats, field, x0, (0.0, 5.0), Rk45(1e-6)) == \
+            _outcome(functools.partial(_reference_rk45, floats=True), field, x0, (0.0, 5.0),
+                     Rk45(1e-6))
+
+    def test_numpy_inf_minus_inf_fails_as_non_finite(self):
+        # sum() of numpy scalars warns on inf - inf, an error under this suite's
+        # warning filter; the stepper still reports the non-finite stage
+        field = _nth_call(3, [np.float64(math.inf), np.float64(-math.inf)])
+        with pytest.raises(IntegrationError, match="non-finite state during RK45") as err:
+            numerics._integrate_floats(field(), [1.0, 0.5], (0.0, 1.0), Rk45(1e-6))
+        assert err.value.last_good_time == 0.0
+
+    def test_an_array_field_may_keep_its_argument(self):
+        kept = []
+
+        def field(t, x):
+            kept.append(x)
+            return -x
+
+        sol = integrate(field, [1.0, 2.0], (0.0, 1.0), Rk45(1e-8))
+        ref_kept = []
+        _reference_rk45(lambda t, x: ref_kept.append(x) or -x, [1.0, 2.0], (0.0, 1.0),
+                        Rk45(1e-8))
+        assert len(kept) == sol.nfev == len(ref_kept)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, ref_kept))
+
+    def test_column_slices_match_the_tableau(self):
+        # each row's terms, rebuilt from the column slices, are the tableau's
+        # nonzero coefficients in the order of j
+        rows = {r: [] for r in range(1, 8)}
+        for j, (table_rows, coefs) in enumerate(numerics._DP_COLUMNS):
+            for r, c in zip(range(table_rows.start, table_rows.stop),
+                            numerics._DP_COEFS[coefs, 0]):
+                rows[r].append((j, float(c)))
+        for i in range(1, 7):
+            assert rows[i] == [(j, a) for j, a in enumerate(_DP_A[i]) if a != 0.0]
+        assert rows[7] == [(j, b5 - b4) for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4))
+                           if b5 - b4 != 0.0]
 
 
 class TestMargins:
