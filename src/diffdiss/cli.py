@@ -157,7 +157,7 @@ def _matrix_fn(entries, names: list[str], exo: set[str], path: str, shape: tuple
 
 def _signal(spec, path: str) -> Signal:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return Signal.constant(float(spec))
+        return Signal.constant(_as_float(spec, path))
     if not isinstance(spec, dict):
         raise ConfigError(path, "signal must be a number or an object with a 'kind'")
     kind = _get(spec, path, "kind", required=True)
@@ -275,16 +275,15 @@ def _rc_bundle(params: dict, path: str):
         raise ConfigError(f"{path}/mu", str(err)) from None
 
 
-def _build_storage(cfg: dict, sys_, bundle, required: bool = False,
-                   key: str = "storage", parent: str = ""):
+def _build_storage(cfg: dict, sys_, required: bool = False, key: str = "storage",
+                   parent: str = ""):
     """The storage at ``{parent}/{key}``, or the one attached to the system."""
     spec = cfg.get(key)
     path = f"{parent}/{key}"
     if spec is None:
-        attached = getattr(bundle, "storage", None) or sys_.storage
-        if attached is None and required:
+        if sys_.storage is None and required:
             raise ConfigError(path, "missing storage (and system has none attached)")
-        return attached
+        return sys_.storage
     m_spec = _get(_object(spec, path), path, "M", required=True)
     names, shape = _state_names(sys_.n), (sys_.n, sys_.n)
     if m_spec == "identity":
@@ -296,16 +295,15 @@ def _build_storage(cfg: dict, sys_, bundle, required: bool = False,
     return QuadraticDifferentialStorage(m_fun, sys_.n, p_fun=p_fun)
 
 
-def _build_supply(cfg: dict, sys_, bundle, required: bool = False,
-                  key: str = "supply", parent: str = ""):
+def _build_supply(cfg: dict, sys_, required: bool = False, key: str = "supply",
+                  parent: str = ""):
     """The supply at ``{parent}/{key}``, or the one attached to the system."""
     spec = cfg.get(key)
     path = f"{parent}/{key}"
     if spec is None:
-        attached = getattr(bundle, "supply", None) or sys_.supply
-        if attached is None and required:
+        if sys_.supply is None and required:
             raise ConfigError(path, "missing supply (and system has none attached)")
-        return attached
+        return sys_.supply
     w_spec = _get(_object(spec, path), path, "W", required=True)
     strictness = spec.get("strictness", "none")
     if strictness not in ("none", "output", "state"):
@@ -420,10 +418,10 @@ def _finish(args, out_dir: str, name: str, payload: dict, text: str) -> int:
 
 
 def cmd_simulate(cfg, args, out_dir):
-    sys_, bundle = _build_system(cfg)
+    sys_, _ = _build_system(cfg)
     traj = _simulated(cfg, sys_, args)
-    storage = _build_storage(cfg, sys_, bundle)
-    supply = _build_supply(cfg, sys_, bundle)
+    storage = _build_storage(cfg, sys_)
+    supply = _build_supply(cfg, sys_)
     if storage is not None and supply is not None:
         audit(traj, storage, supply, tol=_tol(cfg, args, 1e-9))
     if args.format == "json":
@@ -445,9 +443,9 @@ def cmd_simulate(cfg, args, out_dir):
 
 
 def cmd_audit(cfg, args, out_dir):
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle, required=True)
-    supply = _build_supply(cfg, sys_, bundle, required=True)
+    sys_, _ = _build_system(cfg)
+    storage = _build_storage(cfg, sys_, required=True)
+    supply = _build_supply(cfg, sys_, required=True)
     traj = _simulated(cfg, sys_, args)
     report = audit(traj, storage, supply, tol=_tol(cfg, args, 1e-9))
     write_trace_csv(os.path.join(out_dir, "audit_trace.csv"), traj)
@@ -459,12 +457,12 @@ def cmd_audit(cfg, args, out_dir):
 def _certificate_maps(cfg: dict, command: str):
     """``(system, storage, supply)`` of a certificate command, read in that
     order; a storage projector is rejected before the supply is read."""
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle, required=True)
+    sys_, _ = _build_system(cfg)
+    storage = _build_storage(cfg, sys_, required=True)
     spec = cfg.get("storage")
     if isinstance(spec, dict) and spec.get("projector") is not None:
         raise ConfigError("/storage/projector", f"{command} does not support a projector")
-    return sys_, storage, _build_supply(cfg, sys_, bundle, required=True)
+    return sys_, storage, _build_supply(cfg, sys_, required=True)
 
 
 def _certificate_uc(cfg: dict, args, command: str):
@@ -495,15 +493,15 @@ def cmd_certify_ap(cfg, args, out_dir):
 
 
 def cmd_interconnect(cfg, args, out_dir):
-    sys1, bundle1 = _build_system(cfg)
+    sys1, _ = _build_system(cfg)
     path = "/interconnect"
     ic = _object(_get(cfg, "", "interconnect", required=True), path)
-    sys2, bundle2 = _build_system({"system": _get(ic, path, "system2", required=True)},
-                                  f"{path}/system2")
-    sys1.storage = _build_storage(cfg, sys1, bundle1)
-    sys1.supply = _build_supply(cfg, sys1, bundle1)
-    sys2.storage = _build_storage(ic, sys2, bundle2, key="storage2", parent=path)
-    sys2.supply = _build_supply(ic, sys2, bundle2, key="supply2", parent=path)
+    sys2, _ = _build_system({"system": _get(ic, path, "system2", required=True)},
+                            f"{path}/system2")
+    sys1.storage = _build_storage(cfg, sys1)
+    sys1.supply = _build_supply(cfg, sys1)
+    sys2.storage = _build_storage(ic, sys2, key="storage2", parent=path)
+    sys2.supply = _build_supply(ic, sys2, key="supply2", parent=path)
     coupling = _get(ic, path, "coupling", default="output")
     eq = None
     if coupling == "output":
@@ -531,8 +529,8 @@ def cmd_interconnect(cfg, args, out_dir):
 
 
 def cmd_homotopy(cfg, args, out_dir):
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle)
+    sys_, _ = _build_system(cfg)
+    storage = _build_storage(cfg, sys_)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
     a = np.asarray(x0)
     b = np.asarray(_point(cfg, "x0_b", sys_.n, required=True))
@@ -555,9 +553,9 @@ def cmd_homotopy(cfg, args, out_dir):
 
 
 def cmd_converge(cfg, args, out_dir):
-    sys_, bundle = _build_system(cfg)
-    storage = _build_storage(cfg, sys_, bundle, required=True)
-    supply = _build_supply(cfg, sys_, bundle, required=True)
+    sys_, _ = _build_system(cfg)
+    storage = _build_storage(cfg, sys_, required=True)
+    supply = _build_supply(cfg, sys_, required=True)
     run = _run(cfg)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
     x0_b = _point(cfg, "x0_b", sys_.n, required=True)
@@ -565,7 +563,7 @@ def cmd_converge(cfg, args, out_dir):
         sys_, storage, supply, x0, x0_b, u=u, t_final=t_final,
         tol=_tol(cfg, args, 1e-3), n_s=_n_s(cfg),
         stepper=_build_stepper(cfg, args),
-        state_bound=_as_float(run.get("bound", 1e6), "/run/bound"),
+        state_bound=_as_float(run.get("bound", 1e6), "/run/bound", positive=True),
     )
     write_length_gap_csv(
         os.path.join(out_dir, "convergence_trace.csv"),

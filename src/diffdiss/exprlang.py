@@ -47,13 +47,13 @@ side f + g·u of a system (see "generated programs" below).  A program of the
 float kind, for parts known to be Python floats, writes out the float
 operations the ``numerics`` helpers perform on a float (``/``, a comparison
 for a guard, the ``math`` function, the dual rules), with the same bits and
-errors; ``systems`` generates one fixed RK4 step of a one-member run from
-it, and :func:`lifted_stack` is the lifted program of that kind over a
-stack of members, whose lines that read no state run once per call.  No
-config text enters a program's source, so maps of one structure share one
-compiled code object (:func:`_code` keeps the last 256 sources it
-compiled); a new structure costs one ``compile()``, about 0.3-0.5 ms for a
-map and 1.4-3.6 ms for the RK4 step of a small system (2-vCPU x86-64 host).
+errors; ``systems`` builds from it the fixed RK4 step of one member and
+the field of a stack of members, whose lines that read no state run once
+per call.  No config text enters a program's source, so maps of one
+structure share one compiled code object (:func:`_code` keeps the last 256
+sources it compiled); a new structure costs one ``compile()``, about
+0.3-0.5 ms for a map and 1.4-3.6 ms for the RK4 step of a small system
+(2-vCPU x86-64 host).
 A program that may run on batch arrays frees each temporary after its last
 use (:func:`_free`), so a batched call holds its live temporaries only.
 
@@ -1104,35 +1104,6 @@ def lifted_rhs(f, g):
     program = _Program(f.names, "X[{}]".format, lambda k: f"X[{n + k}]")
     rows = program.lifted_rows(f, g)
     return program.function("X, e, U", f"[{', '.join(rows)}]")
-
-
-def lifted_stack(f, g):
-    """``stack(Z, e, U)``: :func:`lifted_rhs` of ``f`` and ``g`` on each
-    member's row of ``Z``, m rows of 2n floats stacked member-major, as one
-    generated program of the float kind.  The lines that read no state run
-    once: the exogenous reads, the nodes of the exogenous values and
-    constants alone, the unpacking of ``U`` and the ``g·u`` terms over them,
-    with their guards.  Then a loop over the members runs the lines that
-    read a state, in their order, and extends one list with each member's
-    rows.  ``e`` holds floats and ``U`` floats shared by every member.
-
-    If no line raises, member j's rows are, bit for bit, what
-    ``lifted_rhs(f, g)(Z[j*2n:(j+1)*2n], e, U)`` returns.  The stack raises
-    exactly when some member's call raises: a shared line that raises is a
-    line of member 0's call, a member line one of that member's call.  That
-    call may raise first at an earlier line, so the error may differ from
-    its error."""
-    n = len(f.asts)
-    program = _Program((), None, floats=True)
-    states = [program.fresh("s") for _ in range(2 * n)]
-    program.restart(f.names, states.__getitem__, lambda k: states[n + k])
-    program.varying = set(states)
-    rows = program.lifted_rows(f, g)
-    program.lines += ["out = []", f"for j in range(0, len(Z), {2 * n}):",
-                      f"    {', '.join(states)}, = Z[j:j + {2 * n}]",
-                      *(f"    {line}" for line in program.member_lines),
-                      f"    out += [{', '.join(rows)}]"]
-    return program.function("Z, e, U", "out")
 
 
 def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:

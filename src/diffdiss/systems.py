@@ -39,28 +39,27 @@ Under ``Rk45`` the members share one adaptive grid, and a step is accepted
 only when every member's error passes, so a member's grid differs from its
 solo run's; under ``Rk4`` every member is bit-identical to its solo run.
 
-Every run on floats has one field (:func:`_float_field`): a run of one
-member (every :func:`simulate_prolonged`), plain :func:`simulate`, and a
-stack of at most ``_MEMBER_LOOP_MAX`` members whose lift is one generated
-program.  It steps on one list of plain floats with the bits of the array
-steps and reads a constant (``Signal.constant``, and so the default zero
-``du``) once, when it is built.  One member runs ``rhs_with`` on its row; a
-stack runs one generated program over all its rows
-(:func:`exprlang.lifted_stack`), which computes the lines that read no
-state once per call and the others once per member.  A stack's call that
-raises, or that meets a per-member input, is made again on arrays, so a
-stack fails as the array run does; one member's own error stands.  Under
-``Rk4`` a run of one member whose lift is one generated program takes each
-step in one generated program (:func:`_rk4_step`): the four stages and the
-update on scalar locals, an expression signal (input or exogenous) written
-out as float code, with the bits, ``nfev`` and errors of the field's steps.
-``Rk45`` keeps its array stepper and one shared grid.  Larger stacks, and
-stacks of Python maps, evaluate all members in one call per field
-evaluation and step on arrays; the limit comes from a measured crossover
-(see ``_MEMBER_LOOP_MAX``).
-Every path (the float field, the generated step, the array field and the
-pass after integration) reads the inputs, then the exogenous signals, so
-when both fail at one time the run raises the input's error.
+A run on floats steps on one list of plain floats, with the bits of the
+array steps.  When the lift is one generated program, each run of at most
+``_MEMBER_LOOP_MAX`` members runs a generated program of the float kind,
+built from one stage builder (:func:`_stage_builder`), which reads the
+inputs and exogenous values at a stage time inside the program (a
+constant as a global, an expression signal as float code) and then runs
+the lifted program on the stage's state locals.  Under ``Rk4`` one member
+takes each step in one program (:func:`_rk4_step`), with the bits,
+``nfev`` and errors of the field's steps; otherwise every field call is
+one call of the stack field (:func:`_stack_field`), whose lines that read
+no state run once per call and the others once per member.  A stack
+field call of two or more members that raises, or meets a per-member
+input, is made again on arrays, so a stack fails as the array run does.
+Plain :func:`simulate`, and one member of Python maps, run ``rhs_with`` on
+the list (:func:`_float_field`).  ``Rk45`` keeps its array stepper and one
+shared grid.  Larger stacks, and stacks of Python maps, evaluate all
+members in one call per field evaluation and step on arrays; the limit
+comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).  Every path
+(the generated programs, the float field, the array field and the pass
+after integration) reads the inputs, then the exogenous signals, so when
+both fail at one time the run raises the input's error.
 """
 
 from __future__ import annotations
@@ -99,8 +98,8 @@ class Signal:
     picked at construction, whether the signal is ``smooth``, its ``fixed``
     value if it is a constant (None otherwise), which a run reads once
     instead of calling ``at`` per stage, and the ``compiled`` map of ``t``
-    an expression signal evaluates (None otherwise), which a generated RK4
-    step writes out in place of calling ``at``.
+    an expression signal evaluates (None otherwise), which a generated
+    float program writes out in place of calling ``at``.
 
     ``many(times)`` returns ``at`` at each of a 1-d array of times, bit for
     bit, as one array (one row per time for a per-member signal) from one
@@ -440,38 +439,27 @@ def _exo_reader(sys: DynSystem):
                       for name, fixed, value in items}
 
 
-def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
-    """``step(t, x, h)``: :func:`numerics._rk4_step_floats` of
-    ``_float_field(lifted, sigs)`` as one generated program on floats, for a
-    lift whose ``rhs_with`` :func:`lift` generated.
+def _stage_builder(lifted: DynSystem, sigs: list[Signal]):
+    """``(program, stage)``: a new program of the float kind, and
+    ``stage(time, states, expressions) -> rows``, which appends to it one
+    field evaluation of ``lifted``, a lift whose ``rhs_with`` :func:`lift`
+    generated, and returns the names of its 2n rows.
 
-    Each stage takes the inputs in order, then the exogenous values in the
-    order :func:`_exo_reader` reads them, as the field does, then runs the
-    float kind of the lifted program on scalar locals and raises
-    ``_NonFinite`` if a row is not finite, as ``_finite_floats`` does; the
-    stages and the update perform ``_rk4_step_floats``' operations in its
-    order.  So the step gives its bits and raises its errors, with no field
-    call and no list per stage.  A constant input or exogenous value is a
-    global of the program; an expression signal, input or exogenous, is
-    written out as float code, computed once at ``t + 0.5*h`` for the second
-    and third stages (which both compute that time by the same operation);
-    any other input is read through its ``at``, a length-1 array read as its
-    one float, and any other exogenous signal through its ``value``.
-    Constants are globals and states are read by position, so no config text
-    enters the source and steps of one structure share one compiled code
-    object."""
+    A stage reads the inputs, then the exogenous values (in ``exo_at``'s
+    order), at the local ``time``, then runs the lifted program on the state
+    locals ``states``.  A constant input is a constant of the program; a
+    constant exogenous value, the ``value`` of any other exogenous signal and
+    the ``at`` of any other input (a length-1 array read as its one float)
+    are globals.  An expression signal is float code; ``expressions`` holds
+    those already computed at ``time``, by input index and by name.  A name
+    f or g reads outside ``lifted.exo`` raises on the empty ``e``."""
     f, g, n = lifted.base.f, lifted.base.g, lifted.base.n
     program = exprlang._Program((), None, floats=True)
-    lines, scope = program.lines, program.scope
-    scope.update(_isfinite=math.isfinite, _NonFinite=_NonFinite, _ndarray=np.ndarray)
-    # Constants only: the program reads them from ``e``.  With a live signal
-    # every exogenous value is a local, and a name outside ``lifted.exo``
-    # raises on the empty ``e`` as it does on the reader's dict.
-    live = any(sig.fixed is None for sig in lifted.exo.values())
-    scope["e"] = {} if live else {name: sig.fixed for name, sig in lifted.exo.items()}
+    scope = program.scope
+    scope.update(_ndarray=np.ndarray, e={})
     exo_globals = {}  # the global holding each constant, or the ``value`` read through it
     for name, sig in lifted.exo.items():
-        if live and sig.compiled is None:
+        if sig.compiled is None:
             exo_globals[name] = program.fresh("E")
             scope[exo_globals[name]] = sig.value if sig.fixed is None else sig.fixed
     readers = {}  # the global holding the ``at`` of each input read through it
@@ -480,36 +468,57 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
             readers[k] = program.fresh("A")
             scope[readers[k]] = sig.at
 
+    def expression(key, sig: Signal, expressions: dict) -> str:
+        if key not in expressions:
+            (expressions[key], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
+        return expressions[key]
+
     def stage(time: str, states: list[str], expressions: dict) -> list[str]:
-        """The rows at ``time``; ``expressions`` holds the expression inputs
-        (by input index) and exogenous signals (by name) already computed
-        there."""
         program.restart(["t"], lambda _: time)  # the expression signals' DAG
         u = []
         for k, sig in enumerate(sigs):
             if sig.fixed is not None:
                 u.append(program.const(sig.fixed))
             elif sig.compiled is not None:
-                if k not in expressions:
-                    (expressions[k], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
-                u.append(expressions[k])
+                u.append(expression(k, sig, expressions))
             else:
                 v = program.let(f"{readers[k]}({time})")
-                lines.append(f"if {v}.__class__ is _ndarray: {v} = {v}.item()")
+                program.lines.append(f"if {v}.__class__ is _ndarray: {v} = {v}.item()")
                 u.append(v)
         exo = {}
-        for name, sig in lifted.exo.items() if live else ():
+        for name, sig in lifted.exo.items():
             if sig.compiled is not None:
-                if name not in expressions:
-                    (expressions[name], _), = program.entries(sig.compiled.asts, sig.compiled.exo)
-                exo[name] = expressions[name]
+                exo[name] = expression(name, sig, expressions)
             elif sig.fixed is None:
                 exo[name] = program.let(f"{exo_globals[name]}({time})")
             else:
                 exo[name] = exo_globals[name]
         program.restart(f.names, states.__getitem__, lambda k: states[n + k])
         program.exo.update(exo)
-        rows = program.lifted_rows(f, g, u)
+        return program.lifted_rows(f, g, u)
+
+    return program, stage
+
+
+def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
+    """``step(t, x, h)``: :func:`numerics._rk4_step_floats` of
+    ``_float_field(lifted, sigs)`` as one generated program on floats, for a
+    lift whose ``rhs_with`` :func:`lift` generated.
+
+    Its four stages are :func:`_stage_builder` stages, each raising
+    ``_NonFinite`` if a row is not finite, as ``_finite_floats`` does, and
+    the second and third share the expression signals at ``t + 0.5*h``.
+    The stages and the update perform ``_rk4_step_floats``' operations in
+    its order, so the step gives its bits and errors with no field call.
+    No config text enters the source, so steps of one structure share one
+    compiled code object."""
+    n = lifted.base.n
+    program, rows_at = _stage_builder(lifted, sigs)
+    lines = program.lines
+    program.scope.update(_isfinite=math.isfinite, _NonFinite=_NonFinite)
+
+    def stage(time: str, states: list[str], expressions: dict) -> list[str]:
+        rows = rows_at(time, states, expressions)
         finite = " and ".join(f"_isfinite({r})" for r in rows)
         lines.append(f"if not ({finite}): raise _NonFinite({time})")
         return rows
@@ -533,8 +542,32 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
     return program.function("t, x, h", f"[{', '.join(out)}]")
 
 
+def _stack_field(lifted: DynSystem, sigs: list[Signal]):
+    """``field(t, Z)``: ``lifted.rhs_with`` at ``t`` on each member's row of
+    ``Z`` (m rows of 2n floats, member-major) as one generated program of
+    the float kind: one :func:`_stage_builder` stage whose lines that read no
+    state (the signals, the nodes of exogenous values and constants, the
+    ``g·u`` terms over them, with their guards) run once, then a loop that
+    runs the others for each member and extends one list with its rows.
+
+    If no line raises, member j's rows are, bit for bit, ``rhs_with`` on its
+    row.  The field raises exactly when some member's call raises (a shared
+    line is member 0's), though maybe with another of that call's errors.
+    An input array of a length other than 1 raises ``ValueError``."""
+    n = lifted.base.n
+    program, stage = _stage_builder(lifted, sigs)
+    states = [program.fresh("s") for _ in range(2 * n)]
+    program.varying = set(states)
+    rows = stage("t", states, {})
+    program.lines += ["out = []", f"for j in range(0, len(Z), {2 * n}):",
+                      f"    {', '.join(states)}, = Z[j:j + {2 * n}]",
+                      *(f"    {line}" for line in program.member_lines),
+                      f"    out += [{', '.join(rows)}]"]
+    return program.function("t, Z", "out")
+
+
 # The largest stack of a compiled lift that steps on floats, through its
-# stack program; a larger one makes one array call per field call.
+# stack field; a larger one makes one array call per field call.
 # Integration time per field call in us, array call / stack program (Rk4, dt
 # 1e-2 over 1 s, best of 45-96 on a shared 2-vCPU x86-64 host, Python 3.11,
 # numpy 2.4):
@@ -549,19 +582,13 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
 _MEMBER_LOOP_MAX = 16
 
 
-def _float_field(sys: DynSystem, sigs: list[Signal], stack=None, array_field=None):
+def _float_field(sys: DynSystem, sigs: list[Signal]):
     """``field(t, z)`` of ``sys`` on one list of floats, for
-    :func:`numerics._integrate_floats`.  Each call reads the inputs, then the
-    exogenous values, as ``array_field`` does (a constant once, here), and
-    runs ``sys.rhs_with`` on one member's row, or the program ``stack(z, e,
-    u)`` of :func:`exprlang.lifted_stack` on the rows of a stack, stacked
-    member-major.  A length-1 input array is read as its one float.  A
-    stack's call that raises is made again as ``array_field(t, z)``, so its
-    error is the array call's, and so is a call with an input array of any
-    other length (one value per member, say), which the array call
-    broadcasts or rejects; one member has no array call, so its own error
-    stands."""
-    rhs, exo = stack or sys.rhs_with, _exo_reader(sys)
+    :func:`numerics._integrate_floats`: plain :func:`simulate`, and one
+    member of a lift of Python maps.  Each call reads the inputs, then the
+    exogenous values (a constant once, here), and runs ``sys.rhs_with`` on
+    ``z``.  A length-1 input array is read as its one float."""
+    rhs, exo = sys.rhs_with, _exo_reader(sys)
     values = [s.fixed for s in sigs]
     live = [(k, s.at) for k, s in enumerate(sigs) if s.fixed is None]
 
@@ -569,18 +596,8 @@ def _float_field(sys: DynSystem, sigs: list[Signal], stack=None, array_field=Non
         u = values.copy() if live else values
         for k, at in live:
             v = at(t)
-            if type(v) is np.ndarray:
-                if v.size != 1 and array_field is not None:
-                    return array_field(t, np.asarray(z))
-                v = v.item()
-            u[k] = v
-        e = exo(t)
-        if array_field is None:
-            return rhs(z, e, u)
-        try:
-            return rhs(z, e, u)
-        except Exception:
-            return array_field(t, np.asarray(z))
+            u[k] = v.item() if type(v) is np.ndarray else v
+        return rhs(z, exo(t), u)
 
     return field
 
@@ -637,18 +654,23 @@ def simulate_ensemble(
     """Co-integrate m prolonged trajectories, one per row of ``x0s`` and
     ``dx0s``, as one stacked ODE on a shared grid.
 
-    The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...].  A
-    right-hand-side evaluation runs on floats when there is one member
-    (``lift(sys).rhs_with`` on its row), or when the lift is one generated
-    program and m is at most ``_MEMBER_LOOP_MAX`` (the stack program of
-    :func:`exprlang.lifted_stack`, generated here, over every row);
-    otherwise it is one ``rhs_with`` call over all members on arrays.  Each
-    reads the inputs, then the exogenous signals.  The stack program gives
-    the bits, counts and errors of the call over all members.  An input
-    signal may return a float (shared by every member) or a length-m array
-    (one value per member, which a stack takes to the array call);
-    exogenous signals are shared.  Under ``Rk45`` the members share one
-    adaptive grid: a step is accepted only when every member's error passes.
+    The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...].  When
+    the lift is one generated program and m is at most ``_MEMBER_LOOP_MAX``,
+    the run steps on floats in a generated program of the float kind:
+    under ``Rk4`` one member takes each step in one program
+    (:func:`_rk4_step`), and otherwise each right-hand-side evaluation is
+    one call of the stack field (:func:`_stack_field`) over every row.  One
+    member of Python maps steps on floats too, ``lift(sys).rhs_with`` on its
+    row (:func:`_float_field`); any other run makes one ``rhs_with`` call
+    over all members on arrays.  Each reads the inputs, then the exogenous
+    signals, and gives the bits, counts and errors of the call over all
+    members.  An input signal may return a float (shared by every member)
+    or a length-m array (one value per member).  A stack field call of two
+    or more members that raises, or meets such an array, is made again on
+    arrays, so a stack fails as the array run does; one member's own error
+    stands.  Exogenous signals are shared.  Under ``Rk45`` the members share
+    one adaptive grid: a step is accepted only when every member's error
+    passes.
     """
     X0 = np.asarray(x0s, dtype=float)
     dX0 = np.asarray(dx0s, dtype=float)
@@ -667,24 +689,27 @@ def simulate_ensemble(
         X = list(z.reshape(m, width).T)
         return batch_rows(lifted.rhs_with(X, exo(t), uv), m).ravel()
 
-    # The float field steps on lists of plain floats: one member, whose
-    # Python map divides by zero as in a solo float call, or a stack of at
-    # most ``_MEMBER_LOOP_MAX`` members when ``lift`` installed one generated
-    # program, whose stack program gives the array call's bits.  Under
-    # ``Rk4`` one member of a generated lift takes each step in one generated
-    # program.  Each program is generated only for the runs that use it.
+    def stacked(t, z):
+        # a call that raises, or meets a per-member input, is made again on
+        # arrays, so a stack fails as the array run does
+        try:
+            return stack(t, z)
+        except Exception:
+            return array_field(t, np.asarray(z))
+
+    # A Python map of one member divides by zero as in a solo float call.
+    # Each program is generated only for the runs that use it.
     stepper = stepper or Rk4()
     compiled = "rhs_with" in vars(lifted)
     step = ()
-    if m == 1:
-        field, solve = _float_field(lifted, sigs), _integrate_floats
-        if compiled and isinstance(stepper, Rk4):
-            step = (_rk4_step(lifted, sigs),)
+    if compiled and m == 1 and isinstance(stepper, Rk4):
+        field, step = None, (_rk4_step(lifted, sigs),)
     elif compiled and m <= _MEMBER_LOOP_MAX:
-        stack = exprlang.lifted_stack(sys.f, sys.g)
-        field, solve = _float_field(lifted, sigs, stack, array_field), _integrate_floats
+        stack = _stack_field(lifted, sigs)
+        field = stack if m == 1 else stacked
     else:
-        field, solve = array_field, integrate
+        field = _float_field(lifted, sigs) if m == 1 else array_field
+    solve = integrate if field is array_field else _integrate_floats
 
     z0 = np.concatenate([X0, dX0], axis=1).ravel()
     with np.errstate(**FLOAT_ERRORS):

@@ -245,6 +245,8 @@ class TestLocatedConfigErrors:
         ("certify-uc", CERT_RANDOM, ("grid", "seed"), -1, "/grid/seed"),
         ("certify-uc", CERT, ("grid", "extra_random"), -1, "/grid/extra_random"),
         ("interconnect", LOOP, ("run", "seed"), -1, "/run/seed"),
+        ("converge", CONVERGE, ("run", "bound"), -1.0, "/run/bound"),
+        ("converge", CONVERGE, ("run", "bound"), 0.0, "/run/bound"),
         # RC parameters the model rejects
         ("audit", RC, ("system", "params", "R"), -1.0, "/system/params/R"),
         ("audit", RC_FROM_ZERO, ("system", "params", "mu"), "q + sqrt(abs(q))",
@@ -258,6 +260,7 @@ class TestLocatedConfigErrors:
         ("audit", SCALAR_SYS, ("run", "t_final"), float("inf"), "/run/t_final"),
         ("audit", SCALAR_SYS, ("run", "tol"), float("nan"), "/run/tol"),
         ("audit", SCALAR_SYS, ("run", "x0"), [float("nan")], "/run/x0/0"),
+        ("audit", SCALAR_SYS, ("run", "u"), [float("nan")], "/run/u/0"),
         ("audit", RC, ("system", "params", "R"), float("inf"), "/system/params/R"),
     ]
 

@@ -26,8 +26,9 @@ from diffdiss.exprlang import (
     to_source,
     variables,
 )
-from diffdiss import exprlang, numerics
+from diffdiss import exprlang, numerics, systems
 from diffdiss.numerics import FLOAT_ERRORS, DualScalar, deriv_part, int_pow, seed, value_part
+from diffdiss.systems import DynSystem, Signal, lift
 
 
 class TestParse:
@@ -891,15 +892,26 @@ class TestFloatKind:
             assert "_dual_" not in source and "_pick_pair" not in source and "_min(" not in source
 
 
-class TestLiftedStack:
-    """``lifted_stack(f, g)`` runs the lines that read no state once and the
-    others once per member: each member's rows are ``lifted_rhs(f, g)`` on
-    that member's row, bit for bit, and the stack raises when any member's
-    call raises."""
+def _stack_field(f, g, e, U, live=False):
+    """The stack field of the lift of ``f`` and ``g`` (over ``_STATES``) with
+    the exogenous values ``e`` and the inputs ``U`` as signals: constants,
+    or with ``live`` signals read through their ``at``."""
+    signal = (lambda v: Signal.analytic(lambda t: v)) if live else Signal.constant
+    sys = DynSystem(len(f.asts), len(g.asts[0]), f, g, lambda x, e: [x[0]],
+                    exo={name: signal(v) for name, v in e.items()})
+    return systems._stack_field(lift(sys), [signal(v) for v in U])
 
-    @given(q=st.integers(1, 2), m=st.sampled_from([2, 9, 16]), data=st.data())
+
+class TestLiftedStack:
+    """The stack field runs the lines that read no state once and the others
+    once per member: each member's rows are ``lifted_rhs(f, g)`` on that
+    member's row, bit for bit, and the stack raises when any member's call
+    raises."""
+
+    @given(q=st.integers(1, 2), m=st.sampled_from([1, 2, 9, 16]), live=st.booleans(),
+           data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_members_equal_lifted_rhs(self, q, m, data):
+    def test_members_equal_lifted_rhs(self, q, m, live, data):
         entries = lambda size: st.lists(_all_exprs(2), min_size=size, max_size=size)
         f = compile_map(data.draw(entries(3)), _STATES, _EXO)
         g = compile_matrix(data.draw(st.lists(entries(q), min_size=3, max_size=3)), _STATES, _EXO)
@@ -907,26 +919,30 @@ class TestLiftedStack:
         Z = data.draw(st.lists(values, min_size=6 * m, max_size=6 * m))
         e = dict(zip(_EXO, data.draw(st.lists(values, min_size=2, max_size=2))))
         U = data.draw(st.lists(values, min_size=2 * q, max_size=2 * q))
-        rhs, stack = exprlang.lifted_rhs(f, g), exprlang.lifted_stack(f, g)
+        rhs, stack = exprlang.lifted_rhs(f, g), _stack_field(f, g, e, U, live)
         want = []
         try:
             for j in range(0, 6 * m, 6):
                 want += rhs(Z[j:j + 6], e, U)
         except Exception:  # any member's error: the stack raises too
             with pytest.raises(Exception):
-                stack(Z, e, U)
+                stack(0.0, Z)
         else:
-            assert [v.hex() for v in stack(Z, e, U)] == [v.hex() for v in want]
+            assert [v.hex() for v in stack(0.0, Z)] == [v.hex() for v in want]
 
     def test_lines_that_read_no_state_run_once(self):
         f = compile_map([parse("-x + 0*log(y)"), parse("zz*(y - q_c)"), parse("2*w1")],
                         _STATES, _EXO)
         g = compile_matrix([[parse("y^2")], [parse("x")], [parse("1")]], _STATES, _EXO)
-        prologue, loop = exprlang.lifted_stack(f, g).source.split("for j in")
-        assert "raise EvalError" in prologue and "_log(" in prologue and "= U" in prologue
-        assert "e[" not in loop and "_log(" not in loop
+        source = _stack_field(f, g, {"y": 1.5, "q_c": 0.5}, [0.25, 0.5], live=True).source
+        prologue, loop = source.split("for j in")
+        assert "raise EvalError" in prologue and "_log(" in prologue
+        # the inputs, then the exogenous values, read at t before the loop
+        reads = re.findall(r"(?m)^    (t\d+) = [AE]\d+\(t\)$", prologue)
+        assert len(reads) == 4 and "(t)" not in loop and "_log(" not in loop
         # y - q_c and the product y^2 * u, each once before the loop
-        assert prologue.count(" - ") == 1 and re.search(r"= 0\.0 \+ t\d+ \* u", prologue)
+        assert prologue.count(" - ") == 1
+        assert re.search(rf"= 0\.0 \+ t\d+ \* {reads[0]}$", prologue, re.M)
 
 
 _DEL = re.compile(r"^    del (.*)\n", re.M)
@@ -991,7 +1007,7 @@ class TestFreedTemporaries:
         source = exprlang.lifted_rhs(f, g).source
         assert "del " in source
         self._check_freed(source)
-        assert "del " not in exprlang.lifted_stack(f, g).source
+        assert "del " not in _stack_field(f, g, {"y": 1.5, "q_c": 0.5}, [0.25, 0.5]).source
 
     def test_warm_rebuild_runs_no_pass(self, monkeypatch):
         texts = ["2*x*y + log(x + q_c)", "3.75*x*y + log(x + q_c)"]

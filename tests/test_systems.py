@@ -414,7 +414,8 @@ class TestFusedLift:
         # the motor's g has two equal rows: their g·u chains are one chain
         sys = induction_motor_virtual().system
         lifted, reference = lift(sys), lift(_python_maps(sys))
-        for source in (lifted.rhs_with.source, exprlang.lifted_stack(sys.f, sys.g).source):
+        stack = systems._stack_field(lifted, [Signal.analytic(math.sin)] * 4)
+        for source in (lifted.rhs_with.source, stack.source):
             right = re.findall(r"(?m)^ +t\d+ = (.*)$", source)
             assert len(right) == len(set(right))
         names = sorted(sys.exo)
@@ -842,7 +843,7 @@ class TestEnsemble:
 
         sys = _build_expr_system({"n": 1, "q": 1, "f": [f], "g": [["1"]], "h": ["x1"],
                                   "exo": {"w": {"kind": "expr", "expr": w}}}, "/system")
-        source = exprlang.lifted_stack(sys.f, sys.g).source
+        source = systems._stack_field(lift(sys), systems.signal_vector(None, 2)).source
         assert source.index("log of a non-positive") < source.index("for j in")
         raised = _paths_raise(monkeypatch, EvalError, sys, x0s, np.ones((2, 1)),
                               t_final=1.0, stepper=Rk4(0.1))
@@ -852,7 +853,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("stepper", [Rk4(1e-2), Rk45(1e-8)], ids=["rk4", "rk45"])
     def test_stack_makes_one_program_call_per_field_call(self, rng, monkeypatch, stepper):
         calls = {"stack": 0, "member": 0}
-        lifted_rhs, lifted_stack = exprlang.lifted_rhs, exprlang.lifted_stack
+        lifted_rhs, stack_field = exprlang.lifted_rhs, systems._stack_field
 
         def counting_rhs(f, g):
             rhs = lifted_rhs(f, g)
@@ -863,12 +864,12 @@ class TestEnsemble:
 
             return counted
 
-        def counting_stack(f, g):
-            stack = lifted_stack(f, g)
-            return lambda Z, e, U: calls.__setitem__("stack", calls["stack"] + 1) or stack(Z, e, U)
+        def counting_stack(lifted, sigs):
+            stack = stack_field(lifted, sigs)
+            return lambda t, Z: calls.__setitem__("stack", calls["stack"] + 1) or stack(t, Z)
 
         monkeypatch.setattr(exprlang, "lifted_rhs", counting_rhs)
-        monkeypatch.setattr(exprlang, "lifted_stack", counting_stack)
+        monkeypatch.setattr(systems, "_stack_field", counting_stack)
         sys = induction_motor_virtual(MotorParams(omega_r=Signal.from_expr("9 + sin(3*t)"))).system
         u = [Signal.from_expr("0.3*sin(t)"), Signal.from_expr("0.2*cos(t)")]
         x0s = rng.uniform(-1.5, 1.5, size=(9, 4))
@@ -876,6 +877,29 @@ class TestEnsemble:
                                            t_final=0.2, stepper=stepper)
         assert solver == "_integrate_floats" and field_calls > 0
         assert calls == {"stack": field_calls, "member": 0}
+
+    def test_one_member_under_rk45_runs_the_stack_field(self, monkeypatch):
+        # the value-kind rhs_with runs only in the pass after integration,
+        # on arrays, and the run has the bits of rhs_with's field on floats
+        on_floats = []
+        lifted_rhs = exprlang.lifted_rhs
+
+        def counting_rhs(f, g):
+            rhs = lifted_rhs(f, g)
+            return lambda X, e, U: on_floats.append(type(X[0]) is float) or rhs(X, e, U)
+
+        monkeypatch.setattr(exprlang, "lifted_rhs", counting_rhs)
+        sys, u = rc_circuit().system, Signal.from_expr("0.6*sin(1.7*t)")
+        _, sol, solver, field_calls = _solve(monkeypatch, None, sys, [[0.4]], [[-0.7]], u=u,
+                                             t_final=0.5, stepper=Rk45(1e-8))
+        assert solver == "_integrate_floats" and sol.nfev == field_calls > 0
+        assert on_floats == [False]
+        field = systems._float_field(lift(sys), [u, Signal.zero()])
+        with np.errstate(**FLOAT_ERRORS):
+            want = systems._integrate_floats(field, [0.4, -0.7], (0.0, 0.5), Rk45(1e-8))
+        assert (sol.times.tobytes(), sol.states.tobytes()) == (want.times.tobytes(),
+                                                               want.states.tobytes())
+        assert on_floats.count(True) == want.nfev
 
     @pytest.mark.parametrize("stepper, text", [
         (Rk4(1e-2), "non-finite state during RK4 step"),
@@ -1097,8 +1121,7 @@ class TestGeneratedStep:
         # a float program holds floats: it is the generated lines as they are
         lifted = lift(induction_motor_virtual().system)
         sigs = systems.signal_vector([0.5, -0.5], 2) * 2
-        for program in (systems._rk4_step(lifted, sigs),
-                        exprlang.lifted_stack(lifted.base.f, lifted.base.g)):
+        for program in (systems._rk4_step(lifted, sigs), systems._stack_field(lifted, sigs)):
             assert "del " not in program.source
         assert "del " in lifted.rhs_with.source
 
