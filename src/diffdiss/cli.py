@@ -219,33 +219,17 @@ def _build_expr_system(spec: dict, path: str):
 
 
 def _build_system(cfg: dict, path: str = "/system"):
-    """Returns (system, bundle) where bundle may carry registry extras."""
+    """The system of the ``system`` object of ``cfg`` (at ``path``): a
+    registry model's or one built from expressions."""
     spec = _object(_get(cfg, "", "system", required=True), path)
     registry = _get(spec, path, "registry")
     if registry is None:
-        return _build_expr_system(spec, path), None
+        return _build_expr_system(spec, path)
     params = _registry_params(spec, path)
     if registry == "rc":
-        bundle = _rc_bundle(params, f"{path}/params")
-        return bundle.system, bundle
+        return _rc_bundle(params, f"{path}/params").system
     if registry == "motor":
-        kwargs = {}
-        for key in ("R_r", "R_s", "L_r", "L_s", "L_l", "kappa_r", "kappa_s"):
-            if key in params:
-                kwargs[key] = _as_float(params[key], f"{path}/params/{key}")
-        for key in ("omega_r", "omega_s"):
-            if key in params:
-                kwargs[key] = _signal(params[key], f"{path}/params/{key}")
-        if "phi_r_ref" in params:
-            ref = params["phi_r_ref"]
-            if not isinstance(ref, list) or len(ref) != 2:
-                raise ConfigError(f"{path}/params/phi_r_ref", "expected two signal specs")
-            kwargs["phi_r_ref"] = (
-                _signal(ref[0], f"{path}/params/phi_r_ref/0"),
-                _signal(ref[1], f"{path}/params/phi_r_ref/1"),
-            )
-        bundle = induction_motor_virtual(MotorParams(**kwargs))
-        return bundle.system, bundle
+        return _motor_bundle(spec, path).system
     if registry == "lti":
         a = _as_matrix(_get(params, f"{path}/params", "A", required=True), f"{path}/params/A")
         b = _as_matrix(_get(params, f"{path}/params", "B", required=True), f"{path}/params/B")
@@ -254,7 +238,7 @@ def _build_system(cfg: dict, path: str = "/system"):
         if d is not None:
             d = _as_matrix(d, f"{path}/params/D")
         try:
-            return lti(a, b, c, d), None
+            return lti(a, b, c, d)
         except ValueError as err:
             raise ConfigError(f"{path}/params", str(err)) from None
     raise ConfigError(f"{path}/registry", f"unknown registry name {registry!r}")
@@ -262,6 +246,28 @@ def _build_system(cfg: dict, path: str = "/system"):
 
 def _registry_params(spec: dict, path: str) -> dict:
     return _object(_get(spec, path, "params", default={}) or {}, f"{path}/params")
+
+
+def _motor_bundle(spec: dict, path: str):
+    """The registry motor from the ``params`` of the system object ``spec``
+    at ``path``."""
+    params = _registry_params(spec, path)
+    kwargs = {}
+    for key in ("R_r", "R_s", "L_r", "L_s", "L_l", "kappa_r", "kappa_s"):
+        if key in params:
+            kwargs[key] = _as_float(params[key], f"{path}/params/{key}")
+    for key in ("omega_r", "omega_s"):
+        if key in params:
+            kwargs[key] = _signal(params[key], f"{path}/params/{key}")
+    if "phi_r_ref" in params:
+        ref = params["phi_r_ref"]
+        if not isinstance(ref, list) or len(ref) != 2:
+            raise ConfigError(f"{path}/params/phi_r_ref", "expected two signal specs")
+        kwargs["phi_r_ref"] = (
+            _signal(ref[0], f"{path}/params/phi_r_ref/0"),
+            _signal(ref[1], f"{path}/params/phi_r_ref/1"),
+        )
+    return induction_motor_virtual(MotorParams(**kwargs))
 
 
 def _rc_bundle(params: dict, path: str):
@@ -418,7 +424,7 @@ def _finish(args, out_dir: str, name: str, payload: dict, text: str) -> int:
 
 
 def cmd_simulate(cfg, args, out_dir):
-    sys_, _ = _build_system(cfg)
+    sys_ = _build_system(cfg)
     traj = _simulated(cfg, sys_, args)
     storage = _build_storage(cfg, sys_)
     supply = _build_supply(cfg, sys_)
@@ -443,7 +449,7 @@ def cmd_simulate(cfg, args, out_dir):
 
 
 def cmd_audit(cfg, args, out_dir):
-    sys_, _ = _build_system(cfg)
+    sys_ = _build_system(cfg)
     storage = _build_storage(cfg, sys_, required=True)
     supply = _build_supply(cfg, sys_, required=True)
     traj = _simulated(cfg, sys_, args)
@@ -457,7 +463,7 @@ def cmd_audit(cfg, args, out_dir):
 def _certificate_maps(cfg: dict, command: str):
     """``(system, storage, supply)`` of a certificate command, read in that
     order; a storage projector is rejected before the supply is read."""
-    sys_, _ = _build_system(cfg)
+    sys_ = _build_system(cfg)
     storage = _build_storage(cfg, sys_, required=True)
     spec = cfg.get("storage")
     if isinstance(spec, dict) and spec.get("projector") is not None:
@@ -493,11 +499,11 @@ def cmd_certify_ap(cfg, args, out_dir):
 
 
 def cmd_interconnect(cfg, args, out_dir):
-    sys1, _ = _build_system(cfg)
+    sys1 = _build_system(cfg)
     path = "/interconnect"
     ic = _object(_get(cfg, "", "interconnect", required=True), path)
-    sys2, _ = _build_system({"system": _get(ic, path, "system2", required=True)},
-                            f"{path}/system2")
+    sys2 = _build_system({"system": _get(ic, path, "system2", required=True)},
+                         f"{path}/system2")
     sys1.storage = _build_storage(cfg, sys1)
     sys1.supply = _build_supply(cfg, sys1)
     sys2.storage = _build_storage(ic, sys2, key="storage2", parent=path)
@@ -529,7 +535,7 @@ def cmd_interconnect(cfg, args, out_dir):
 
 
 def cmd_homotopy(cfg, args, out_dir):
-    sys_, _ = _build_system(cfg)
+    sys_ = _build_system(cfg)
     storage = _build_storage(cfg, sys_)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
     a = np.asarray(x0)
@@ -553,7 +559,7 @@ def cmd_homotopy(cfg, args, out_dir):
 
 
 def cmd_converge(cfg, args, out_dir):
-    sys_, _ = _build_system(cfg)
+    sys_ = _build_system(cfg)
     storage = _build_storage(cfg, sys_, required=True)
     supply = _build_supply(cfg, sys_, required=True)
     run = _run(cfg)
@@ -630,7 +636,10 @@ def cmd_demo_rc(cfg, args, out_dir):
 
 
 def cmd_demo_motor(cfg, args, out_dir):
-    sys_, bundle = _build_system(_deep_merge({"system": {"registry": "motor"}}, cfg))
+    spec = _object(_get(cfg, "", "system", default={}), "/system")
+    if _get(spec, "/system", "registry", default="motor") != "motor":
+        raise ConfigError("/system/registry", "demo motor runs the registry motor")
+    bundle = _motor_bundle(spec, "/system")
     p = bundle.params
     phi_s_ref, u_sig = motor_feedforward(p)
     t_final = _t_final(cfg, args, 10.0)
@@ -640,7 +649,7 @@ def cmd_demo_motor(cfg, args, out_dir):
             phi_s_ref[0].value(0.0), phi_s_ref[1].value(0.0)]
     offset = np.array([0.5, -0.4, 0.3, 0.2])
     x0 = (np.asarray(ref0) + offset).tolist()
-    traj = simulate_prolonged(sys_, x0, offset.tolist(), u=list(u_sig),
+    traj = simulate_prolonged(bundle.system, x0, offset.tolist(), u=list(u_sig),
                               t_final=t_final, stepper=stepper)
     report = audit(traj, bundle.storage, bundle.supply, tol=_tol(cfg, args, 1e-9))
     ref_t = np.array([

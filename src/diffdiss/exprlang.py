@@ -47,12 +47,12 @@ side f + g·u of a system (see "generated programs" below).  A program of the
 float kind, for parts known to be Python floats, writes out the float
 operations the ``numerics`` helpers perform on a float (``/``, a comparison
 for a guard, the ``math`` function, the dual rules), with the same bits and
-errors; ``systems`` builds from it the fixed RK4 step of one member and
+errors; ``systems`` builds from it the fixed RK4 run of one member and
 the field of a stack of members, whose lines that read no state run once
 per call.  No config text enters a program's source, so maps of one
 structure share one compiled code object (:func:`_code` keeps the last 256
 sources it compiled); a new structure costs one ``compile()``, about
-0.3-0.5 ms for a map and 1.4-3.6 ms for the RK4 step of a small system
+0.3-0.5 ms for a map and 1.4-3.6 ms for the RK4 run of a small system
 (2-vCPU x86-64 host).
 A program that may run on batch arrays frees each temporary after its last
 use (:func:`_free`), so a batched call holds its live temporaries only.
@@ -991,13 +991,20 @@ class _Program:
     def dot(self, first: str, row: Sequence[str], u: Sequence[str]) -> str:
         """``first + numerics.dot(row, u)``: ``acc = acc + a * b`` from 0.0.
         A product of two constants, and a sum of two, is computed here, by
-        the same float operation the line would perform.  Each line is
-        generated once per DAG: a chain over the same operands as an earlier
-        one (two equal rows of g) is that chain's local."""
+        the same float operation the line would perform.  A product of two
+        constants that is ±0.0 adds no line to an accumulator that is a
+        local: the chain starts at ``0.0 + …``, so that local is never
+        -0.0, and ``acc + ±0.0`` is ``acc`` for every other value, nan
+        included (on a dual, only its value part is added to).  The final
+        ``first + acc`` line stays, since ``-0.0 + 0.0`` is 0.0.  Each line
+        is generated once per DAG: a chain over the same operands as an
+        earlier one (two equal rows of g) is that chain's local."""
         acc = "0.0"
         for a, b in zip(row, u):
             term, ca, cb = f"{a} * {b}", self.constant(a), self.constant(b)
             if ca is not None and cb is not None:
+                if ca * cb == 0.0 and self.constant(acc) is None:
+                    continue
                 term = self.const(ca * cb)
                 c = self.constant(acc)
                 if c is not None:

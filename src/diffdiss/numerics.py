@@ -14,6 +14,7 @@ scalar path would.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -893,17 +894,18 @@ def integrate(
 
 
 def _integrate_floats(field, x0, t_span, stepper: Stepper | None = None,
-                      step=None) -> OdeSolution:
+                      run=None) -> OdeSolution:
     """:func:`integrate` of a field that takes and returns lists of floats,
     with the same checks, counts, errors and bits.  Fixed RK4 steps on the
-    lists (:func:`_rk4_step_floats`), or with ``step(t, x, h)``, a program
-    that performs ``_rk4_step_floats(field, t, x, h)``'s operations and
-    checks in one call; ``Rk45`` calls the field on each stage point's
+    lists (:func:`_rk4_step_floats`), or with ``run(grid, x, states)``, a
+    program that takes every step of the grid :func:`_run_rk4` hands it,
+    each with ``_rk4_step_floats(field, t, x, h)``'s operations and checks,
+    in one call; ``Rk45`` calls the field on each stage point's
     ``tolist()``."""
-    return _integrate(field, x0, t_span, stepper, floats=True, step=step)
+    return _integrate(field, x0, t_span, stepper, floats=True, run=run)
 
 
-def _integrate(field, x0, t_span, stepper, floats: bool, step=None) -> OdeSolution:
+def _integrate(field, x0, t_span, stepper, floats: bool, run=None) -> OdeSolution:
     """The one stepping loop.  ``nfev`` is computed from the step counts,
     not counted: 4 per RK4 step, and for Dormand-Prince the first stage
     plus 6 per accepted or rejected step (first-same-as-last)."""
@@ -922,10 +924,11 @@ def _integrate(field, x0, t_span, stepper, floats: bool, step=None) -> OdeSoluti
     nfev = n_rejected = 0
     if t1 > t0:
         if isinstance(stepper, Rk4):
-            if step is None:
-                step = (functools.partial(_rk4_step_floats, _finite_floats(field)) if floats
-                        else functools.partial(_rk4_step, _finite_checking(field)))
-            _run_rk4(step, x.tolist() if floats else x, t0, t1, stepper.dt, times, states)
+            if run is None:
+                run = _stepping(
+                    functools.partial(_rk4_step_floats, _finite_floats(field)) if floats
+                    else functools.partial(_rk4_step, _finite_checking(field)))
+            _run_rk4(run, x.tolist() if floats else x, t0, t1, stepper.dt, times, states)
             nfev = 4 * (len(times) - 1)
         else:
             if floats:
@@ -1002,28 +1005,44 @@ class _NonFinite(Exception):
         self.t = t
 
 
-def _run_rk4(step, x, t0, t1, dt, times, states):
-    """Fixed steps ``step(t, x, h)`` (:func:`_rk4_step` on arrays,
-    :func:`_rk4_step_floats` on lists, or a generated step) on multiples of
-    ``dt``, with a clipped last step; each returns a new state, so none is
-    copied."""
+def _stepping(step):
+    """``run(grid, x, states)`` of a step ``step(t, x, h)`` (:func:`_rk4_step`
+    on arrays or :func:`_rk4_step_floats` on lists): one step per ``(t, h)``
+    of ``grid``, each new state appended to ``states``."""
+    def run(grid, x, states):
+        for t, h in grid:
+            x = step(t, x, h)
+            states.append(x)
+
+    return run
+
+
+def _run_rk4(run, x, t0, t1, dt, times, states):
+    """Fixed steps on multiples of ``dt``, with a clipped last step, from
+    one call ``run(grid, x, states)`` (:func:`_stepping` of a step, or a
+    generated program): ``grid`` yields each step's ``(t, h)``, step k from
+    ``t0 + k*dt`` and the clipped one from the last full step's end, and
+    ``run`` appends each new state to ``states``, so none is copied.  The
+    end times of the steps ``run`` completed are appended to ``times``, and
+    a ``_NonFinite`` raises ``IntegrationError`` at the last of them."""
     span = t1 - t0
     n_full = int(math.floor(span / dt + 1e-9))
-    rem = span - n_full * dt
-    t_last = t0
+    marks = [t0 + k * dt for k in range(n_full + 1)]  # step k starts at marks[k]
+    grid = zip(marks, itertools.repeat(dt, n_full))
+    ends = marks[1:]
+    if span - n_full * dt > 1e-12 * max(dt, 1.0):
+        t_last = ends[-1] if ends else t0
+        grid = itertools.chain(grid, [(t_last, t1 - t_last)])
+        ends.append(t1)
+    elif ends:
+        ends[-1] = t1
+    done = len(states)
     try:
-        for k in range(n_full):
-            t = t0 + k * dt
-            x = step(t, x, dt)
-            t_last = t1 if (k == n_full - 1 and rem <= 1e-12 * max(dt, 1.0)) else t0 + (k + 1) * dt
-            times.append(t_last)
-            states.append(x)
-        if rem > 1e-12 * max(dt, 1.0):
-            x = step(t_last, x, t1 - t_last)
-            times.append(t1)
-            states.append(x)
+        run(grid, x, states)
     except _NonFinite:
+        times += ends[:len(states) - done]
         raise IntegrationError("non-finite state during RK4 step", times[-1]) from None
+    times += ends
 
 
 def _run_rk45(field, x, t0, t1, stepper, times, states) -> int:

@@ -45,21 +45,23 @@ array steps.  When the lift is one generated program, each run of at most
 built from one stage builder (:func:`_stage_builder`), which reads the
 inputs and exogenous values at a stage time inside the program (a
 constant as a global, an expression signal as float code) and then runs
-the lifted program on the stage's state locals.  Under ``Rk4`` one member
-takes each step in one program (:func:`_rk4_step`), with the bits,
-``nfev`` and errors of the field's steps; otherwise every field call is
-one call of the stack field (:func:`_stack_field`), whose lines that read
-no state run once per call and the others once per member.  A stack
-field call of two or more members that raises, or meets a per-member
-input, is made again on arrays, so a stack fails as the array run does.
-Plain :func:`simulate`, and one member of Python maps, run ``rhs_with`` on
-the list (:func:`_float_field`).  ``Rk45`` keeps its array stepper and one
-shared grid.  Larger stacks, and stacks of Python maps, evaluate all
-members in one call per field evaluation and step on arrays; the limit
-comes from a measured crossover (see ``_MEMBER_LOOP_MAX``).  Every path
-(the generated programs, the float field, the array field and the pass
-after integration) reads the inputs, then the exogenous signals, so when
-both fail at one time the run raises the input's error.
+the lifted program on the stage's state locals.  Under ``Rk4`` one
+member's whole run is one call of one program (:func:`_rk4_run`), which
+loops over the steps of the grid ``numerics._run_rk4`` hands it, with
+the bits, ``nfev`` and errors of the field's steps; otherwise every field
+call is one call of the stack field (:func:`_stack_field`), whose lines
+that read no state run once per call and the others once per member.  A
+stack field call of two or more members that raises, or meets a
+per-member input, is made again on arrays, so a stack fails as the array
+run does.  Plain :func:`simulate`, and one member of Python maps, run
+``rhs_with`` on the list (:func:`_float_field`).  ``Rk45`` keeps its
+array stepper and one shared grid.  Larger stacks, and stacks of Python
+maps, evaluate all members in one call per field evaluation and step on
+arrays; the limit comes from a measured crossover (see
+``_MEMBER_LOOP_MAX``).  Every path (the generated programs, the float
+field, the array field and the pass after integration) reads the inputs,
+then the exogenous signals, so when both fail at one time the run raises
+the input's error.
 """
 
 from __future__ import annotations
@@ -500,34 +502,42 @@ def _stage_builder(lifted: DynSystem, sigs: list[Signal]):
     return program, stage
 
 
-def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
-    """``step(t, x, h)``: :func:`numerics._rk4_step_floats` of
-    ``_float_field(lifted, sigs)`` as one generated program on floats, for a
-    lift whose ``rhs_with`` :func:`lift` generated.
+def _rk4_run(lifted: DynSystem, sigs: list[Signal]):
+    """``run(grid, x, states)``: every step of :func:`numerics._run_rk4`'s
+    ``grid`` as :func:`numerics._rk4_step_floats` of
+    ``_float_field(lifted, sigs)``, in one generated program on floats, for
+    a lift whose ``rhs_with`` :func:`lift` generated.  It loops over the
+    ``(t, h)`` of ``grid`` from the state ``x`` and appends each new state
+    to ``states`` as a new list.
 
-    Its four stages are :func:`_stage_builder` stages, each raising
+    A step's four stages are :func:`_stage_builder` stages, each raising
     ``_NonFinite`` if a row is not finite, as ``_finite_floats`` does, and
     the second and third share the expression signals at ``t + 0.5*h``.
     The stages and the update perform ``_rk4_step_floats``' operations in
-    its order, so the step gives its bits and errors with no field call.
-    No config text enters the source, so steps of one structure share one
-    compiled code object."""
+    its order, so the run gives its bits and errors with no field call.
+    Each finiteness test adds the values first: a finite sum shows that
+    each is finite, so only a sum that is not (a value is not, or the sum
+    overflows) tests them one by one.  No config text enters the source,
+    so runs of one structure share one compiled code object."""
     n = lifted.base.n
     program, rows_at = _stage_builder(lifted, sigs)
     lines = program.lines
     program.scope.update(_isfinite=math.isfinite, _NonFinite=_NonFinite)
 
+    def check(values: list[str], time: str) -> None:
+        each = " and ".join(f"_isfinite({v})" for v in values)
+        lines.append(f"if not (_isfinite({' + '.join(values)}) or ({each})): "
+                     f"raise _NonFinite({time})")
+
     def stage(time: str, states: list[str], expressions: dict) -> list[str]:
         rows = rows_at(time, states, expressions)
-        finite = " and ".join(f"_isfinite({r})" for r in rows)
-        lines.append(f"if not ({finite}): raise _NonFinite({time})")
+        check(rows, time)
         return rows
 
     def moved(x: list[str], c: str, k: list[str]) -> list[str]:
         return [program.let(f"{xi} + {c} * {ki}") for xi, ki in zip(x, k)]
 
-    x = [program.fresh("s") for _ in range(2 * n)]
-    lines.append(f"{', '.join(x)}, = x")
+    x = [program.fresh("s") for _ in range(2 * n)]  # the state, updated in place
     k1 = stage("t", x, {})
     a = program.let("0.5 * h")
     mid = program.let(f"t + {a}")
@@ -536,10 +546,13 @@ def _rk4_step(lifted: DynSystem, sigs: list[Signal]):
     k3 = stage(mid, moved(x, a, k2), middle)
     k4 = stage(program.let("t + h"), moved(x, "h", k3), {})
     b = program.let("h / 6.0")
-    out = [program.let(f"{xi} + {b} * ((({a1} + 2.0 * {a2}) + 2.0 * {a3}) + {a4})")
-           for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)]
-    lines.append(f"if not ({' and '.join(f'_isfinite({z})' for z in out)}): raise _NonFinite(t)")
-    return program.function("t, x, h", f"[{', '.join(out)}]")
+    lines.extend(f"{xi} = {xi} + {b} * ((({a1} + 2.0 * {a2}) + 2.0 * {a3}) + {a4})"
+                 for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4))
+    check(x, "t")
+    lines.append(f"states.append([{', '.join(x)}])")
+    program.lines = [f"{', '.join(x)}, = x", "for t, h in grid:",
+                     *(f"    {line}" for line in lines)]
+    return program.function("grid, x, states", "None")
 
 
 def _stack_field(lifted: DynSystem, sigs: list[Signal]):
@@ -657,9 +670,10 @@ def simulate_ensemble(
     The state is stored member-major, [x_0, dx_0, x_1, dx_1, ...].  When
     the lift is one generated program and m is at most ``_MEMBER_LOOP_MAX``,
     the run steps on floats in a generated program of the float kind:
-    under ``Rk4`` one member takes each step in one program
-    (:func:`_rk4_step`), and otherwise each right-hand-side evaluation is
-    one call of the stack field (:func:`_stack_field`) over every row.  One
+    under ``Rk4`` one member's whole run is one call of one program that
+    loops over the steps (:func:`_rk4_run`), and otherwise each
+    right-hand-side evaluation is one call of the stack field
+    (:func:`_stack_field`) over every row.  One
     member of Python maps steps on floats too, ``lift(sys).rhs_with`` on its
     row (:func:`_float_field`); any other run makes one ``rhs_with`` call
     over all members on arrays.  Each reads the inputs, then the exogenous
@@ -701,9 +715,9 @@ def simulate_ensemble(
     # Each program is generated only for the runs that use it.
     stepper = stepper or Rk4()
     compiled = "rhs_with" in vars(lifted)
-    step = ()
+    run = ()
     if compiled and m == 1 and isinstance(stepper, Rk4):
-        field, step = None, (_rk4_step(lifted, sigs),)
+        field, run = None, (_rk4_run(lifted, sigs),)
     elif compiled and m <= _MEMBER_LOOP_MAX:
         stack = _stack_field(lifted, sigs)
         field = stack if m == 1 else stacked
@@ -713,7 +727,7 @@ def simulate_ensemble(
 
     z0 = np.concatenate([X0, dX0], axis=1).ravel()
     with np.errstate(**FLOAT_ERRORS):
-        sol = solve(field, z0, (0.0, float(t_final)), stepper, *step)
+        sol = solve(field, z0, (0.0, float(t_final)), stepper, *run)
     return _prolonged_from_solution(sys, lifted, sigs, sol, m)
 
 

@@ -200,6 +200,8 @@ class TestLocatedConfigErrors:
         ("demo rc", {}, ("run", "n_trajectories"), 2.5, "/run/n_trajectories"),
         ("demo rc", {}, ("run", "seed"), "7", "/run/seed"),
         ("demo motor", {}, ("run", "t_final"), None, "/run/t_final"),
+        ("demo motor", {}, ("system", "registry"), "rc", "/system/registry"),
+        ("demo motor", {}, ("system",), "motor", "/system"),
         ("demo lti", {}, ("run", "seed"), True, "/run/seed"),
         ("homotopy", dict(SCALAR_SYS, run=dict(SCALAR_SYS["run"], x0_b=[0.5])),
          ("run", "n_s"), "9", "/run/n_s"),

@@ -945,6 +945,32 @@ class TestLiftedStack:
         assert re.search(rf"= 0\.0 \+ t\d+ \* {reads[0]}$", prologue, re.M)
 
 
+class TestZeroTerms:
+    """A product of two constants that is ±0.0 adds no line to a dot chain
+    whose accumulator is a local, and each chain keeps its ``first + acc``
+    line: the rows of ``lifted_rhs`` and of the stack field are the rows of
+    the lift through ``numerics.dot``, bit for bit, whatever the first
+    operand."""
+
+    F = compile_map([parse("x"), parse("zz"), parse("w1")], _STATES, _EXO)
+    # row 0 mixes a state entry with a constant; every term of rows 1 and 2 folds
+    G = compile_matrix([[parse("zz"), parse("2")], [parse("-3"), parse("0")],
+                        [parse("1"), parse("-0.5")]], _STATES, _EXO)
+
+    @pytest.mark.parametrize("first", [-0.0, math.nan, math.inf, -math.inf, 5e-324])
+    @pytest.mark.parametrize("U", [[0.0] * 4, [-0.0] * 4, [0.0, -0.0, -0.0, 0.0]])
+    def test_rows_equal_the_dot_lift(self, first, U):
+        X = [first, 0.5, first, first, 0.25, first]
+        e = {"y": 1.0, "q_c": 1.0}
+        sys = DynSystem(3, 2, self.F, self.G, lambda x, e: [x[0], x[1]])
+        want = _float_outcome(lambda: DynSystem.rhs_with(lift(sys), X, e, U))
+        assert _float_outcome(lambda: exprlang.lifted_rhs(self.F, self.G)(X, e, U)) == want
+        stack = _stack_field(self.F, self.G, e, U)
+        assert _float_outcome(lambda: stack(0.0, X)) == want
+        # the folded ±0.0 terms of rows 0 and 3 add no line to their chains
+        assert not re.search(r"= t\d+ \+ C\d+$", stack.source, re.M), stack.source
+
+
 _DEL = re.compile(r"^    del (.*)\n", re.M)
 
 

@@ -288,28 +288,32 @@ def test_outputs_match_recorded_digests(tmp_path, case):
 # audit-rc-rk45, converge-motor, demo-motor and homotopy-expr entries were
 # re-recorded when the stack field began to read its own signals and the
 # RK4 step to hold constant exogenous values as globals, with the same
-# report bytes.  ``tests/dump_sources.py`` writes every source a case
-# compiles, so two checkouts can be compared with ``diff -r``.
+# report bytes.  The eleven entries whose programs hold an RK4 run or a dot
+# chain with a folded ±0.0 term were re-recorded when a one-member RK4 run
+# became one program looping over its steps and those terms stopped adding
+# a line, again with the same report bytes.  ``tests/dump_sources.py``
+# writes every source a case compiles, so two checkouts can be compared
+# with ``diff -r``.
 SOURCES = {
-    "audit-expr": (7, "148983c5433bf49ecd384355ebeb4839fa2320fbc86e98b7f058494ae892a380"),
-    "audit-rc": (7, "1985d1614678a3c70f974dd76ab3bde57dc075f1685f7aa650a2a1bab3a574bf"),
-    "audit-rc-rk45": (7, "82fa509cdc16a3dfd4536c1af5d44699234c65c689061535c2e1af469b4c9579"),
+    "audit-expr": (7, "2d148e01127277f5560fc45d0ce52d38cbf00bddd7007a40915d4062f9ed5c5d"),
+    "audit-rc": (7, "023293b17fab53c02363792224fddd67a88e58f2e3b927b1d98e6dd265b17814"),
+    "audit-rc-rk45": (7, "4db9e4cee0c4fd92e23cb0940c53ceb1ef68e3f26ad6e00d3152e19845941a02"),
     "certify-ap": (4, "ec3a8121c7dc7a46af5a73121fde51e71a8aac0747b7104efaed342f5136887f"),
     "certify-ap-expr": (5, "51fe7162eb546951ccd0058a5b74c4856d4968b60529164963656b989f3ac063"),
     "certify-uc": (3, "e9dce10c6f2cc0ac61bd715f18f23c3070464d5d5ecca66a6a4540af5399eb23"),
     "certify-uc-expr": (6, "e68c2d0248881c0bd6bf489e6a7175c09aaf4f609df98d01dc1e272cb03bdf53"),
-    "converge-motor": (8, "5d0094edca164bbca1f647a561b48fc814cf91160ce586c944073fe6cc2e87d5"),
+    "converge-motor": (8, "7e8112d6343126ba7e9d50eb000055db914b4ac635eb226d0f9c81ee689e96e0"),
     "demo-lti": (1, "4323da5b34c6ed42ff56556770491e43c1375989599bf871d4631b13fd8f9e84"),
-    "demo-motor": (6, "a670e89f4a8c506337533c77a69f1ae414f22fd1b800495f189cb5af4953dbca"),
+    "demo-motor": (6, "aa867d33cc34f211b0c755e557a7134904c17ba0e5bfab2a61150322df8b925e"),
     "demo-rc": (5, "ac36ebd27f705b3777ef6c743eddb4cbb734e8db258a250deae5984145569e1b"),
-    "homotopy-expr": (8, "eea629bc1a75d6ae39f71c4efd5e0e79668fe0574eb10b65d635e18321d151ea"),
-    "interconnect-output": (11, "6b14156da34e1129037392926d263f0c89622b2770a2cfa670226af9fb9d10b7"),
+    "homotopy-expr": (8, "67897cfe6ade18817df7f9dd2a7773898809fd4dbba39fe981e1dc2d0f4be931"),
+    "interconnect-output": (11, "9b5f7bd1c7c9da1e94434e8b24b7d7ff7b0cc1757f09f1d09c6b9a284989d910"),
     "interconnect-output-i1":
-        (16, "b0956913a5733faa7a738699a470126718547217ff4b5a07aafe242099c29434"),
+        (16, "108c587dc4905f075b9e654b4239e4f8e05fec28b63ad709604c6187d8a946b1"),
     "interconnect-output-i2":
-        (16, "ebe2838b75bca7f619aac378a947e2f256c8973f2c1b0fd616836b606b8cb954"),
-    "interconnect-state": (11, "a83fe8170190bdbc923bd2628460a2ddf36e8a15f543136eeb5a81795dd28276"),
-    "simulate": (9, "07d619203a75558c6d4a25287462d7899a22944def0f26f315f095de64a74302"),
+        (16, "05b9618ce375a56ec10004f7c8c6922e38974eb338ebeea6f258374cfa2e5da8"),
+    "interconnect-state": (11, "cb8c01608915d7299928f8e9378c14d586a04de2843514d9d1a28a07f71a9d1a"),
+    "simulate": (9, "786c1fbc741015946ad226341e2854586206e572a1a6f21bc1178fc3f140b9a4"),
 }
 
 

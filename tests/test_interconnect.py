@@ -490,8 +490,8 @@ class TestComposedLoop:
 
         monkeypatch.setattr(diffdiss.systems, "seed", refuse)
         plant = {"n": 1, "q": 1, "f": ["-0.25*x1"], "g": [["1/(1 + 3*x1^2)"]], "h": ["x1"]}
-        s1, _ = _build_system({"system": plant})
-        s2, _ = _build_system({"system": plant})
+        s1 = _build_system({"system": plant})
+        s2 = _build_system({"system": plant})
         k = compile_map([parse("x1 + x1^3")], ["x1"])
         loop = state_feedback(s1, s2, k, k) if coupling == "state" else output_feedback(s1, s2)
         lifted = lift(loop)

@@ -21,7 +21,7 @@ from diffdiss import (
 from diffdiss.examples import MotorParams, induction_motor_virtual, lti
 import diffdiss.systems as systems
 from diffdiss.numerics import FLOAT_ERRORS, DualScalar, IntegrationError, sin, value_part
-from diffdiss import exprlang
+from diffdiss import exprlang, numerics
 from diffdiss.exprlang import EvalError, compile_map, parse
 from diffdiss.interconnect import state_feedback
 from diffdiss.systems import batch_rows
@@ -1010,7 +1010,7 @@ _STEP_CASES = {
 
 def _step_run(sys, x0, dx0, u, du, span, dt, generated):
     """``_integrate_floats`` of the one-member field of ``sys``, stepped by
-    ``_rk4_step_floats`` or by the generated step: the solution's bits and
+    ``_rk4_step_floats`` or by the generated run: the solution's bits and
     counts, or the error's type, text and last good time (or offset), with
     the number of field calls made by then."""
     lifted = lift(sys)
@@ -1018,10 +1018,10 @@ def _step_run(sys, x0, dx0, u, du, span, dt, generated):
     calls = []
     field = systems._float_field(lifted, sigs)
     counted = lambda t, x: calls.append(t) or field(t, x)
-    step = (systems._rk4_step(lifted, sigs),) if generated else ()
+    run = (systems._rk4_run(lifted, sigs),) if generated else ()
     try:
         with np.errstate(**FLOAT_ERRORS):
-            sol = systems._integrate_floats(counted, list(x0) + list(dx0), span, Rk4(dt), *step)
+            sol = systems._integrate_floats(counted, list(x0) + list(dx0), span, Rk4(dt), *run)
     except Exception as err:  # the same exception type and text is the contract
         where = getattr(err, "last_good_time", getattr(err, "offset", None))
         return (type(err), str(err), where), len(calls)
@@ -1029,8 +1029,8 @@ def _step_run(sys, x0, dx0, u, du, span, dt, generated):
 
 
 class TestGeneratedStep:
-    """Under ``Rk4`` a one-member run of a generated lift takes each step in
-    one generated program: the times, states, ``nfev`` and errors of
+    """Under ``Rk4`` a one-member run of a generated lift takes every step
+    in one generated program: the times, states, ``nfev`` and errors of
     ``_rk4_step_floats`` on the field, bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(_STEP_CASES))
@@ -1101,8 +1101,8 @@ class TestGeneratedStep:
 
     def test_built_only_for_one_member_of_a_generated_lift_under_rk4(self, monkeypatch):
         built = []
-        make = systems._rk4_step
-        monkeypatch.setattr(systems, "_rk4_step", lambda *args: built.append(args) or make(*args))
+        make = systems._rk4_run
+        monkeypatch.setattr(systems, "_rk4_run", lambda *args: built.append(args) or make(*args))
         u = Signal.from_expr("sin(t)")
         runs = [
             (scalar_cubic(), Rk4(1e-2), 1),  # Python maps
@@ -1121,7 +1121,7 @@ class TestGeneratedStep:
         # a float program holds floats: it is the generated lines as they are
         lifted = lift(induction_motor_virtual().system)
         sigs = systems.signal_vector([0.5, -0.5], 2) * 2
-        for program in (systems._rk4_step(lifted, sigs), systems._stack_field(lifted, sigs)):
+        for program in (systems._rk4_run(lifted, sigs), systems._stack_field(lifted, sigs)):
             assert "del " not in program.source
         assert "del " in lifted.rhs_with.source
 
@@ -1130,25 +1130,94 @@ class TestGeneratedStep:
 
         from diffdiss.examples import RcParams
 
-        def step(sys, u):
+        def run(sys, u):
             lifted = lift(sys)
-            return systems._rk4_step(lifted, systems.signal_vector(u, sys.q) * 2)
+            return systems._rk4_run(lifted, systems.signal_vector(u, sys.q) * 2)
 
-        rcs = [step(rc_circuit(RcParams(R=r, mu=mu)).system, Signal.from_expr(drive))
+        rcs = [run(rc_circuit(RcParams(R=r, mu=mu)).system, Signal.from_expr(drive))
                for r, mu, drive in [(1.7, "q + 0.37*q^3", "0.45*sin(1.9*t)"),
                                     (2.3, "q + 1.3*q^3", "0.83*sin(4.1*t)")]]
         plant = lambda rate: _expr_system([f"-{rate}*x1"], [["1/(1 + 3*x1^2)"]])
         k = compile_map([parse("x1 + x1^3")], ["x1"])
-        loops = [step(state_feedback(plant(rate), plant(rate), k, k), [0.0, 0.0])
+        loops = [run(state_feedback(plant(rate), plant(rate), k, k), [0.0, 0.0])
                  for rate in ("0.45", "0.83")]
         for a, b in (rcs, loops):
             assert a.__code__ is b.__code__
             for fn in (a, b):
                 # the only numbers left are the step's own 0.0, 0.5, 2.0 and 6.0
-                left = re.sub(r"[A-Za-z_]\w*|\[\d+\]|'[^']*'", "", fn.source)
+                # (a name goes with the dot before it, as in ``states.append``)
+                left = re.sub(r"\.?[A-Za-z_]\w*|\[\d+\]|'[^']*'", "", fn.source)
                 assert set(re.findall(r"[\d.]+", left)) <= {"0.0", "0.5", "2.0", "6.0"}
                 names = set(re.findall(r"[A-Za-z_]\w*", fn.source))
                 assert names.isdisjoint({"q", "x1", "x2", "t_final"})
+
+
+class TestRunProgram:
+    """The generated run takes every step of the grid in one call: its
+    times, states, counts and errors are those of ``_integrate_floats``
+    with ``_rk4_step_floats`` on the float field, bit for bit."""
+
+    def _same(self, *args):
+        """``_step_run`` of ``args`` by the field steps, after checking that
+        the run program gives the same outcome with no field call."""
+        want, calls = _step_run(*args, False)
+        assert _step_run(*args, True) == (want, 0)
+        return want, calls
+
+    def test_clipped_last_step(self):
+        want, calls = self._same(rc_circuit().system, [0.4], [-0.7], Signal.from_expr("sin(3*t)"),
+                                 None, (0.0, 0.1005), 1e-3)
+        times = np.frombuffer(want[0])
+        assert len(times) == 102 and times[-1] == 0.1005 and calls == want[2] == 4 * 101
+
+    @pytest.mark.parametrize("t_final", [0.0, 1e-16])
+    def test_zero_length_span(self, t_final):
+        want, calls = self._same(rc_circuit().system, [0.4], [-0.7], None, None, (0.0, t_final),
+                                 1e-3)
+        assert np.frombuffer(want[0]).tolist() == [0.0] and calls == want[2] == 0
+
+    def test_non_finite_state_mid_run(self):
+        # xdot = x^3 from x = 1 blows up at t = 0.5; the steps lag a little
+        want, calls = self._same(_expr_system(["x1^3"], [["1"]]), [1.0], [0.5], None, None,
+                                 (0.0, 1.0), 1e-2)
+        assert want[0] is IntegrationError and 0.5 < want[2] < 0.6 and calls > 4 * 50
+
+    def test_guard_hit_mid_run(self):
+        # xdot = 1 from x = 0: c is the state after five steps, which the
+        # fourth stage of step five (x_4 + h*1.0) reaches first
+        c = 0.0
+        for _ in range(5):
+            c = c + 0.1 / 6.0 * (((1.0 + 2.0 * 1.0) + 2.0 * 1.0) + 1.0)
+        sys = _expr_system([f"1 + 0/(x1 - {c!r})"], [["1"]])
+        want, calls = self._same(sys, [0.0], [0.5], None, None, (0.0, 1.0), 0.1)
+        assert want == (EvalError, "division by zero at offset 5", 5) and calls == 4 * 5
+
+    def test_rows_whose_sum_overflows_pass(self):
+        # at t = 0 the first stage's rows are (1e308, 1e308): their sum is
+        # inf, each row is finite; the other stages read u = du = 0
+        big = Signal.analytic(lambda t: 1e308 if t == 0.0 else 0.0)
+        want, calls = self._same(_expr_system(["-x1"], [["1"]]), [0.4], [0.5], big, big,
+                                 (0.0, 0.05), 1e-2)
+        states = np.frombuffer(want[1])
+        assert np.isfinite(states).all() and states[2] > 1e305 and calls == 4 * 5
+
+    @pytest.mark.parametrize("stage", ["1", "2", "4", "update"])
+    def test_non_finite_raises_at_the_step_floats_stage_time(self, stage):
+        t, h = 0.25, 0.01
+        when = {"1": t, "2": t + 0.5 * h, "4": t + h, "update": t}[stage]
+        if stage == "update":  # finite rows of 1e308 overflow the update's sum
+            u = Signal.constant(1e308)
+        else:
+            u = Signal.analytic(lambda s: math.nan if s >= when else 0.3)
+        lifted = lift(_expr_system(["sin(x1)"], [["1"]]))
+        sigs = systems.signal_vector(u, 1) + systems.signal_vector(None, 1)
+        field = systems._float_field(lifted, sigs)
+        with pytest.raises(systems._NonFinite) as want:
+            numerics._rk4_step_floats(numerics._finite_floats(field), t, [0.5, 0.5], h)
+        states = []
+        with pytest.raises(systems._NonFinite) as got:
+            systems._rk4_run(lifted, sigs)([(t, h)], [0.5, 0.5], states)
+        assert got.value.t == want.value.t == when and states == []
 
 
 class TestSignalOrder:
