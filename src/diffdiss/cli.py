@@ -253,9 +253,15 @@ def _motor_bundle(spec: dict, path: str):
     at ``path``."""
     params = _registry_params(spec, path)
     kwargs = {}
-    for key in ("R_r", "R_s", "L_r", "L_s", "L_l", "kappa_r", "kappa_s"):
+    for key in ("R_r", "R_s", "L_r", "L_s", "L_l"):
         if key in params:
-            kwargs[key] = _as_float(params[key], f"{path}/params/{key}")
+            kwargs[key] = _as_float(params[key], f"{path}/params/{key}", positive=True)
+    for key in ("kappa_r", "kappa_s"):  # saturation gains
+        if key in params:
+            kwargs[key] = _as_float(params[key], f"{path}/params/{key}", finite=True)
+            if kwargs[key] < 0.0:
+                raise ConfigError(f"{path}/params/{key}",
+                                  f"expected a non-negative number, got {params[key]!r}")
     for key in ("omega_r", "omega_s"):
         if key in params:
             kwargs[key] = _signal(params[key], f"{path}/params/{key}")
@@ -316,7 +322,8 @@ def _build_supply(cfg: dict, sys_, required: bool = False, key: str = "supply",
         raise ConfigError(f"{path}/strictness", f"unknown strictness {strictness!r}")
     rate = None
     if strictness == "state":
-        lam = _as_float(_get(spec, path, "state_rate", required=True), f"{path}/state_rate")
+        lam = _as_float(_get(spec, path, "state_rate", required=True), f"{path}/state_rate",
+                        positive=True)
         rate = lambda s: lam * s
     if w_spec == "identity":
         return SupplyRate.identity(sys_.q, strictness, rate)
@@ -335,7 +342,7 @@ def _build_stepper(cfg: dict, args) -> Rk4 | Rk45:
         return Rk4(dt=_as_float(args.dt, "--dt", positive=True))
     if spec is None:
         return Rk4()
-    kind = _get(spec, "/run/stepper", "kind", required=True)
+    kind = _get(_object(spec, "/run/stepper"), "/run/stepper", "kind", required=True)
     if kind == "rk4":
         return Rk4(dt=_as_float(spec.get("dt", 1e-3), "/run/stepper/dt", positive=True))
     if kind == "rk45":
@@ -593,9 +600,17 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def cmd_demo_rc(cfg, args, out_dir):
+def _demo_system(cfg: dict, registry: str) -> dict:
+    """The ``system`` object of the config of the demo of the registry model
+    ``registry``; another ``system.registry`` is a config error."""
     spec = _object(_get(cfg, "", "system", default={}), "/system")
-    bundle = _rc_bundle(_registry_params(spec, "/system"), "/system/params")
+    if _get(spec, "/system", "registry", default=registry) != registry:
+        raise ConfigError("/system/registry", f"demo {registry} runs the registry {registry}")
+    return spec
+
+
+def cmd_demo_rc(cfg, args, out_dir):
+    bundle = _rc_bundle(_registry_params(_demo_system(cfg, "rc"), "/system"), "/system/params")
     seed = _seed(cfg, args)
     n_traj = _as_int(_run(cfg).get("n_trajectories", 20), "/run/n_trajectories", minimum=1)
     t_final = _t_final(cfg, args, 1.0)
@@ -636,14 +651,11 @@ def cmd_demo_rc(cfg, args, out_dir):
 
 
 def cmd_demo_motor(cfg, args, out_dir):
-    spec = _object(_get(cfg, "", "system", default={}), "/system")
-    if _get(spec, "/system", "registry", default="motor") != "motor":
-        raise ConfigError("/system/registry", "demo motor runs the registry motor")
-    bundle = _motor_bundle(spec, "/system")
+    bundle = _motor_bundle(_demo_system(cfg, "motor"), "/system")
     p = bundle.params
     phi_s_ref, u_sig = motor_feedforward(p)
     t_final = _t_final(cfg, args, 10.0)
-    explicit = _run(cfg).get("stepper") or args.dt is not None
+    explicit = _run(cfg).get("stepper") is not None or args.dt is not None
     stepper = _build_stepper(cfg, args) if explicit else Rk4(2e-3)
     ref0 = [p.phi_r_ref[0].value(0.0), p.phi_r_ref[1].value(0.0),
             phi_s_ref[0].value(0.0), phi_s_ref[1].value(0.0)]

@@ -58,7 +58,8 @@ from .systems import DynSystem, ProlongedTrajectory
 
 
 class InvalidSupply(Exception):
-    """The supply tensor is not symmetric within tolerance."""
+    """The supply tensor is not symmetric within tolerance, or a state-strict
+    supply's decay is negative or not finite."""
 
 
 class SupplyIntegrabilityError(Exception):
@@ -267,9 +268,11 @@ def audit(
 
     dS/dt is evaluated analytically from the recorded right-hand sides; Q is
     the supply sample (with the output-strict term folded in when present);
-    state strictness adds the required decay to the violation.  S, dS/dt and
-    Q are each one batched call over all samples.  Fills the trajectory's
-    S/Q/slack columns and returns the report.
+    state strictness adds the required decay to the violation, and raises
+    :class:`InvalidSupply` at the first sample whose decay ``state_rate(S)``
+    is negative or not finite.  S, dS/dt and Q are each one batched call
+    over all samples.  Fills the trajectory's S/Q/slack columns and returns
+    the report.
     """
     for col in ("xdot", "dxdot", "y", "dy", "u", "du"):
         if getattr(traj, col) is None:
@@ -294,6 +297,10 @@ def audit(
     decay = np.zeros(N)
     if supply.strictness == "state":
         decay = np.array([supply.state_rate(s) for s in S])
+        bad = np.flatnonzero(~(np.isfinite(decay) & (decay >= 0.0)))
+        if bad.size:
+            raise InvalidSupply(f"state decay {decay[bad[0]]:.6g} is negative or not finite "
+                                f"at t={traj.times[bad[0]]:.6g}")
     violation = dS + decay - Q
     slack = -violation
     q_eff = Q - decay

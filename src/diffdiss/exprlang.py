@@ -41,15 +41,15 @@ the float operations the DualScalar rules perform on ``x`` seeded with
 ``fn(numerics.seed(x, dx), e)``, with no dual arithmetic.  Every map has
 one: the kind of each node, dual or plain, is known when its line is
 generated (``min``/``max`` with a dual operand is dual, ``b^0`` is the
-plain 1.0).
+plain 1.0 and reads no state as its base).
 :func:`lifted_rhs` generates one such program for the lifted right-hand
 side f + g·u of a system (see "generated programs" below).  A program of the
 float kind, for parts known to be Python floats, writes out the float
 operations the ``numerics`` helpers perform on a float (``/``, a comparison
-for a guard, the ``math`` function, the dual rules), with the same bits and
-errors; ``systems`` builds from it the fixed RK4 run of one member and
-the field of a stack of members, whose lines that read no state run once
-per call.  No config text enters a program's source, so maps of one
+for a guard, the ``math`` function, ``abs`` and min/max), with the same
+bits and errors; ``systems`` builds from it the fixed RK4 run of one member
+and the field of a stack of members, whose lines that read no state run
+once per call.  No config text enters a program's source, so maps of one
 structure share one compiled code object (:func:`_code` keeps the last 256
 sources it compiled); a new structure costs one ``compile()``, about
 0.3-0.5 ms for a map and 1.4-3.6 ms for the RK4 run of a small system
@@ -70,7 +70,6 @@ import math
 import operator
 import re
 import struct
-from collections import Counter
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -510,20 +509,24 @@ def _layout(items: list[str], widths: list[int] | None) -> str:
 # subexpression is one node, keyed on its operation and the nodes of its
 # operands (a literal on its float bits, so ``0.0`` and ``-0.0`` stay apart),
 # assigned once, in the post-order of its first occurrence (operands first,
-# then its guard).  In a value program every node is plain: its lines apply
+# then its guard, which one method generates for either kind, then its
+# lines).  In a value program every node is plain: its lines apply
 # the operator or ``numerics`` function :func:`evaluate` applies, with the
 # same guard, so the parts may be floats, batch arrays or duals and the
 # program returns what ``evaluate`` returns.  In a tangent program a node
 # that reads a state is dual: its lines perform the float operations the
 # DualScalar rule performs on ``x`` seeded with ``dx`` (the same products in
 # the same operand order, the reflected ``__radd__``/``__rmul__``/
-# ``__rtruediv__`` orders, the same ``_div`` and ``_hit`` guards), the rule
+# ``__rtruediv__`` orders, the same ``_div`` and ``_hit`` guards, and a
+# function's rule written out as the operations of its ``numerics`` rule
+# ``_dual_<name>`` on the program's own helpers), the rule
 # picked when the line is generated by which operands are dual; the other
 # nodes are plain.  No kind depends on the values a node runs on: a call of
 # two operands with one dual is dual, the plain one's derivative part 0.0
 # (``numerics._pick`` returns a dual for min/max), and ``b^0`` is the plain
-# 1.0 (``numerics.int_pow``).  A tangent program therefore returns, bit for
-# bit, the value and derivative parts of a dual pass.  Either program's
+# 1.0 (``numerics.int_pow``), which reads no state as its base.  A tangent
+# program therefore returns, bit for bit, the value and derivative parts of
+# a dual pass.  Either program's
 # first failing guard is the tree walk's first: a repeated node fails where
 # its first occurrence failed already, at that occurrence's offset.  The
 # source holds generated names only: states are read by index, and
@@ -540,44 +543,31 @@ def _layout(items: list[str], widths: list[int] | None) -> str:
 # still to be read, and no line changes.  A program of the float kind runs
 # on floats only and has no ``del``: its lines perform what the value and
 # dual lines perform on floats, with no helper call where ``numerics`` would
-# make only float operations.
+# make only float operations.  The two kinds spell only a guard's test, a
+# division, ``abs`` and min/max apart, and bind the function helpers to
+# ``numerics`` or to ``math``.
 
 
-_GUARDED_FN = {
+# the domain guard of each guarded node, by the first item of its key ("^-" a
+# negative literal integer power): the test on its operand and the message of
+# the EvalError it raises, as :func:`evaluate` tests before it computes
+_GUARDS = {
     "log": (operator.le, "log of a non-positive value"),
     "sqrt": (operator.lt, "sqrt of a negative value"),
+    "/": (operator.eq, "division by zero"),
+    "^": (operator.le, "power of a non-positive base with non-integer exponent"),
+    "^-": (operator.eq, "zero raised to a negative power"),
 }
 
 
 @functools.lru_cache(maxsize=256)
 def _code(source: str, free: bool):
-    """``(source, code)``: a program's ``source`` without its dead state
-    reads (:func:`_live_reads`), with :func:`_free`'s ``del`` lines if
-    ``free``, and its compiled code, both made once per distinct source."""
-    source = _live_reads(source)
+    """``(source, code)``: a program's ``source``, with :func:`_free`'s
+    ``del`` lines if ``free``, and its compiled code, both made once per
+    distinct source."""
     if free:
         source = _free(source)
     return source, compile(source, "<exprlang program>", "exec")
-
-
-# a line that reads a state (x_k, dx_k, or a row of a lifted program's X)
-# into a new local
-_STATE_READ = re.compile(r"^    (t\d+) = d?[xX]\[\d+\]\n", re.M)
-
-
-def _live_reads(source: str) -> str:
-    """``source`` without each line that reads a state into a local no
-    other line and no ``return`` names: a state whose only use is the base
-    of ``b^0``, whose value the power never reads.  A guard on the base
-    (``log(x1)^0``) names it, so that read stays; no other line moves."""
-    reads = _STATE_READ.findall(source)
-    if not reads:
-        return source
-    named = Counter(_LOCAL.findall(source))
-    dead = {name for name in reads if named[name] == 1}
-    if not dead:
-        return source
-    return _STATE_READ.sub(lambda m: "" if m.group(1) in dead else m.group(0), source)
 
 
 def _free(source: str) -> str:
@@ -631,9 +621,8 @@ _SCOPE = {
     "_sin": numerics.sin, "_cos": numerics.cos, "_tan": numerics.tan, "_exp": numerics.exp,
     "_log": numerics.log, "_sqrt": numerics.sqrt, "_tanh": numerics.tanh,
     "_abs": numerics.absolute, "_atan2": numerics.atan2, "_min": numerics.minimum,
-    "_max": numerics.maximum, "_dual_atan2": numerics._dual_atan2, "_pick_pair": _pick_pair,
+    "_max": numerics.maximum, "_dual_abs": numerics._dual_abs, "_pick_pair": _pick_pair,
     "_min_test": operator.le, "_max_test": operator.ge,
-    **{f"_dual_{name}": rule for name, rule in numerics.DUAL_RULES.items()},
 }
 _TEST_NAMES = {operator.eq: "_eq", operator.le: "_le", operator.lt: "_lt"}
 # a float program's globals: the ``math`` call that each ``numerics`` function
@@ -662,10 +651,11 @@ class _Program:
     A program of ``floats`` is for parts known to be Python floats: it
     divides with ``/`` where the other kind calls ``numerics._div``, guards
     with a comparison and ``raise`` where it calls ``_hit``, calls the
-    ``math`` function where ``numerics`` would call it, and writes out the
-    float operations of the dual rules and of min/max in place of calls.
-    On floats both kinds perform the same operations in the same order, so
-    they give the same bits and raise the same errors."""
+    ``math`` function where ``numerics`` would call it, and writes out
+    ``abs`` and min/max in place of calls (both kinds write out the dual
+    rules of the other functions, :meth:`dual_call`).  On floats both
+    kinds perform the same operations in the same order, so they give the
+    same bits and raise the same errors."""
 
     def __init__(self, names: Sequence[str], state: Callable[[int], str],
                  deriv: Callable[[int], str] | None = None, floats: bool = False):
@@ -721,20 +711,32 @@ class _Program:
         self.emit(f"{value}, {deriv} = {source}", value, deriv)
         return value, deriv
 
-    def guard(self, test, value: str, message: str, offset: int) -> None:
-        """A line raising EvalError if ``test(value, 0.0)`` holds; none if
-        an earlier guard ran the same test on the same value, which passed."""
-        if (test, value) in self.guarded:
+    def guard(self, e: Expr, key: tuple, args: list[str]) -> None:
+        """The line raising EvalError if the node ``key`` of ``e`` fails its
+        domain guard (:data:`_GUARDS`) on ``args``, the values of its
+        operands; it runs before the node's lines of either kind.  None for
+        a node without a guard, a division by a nonzero literal, which
+        cannot hit, or a test an earlier guard ran on the same value, which
+        passed."""
+        op = key[0]
+        if op == "^" and len(args) == 1:  # a literal integer power
+            op = "^-" if key[-1] < 0 else None
+        if op not in _GUARDS:
+            return
+        test, message = _GUARDS[op]
+        value = args[1] if op == "/" else args[0]
+        if (test, value) in self.guarded or (op == "/" and self.nonzero_literal(value)):
             return
         self.guarded.add((test, value))
         hit = (f"{value} {_TEST_OPS[test]} 0.0" if self.floats
                else f"_hit({_TEST_NAMES[test]}, {value})")
         self.emit(f"if {hit}: raise EvalError({message!r}, _at[{len(self.offsets)}])")
-        self.offsets.append(int(offset))
+        self.offsets.append(int(e.offset))
 
     def div(self, a: str, b: str) -> str:
-        """The source of ``numerics._div(a, b)``: ``a / b`` on floats."""
-        if self.floats:
+        """The source of ``numerics._div(a, b)``: ``a / b`` on floats, and
+        by a nonzero literal, which ``_div`` divides any ``a`` by with ``/``."""
+        if self.floats or self.nonzero_literal(b):
             return f"{_operand(a)} / {_operand(b)}"
         return f"_div({a}, {b})"
 
@@ -805,6 +807,10 @@ class _Program:
         else:
             k = _integer_literal(e.right) if e.op == "^" else None
             if k is not None and abs(k) <= numerics.INT_POW_MAX:  # only the base runs
+                if k == 0:  # int_pow's plain 1.0; only a base's guards run, so a name is not read
+                    if not isinstance(e.left, Var):
+                        self.node(e.left)
+                    return self.const(1.0), None
                 args = (self.node(e.left),)
                 key = ("^", *args, k)
             else:
@@ -817,11 +823,13 @@ class _Program:
         are generated on its first occurrence only."""
         out = self.nodes.get(key)
         if out is None:
+            values = [v for v, _ in args]
+            self.guard(e, key, values)
             if self.deriv is not None and (isinstance(e, Var)
                                            or any(d is not None for _, d in args)):
                 out = self.dual(e, key, args)
             else:
-                out = self.plain(e, key, [v for v, _ in args]), None
+                out = self.plain(e, key, values), None
             self.nodes[key] = out
         return out
 
@@ -838,9 +846,6 @@ class _Program:
         if isinstance(e, Neg):
             return self.let(f"-{args[0]}")
         if isinstance(e, Call):
-            if e.name in _GUARDED_FN:
-                test, message = _GUARDED_FN[e.name]
-                self.guard(test, args[0], message, e.offset)
             if self.floats and e.name in ("min", "max"):  # numerics.minimum/maximum
                 a, b = args
                 return self.let(f"{a} if {a} {'<=' if e.name == 'min' else '>='} {b} else {b}")
@@ -848,29 +853,19 @@ class _Program:
         a = args[0]
         if len(args) == 1:  # a literal integer power
             k = key[-1]
-            if k == 0:
-                return self.const(1.0)
-            if k < 0:
-                self.guard(operator.eq, a, "zero raised to a negative power", e.offset)
             power = numerics.int_pow((a, None), abs(k), self.mul)[0]
             return power if k > 0 else self.let(f"1.0 / {power}")
         b = args[1]
         if e.op == "^":
-            self.guard(operator.le, a, "power of a non-positive base with non-integer exponent",
-                       e.offset)
             return self.let(f"_exp({b} * _log({a}))")
-        if e.op == "/":
-            if not self.nonzero_literal(b):  # the guard cannot hit one
-                self.guard(operator.eq, b, "division by zero", e.offset)
-        elif a in self.literals and b in self.literals:
+        if e.op != "/" and a in self.literals and b in self.literals:
             # one IEEE operation, which cannot raise, gives the line's bits here
             return self.const(_ARITHMETIC[e.op](self.literals[a], self.literals[b]))
         return self.let(f"{a} {e.op} {b}")
 
     def dual(self, e: Expr, key: tuple, args: tuple) -> tuple:
         """The value and derivative of a node that reads a state, as the dual
-        rule computes them on its operands' parts (the derivative None for
-        ``b^0``, which is plain)."""
+        rule computes them on its operands' parts."""
         if isinstance(e, Var):
             k = key[1]
             return self.read(self.state(k)), self.read(self.deriv(k))
@@ -880,17 +875,16 @@ class _Program:
         if isinstance(e, Call):
             return self.dual_call(e, args)
         if len(args) == 1:
-            return self.dual_power(e, args[0], key[-1])
+            return self.dual_power(args[0], key[-1])
         (a, da), (b, db) = args
         op = e.op
         if op == "^":
-            return self.dual_real_power(e, a, da, b, db)
+            return self.dual_real_power(a, da, b, db)
         if da is not None and db is not None:
             if op == "*":
                 return self.let(f"{a} * {b}"), self.let(f"{a} * {db} + {da} * {b}")
             if op != "/":
                 return self.let(f"{a} {op} {b}"), self.let(f"{da} {op} {db}")
-            self.guard(operator.eq, b, "division by zero", e.offset)
             return (self.let(self.div(a, b)),
                     self.let(self.div(f"{da} * {b} - {a} * {db}", f"{b} * {b}")))
         if da is not None:  # a plain right operand
@@ -898,10 +892,6 @@ class _Program:
                 return self.let(f"{a} {op} {b}"), da
             if op == "*":
                 return self.let(f"{a} * {b}"), self.let(f"{da} * {b}")
-            if self.nonzero_literal(b):
-                # the guard cannot hit a nonzero literal, and _div(a, c) is a / c
-                return self.let(f"{a} / {b}"), self.let(f"{da} / {b}")
-            self.guard(operator.eq, b, "division by zero", e.offset)
             return self.let(self.div(a, b)), self.let(self.div(da, b))
         # a plain left operand: DualScalar's reflected rules
         if op == "+":
@@ -910,14 +900,9 @@ class _Program:
             return self.let(f"{a} - {b}"), self.let(f"-{db}")
         if op == "*":
             return self.let(f"{b} * {a}"), self.let(f"{db} * {a}")
-        self.guard(operator.eq, b, "division by zero", e.offset)
         return self.let(self.div(a, b)), self.let(self.div(f"-{a} * {db}", f"{b} * {b}"))
 
-    def dual_power(self, e: Expr, base: tuple, k: int) -> tuple:
-        if k == 0:  # int_pow's plain 1.0: the base's derivative is dropped
-            return self.const(1.0), None
-        if k < 0:
-            self.guard(operator.eq, base[0], "zero raised to a negative power", e.offset)
+    def dual_power(self, base: tuple, k: int) -> tuple:
         cv, cd = numerics.int_pow(base, abs(k), self.mul)
         if k > 0:
             return cv, cd
@@ -925,10 +910,8 @@ class _Program:
         return (self.let(self.div("1.0", cv)),
                 self.let(self.div(f"-1.0 * {cd}", f"{cv} * {cv}")))
 
-    def dual_real_power(self, e: Expr, a, da, b, db) -> tuple[str, str]:
+    def dual_real_power(self, a, da, b, db) -> tuple[str, str]:
         """exp(exponent * log(base)), each rule picked by which operands are dual."""
-        self.guard(operator.le, a, "power of a non-positive base with non-integer exponent",
-                   e.offset)
         if da is not None:
             lv, ld = self.let(f"_log({a})"), self.let(self.div(da, a))
             if db is not None:
@@ -942,36 +925,28 @@ class _Program:
         return ex, self.let(f"{ex} * {pd}")
 
     def dual_call(self, e: Call, args: tuple) -> tuple[str, str]:
-        """A call with a dual operand; a plain operand of a call of two has
-        derivative part 0.0, as ``numerics.deriv_part`` gives it."""
+        """A call with a dual operand: the float operations of its rule in
+        ``numerics`` (``_dual_<name>``), in that rule's order, through this
+        program's helpers, for both kinds.  Only ``abs`` and min/max, which
+        pick elementwise on a batch, call a helper in the value kind
+        (``_dual_abs``, ``_pick_pair``).  A plain operand of a call of two
+        has derivative part 0.0, as ``numerics.deriv_part`` gives it."""
         name = e.name
-        if name in numerics.DUAL_RULES:
-            (v, d), = args
-            if name in _GUARDED_FN:
-                test, message = _GUARDED_FN[name]
-                self.guard(test, v, message, e.offset)
-            if self.floats:
-                return self.float_rule(name, v, d)
-            return self.let_pair(f"_dual_{name}({v}, {d})")
-        (y, dy), (x, dx) = args
-        dy, dx = dy or "0.0", dx or "0.0"
-        if name == "atan2":
-            if not self.floats:
-                return self.let_pair(f"_dual_atan2({y}, {dy}, {x}, {dx})")
-            # numerics._dual_atan2
-            denom = self.let(f"{x} * {x} + {y} * {y}")
-            return self.let(f"_atan2({y}, {x})"), self.let(self.div(f"{x} * {dy} - {y} * {dx}",
-                                                                    denom))
-        if self.floats:  # _pick_pair
-            test = "<=" if name == "min" else ">="
-            return self.let_pair(f"({y}, {dy}) if {y} {test} {x} else ({x}, {dx})")
-        return self.let_pair(f"_pick_pair(_{name}_test, {y}, {dy}, {x}, {dx})")
-
-    def float_rule(self, name: str, v: str, d: str) -> tuple[str, str]:
-        """The float operations of ``numerics.DUAL_RULES[name](v, d)``, in
-        its order."""
+        parts = [(a, da or "0.0") for a, da in args]
+        if len(parts) == 2:
+            (y, dy), (x, dx) = parts
+            if name == "atan2":
+                denom = self.let(f"{x} * {x} + {y} * {y}")
+                slope = self.div(f"{x} * {dy} - {y} * {dx}", denom)
+                return self.let(f"_atan2({y}, {x})"), self.let(slope)
+            if self.floats:  # _pick_pair
+                test = "<=" if name == "min" else ">="
+                return self.let_pair(f"({y}, {dy}) if {y} {test} {x} else ({x}, {dx})")
+            return self.let_pair(f"_pick_pair(_{name}_test, {y}, {dy}, {x}, {dx})")
+        (v, d), = parts
         if name == "abs":
-            return self.let_pair(f"({v}, {d}) if {v} >= 0.0 else (-{v}, -{d})")
+            return self.let_pair(f"({v}, {d}) if {v} >= 0.0 else (-{v}, -{d})" if self.floats
+                                 else f"_dual_abs({v}, {d})")
         if name == "tan":
             c = self.let(f"_cos({v})")
             return self.let(f"_tan({v})"), self.let(self.div(d, f"{c} * {c}"))

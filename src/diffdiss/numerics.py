@@ -243,8 +243,8 @@ def _each(fn, *args):
 
 # The derivative rule of each function, on the parts of a dual: ``rule(v, d)``
 # returns the (value, derivative) pair of ``fn(DualScalar(v, d))``.  The
-# dual functions below and the compiled tangents of ``exprlang`` both call
-# these, so they perform the same float operations.
+# dual functions below call them; a compiled tangent of ``exprlang`` writes
+# out the same float operations in the same order (it calls ``_dual_abs``).
 
 
 def _dual_sin(v, d):
@@ -288,10 +288,6 @@ def _dual_abs(v, d):
     # both branches are built, then picked (elementwise on a batch)
     mask = _base(v) >= 0.0
     return _pick(mask, v, -v), _pick(mask, d, -d)
-
-
-DUAL_RULES = {"sin": _dual_sin, "cos": _dual_cos, "tan": _dual_tan, "exp": _dual_exp,
-              "log": _dual_log, "sqrt": _dual_sqrt, "tanh": _dual_tanh, "abs": _dual_abs}
 
 
 def _dual_aware(fn, rule):

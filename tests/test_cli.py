@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from diffdiss import cli
 from diffdiss.cli import main
 
 
@@ -183,6 +185,14 @@ class TestLocatedConfigErrors:
                 interconnect={"coupling": "state", "system2": SCALAR_SYS["system"],
                               "storage2": {"M": "identity"}, "supply2": {"W": "identity"},
                               "k1": ["x1"], "k2": ["x1"]})
+    LOOP_STRICT = dict(LOOP, interconnect=dict(
+        LOOP["interconnect"], supply2={"W": "identity", "strictness": "state", "state_rate": 1.0}))
+    STATE_STRICT = dict(SCALAR_SYS,
+                        supply={"W": "identity", "strictness": "state", "state_rate": 2.0})
+    MOTOR = {"system": {"registry": "motor"}, "run": {"x0": [1.0, 0.0, 1.3, 0.2], "t_final": 0.01}}
+    LTI = {"system": {"registry": "lti", "params": {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}},
+           "storage": {"M": "identity"}, "supply": {"W": "identity"},
+           "run": {"x0": [0.5], "t_final": 0.1}}
     CASES = [
         ("audit", RC, ("system", "params", "R"), "abc", "/system/params/R"),
         ("audit", RC, ("system", "params", "q_range"), "ab", "/system/params/q_range"),
@@ -199,6 +209,20 @@ class TestLocatedConfigErrors:
         ("demo rc", {}, ("run", "t_final"), "1", "/run/t_final"),
         ("demo rc", {}, ("run", "n_trajectories"), 2.5, "/run/n_trajectories"),
         ("demo rc", {}, ("run", "seed"), "7", "/run/seed"),
+        ("demo rc", {}, ("system", "registry"), "motor", "/system/registry"),
+        ("audit", SCALAR_SYS, ("run", "stepper"), 5, "/run/stepper"),
+        ("demo motor", {}, ("run", "stepper"), 5, "/run/stepper"),
+        ("audit", SCALAR_SYS, ("run", "stepper"), {"kind": "euler"}, "/run/stepper/kind"),
+        ("audit", SCALAR_SYS, ("supply", "strictness"), "strong", "/supply/strictness"),
+        ("interconnect", LOOP, ("interconnect", "coupling"), "series", "/interconnect/coupling"),
+        ("audit", MOTOR, ("system", "params", "omega_s"), {"kind": "wobble"},
+         "/system/params/omega_s/kind"),
+        ("audit", MOTOR, ("system", "params", "phi_r_ref"), [1.0], "/system/params/phi_r_ref"),
+        ("audit", MOTOR, ("system", "params", "phi_r_ref"), [1.0, "0"],
+         "/system/params/phi_r_ref/1"),
+        # lti's own shape checks, at its params
+        ("audit", LTI, ("system", "params", "B"), [[1.0], [0.0]], "/system/params"),
+        ("audit", LTI, ("system", "params", "D"), [[1.0, 0.0]], "/system/params"),
         ("demo motor", {}, ("run", "t_final"), None, "/run/t_final"),
         ("demo motor", {}, ("system", "registry"), "rc", "/system/registry"),
         ("demo motor", {}, ("system",), "motor", "/system"),
@@ -253,6 +277,18 @@ class TestLocatedConfigErrors:
         ("audit", RC, ("system", "params", "R"), -1.0, "/system/params/R"),
         ("audit", RC_FROM_ZERO, ("system", "params", "mu"), "q + sqrt(abs(q))",
          "/system/params/mu"),
+        # motor parameters the model rejects: resistances and inductances
+        # positive, saturation gains non-negative
+        ("audit", MOTOR, ("system", "params", "R_r"), 0, "/system/params/R_r"),
+        ("demo motor", {}, ("system", "params", "R_r"), 0, "/system/params/R_r"),
+        ("audit", MOTOR, ("system", "params", "kappa_r"), -1, "/system/params/kappa_r"),
+        ("demo motor", {}, ("system", "params", "kappa_r"), -1, "/system/params/kappa_r"),
+        ("audit", MOTOR, ("system", "params", "L_l"), -0.2, "/system/params/L_l"),
+        # a state-strict supply's decay rate is positive
+        ("audit", STATE_STRICT, ("supply", "state_rate"), -10, "/supply/state_rate"),
+        ("audit", STATE_STRICT, ("supply", "state_rate"), 0, "/supply/state_rate"),
+        ("interconnect", LOOP_STRICT, ("interconnect", "supply2", "state_rate"), -1.0,
+         "/interconnect/supply2/state_rate"),
     ]
 
     # no number is nan, and the positive keys and run.tol are finite
@@ -264,6 +300,9 @@ class TestLocatedConfigErrors:
         ("audit", SCALAR_SYS, ("run", "x0"), [float("nan")], "/run/x0/0"),
         ("audit", SCALAR_SYS, ("run", "u"), [float("nan")], "/run/u/0"),
         ("audit", RC, ("system", "params", "R"), float("inf"), "/system/params/R"),
+        ("audit", MOTOR, ("system", "params", "kappa_s"), float("inf"),
+         "/system/params/kappa_s"),
+        ("audit", STATE_STRICT, ("supply", "state_rate"), float("inf"), "/supply/state_rate"),
     ]
 
     # command-line flags go through the readers of their config keys
@@ -382,6 +421,49 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "certificate_report.json").read_text())
         assert report["passed"] is True
+
+    def test_certify_uc_default_grid(self, tmp_path):
+        # without a grid, 9 points per state on [-2, 2]
+        cfg = write_config(tmp_path, dict(SCALAR_SYS, pi=[[1.0]]))
+        code, out = run(tmp_path, "certify-uc", "--config", cfg)
+        assert code == 0
+        report = json.loads((out / "certificate_report.json").read_text())
+        assert report["n_points"] == 9
+
+    @pytest.mark.parametrize("rate, code", [(2.0, 0), (10.0, 1)])
+    def test_audit_state_strict_supply(self, tmp_path, rate, code):
+        # xdot = -x dissipates its displacement storage at the rate 2S, not 10S
+        cfg_data = dict(SCALAR_SYS, supply={"W": "identity", "strictness": "state",
+                                            "state_rate": rate})
+        assert run(tmp_path, "audit", "--config", write_config(tmp_path, cfg_data))[0] == code
+
+    def test_lti_throughput(self, tmp_path):
+        # y = C x + D u, audited with W = I: xdot = -x + u, y = x + 0.5 u is passive
+        cfg_data = json.loads(json.dumps(TestLocatedConfigErrors.LTI))
+        cfg_data["system"]["params"]["D"] = [[0.5]]
+        cfg_data["run"]["u"] = [{"kind": "expr", "expr": "sin(3*t)"}]
+        code, out = run(tmp_path, "audit", "--config", write_config(tmp_path, cfg_data))
+        assert code == 0
+        rows = [line.split(",") for line in (out / "audit_trace.csv").read_text().splitlines()]
+        column = {name: k for k, name in enumerate(rows[0])}
+        for row in rows[1:]:
+            x, u, y = (float(row[column[name]]) for name in ("x_1", "u_1", "y_1"))
+            assert y == pytest.approx(x + 0.5 * u, rel=1e-15, abs=1e-15)
+
+    def test_motor_overrides_reach_the_model(self, tmp_path):
+        params = {"R_r": 2, "L_l": 0.25, "kappa_s": 0, "omega_r": 8.5,
+                  "omega_s": {"kind": "constant", "value": 9.5},
+                  "phi_r_ref": [1.2, {"kind": "expr", "expr": "0.1*sin(t)"}]}
+        p = cli._motor_bundle({"params": params}, "/system").params
+        assert (p.R_r, p.R_s, p.L_l, p.kappa_r, p.kappa_s) == (2.0, 1.0, 0.25, 0.5, 0.0)
+        assert (p.omega_r.value(0.3), p.omega_s.value(0.3)) == (8.5, 9.5)
+        assert p.phi_r_ref[0].value(1.0) == 1.2
+        assert p.phi_r_ref[1].value(1.0) == 0.1 * math.sin(1.0)
+        cfg = write_config(tmp_path, {"system": {"params": params}})
+        code, out = run(tmp_path, "demo", "motor", "--config", cfg, "--t-final", "0.2")
+        report = json.loads((out / "motor_report.json").read_text())
+        assert report["audit"]["passed"] is True and report["t_final"] == 0.2
+        assert code == (0 if report["passed"] else 1)
 
     def test_certify_ap(self, tmp_path):
         cfg_data = json.loads(json.dumps(SCALAR_SYS))

@@ -205,6 +205,20 @@ class TestAudit:
         assert ok.passed
         assert not too_much.passed
 
+    @pytest.mark.parametrize("rate, message", [
+        (lambda s: -10.0 * s, r"state decay -5 is negative or not finite at t=0$"),
+        (lambda s: float("nan"), r"state decay nan is negative or not finite at t=0$"),
+        # S = e^{-2t} / 2 falls below 1/4 after t = log(2) / 2
+        (lambda s: 2.0 * s if s > 0.25 else -s, r"state decay -0.249\d* is negative .* t=0.347$"),
+        (lambda s: 2.0 * s if s > 0.25 else float("inf"), r"state decay inf .* at t=0.347$"),
+    ], ids=["negative", "nan", "negative-later", "inf-later"])
+    def test_decay_must_be_finite_and_non_negative(self, rate, message):
+        # a negative decay would let an unstable system pass its audit
+        traj = simulate_prolonged(scalar_leaky(), [1.0], [1.0], t_final=1.0, stepper=Rk4(1e-3))
+        supply = SupplyRate.identity(1, strictness="state", state_rate=rate)
+        with pytest.raises(InvalidSupply, match=message):
+            audit(traj, _storage1(), supply)
+
 
 class TestLinearEquivalence:
     def test_differential_equals_incremental_traces(self):

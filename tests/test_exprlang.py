@@ -649,6 +649,23 @@ class TestGeneratedTangent:
                     list(np.array(derivs).reshape(3, _BATCH)),
                     {name: env[name] for name in _EXO})
 
+    def test_every_builtin_rule_is_written_out_but_abs(self):
+        """The dual rules of the functions are the rules' own float
+        operations in the program, not calls of ``numerics``' rules; only
+        ``abs`` (and min/max, through ``_pick_pair``) pick elementwise
+        through a helper.  Values, tangents and errors stay the dual pass's."""
+        asts = [parse(text) for text in (
+            "sin(x) + cos(zz)", "tan(x) * exp(w1)", "log(2 + x^2) - sqrt(1 + zz^2)",
+            "tanh(w1) + atan2(x, zz)", "atan2(y, x) - atan2(zz, q_c)",
+            "abs(x) + min(x, y) + max(q_c, zz)", "log(w1) + sqrt(zz)")]
+        fn = compile_map(asts, _STATES, _EXO)
+        assert re.findall(r"_dual_\w+", fn.tangent.build().source) == ["_dual_abs"]
+        e = {"y": 0.25, "q_c": -1.5}
+        for x in ([0.5, 1.5, 2.0], [-0.5, 0.0, 3.0], [0.5, -1.0, 2.0], [0.5, 1.5, -2.0]):
+            self._check(asts, x, [1.0, -0.5, 2.0], e)
+        batch = [np.array([0.5, -0.5, 1e3]), np.array([1.5, 0.0, 4.0]), np.array([2.0, 3.0, 0.1])]
+        self._check(asts, batch, [np.ones(3), np.full(3, -0.5), np.arange(3.0)], e)
+
     def test_shared_subexpressions_are_computed_once(self):
         fn = compile_map([parse("1/(1 + 3*x^2) * y"), parse("x^3 + 1/(1 + 3*x^2)")], ["x"], ["y"])
         source = fn.tangent.build().source
@@ -1075,13 +1092,6 @@ class TestDeadStateReads:
             fn([-1.0, 3.0])
         with pytest.raises(EvalError, match="log of a non-positive value at offset 0"):
             fn.tangent([-1.0, 3.0], [1.0, 0.0], {})
-
-    def test_a_live_read_leaves_the_source_as_it_is(self):
-        source = "def program(x, e=None):\n    t1 = x[0]\n    t12 = t1 * t1\n    return [t12]\n"
-        assert exprlang._live_reads(source) is source
-        dead = "def program(x, e=None):\n    t1 = x[0]\n    t12 = x[1]\n    return [t12]\n"
-        assert exprlang._live_reads(dead) == (
-            "def program(x, e=None):\n    t12 = x[1]\n    return [t12]\n")
 
 
 class TestLiteralFolding:

@@ -274,6 +274,14 @@ class TestIntegrate:
             integrate(lambda t, x: x * x, [1.0], (0.0, 5.0), Rk4(1e-2))
         assert 0.0 < err.value.last_good_time < 5.0
 
+    def test_update_that_overflows_raises(self):
+        # every stage of the first step is a finite 1e308; the update's sum is not
+        want = _integration_error(integrate, lambda t, x: np.full_like(x, 1e308), [1e308],
+                                  (0.0, 1.0), Rk4(0.5))
+        assert want == ("non-finite state during RK4 step (last good t = 0)", 0.0)
+        assert _integration_error(numerics._integrate_floats, lambda t, x: [1e308], [1e308],
+                                  (0.0, 1.0), Rk4(0.5)) == want
+
     def test_final_partial_step(self):
         sol = integrate(lambda t, x: -x, [1.0], (0.0, 0.1234), Rk4(1e-2))
         assert sol.times[-1] == 0.1234
