@@ -220,9 +220,6 @@ class TestLocatedConfigErrors:
         ("audit", MOTOR, ("system", "params", "phi_r_ref"), [1.0], "/system/params/phi_r_ref"),
         ("audit", MOTOR, ("system", "params", "phi_r_ref"), [1.0, "0"],
          "/system/params/phi_r_ref/1"),
-        # lti's own shape checks, at its params
-        ("audit", LTI, ("system", "params", "B"), [[1.0], [0.0]], "/system/params"),
-        ("audit", LTI, ("system", "params", "D"), [[1.0, 0.0]], "/system/params"),
         ("demo motor", {}, ("run", "t_final"), None, "/run/t_final"),
         ("demo motor", {}, ("system", "registry"), "rc", "/system/registry"),
         ("demo motor", {}, ("system",), "motor", "/system"),
@@ -305,6 +302,12 @@ class TestLocatedConfigErrors:
         ("audit", STATE_STRICT, ("supply", "state_rate"), float("inf"), "/supply/state_rate"),
     ]
 
+    # lti's own shape checks, located at its params
+    LTI_SHAPES = [
+        ("audit", LTI, ("system", "params", "B"), [[1.0], [0.0]], "/system/params"),
+        ("audit", LTI, ("system", "params", "D"), [[1.0, 0.0]], "/system/params"),
+    ]
+
     # command-line flags go through the readers of their config keys
     FLAGS = [
         ("audit", SCALAR_SYS, ("--t-final", "nan"), "--t-final"),
@@ -320,6 +323,11 @@ class TestLocatedConfigErrors:
     @pytest.mark.parametrize("command, base, keys, value, pointer", CASES,
                              ids=[f"{c[0]}:{c[4]}" for c in CASES])
     def test_located(self, tmp_path, capsys, command, base, keys, value, pointer):
+        _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
+
+    @pytest.mark.parametrize("command, base, keys, value, pointer", LTI_SHAPES,
+                             ids=[c[2][-1] for c in LTI_SHAPES])
+    def test_lti_shape_located(self, tmp_path, capsys, command, base, keys, value, pointer):
         _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
 
     @pytest.mark.parametrize("command, base, keys, value, pointer", OUT_OF_RANGE,
