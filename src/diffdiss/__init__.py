@@ -45,7 +45,6 @@ from .dissipativity import (
 )
 from .interconnect import (
     AlgebraicLoopError,
-    InterconnectedSystem,
     build_equalizing_feedback,
     check_equalization,
     output_feedback,

@@ -657,19 +657,14 @@ def cmd_demo_motor(cfg, args, out_dir):
     t_final = _t_final(cfg, args, 10.0)
     explicit = _run(cfg).get("stepper") is not None or args.dt is not None
     stepper = _build_stepper(cfg, args) if explicit else Rk4(2e-3)
-    ref0 = [p.phi_r_ref[0].value(0.0), p.phi_r_ref[1].value(0.0),
-            phi_s_ref[0].value(0.0), phi_s_ref[1].value(0.0)]
+    reference = (*p.phi_r_ref, *phi_s_ref)
     offset = np.array([0.5, -0.4, 0.3, 0.2])
-    x0 = (np.asarray(ref0) + offset).tolist()
+    x0 = (np.array([s.value(0.0) for s in reference]) + offset).tolist()
     traj = simulate_prolonged(bundle.system, x0, offset.tolist(), u=list(u_sig),
                               t_final=t_final, stepper=stepper)
     report = audit(traj, bundle.storage, bundle.supply, tol=_tol(cfg, args, 1e-9))
-    ref_t = np.array([
-        [p.phi_r_ref[0].value(t), p.phi_r_ref[1].value(t),
-         phi_s_ref[0].value(t), phi_s_ref[1].value(t)]
-        for t in traj.times
-    ])
-    gap = np.linalg.norm(traj.x - ref_t, axis=1)
+    gap = np.linalg.norm(traj.x - np.column_stack([s.many(traj.times) for s in reference]),
+                         axis=1)
     ratio = float(gap[-1] / gap[0]) if gap[0] > 0 else 0.0
     flux = motor_flux_margins(bundle)
     payload = {

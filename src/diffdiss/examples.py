@@ -272,6 +272,10 @@ def motor_field(p: MotorParams, x, e):
     ]
 
 
+# the input matrix g: the stator voltage u_s drives the stator flux
+_MOTOR_G = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+
 class MotorVirtual:
     """Virtual flux dynamics of the motor: rotor speed enters as a signal.
 
@@ -297,12 +301,11 @@ class MotorVirtual:
         names, exo = ["x1", "x2", "x3", "x4"], ("omega_r", "omega_s")
         x = [exprlang.Traced(exprlang.Var(s)) for s in names]
         f = motor_field(p, x, {s: exprlang.Traced(exprlang.Var(s)) for s in exo})
-        g_rows = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         self.system = DynSystem(
             n=4,
             q=2,
             f=exprlang.compile_map([exprlang.as_expr(v) for v in f], names, exo),
-            g=exprlang.compile_matrix([[exprlang.Const(v) for v in row] for row in g_rows], names),
+            g=exprlang.compile_matrix([list(map(exprlang.Const, row)) for row in _MOTOR_G], names),
             h=exprlang.compile_map([exprlang.Var("x3"), exprlang.Var("x4")], names),
             exo={"omega_r": p.omega_r, "omega_s": p.omega_s},
             name="motor-virtual",
@@ -410,10 +413,11 @@ def motor_feedforward(
                        + (d(phi_r*)/dt + omega_g j phi_r*) / R_r ]
         u_s    = d(phi_s*)/dt + omega_s j phi_s* + R_s i_s(phi_r*, phi_s*)
 
-    Correctness is machine-checked at construction: both flux equations are
-    re-evaluated on a time grid with central-difference time derivatives
-    (an independent route around the dual-number chain rule) and the pair
-    is rejected if any residual exceeds ``tol``.
+    Correctness is machine-checked at construction: on a time grid, the
+    central-difference time derivative of the state (phi_r*, phi_s*) (an
+    independent route around the dual-number chain rule) is compared with
+    the drift :func:`motor_field` plus g u_s, the right-hand side the motor
+    integrates, and the pair is rejected if any residual exceeds ``tol``.
 
     Returns ``(phi_s_ref, u_s)`` as pairs of analytic signals.
     """
@@ -424,8 +428,6 @@ def motor_feedforward(
                 "feedforward needs twice-differentiable reference and speed signals"
             )
     a_r = 1.0 / p.L_r + 1.0 / p.L_l
-    a_s = 1.0 / p.L_s + 1.0 / p.L_l
-    b = 1.0 / p.L_l
 
     def phi_r_star(t):
         return [ref[0].at(t), ref[1].at(t)]
@@ -442,43 +444,28 @@ def motor_feedforward(
         ]
 
     def u_s(t):
-        pr = phi_r_star(t)
         ps = phi_s_star(t)
         psdot = scalar_deriv(phi_s_star, t)
-        fs = _saturation(p.kappa_s, ps)
-        i_s = [fs[k] + a_s * ps[k] - b * pr[k] for k in range(2)]
+        i_s = motor_currents(p, phi_r_star(t) + ps)[1]
         rot = _jmul(ps)
         return [psdot[k] + p.omega_s.at(t) * rot[k] + p.R_s * i_s[k] for k in range(2)]
 
-    # independent residual check: central differences replace the dual route
+    def state(t):
+        return [float_value(v) for v in phi_r_star(t) + phi_s_star(t)]
+
+    # independent residual check: central differences replace the dual route,
+    # against the drift the motor integrates plus g u
     h = 1e-5
     for t in np.linspace(0.0, t_check, n_check):
         t = float(t)
-        pr = [float_value(v) for v in phi_r_star(t)]
-        ps = [float_value(v) for v in phi_s_star(t)]
-        us = [float_value(v) for v in u_s(t)]
-        prdot_fd = [
-            (float_value(phi_r_star(t + h)[k]) - float_value(phi_r_star(t - h)[k])) / (2 * h)
-            for k in range(2)
-        ]
-        psdot_fd = [
-            (float_value(phi_s_star(t + h)[k]) - float_value(phi_s_star(t - h)[k])) / (2 * h)
-            for k in range(2)
-        ]
-        w_s = p.omega_s.value(t)
-        w_g = w_s - p.omega_r.value(t)
-        i_r, i_s = motor_currents(p, pr + ps)
-        rot_r = _jmul(pr)
-        rot_s = _jmul(ps)
-        res_r = max(
-            abs(prdot_fd[k] + w_g * rot_r[k] + p.R_r * i_r[k]) for k in range(2)
-        )
-        res_s = max(
-            abs(psdot_fd[k] + w_s * rot_s[k] + p.R_s * i_s[k] - us[k]) for k in range(2)
-        )
-        if max(res_r, res_s) > tol:
+        xdot_fd = [(a - b) / (2 * h) for a, b in zip(state(t + h), state(t - h))]
+        speeds = {"omega_r": p.omega_r.value(t), "omega_s": p.omega_s.value(t)}
+        drift = motor_field(p, state(t), speeds)
+        gu = mat_vec(_MOTOR_G, [float_value(v) for v in u_s(t)])
+        res = max(abs(xdot_fd[k] - drift[k] - gu[k]) for k in range(4))
+        if res > tol:
             raise FeedforwardConstructionError(
-                f"flux-equation residual {max(res_r, res_s):.3g} > {tol:.1g} at t = {t:.6g}"
+                f"flux-equation residual {res:.3g} > {tol:.1g} at t = {t:.6g}"
             )
     phi_s_ref = (
         Signal.analytic(lambda t: phi_s_star(t)[0]),

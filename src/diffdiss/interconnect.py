@@ -55,18 +55,6 @@ class AlgebraicLoopError(Exception):
     """Both subsystems have throughput; the loop would be implicit."""
 
 
-class InterconnectedSystem(DynSystem):
-    """Closed-loop system; behaves exactly like any other DynSystem."""
-
-    def __init__(self, *args, sub1=None, sub2=None, coupling="", k1=None, k2=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.sub1 = sub1
-        self.sub2 = sub2
-        self.coupling = coupling
-        self.k1 = k1
-        self.k2 = k2
-
-
 def _block_rows(top_left, top_right, bottom_left, bottom_right):
     rows = [list(l) + list(r) for l, r in zip(top_left, top_right)]
     rows += [list(l) + list(r) for l, r in zip(bottom_left, bottom_right)]
@@ -128,7 +116,7 @@ def _composite_supply(s1: DynSystem, s2: DynSystem):
                       strictness, rate)
 
 
-def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
+def output_feedback(s1: DynSystem, s2: DynSystem) -> DynSystem:
     """Negative-feedback output coupling u1 = -y2 + v1, u2 = y1 + v2.
 
     At most one subsystem may have throughput (a double-throughput loop is
@@ -136,29 +124,28 @@ def output_feedback(s1: DynSystem, s2: DynSystem) -> InterconnectedSystem:
     displacement with its own external-input displacement; the internal
     cross terms cancel by skew symmetry and never appear.
     """
-    return _feedback(s1, s2, None, None, "feedback", "output-feedback")
+    return _feedback(s1, s2, None, None, "feedback")
 
 
-def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> InterconnectedSystem:
+def state_feedback(s1: DynSystem, s2: DynSystem, k1, k2) -> DynSystem:
     """State coupling u1 = -k2(x2) + v1, u2 = k1(x1) + v2.
 
     k1: x1 -> R^q and k2: x2 -> R^q must be dual-evaluable.  Cross-term
     cancellation is NOT assumed; verify it with :func:`check_equalization`.
     """
-    return _feedback(s1, s2, k1, k2, "state-feedback", "state-feedback")
+    return _feedback(s1, s2, k1, k2, "state-feedback")
 
 
-def _feedback(s1: DynSystem, s2: DynSystem, k1, k2, name: str, coupling: str):
+def _feedback(s1: DynSystem, s2: DynSystem, k1, k2, name: str) -> DynSystem:
     """The loop of ``s1`` and ``s2`` (see :func:`_coupled_maps`) with
     block-diagonal storage and supply."""
     if s1.q != s2.q:
         raise ValueError(f"port dimensions differ: {s1.q} vs {s2.q}")
     f, g, h, i = _loop_maps(s1, s2, k1, k2)
-    return InterconnectedSystem(
+    return DynSystem(
         s1.n + s2.n, 2 * s1.q, f, g, h, i=i, exo=_merge_exo(s1, s2),
         storage=_composite_storage(s1, s2), supply=_composite_supply(s1, s2),
         name=f"{name}({s1.name},{s2.name})",
-        sub1=s1, sub2=s2, coupling=coupling, k1=k1, k2=k2,
     )
 
 

@@ -19,6 +19,7 @@ from diffdiss import (
     simulate,
     simulate_prolonged,
 )
+from diffdiss import examples
 from diffdiss.examples import RcCircuit, lti, motor_field
 from diffdiss.numerics import cos as d_cos, dot, jvp, mat_vec, seed, sin as d_sin
 from diffdiss.systems import DynSystem, lift
@@ -237,6 +238,36 @@ class TestMotorFeedforward:
         ref = (Signal.sampled([0.0, 1.0], [1.0, 1.0]), Signal.zero())
         with pytest.raises(FeedforwardConstructionError):
             motor_feedforward(MotorParams(phi_r_ref=ref))
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_check_runs_the_integrated_field(self, monkeypatch, row):
+        # the residual check compares with motor_field itself, so a drift off
+        # by 1e-6 in any one row fails it
+        field = examples.motor_field
+
+        def perturbed(p, x, e):
+            out = field(p, x, e)
+            out[row] += 1e-6
+            return out
+
+        monkeypatch.setattr(examples, "motor_field", perturbed)
+        with pytest.raises(FeedforwardConstructionError,
+                           match=r"residual 1e-06 > 1e-08 at t = 0$"):
+            motor_feedforward(MotorParams())
+
+    def test_input_is_the_stator_law_of_motor_currents(self):
+        # u_s = d(phi_s*)/dt + omega_s j phi_s* + R_s i_s, with i_s from motor_currents
+        p = MotorParams(phi_r_ref=(Signal.analytic(lambda t: 1.0 + 0.2 * d_sin(t)),
+                                   Signal.analytic(lambda t: 0.1 * d_cos(t))))
+        phi_s_ref, u_s = motor_feedforward(p)
+        t = 0.7
+        x = [p.phi_r_ref[0].value(t), p.phi_r_ref[1].value(t),
+             phi_s_ref[0].value(t), phi_s_ref[1].value(t)]
+        i_s = motor_currents(p, x)[1]
+        rot = [-x[3], x[2]]
+        for k in range(2):
+            want = phi_s_ref[k].deriv(t) + 10.0 * rot[k] + p.R_s * i_s[k]
+            assert u_s[k].value(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_regulation_converges(self):
         p = MotorParams()
