@@ -486,6 +486,8 @@ def _certificate_uc(cfg: dict, args, command: str):
     if np.shape(pi) != (sys_.n, sys_.q):
         raise ConfigError("/pi", f"expected {sys_.n} rows of {sys_.q} numbers")
     grid = _build_grid(cfg, "grid", sys_.n, _seed(cfg, args))
+    if sys_.has_throughput:
+        raise ConfigError("/system/i", f"{command} applies to throughput-free systems")
     return sys_, storage, supply, check_uc(sys_, storage.m_fun, pi, supply.w_fun, grid)
 
 
@@ -500,6 +502,10 @@ def cmd_certify_ap(cfg, args, out_dir):
     seed = _seed(cfg, args)
     grid_x = _build_grid(cfg, "grid", sys_.n, seed)
     grid_u = _build_grid(cfg, "grid_u", sys_.q, seed + 1, default_span=1.0)
+    if not sys_.has_throughput:
+        raise ConfigError("/system/i", "certify-ap needs a throughput term i")
+    if sys_.q != sys_.n:
+        raise ConfigError("/system/q", f"certify-ap needs q = n = {sys_.n}, got {sys_.q}")
     report = check_ap(sys_, storage.m_fun, supply.w_fun, grid_x, grid_u)
     return _finish(args, out_dir, "certificate_report.json", report.to_json_dict(),
                    f"certificate over {report.n_points} points")
@@ -511,28 +517,39 @@ def cmd_interconnect(cfg, args, out_dir):
     ic = _object(_get(cfg, "", "interconnect", required=True), path)
     sys2 = _build_system({"system": _get(ic, path, "system2", required=True)},
                          f"{path}/system2")
-    sys1.storage = _build_storage(cfg, sys1)
-    sys1.supply = _build_supply(cfg, sys1)
-    sys2.storage = _build_storage(ic, sys2, key="storage2", parent=path)
-    sys2.supply = _build_supply(ic, sys2, key="supply2", parent=path)
+    # the loop audit needs both storages and supplies
+    sys1.storage = _build_storage(cfg, sys1, required=True)
+    sys1.supply = _build_supply(cfg, sys1, required=True)
+    sys2.storage = _build_storage(ic, sys2, required=True, key="storage2", parent=path)
+    sys2.supply = _build_supply(ic, sys2, required=True, key="supply2", parent=path)
+    if sys2.q != sys1.q:
+        raise ConfigError(f"{path}/system2/q", f"port dimensions differ: {sys1.q} vs {sys2.q}")
+    for name in sys2.exo:
+        if name in sys1.exo:
+            raise ConfigError(f"{path}/system2/exo/{name}",
+                              f"exogenous signal name clash: {name!r}")
     coupling = _get(ic, path, "coupling", default="output")
     eq = None
     if coupling == "output":
+        if sys1.has_throughput and sys2.has_throughput:
+            raise ConfigError(f"{path}/system2/i",
+                              "both subsystems have throughput, so the loop is algebraic")
         loop = output_feedback(sys1, sys2)
     elif coupling == "state":
         k1 = _vector_fn(_get(ic, path, "k1", required=True), _state_names(sys1.n), set(),
                         f"{path}/k1", sys2.q)
         k2 = _vector_fn(_get(ic, path, "k2", required=True), _state_names(sys2.n), set(),
                         f"{path}/k2", sys1.q)
+        for sys_, where in ((sys1, "/system"), (sys2, f"{path}/system2")):
+            if sys_.has_throughput:
+                raise ConfigError(f"{where}/i",
+                                  "the equalization check needs a throughput-free output map")
         loop = state_feedback(sys1, sys2, k1, k2)
-        if sys1.supply is not None and sys2.supply is not None:
-            eq = check_equalization(sys1, sys2, k1, k2, sys1.supply.w_fun, sys2.supply.w_fun,
-                                    seed=_seed(cfg, args))
+        eq = check_equalization(sys1, sys2, k1, k2, sys1.supply.w_fun, sys2.supply.w_fun,
+                                seed=_seed(cfg, args))
     else:
         raise ConfigError(f"{path}/coupling", f"unknown coupling {coupling!r}")
     traj = _simulated(cfg, loop, args)
-    if loop.storage is None or loop.supply is None:
-        raise ConfigError("/storage", "both subsystems need storage and supply for the loop audit")
     payload = audit(traj, loop.storage, loop.supply, tol=_tol(cfg, args, 1e-9)).to_json_dict()
     if eq is not None:
         payload["equalization"] = eq.to_json_dict()
@@ -572,12 +589,12 @@ def cmd_converge(cfg, args, out_dir):
     run = _run(cfg)
     x0, _, u, _, t_final = _run_params(cfg, sys_, args)
     x0_b = _point(cfg, "x0_b", sys_.n, required=True)
-    report = verify_output_convergence(
-        sys_, storage, supply, x0, x0_b, u=u, t_final=t_final,
-        tol=_tol(cfg, args, 1e-3), n_s=_n_s(cfg),
-        stepper=_build_stepper(cfg, args),
-        state_bound=_as_float(run.get("bound", 1e6), "/run/bound", positive=True),
-    )
+    tol, n_s, stepper = _tol(cfg, args, 1e-3), _n_s(cfg), _build_stepper(cfg, args)
+    bound = _as_float(run.get("bound", 1e6), "/run/bound", positive=True)
+    if supply.strictness != "output":  # after every key is read, where the library raised it
+        raise ConfigError("/supply/strictness", "converge needs an output-strict supply")
+    report = verify_output_convergence(sys_, storage, supply, x0, x0_b, u=u, t_final=t_final,
+                                       tol=tol, n_s=n_s, stepper=stepper, state_bound=bound)
     write_length_gap_csv(
         os.path.join(out_dir, "convergence_trace.csv"),
         report.times, report.lengths.lengths, report.output_gap,

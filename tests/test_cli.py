@@ -302,6 +302,48 @@ class TestLocatedConfigErrors:
         ("audit", STATE_STRICT, ("supply", "state_rate"), float("inf"), "/supply/state_rate"),
     ]
 
+    # a loop's structure is checked before it runs, at the key that breaks it
+    LOOP_OUTPUT = dict(SCALAR_SYS, run={"x0": [0.5, -0.2], "t_final": 0.1},
+                       interconnect={"system2": SCALAR_SYS["system"],
+                                     "storage2": {"M": "identity"},
+                                     "supply2": {"W": "identity"}})
+    LOOP_EXO = dict(LOOP_OUTPUT, system=dict(SCALAR_SYS["system"], exo={"w": 1.0}))
+    LOOP_I = dict(LOOP_OUTPUT, system=dict(SCALAR_SYS["system"], i=[["1"]]))
+    # system 1 blows up within the run, so a check made after it would never be reached
+    LOOP_BLOWUP = dict(LOOP_OUTPUT, system=dict(SCALAR_SYS["system"], f=["x1^3"]),
+                       run={"x0": [2.0, 0.0], "t_final": 1.0})
+    LOOP_STRUCTURE = [
+        pytest.param("interconnect", LOOP_OUTPUT, ("interconnect", "system2"),
+                     dict(SCALAR_SYS["system"], q=2, g=[["1", "0"]], h=["x1", "0"]),
+                     "/interconnect/system2/q", id="port-dimensions"),
+        pytest.param("interconnect", LOOP_EXO, ("interconnect", "system2", "exo"), {"w": 2.0},
+                     "/interconnect/system2/exo/w", id="exo-clash"),
+        pytest.param("interconnect", LOOP_I, ("interconnect", "system2", "i"), [["1"]],
+                     "/interconnect/system2/i", id="output-throughput-both"),
+        pytest.param("interconnect", LOOP, ("system", "i"), [["1"]], "/system/i",
+                     id="state-throughput-1"),
+        pytest.param("interconnect", LOOP, ("interconnect", "system2", "i"), [["1"]],
+                     "/interconnect/system2/i", id="state-throughput-2"),
+        pytest.param("interconnect", LOOP_BLOWUP, ("storage",), None, "/storage",
+                     id="no-storage"),
+        pytest.param("interconnect", LOOP_BLOWUP, ("supply",), None, "/supply", id="no-supply"),
+        pytest.param("interconnect", LOOP_BLOWUP, ("interconnect", "storage2"), None,
+                     "/interconnect/storage2", id="no-storage2"),
+        pytest.param("interconnect", LOOP_BLOWUP, ("interconnect", "supply2"), None,
+                     "/interconnect/supply2", id="no-supply2"),
+    ]
+
+    # what a command needs of its system and supply is a config error too
+    AP = dict(SCALAR_SYS, system=dict(SCALAR_SYS["system"], i=[["1"]]))
+    PRECONDITIONS = [
+        ("converge", CONVERGE, ("supply", "strictness"), "none", "/supply/strictness"),
+        ("certify-uc", CERT, ("system", "i"), [["1"]], "/system/i"),
+        ("certify-ap", AP, ("system", "i"), None, "/system/i"),
+        ("certify-ap", AP, ("system",),
+         {"n": 2, "q": 1, "f": ["-x1", "-x2"], "g": [["1"], ["0"]], "h": ["x1"], "i": [["1"]]},
+         "/system/q"),
+    ]
+
     # lti's own shape checks, located at its params
     LTI_SHAPES = [
         ("audit", LTI, ("system", "params", "B"), [[1.0], [0.0]], "/system/params"),
@@ -323,6 +365,16 @@ class TestLocatedConfigErrors:
     @pytest.mark.parametrize("command, base, keys, value, pointer", CASES,
                              ids=[f"{c[0]}:{c[4]}" for c in CASES])
     def test_located(self, tmp_path, capsys, command, base, keys, value, pointer):
+        _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
+
+    @pytest.mark.parametrize("command, base, keys, value, pointer", LOOP_STRUCTURE)
+    def test_loop_structure_located(self, tmp_path, capsys, command, base, keys, value,
+                                    pointer):
+        _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
+
+    @pytest.mark.parametrize("command, base, keys, value, pointer", PRECONDITIONS,
+                             ids=[f"{c[0]}:{c[4]}" for c in PRECONDITIONS])
+    def test_precondition_located(self, tmp_path, capsys, command, base, keys, value, pointer):
         _assert_located(tmp_path, capsys, command, base, keys, value, pointer)
 
     @pytest.mark.parametrize("command, base, keys, value, pointer", LTI_SHAPES,
@@ -491,6 +543,21 @@ class TestCommands:
         assert code == 0
         lines = (out / "homotopy_trace.csv").read_text().splitlines()
         assert lines[0] == "t,L,gap"
+
+    def test_homotopy_without_storage_uses_the_euclidean_length(self, tmp_path):
+        # no storage: the length is |dx| over s, so for xdot = -x + u it is the
+        # gap |x_b - x_a| = 0.5 e^{-t} itself
+        cfg_data = {key: value for key, value in SCALAR_SYS.items() if key != "storage"}
+        cfg_data["run"] = dict(SCALAR_SYS["run"], x0_b=[1.5])
+        code, out = run(tmp_path, "homotopy", "--config", write_config(tmp_path, cfg_data))
+        assert code == 0
+        report = json.loads((out / "homotopy_report.json").read_text())
+        assert report["initial_length"] == 0.5
+        assert report["final_length"] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-9)
+        rows = (out / "homotopy_trace.csv").read_text().splitlines()[1:]
+        for row in rows:
+            t, length, gap = map(float, row.split(","))
+            assert length == pytest.approx(gap, rel=1e-12)
 
     def test_converge(self, tmp_path):
         cfg_data = json.loads(json.dumps(SCALAR_SYS))

@@ -376,6 +376,13 @@ class TestCheckAp:
             gx, gu = self._grids(1)
             check_ap(scalar_leaky(), lambda x: [[1.0]], lambda x: [[1.0]], gx, gu)
 
+    def test_requires_as_many_inputs_as_states(self):
+        sys = lti([[-1.0, 0.0], [0.0, -1.0]], [[1.0], [0.0]], [[1.0, 0.0]], d=[[1.0]])
+        gx = GridSpec.box([-1.0, -1.0], [1.0, 1.0], [2, 2])
+        with pytest.raises(InvalidCertificate, match="input and state dimensions agree"):
+            check_ap(sys, lambda x: [[1.0, 0.0], [0.0, 1.0]], lambda x: [[1.0]], gx,
+                     self._grids(1)[1])
+
 
 @given(
     st.floats(min_value=0.0, max_value=1e6),

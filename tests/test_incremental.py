@@ -23,6 +23,7 @@ from diffdiss import (
 from diffdiss.examples import lti
 from diffdiss.exprlang import EvalError, compile_matrix, parse
 from diffdiss.incremental import _library_gauge, _trapezoid
+from diffdiss.numerics import uniform_draws
 
 from conftest import rotation, scalar_cubic, scalar_leaky, scalar_stiffening
 
@@ -210,6 +211,22 @@ class TestFinslerLength:
         trace = finsler_length(fam, box, homogeneity_checks=50)
         assert trace.convexity_violations >= 0  # counted, never raises
 
+    def test_non_subadditive_gauge_counts_its_violations(self):
+        # (sqrt|dx1| + sqrt|dx2|)^2 is homogeneous of degree 1 but not
+        # subadditive; the check's own draws (3 + 2n per check) give the count
+        gauge = lambda x, dx: (math.sqrt(abs(dx[0])) + math.sqrt(abs(dx[1]))) ** 2
+        fam = homotopy_integrate(rotation(), lambda s: [1.0 + s, s], t_final=0.2, n_s=5)
+        trace = finsler_length(fam, gauge, homogeneity_checks=20)
+        draws = uniform_draws(0, 20 * 7)
+        want = 0
+        for c in range(20):
+            dx, other = ([2.0 * v - 1.0 for v in draws[7 * c + j:7 * c + j + 2]] for j in (3, 5))
+            both = [a + b for a, b in zip(dx, other)]
+            want += gauge(None, both) > gauge(None, dx) + gauge(None, other) + 1e-12
+        assert trace.convexity_violations == want > 0
+        # the lengths are still reported: at t = 0 the gauge of gamma' = (1, 1)
+        assert trace.lengths[0] == 4.0
+
     def test_refinement_converges_quadratically(self):
         sys = scalar_cubic()
         lengths = {}
@@ -335,6 +352,23 @@ class TestOutputConvergence:
         with pytest.raises(NumericalError, match="member s=0 .* t = 0"):
             verify_output_convergence(sys, storage, supply, [0.0], [1.0],
                                       t_final=0.5, n_s=3, stepper=Rk4(1e-2))
+
+    def test_unstable_plant_fails_the_barbalat_bound(self):
+        # xdot = x + u: dy = dx = e^t, so int_0^1 <dy, dy> dt = (e^2 - 1)/2
+        # outgrows S(0) = 1/2 at every node, and the output gap grows
+        growing = DynSystem(1, 1, lambda x, e: [x[0]], lambda x, e: [[1.0]],
+                            lambda x, e: [x[0]])
+        storage = QuadraticDifferentialStorage.identity(1)
+        supply = SupplyRate.identity(1, strictness="output")
+        report = verify_output_convergence(growing, storage, supply, [1.0], [2.0],
+                                           t_final=1.0, n_s=3, stepper=Rk4(1e-3))
+        assert not report.barbalat_ok and not report.passed
+        assert report.to_json_dict()["barbalat_ok"] is False
+        assert len(report.barbalat_bounds) == 3
+        for integral, s0 in report.barbalat_bounds:
+            assert s0 == 0.5
+            assert integral == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-6)
+        assert report.final_gap == pytest.approx(math.e, rel=1e-9)
 
     def test_unbounded_trajectory_detected(self):
         growing = DynSystem(1, 1, lambda x, e: [x[0]], lambda x, e: [[1.0]],
